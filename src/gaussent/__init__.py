@@ -7,142 +7,21 @@ maintenance/bias/excess components, and predicts the efficacy of
 teleportation and dense-coding protocols on that photon budget.
 """
 
-from .epr import (
-    EprAsymptotes,
-    EprReport,
-    conditional_variance,
-    degree_of_epr,
-    epr_asymptotes,
-    epr_from_photons,
-    epr_vs_loss,
-    numeric_conditional_variance,
-)
-from .photons import (
-    PhotonDecomposition,
-    cm_from_photons,
-    cross_corr_from_photons,
-    decompose,
-    insep_from_nmin,
-    mean_photon_number,
-    nmin_from_insep,
-)
-from .protocols import (
-    NO_CLONING_FIDELITY,
-    ChannelSpec,
-    ContourGrid,
-    capacity_ratio,
-    contour_grid,
-    dense_coding_capacity,
-    exceeds_no_cloning_limit,
-    maximize_squeezed_capacity,
-    optimal_squeezed_capacity,
-    shannon_capacity,
-    squeezed_channel_capacity,
-    squeezing_photons,
-    teleport_fidelity,
-)
-from .separability import (
-    InseparabilityReport,
-    StandardFormCheck,
-    SumCriterionResult,
-    degree_of_inseparability,
-    duan_sum_criterion,
-    inseparability_report,
-    inseparability_vs_loss,
-    k_parameter,
-    product_restriction,
-    standard_form_restrictions,
-)
-from .spectra import (
-    DerivedRow,
-    PaperAnchor,
-    PaperAnchors,
-    SpectrumRow,
-    cm_at_frequency,
-    derive_spectra,
-    load_paper_anchors,
-    parse_spectra,
-    synthesize_spectra,
-    write_outputs,
-)
-from .states import (
-    OMEGA,
-    QUADRATURE_ORDER,
-    CorrelationMatrix4,
-    QuadratureVariancePair,
-    SqueezedBeam,
-    TwoModeState,
-    apply_local_squeezing,
-    apply_loss,
-    check_symmetric_form,
-    entangle_on_beamsplitter,
-    is_block_form,
-    min_sum_diff_variance,
-    sum_diff_variance,
-)
+from .epr import degree_of_epr
+from .photons import decompose
+from .protocols import teleport_fidelity
+from .separability import degree_of_inseparability
+from .states import CorrelationMatrix4, SqueezedBeam, apply_loss, entangle_on_beamsplitter
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "OMEGA",
-    "QUADRATURE_ORDER",
-    "NO_CLONING_FIDELITY",
-    "ChannelSpec",
-    "ContourGrid",
     "CorrelationMatrix4",
-    "DerivedRow",
-    "EprAsymptotes",
-    "EprReport",
-    "InseparabilityReport",
-    "PaperAnchor",
-    "PaperAnchors",
-    "PhotonDecomposition",
-    "QuadratureVariancePair",
-    "SpectrumRow",
     "SqueezedBeam",
-    "StandardFormCheck",
-    "SumCriterionResult",
-    "TwoModeState",
-    "apply_local_squeezing",
     "apply_loss",
-    "capacity_ratio",
-    "check_symmetric_form",
-    "cm_at_frequency",
-    "cm_from_photons",
-    "conditional_variance",
-    "contour_grid",
-    "cross_corr_from_photons",
     "decompose",
     "degree_of_epr",
     "degree_of_inseparability",
-    "dense_coding_capacity",
-    "derive_spectra",
-    "duan_sum_criterion",
     "entangle_on_beamsplitter",
-    "epr_asymptotes",
-    "epr_from_photons",
-    "epr_vs_loss",
-    "exceeds_no_cloning_limit",
-    "insep_from_nmin",
-    "inseparability_report",
-    "inseparability_vs_loss",
-    "is_block_form",
-    "k_parameter",
-    "load_paper_anchors",
-    "maximize_squeezed_capacity",
-    "mean_photon_number",
-    "min_sum_diff_variance",
-    "nmin_from_insep",
-    "numeric_conditional_variance",
-    "optimal_squeezed_capacity",
-    "parse_spectra",
-    "product_restriction",
-    "shannon_capacity",
-    "squeezed_channel_capacity",
-    "squeezing_photons",
-    "standard_form_restrictions",
-    "sum_diff_variance",
-    "synthesize_spectra",
     "teleport_fidelity",
-    "write_outputs",
 ]

@@ -14,11 +14,8 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .states import CorrelationMatrix4
-
-_SELF_CHECK_TOL = 1e-9
+from .states import CorrelationMatrix4, quadrature_entries
 
 
 @dataclass(frozen=True)
@@ -40,68 +37,31 @@ class EprAsymptotes(NamedTuple):
     impure_limit: float
 
 
-def _quadrature_entries(cm: CorrelationMatrix4, quadrature: str) -> tuple[float, float, float]:
-    if quadrature == "+":
-        return cm.cxx_plus, cm.cyy_plus, cm.cxy_plus
-    if quadrature == "-":
-        return cm.cxx_minus, cm.cyy_minus, cm.cxy_minus
-    raise ValueError(f"quadrature must be '+' or '-', got {quadrature!r}")
-
-
-def numeric_conditional_variance(cm: CorrelationMatrix4, quadrature: str) -> float:
-    """Conditional variance by direct 1-D minimization over the inference gain.
-
-    Golden-section search of <(dX_x - g dX_y)^2> over g in [-10, 10];
-    serves as an independent check of the closed form.
-    """
-    c_xx, c_yy, c_xy = _quadrature_entries(cm, quadrature)
-
-    def objective(g: float) -> float:
-        return c_xx - 2.0 * g * c_xy + g * g * c_yy
-
-    result = minimize_scalar(
-        objective, bracket=(-10.0, 10.0), method="golden", options={"xtol": 1e-12}
-    )
-    return float(result.fun)
-
-
-def conditional_variance(
-    cm: CorrelationMatrix4, quadrature: str, self_check: bool = False
-) -> tuple[float, float]:
+def conditional_variance(cm: CorrelationMatrix4, quadrature: str) -> tuple[float, float]:
     """Residual variance of one beam's quadrature given the other beam.
 
     Args:
         cm: correlation matrix of the pair.
         quadrature: "+" or "-".
-        self_check: additionally minimize the gain numerically and require
-            agreement with the closed form to 1e-9.
 
     Returns:
         (variance, optimal gain): C_xx - |C_xy|^2 / C_yy and C_xy / C_yy.
 
     Raises:
-        ValueError: if the conditioning variance C_yy is not positive, or
-            if the self check disagrees with the closed form.
+        ValueError: if the conditioning variance C_yy is not positive.
     """
-    c_xx, c_yy, c_xy = _quadrature_entries(cm, quadrature)
+    c_xx, c_yy, c_xy = quadrature_entries(cm, quadrature)
     if c_yy <= 0.0:
         raise ValueError(f"conditioning variance must be positive, got {c_yy}")
     variance = c_xx - (c_xy * c_xy) / c_yy
     gain = c_xy / c_yy
-    if self_check:
-        numeric = numeric_conditional_variance(cm, quadrature)
-        if abs(numeric - variance) > _SELF_CHECK_TOL:
-            raise ValueError(
-                f"closed-form conditional variance {variance!r} disagrees with "
-                f"numeric minimization {numeric!r}"
-            )
     return variance, gain
 
 
-def degree_of_epr(cm: CorrelationMatrix4, self_check: bool = False) -> EprReport:
+def degree_of_epr(cm: CorrelationMatrix4) -> EprReport:
     """Degree of EPR paradox; below 1 demonstrates the paradox."""
-    cv_plus, g_plus = conditional_variance(cm, "+", self_check=self_check)
-    cv_minus, g_minus = conditional_variance(cm, "-", self_check=self_check)
+    cv_plus, g_plus = conditional_variance(cm, "+")
+    cv_minus, g_minus = conditional_variance(cm, "-")
     return EprReport(
         cv_plus=cv_plus,
         cv_minus=cv_minus,

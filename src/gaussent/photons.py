@@ -80,7 +80,7 @@ def decompose(cm: CorrelationMatrix4, tol: float = 1e-9) -> PhotonDecomposition:
     # Photons in a pair of pure single-quadrature-squeezed beams with the
     # observed sum/difference variances, before and after removing bias.
     paired = 0.25 * (v_plus + 1.0 / v_plus + v_minus + 1.0 / v_minus) - 1.0
-    debiased = 0.5 * (insep + 1.0 / insep) - 1.0
+    debiased = nmin_from_insep(insep)
 
     n_bias = paired - debiased
     if insep < 1.0:

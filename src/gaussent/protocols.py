@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .epr import epr_from_photons
 from .photons import insep_from_nmin
@@ -21,23 +20,6 @@ from .photons import insep_from_nmin
 NO_CLONING_FIDELITY = 2.0 / 3.0
 
 GRID_METRICS = ("epr", "fidelity", "dense_ratio")
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Signal/noise variances and photon budget of one Gaussian channel."""
-
-    signal_var: float
-    noise_var: float
-    n_encoding: float
-
-    def __post_init__(self) -> None:
-        if self.signal_var < 0.0 or self.noise_var < 0.0 or self.n_encoding < 0.0:
-            raise ValueError("channel variances and photon budget must be non-negative")
-
-    @property
-    def snr(self) -> float:
-        return self.signal_var / self.noise_var
 
 
 @dataclass(frozen=True)
@@ -93,6 +75,11 @@ def teleport_fidelity(insep: float) -> float:
     """
     if insep <= 0.0:
         raise ValueError(f"degree of inseparability must be positive, got {insep}")
+    return _fidelity(insep)
+
+
+def _fidelity(insep):
+    """F = 1/(1 + I), elementwise over arrays."""
     return 1.0 / (1.0 + insep)
 
 
@@ -132,10 +119,7 @@ def squeezed_channel_capacity(n_encoding: float, v_sqz: float) -> float:
         raise ValueError(
             f"photon budget {n_encoding} is below the {n_sqz:.6g} needed for squeezing"
         )
-    channel = ChannelSpec(
-        signal_var=4.0 * (n_encoding - n_sqz), noise_var=v_sqz, n_encoding=n_encoding
-    )
-    return shannon_capacity(channel.snr)
+    return shannon_capacity(4.0 * (n_encoding - n_sqz) / v_sqz)
 
 
 def optimal_squeezed_capacity(n_encoding: float) -> float:
@@ -148,30 +132,13 @@ def optimal_squeezed_capacity(n_encoding: float) -> float:
     return math.log2(1.0 + 2.0 * n_encoding)
 
 
-def maximize_squeezed_capacity(n_encoding: float) -> tuple[float, float]:
-    """Numerically maximize the squeezed-state capacity over the squeezing level.
+def _dense_capacity(signal, n_min):
+    """log2(1 + signal / I(n_min)), elementwise over arrays.
 
-    Returns (capacity, optimal variance); used as a cross-check of
-    :func:`optimal_squeezed_capacity`.
+    The dense-coding capacity of ``signal`` photons shared by the two
+    quadrature channels, whose noise is the degree of inseparability.
     """
-    if n_encoding <= 0.0:
-        return 0.0, 1.0
-
-    # Smallest variance the budget can hold; capacity is zero there.
-    t = 4.0 * n_encoding + 2.0
-    v_floor = 2.0 / (t + math.sqrt(t * t - 4.0))
-
-    def negated(v: float) -> float:
-        try:
-            return -squeezed_channel_capacity(n_encoding, v)
-        except ValueError:
-            # Rounding can push the boundary a hair past the budget.
-            return 0.0
-
-    result = minimize_scalar(
-        negated, bounds=(v_floor, 1.0), method="bounded", options={"xatol": 1e-12}
-    )
-    return -float(result.fun), float(result.x)
+    return np.log2(1.0 + signal / insep_from_nmin(n_min))
 
 
 def dense_coding_capacity(n_encoding: float, n_min: float, n_excess: float) -> float:
@@ -193,9 +160,7 @@ def dense_coding_capacity(n_encoding: float, n_min: float, n_excess: float) -> f
             f"photon budget {n_encoding} is below the {0.5 * n_total:.6g} needed "
             "for the entangled state"
         )
-    signal = n_encoding - 0.5 * n_total
-    noise = insep_from_nmin(n_min)
-    return math.log2(1.0 + signal / noise)
+    return float(_dense_capacity(n_encoding - 0.5 * n_total, n_min))
 
 
 def capacity_ratio(n_encoding: float, n_min: float, n_excess: float) -> float:
@@ -242,7 +207,7 @@ def contour_grid(
         params = {}
     elif metric == "fidelity":
         # Constant along the excess axis: vertical efficacy contours.
-        values = 1.0 / (1.0 + insep_from_nmin(nm))
+        values = _fidelity(insep_from_nmin(nm))
         params = {}
     else:
         if "n_encoding" not in params:
@@ -252,12 +217,9 @@ def contour_grid(
             raise ValueError(f"n_encoding must be positive, got {n_encoding}")
         params = {"n_encoding": n_encoding}
         signal = n_encoding - 0.5 * (nm + ne)
-        noise = insep_from_nmin(nm)
-        optimum = math.log2(1.0 + 2.0 * n_encoding)
+        optimum = optimal_squeezed_capacity(n_encoding)
         with np.errstate(invalid="ignore", divide="ignore"):
-            values = np.where(
-                signal >= 0.0, np.log2(1.0 + signal / noise) / optimum, np.nan
-            )
+            values = np.where(signal >= 0.0, _dense_capacity(signal, nm) / optimum, np.nan)
 
     return ContourGrid(
         metric=metric,

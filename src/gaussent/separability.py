@@ -18,6 +18,7 @@ from .states import (
     check_symmetric_form,
     is_block_form,
     min_sum_diff_variance,
+    quadrature_entries,
 )
 
 #: Quoted statistical error of the anchor measurements; default tolerance
@@ -122,10 +123,7 @@ def _inference_variance(cm: CorrelationMatrix4, quadrature: str, k: float) -> tu
     Returns the variance and whether the sign had to default to +1 because
     the cross correlation vanished.
     """
-    if quadrature == "+":
-        c_xx, c_yy, c_xy = cm.cxx_plus, cm.cyy_plus, cm.cxy_plus
-    else:
-        c_xx, c_yy, c_xy = cm.cxx_minus, cm.cyy_minus, cm.cxy_minus
+    c_xx, c_yy, c_xy = quadrature_entries(cm, quadrature)
     defaulted = c_xy == 0.0
     return k * k * c_xx + c_yy / (k * k) - 2.0 * abs(c_xy), defaulted
 
@@ -137,10 +135,7 @@ def _self_biased_inference_variance(cm: CorrelationMatrix4, quadrature: str) -> 
     which is the substitution under which the product-form restriction is
     stated.  Requires both diagonal entries above shot noise.
     """
-    if quadrature == "+":
-        c_xx, c_yy, c_xy = cm.cxx_plus, cm.cyy_plus, cm.cxy_plus
-    else:
-        c_xx, c_yy, c_xy = cm.cxx_minus, cm.cyy_minus, cm.cxy_minus
+    c_xx, c_yy, c_xy = quadrature_entries(cm, quadrature)
     ex, ey = c_xx - 1.0, c_yy - 1.0
     if ex <= 0.0 or ey <= 0.0:
         raise ValueError(

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 from importlib import resources
@@ -96,8 +97,9 @@ def parse_spectra(text: str, units: str = "linear") -> list[SpectrumRow]:
             decibel values (converted via v = 10^(dB/10)).
 
     Raises:
-        ValueError: on a wrong header, a non-numeric cell, or a
-            non-positive variance, naming the offending row and column.
+        ValueError: on a wrong header, a non-numeric or non-finite cell, a
+            dB value too large to convert, or a non-positive variance,
+            naming the offending row and column.
     """
     if units not in ("linear", "dB"):
         raise ValueError(f"units must be 'linear' or 'dB', got {units!r}")
@@ -126,8 +128,15 @@ def parse_spectra(text: str, units: str = "linear") -> list[SpectrumRow]:
                 value = float(cell)
             except ValueError:
                 raise ValueError(f"row {line_no}, column '{name}': non-numeric cell {cell!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"row {line_no}, column '{name}': non-finite cell {cell!r}")
             if units == "dB" and name != "frequency_mhz":
-                value = 10.0 ** (value / 10.0)
+                try:
+                    value = 10.0 ** (value / 10.0)
+                except OverflowError:
+                    raise ValueError(
+                        f"row {line_no}, column '{name}': {cell!r} dB is out of range"
+                    ) from None
             values[name] = value
         for name in SPECTRUM_COLUMNS[1:]:
             if not values[name] > 0.0:

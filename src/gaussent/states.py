@@ -75,7 +75,13 @@ class SqueezedBeam:
 
     @classmethod
     def pure(cls, v_plus: float) -> "SqueezedBeam":
-        """Minimum-uncertainty beam with amplitude variance ``v_plus``."""
+        """Minimum-uncertainty beam with amplitude variance ``v_plus``.
+
+        Raises:
+            ValueError: if ``v_plus`` is not positive.
+        """
+        if not v_plus > 0.0:
+            raise ValueError(f"squeezed variance must be positive, got {v_plus}")
         return cls(QuadratureVariancePair(v_plus, 1.0 / v_plus))
 
     @classmethod
@@ -301,6 +307,22 @@ def _as_cm(state_or_cm: TwoModeState | CorrelationMatrix4) -> CorrelationMatrix4
     return state_or_cm
 
 
+def quadrature_entries(
+    cm: CorrelationMatrix4, quadrature: str
+) -> tuple[float, float, float]:
+    """(C_xx, C_yy, C_xy) of one quadrature: "+" (amplitude) or "-" (phase).
+
+    Raises:
+        ValueError: on any other quadrature token.
+    """
+    try:
+        i, j = _QUADRATURE_INDEX[quadrature]
+    except KeyError:
+        raise ValueError(f"quadrature must be '+' or '-', got {quadrature!r}") from None
+    e = cm.entries
+    return float(e[i, i]), float(e[j, j]), float(e[i, j])
+
+
 def sum_diff_variance(
     state_or_cm: TwoModeState | CorrelationMatrix4, quadrature: str, sign: str
 ) -> float:
@@ -315,14 +337,11 @@ def sum_diff_variance(
         quadrature: "+" (amplitude) or "-" (phase).
         sign: "sum" or "diff".
     """
-    if quadrature not in _QUADRATURE_INDEX:
-        raise ValueError(f"quadrature must be '+' or '-', got {quadrature!r}")
+    c_xx, c_yy, c_xy = quadrature_entries(_as_cm(state_or_cm), quadrature)
     if sign not in ("sum", "diff"):
         raise ValueError(f"sign must be 'sum' or 'diff', got {sign!r}")
-    i, j = _QUADRATURE_INDEX[quadrature]
-    e = _as_cm(state_or_cm).entries
     s = 1.0 if sign == "sum" else -1.0
-    return float(0.5 * (e[i, i] + e[j, j]) + s * e[i, j])
+    return 0.5 * (c_xx + c_yy) + s * c_xy
 
 
 def min_sum_diff_variance(

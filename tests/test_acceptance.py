@@ -9,11 +9,11 @@ import math
 
 import numpy as np
 
+from oracles import maximize_squeezed_capacity
 from gaussent.epr import degree_of_epr, epr_from_photons, epr_vs_loss
 from gaussent.photons import cm_from_photons, decompose
 from gaussent.protocols import (
     capacity_ratio,
-    maximize_squeezed_capacity,
     optimal_squeezed_capacity,
     teleport_fidelity,
 )

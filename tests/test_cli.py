@@ -145,8 +145,10 @@ class TestModel:
         assert matrix[0, 2] == pytest.approx(-0.375)
 
     def test_unphysical_input_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "model", "--v1", "-0.5", "--v2", "0.5")
-        assert code == 1
+        for v1 in ("-0.5", "0"):
+            code, _, err = run_cli(capsys, "model", "--v1", v1, "--v2", "0.5")
+            assert code == 1
+            assert err.startswith("gaussent: error:")
 
     def test_writes_file(self, capsys, tmp_path):
         target = tmp_path / "state.json"

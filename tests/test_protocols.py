@@ -4,17 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from oracles import maximize_squeezed_capacity
 from gaussent.epr import epr_from_photons
 from gaussent.photons import insep_from_nmin
 from gaussent.protocols import (
     NO_CLONING_FIDELITY,
-    ChannelSpec,
     ContourGrid,
     capacity_ratio,
     contour_grid,
     dense_coding_capacity,
     exceeds_no_cloning_limit,
-    maximize_squeezed_capacity,
     optimal_squeezed_capacity,
     shannon_capacity,
     squeezed_channel_capacity,
@@ -149,16 +148,6 @@ class TestCapacityRatio:
             assert abs(low - high) < 1e-3
 
 
-class TestChannelSpec:
-    def test_snr(self):
-        channel = ChannelSpec(signal_var=3.0, noise_var=0.5, n_encoding=1.0)
-        assert channel.snr == 6.0
-
-    def test_rejects_negative_fields(self):
-        with pytest.raises(ValueError):
-            ChannelSpec(signal_var=-1.0, noise_var=0.5, n_encoding=1.0)
-
-
 class TestContourGrid:
     def test_epr_grid_node(self):
         grid = contour_grid("epr", (0.0, 3.56), (0.0, 19.44), resolution=11)
@@ -190,6 +179,27 @@ class TestContourGrid:
         )
         assert np.isnan(grid.values[-1, -1])  # n_total/2 = 3.5 > 1
         assert np.isfinite(grid.values[0, 0])
+
+    def test_grid_values_match_reference_expressions(self):
+        nmin_range, nexcess_range, n_encoding = (0.0, 3.02), (0.0, 3.97), 2.0
+        nm, ne = np.meshgrid(
+            np.linspace(*nmin_range, 301), np.linspace(*nexcess_range, 301), indexing="ij"
+        )
+        fidelity = 1.0 / (1.0 + insep_from_nmin(nm))
+        signal = n_encoding - 0.5 * (nm + ne)
+        noise = insep_from_nmin(nm)
+        optimum = math.log2(1.0 + 2.0 * n_encoding)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            dense_ratio = np.where(
+                signal >= 0.0, np.log2(1.0 + signal / noise) / optimum, np.nan
+            )
+        assert np.isnan(dense_ratio).any() and not np.isnan(dense_ratio).all()
+        for metric, reference, params in (
+            ("fidelity", fidelity, None),
+            ("dense_ratio", dense_ratio, {"n_encoding": n_encoding}),
+        ):
+            grid = contour_grid(metric, nmin_range, nexcess_range, 301, params)
+            assert np.array_equal(grid.values, reference, equal_nan=True), metric
 
     def test_dense_ratio_requires_budget_parameter(self):
         with pytest.raises(ValueError, match="n_encoding"):

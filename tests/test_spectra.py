@@ -44,9 +44,17 @@ class TestParse:
         assert row.frequency_mhz == 5.0  # frequency column not converted
 
     def test_rejects_negative_variance_naming_cell(self):
-        text = HEADER + "\n5.0,-1.0,1.0,1.0,1.0,1.0,1.0\n"
-        with pytest.raises(ValueError, match=r"row 2, column 'vx_plus'"):
-            parse_spectra(text)
+        for line, units, column in (
+            ("5.0,-1.0,1.0,1.0,1.0,1.0,1.0", "linear", "vx_plus"),
+            ("5.0,1.0,1.0,1.0,1.0,inf,1.0", "linear", "v_sum_plus"),
+            ("5.0,1.0,1.0,1.0,nan,1.0,1.0", "linear", "vy_minus"),
+            ("inf,1.0,1.0,1.0,1.0,1.0,1.0", "linear", "frequency_mhz"),
+            ("nan,1.0,1.0,1.0,1.0,1.0,1.0", "linear", "frequency_mhz"),
+            ("5.0,0.0,0.0,0.0,0.0,-2.0,inf", "dB", "v_diff_minus"),
+            ("5.0,0.0,3083.0,0.0,0.0,-2.0,-2.0", "dB", "vx_minus"),
+        ):
+            with pytest.raises(ValueError, match=rf"row 2, column '{column}'"):
+                parse_spectra(HEADER + "\n" + line + "\n", units=units)
 
     def test_rejects_non_numeric_cell(self):
         text = HEADER + "\n5.0,1.0,oops,1.0,1.0,1.0,1.0\n"
