@@ -17,7 +17,6 @@ import argparse
 import json
 import logging
 import sys
-import warnings
 
 from . import protocols, separability, spectra
 from .epr import degree_of_epr, epr_vs_loss
@@ -162,10 +161,7 @@ def analyze_cm(
     are reported alongside the matrix-derived ones.
     """
     measured = dict(measured or {})
-    # The advisory warning duplicates the restrictions reported below.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        insep = degree_of_inseparability(cm)
+    insep = degree_of_inseparability(cm)
     epr_report = degree_of_epr(cm)
     restrictions = separability.standard_form_restrictions(cm)
     fidelity = teleport_fidelity(insep)

@@ -10,6 +10,7 @@ photon-number variables make explicit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -79,8 +80,8 @@ def epr_vs_loss(v_ave: float, eta: float) -> float:
     any squeezing level: above that efficiency the paradox is observable,
     below it never is.
     """
-    if v_ave <= 0.0:
-        raise ValueError(f"average squeezed variance must be positive, got {v_ave}")
+    if not 0.0 < v_ave < math.inf:
+        raise ValueError(f"average squeezed variance must be positive and finite, got {v_ave}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     denom = eta * (v_ave + 1.0 / v_ave - 2.0) + 2.0

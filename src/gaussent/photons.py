@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .states import CorrelationMatrix4, SqueezedBeam, check_symmetric_form, min_sum_diff_variance
+from .separability import _symmetric_degree
+from .states import CorrelationMatrix4, SqueezedBeam, check_symmetric_form
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ def mean_photon_number(beam: SqueezedBeam) -> float:
     )
 
 
-def decompose(cm: CorrelationMatrix4, tol: float = 1e-9) -> PhotonDecomposition:
+def decompose(cm: CorrelationMatrix4) -> PhotonDecomposition:
     """Split the state's mean photon number into maintenance, bias, and excess.
 
     Requires a matrix with interchangeable beams and no cross-quadrature
@@ -63,20 +64,13 @@ def decompose(cm: CorrelationMatrix4, tol: float = 1e-9) -> PhotonDecomposition:
     Raises:
         ValueError: if the matrix is not in the interchangeable-beams form.
     """
-    if not check_symmetric_form(cm, tol):
+    if not check_symmetric_form(cm):
         raise ValueError(
             "correlation matrix is not in the interchangeable-beams form; "
             "symmetrize it or analyze it with the general operations"
         )
-    v_plus = min_sum_diff_variance(cm, "+")
-    v_minus = min_sum_diff_variance(cm, "-")
-    if v_plus <= 0.0 or v_minus <= 0.0:
-        raise ValueError(
-            f"non-positive sum/difference variance ({v_plus:.6g}, {v_minus:.6g})"
-        )
-
+    v_plus, v_minus, insep = _symmetric_degree(cm)
     n_total = float(np.trace(cm.entries)) / 4.0 - 1.0
-    insep = math.sqrt(v_plus * v_minus)
     # Photons in a pair of pure single-quadrature-squeezed beams with the
     # observed sum/difference variances, before and after removing bias.
     paired = 0.25 * (v_plus + 1.0 / v_plus + v_minus + 1.0 / v_minus) - 1.0
@@ -106,13 +100,16 @@ def insep_from_nmin(n_min):
 
     Inverse of n_min = (I + 1/I)/2 - 1 on (0, 1]; evaluated in the
     cancellation-free form 1/(m + sqrt(m^2 - 1)) with m = n_min + 1.
-    Accepts scalars or numpy arrays.
+    Where m^2 overflows (n_min above about 1.3e154) the root is m to double
+    precision, so I = 0.5/m there.  Accepts scalars or numpy arrays.
     """
     n_min = np.asarray(n_min, dtype=float)
     if np.any(n_min < 0.0):
         raise ValueError("n_min must be non-negative")
     m = n_min + 1.0
-    result = 1.0 / (m + np.sqrt(m * m - 1.0))
+    with np.errstate(over="ignore"):
+        root = np.sqrt(m * m - 1.0)
+    result = np.where(np.isinf(root), 0.5 / m, 1.0 / (m + root))
     if result.ndim == 0:
         return float(result)
     return result

@@ -41,7 +41,7 @@ class ContourGrid:
                 f"values shape {values.shape} does not match axes "
                 f"({nmin.size}, {nexcess.size})"
             )
-        if np.any(np.diff(nmin) <= 0.0) or np.any(np.diff(nexcess) <= 0.0):
+        if not (np.all(np.diff(nmin) > 0.0) and np.all(np.diff(nexcess) > 0.0)):
             raise ValueError("grid axes must be strictly increasing")
         for arr in (nmin, nexcess, values):
             arr.setflags(write=False)
@@ -194,8 +194,10 @@ def contour_grid(
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     for name, (lo, hi) in (("nmin_range", nmin_range), ("nexcess_range", nexcess_range)):
-        if lo < 0.0 or hi <= lo:
-            raise ValueError(f"{name} must be non-negative and increasing, got ({lo}, {hi})")
+        if not 0.0 <= lo < hi < math.inf:
+            raise ValueError(
+                f"{name} must be finite, non-negative and increasing, got ({lo}, {hi})"
+            )
     params = dict(params or {})
 
     nmin_axis = np.linspace(nmin_range[0], nmin_range[1], resolution)
@@ -213,8 +215,8 @@ def contour_grid(
         if "n_encoding" not in params:
             raise ValueError("dense_ratio grids need params={'n_encoding': ...}")
         n_encoding = float(params["n_encoding"])
-        if n_encoding <= 0.0:
-            raise ValueError(f"n_encoding must be positive, got {n_encoding}")
+        if not 0.0 < n_encoding < math.inf:
+            raise ValueError(f"n_encoding must be positive and finite, got {n_encoding}")
         params = {"n_encoding": n_encoding}
         signal = n_encoding - 0.5 * (nm + ne)
         optimum = optimal_squeezed_capacity(n_encoding)

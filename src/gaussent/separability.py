@@ -10,8 +10,7 @@ detection efficiency.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .states import (
     CorrelationMatrix4,
@@ -21,9 +20,14 @@ from .states import (
     quadrature_entries,
 )
 
-#: Quoted statistical error of the anchor measurements; default tolerance
-#: for the restriction checks.
-DEFAULT_RESTRICTION_TOL = 0.05
+#: Quoted statistical error of the anchor measurements; absolute tolerance
+#: of the correlation-balance and product-form restrictions.
+RESTRICTION_TOL = 0.05
+#: Relative tolerance of the equal excess-variance-ratio restriction.
+RATIO_REL_TOL = 1e-3
+#: Relative tolerance on the agreement of the amplitude- and phase-quadrature
+#: bias parameters.
+K_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -67,27 +71,12 @@ def _require_block_form(cm: CorrelationMatrix4) -> None:
         )
 
 
-@dataclass(frozen=True)
-class InseparabilityReport:
-    """Summary record of the inseparability analysis of one matrix."""
-
-    k: float
-    sum_lhs: float
-    sum_rhs: float
-    sum_applicable: bool
-    product_applicable: bool
-    degree: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def k_parameter(cm: CorrelationMatrix4, tol: float = 1e-6) -> float:
+def k_parameter(cm: CorrelationMatrix4) -> float:
     """Bias-compensation parameter between subsystems x and y.
 
     k = ((C++_yy - 1)/(C++_xx - 1))^(1/4); the same expression evaluated on
-    the phase quadrature must agree within ``tol`` (relative), otherwise
-    the matrix is not in the form the parameter is defined for.
+    the phase quadrature must agree within :data:`K_REL_TOL` (relative),
+    otherwise the matrix is not in the form the parameter is defined for.
 
     Raises:
         ValueError: if the matrix couples the quadratures, if any diagonal
@@ -107,7 +96,7 @@ def k_parameter(cm: CorrelationMatrix4, tol: float = 1e-6) -> float:
 
     k_plus = (excesses["C++_yy"] / excesses["C++_xx"]) ** 0.25
     k_minus = (excesses["C--_yy"] / excesses["C--_xx"]) ** 0.25
-    if not math.isclose(k_plus, k_minus, rel_tol=tol, abs_tol=0.0):
+    if not math.isclose(k_plus, k_minus, rel_tol=K_REL_TOL, abs_tol=0.0):
         raise ValueError(
             f"bias parameter inconsistent between quadratures "
             f"({k_plus:.8g} vs {k_minus:.8g}); the variance-ratio restriction is violated"
@@ -180,18 +169,14 @@ def duan_sum_criterion(
     )
 
 
-def standard_form_restrictions(
-    cm: CorrelationMatrix4,
-    ratio_rel_tol: float = 1e-3,
-    balance_abs_tol: float = DEFAULT_RESTRICTION_TOL,
-) -> StandardFormCheck:
+def standard_form_restrictions(cm: CorrelationMatrix4) -> StandardFormCheck:
     """Check the two restrictions required by the sum-form criterion.
 
     Returns:
         StandardFormCheck with ``ratio_ok`` (equal excess-variance ratios
-        in both quadratures, relative tolerance ``ratio_rel_tol``) and
+        in both quadratures, relative tolerance :data:`RATIO_REL_TOL`) and
         ``balance_ok`` (equal correlation margins, absolute tolerance
-        ``balance_abs_tol``).  Degenerate matrices (diagonal at or below
+        :data:`RESTRICTION_TOL`).  Degenerate matrices (diagonal at or below
         shot noise) fail both with a diagnostic in ``detail``.
     """
     _require_block_form(cm)
@@ -204,7 +189,7 @@ def standard_form_restrictions(
         )
     ratio_plus = ex_p / ey_p
     ratio_minus = ex_m / ey_m
-    ratio_ok = math.isclose(ratio_plus, ratio_minus, rel_tol=ratio_rel_tol, abs_tol=0.0)
+    ratio_ok = math.isclose(ratio_plus, ratio_minus, rel_tol=RATIO_REL_TOL, abs_tol=0.0)
 
     if min(ex_p, ey_p, ex_m, ey_m) < 0.0:
         return StandardFormCheck(
@@ -212,24 +197,24 @@ def standard_form_restrictions(
         )
     margin_plus = math.sqrt(ex_p * ey_p) - abs(cm.cxy_plus)
     margin_minus = math.sqrt(ex_m * ey_m) - abs(cm.cxy_minus)
-    balance_ok = abs(margin_plus - margin_minus) <= balance_abs_tol
+    balance_ok = abs(margin_plus - margin_minus) <= RESTRICTION_TOL
     return StandardFormCheck(ratio_ok, balance_ok)
 
 
-def product_restriction(
-    cm: CorrelationMatrix4, abs_tol: float = DEFAULT_RESTRICTION_TOL
-) -> bool:
+def product_restriction(cm: CorrelationMatrix4) -> bool:
     """Check the single restriction required by the product-form criterion.
 
-    Both sides vanish identically for matrices with interchangeable beams,
-    so those always pass.  For biased matrices the inference variances are
-    evaluated with per-quadrature bias weights; if they are undefined
-    (diagonal at or below shot noise) the restriction is reported as not
-    satisfied.
+    Both sides vanish identically for matrices with interchangeable beams
+    (as :func:`check_symmetric_form` decides, the same test that picks the
+    branch of :func:`degree_of_inseparability`), so those always pass.
+    For biased matrices the inference variances are evaluated with
+    per-quadrature bias weights and the two sides must agree within
+    :data:`RESTRICTION_TOL`; if the variances are undefined (diagonal at or
+    below shot noise) the restriction is reported as not satisfied.
     """
-    _require_block_form(cm)
-    if abs(cm.cxx_plus - cm.cyy_plus) == 0.0 and abs(cm.cxx_minus - cm.cyy_minus) == 0.0:
+    if check_symmetric_form(cm):
         return True
+    _require_block_form(cm)
     lhs = cm.cyy_plus * cm.cxx_minus - cm.cxx_plus * cm.cyy_minus
     try:
         d_plus = _self_biased_inference_variance(cm, "+")
@@ -241,7 +226,7 @@ def product_restriction(
     rhs = math.sqrt(d_minus / d_plus) * (cm.cyy_plus - cm.cxx_plus) + math.sqrt(
         d_plus / d_minus
     ) * (cm.cxx_minus - cm.cyy_minus)
-    return abs(lhs - rhs) <= abs_tol
+    return abs(lhs - rhs) <= RESTRICTION_TOL
 
 
 def degree_of_inseparability(cm: CorrelationMatrix4) -> float:
@@ -252,37 +237,42 @@ def degree_of_inseparability(cm: CorrelationMatrix4) -> float:
     the general normalized product of inference variances is used, with the
     bias parameter taken from the matrix.
 
-    A warning is emitted if the product-form restriction does not hold, in
-    which case the value is advisory only.
+    The value is advisory only where the product-form restriction fails.
+    That is reported by :func:`product_restriction`, and by ``gaussent
+    analyze`` as ``restrictions.product_ok``, not by a warning here.
 
     Raises:
         ValueError: if an inference variance is not positive, or if the
             matrix couples the quadratures.
     """
-    _require_block_form(cm)
     if check_symmetric_form(cm):
-        v_plus = min_sum_diff_variance(cm, "+")
-        v_minus = min_sum_diff_variance(cm, "-")
-        if v_plus <= 0.0 or v_minus <= 0.0:
-            raise ValueError(
-                f"non-positive sum/difference variance ({v_plus:.6g}, {v_minus:.6g})"
-            )
-        degree = math.sqrt(v_plus * v_minus)
-    else:
-        k = k_parameter(cm)
-        d_plus, _ = _inference_variance(cm, "+", k)
-        d_minus, _ = _inference_variance(cm, "-", k)
-        if d_plus <= 0.0 or d_minus <= 0.0:
-            raise ValueError(
-                f"non-positive inference variance ({d_plus:.6g}, {d_minus:.6g})"
-            )
-        degree = math.sqrt(d_plus * d_minus) / (k * k + 1.0 / (k * k))
-    if not product_restriction(cm):
-        warnings.warn(
-            "product-form restriction not satisfied; degree of inseparability is advisory",
-            stacklevel=2,
+        return _symmetric_degree(cm)[2]
+    k = k_parameter(cm)
+    d_plus, _ = _inference_variance(cm, "+", k)
+    d_minus, _ = _inference_variance(cm, "-", k)
+    if d_plus <= 0.0 or d_minus <= 0.0:
+        raise ValueError(
+            f"non-positive inference variance ({d_plus:.6g}, {d_minus:.6g})"
         )
-    return degree
+    return math.sqrt(d_plus * d_minus) / (k * k + 1.0 / (k * k))
+
+
+def _symmetric_degree(cm: CorrelationMatrix4) -> tuple[float, float, float]:
+    """(V+, V-, sqrt(V+ V-)) of a matrix with interchangeable beams.
+
+    V+/V- are the minimum sum/difference variances of the amplitude and
+    phase quadratures; the caller has checked the form.
+
+    Raises:
+        ValueError: if either variance is not positive.
+    """
+    v_plus = min_sum_diff_variance(cm, "+")
+    v_minus = min_sum_diff_variance(cm, "-")
+    if v_plus <= 0.0 or v_minus <= 0.0:
+        raise ValueError(
+            f"non-positive sum/difference variance ({v_plus:.6g}, {v_minus:.6g})"
+        )
+    return v_plus, v_minus, math.sqrt(v_plus * v_minus)
 
 
 def inseparability_vs_loss(v_ave: float, eta: float) -> float:
@@ -293,25 +283,8 @@ def inseparability_vs_loss(v_ave: float, eta: float) -> float:
     variance of the inputs.  Below 1 whenever v_ave < 1 and eta > 0, so
     loss alone never makes the state separable.
     """
-    if v_ave <= 0.0:
-        raise ValueError(f"average squeezed variance must be positive, got {v_ave}")
+    if not 0.0 < v_ave < math.inf:
+        raise ValueError(f"average squeezed variance must be positive and finite, got {v_ave}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     return eta * v_ave + (1.0 - eta)
-
-
-def inseparability_report(cm: CorrelationMatrix4) -> InseparabilityReport:
-    """Full inseparability summary for one correlation matrix."""
-    if check_symmetric_form(cm):
-        k = 1.0
-    else:
-        k = k_parameter(cm)
-    summary = duan_sum_criterion(cm, k=k)
-    return InseparabilityReport(
-        k=k,
-        sum_lhs=summary.lhs,
-        sum_rhs=summary.rhs,
-        sum_applicable=summary.applicable,
-        product_applicable=product_restriction(cm),
-        degree=degree_of_inseparability(cm),
-    )

@@ -274,23 +274,6 @@ def derived_to_json_text(derived: list[DerivedRow]) -> str:
     return json.dumps([asdict(row) for row in derived], indent=2) + "\n"
 
 
-def write_outputs(derived: list[DerivedRow], path, format: str = "csv") -> None:
-    """Write derived rows to ``path`` as CSV or JSON.
-
-    Column order follows the DerivedRow field order; CSV always uses '.'
-    as the decimal separator.  I/O failures propagate with the path in the
-    error message.
-    """
-    if format == "csv":
-        text = derived_to_csv_text(derived)
-    elif format == "json":
-        text = derived_to_json_text(derived)
-    else:
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-
-
 @dataclass(frozen=True)
 class PaperAnchor:
     """One published reference point: a correlation matrix, optionally with

@@ -28,7 +28,11 @@ OMEGA = np.array(
 )
 
 SYMMETRY_TOL = 1e-12
+#: Slack allowed on the uncertainty relation by the physicality checks.
 PHYSICALITY_TOL = 1e-9
+#: Largest cross-quadrature entry, and largest x/y variance mismatch, that
+#: still counts as zero in the block-form and interchangeable-beams tests.
+FORM_TOL = 1e-9
 
 _QUADRATURE_INDEX = {"+": (0, 2), "-": (1, 3)}
 
@@ -56,9 +60,9 @@ class QuadratureVariancePair:
     def uncertainty_product(self) -> float:
         return self.v_plus * self.v_minus
 
-    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
+    def is_physical(self) -> bool:
         """Whether the pair respects the uncertainty bound V+ * V- >= 1."""
-        return self.uncertainty_product >= 1.0 - tol
+        return self.uncertainty_product >= 1.0 - PHYSICALITY_TOL
 
 
 @dataclass(frozen=True)
@@ -178,8 +182,8 @@ class CorrelationMatrix4:
         herm = self.entries + 1j * OMEGA
         return float(np.linalg.eigvalsh(herm)[0])
 
-    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
-        return self.uncertainty_violation() >= -tol
+    def is_physical(self) -> bool:
+        return self.uncertainty_violation() >= -PHYSICALITY_TOL
 
     def to_json_dict(self) -> dict:
         return {"order": list(QUADRATURE_ORDER), "matrix": self.entries.tolist()}
@@ -216,9 +220,7 @@ class TwoModeState:
         }
 
 
-def entangle_on_beamsplitter(
-    sqz1: SqueezedBeam, sqz2: SqueezedBeam, tol: float = PHYSICALITY_TOL
-) -> TwoModeState:
+def entangle_on_beamsplitter(sqz1: SqueezedBeam, sqz2: SqueezedBeam) -> TwoModeState:
     """Interfere two squeezed beams on a 50/50 beam splitter.
 
     The relative phase is fixed at pi/2 so the squeezed quadratures are
@@ -234,13 +236,12 @@ def entangle_on_beamsplitter(
     Args:
         sqz1: first input beam; must satisfy the uncertainty bound.
         sqz2: second input beam; must satisfy the uncertainty bound.
-        tol: slack allowed on the uncertainty product check.
 
     Raises:
         ValueError: if either input violates the uncertainty bound.
     """
     for label, beam in (("first", sqz1), ("second", sqz2)):
-        if not beam.variances.is_physical(tol):
+        if not beam.variances.is_physical():
             raise ValueError(
                 f"{label} input beam is unphysical: V+ * V- = "
                 f"{beam.variances.uncertainty_product:.6g} < 1"
@@ -354,19 +355,19 @@ def min_sum_diff_variance(
     )
 
 
-def is_block_form(cm: CorrelationMatrix4, tol: float = 1e-9) -> bool:
+def is_block_form(cm: CorrelationMatrix4) -> bool:
     """Whether all cross-quadrature entries vanish (amplitude and phase decouple)."""
     e = cm.entries
-    return max(abs(e[0, 1]), abs(e[0, 3]), abs(e[1, 2]), abs(e[2, 3])) <= tol
+    return max(abs(e[0, 1]), abs(e[0, 3]), abs(e[1, 2]), abs(e[2, 3])) <= FORM_TOL
 
 
-def check_symmetric_form(cm: CorrelationMatrix4, tol: float = 1e-9) -> bool:
+def check_symmetric_form(cm: CorrelationMatrix4) -> bool:
     """Whether the matrix has interchangeable beams and no cross-quadrature terms.
 
-    True iff every cross-quadrature entry is within ``tol`` of zero and the
-    per-quadrature variances of beams x and y agree within ``tol``.
+    True iff every cross-quadrature entry is within :data:`FORM_TOL` of zero
+    and the per-quadrature variances of beams x and y agree within it.
     """
-    if not is_block_form(cm, tol):
+    if not is_block_form(cm):
         return False
     e = cm.entries
-    return abs(e[0, 0] - e[2, 2]) <= tol and abs(e[1, 1] - e[3, 3]) <= tol
+    return abs(e[0, 0] - e[2, 2]) <= FORM_TOL and abs(e[1, 1] - e[3, 3]) <= FORM_TOL

@@ -202,6 +202,13 @@ class TestSweepLoss:
         code, _, err = run_cli(capsys, "sweep-loss", "--v", "0.5", "--steps", "1")
         assert code == 1
 
+    def test_rejects_non_finite_variance(self, capsys):
+        for value in ("inf", "nan"):
+            code, out, err = run_cli(capsys, "sweep-loss", "--v", value, "--steps", "3")
+            assert code == 1
+            assert out == ""
+            assert err.startswith("gaussent: error:")
+
 
 class TestContours:
     def test_fidelity_varies_only_with_nmin(self, capsys):
@@ -215,6 +222,15 @@ class TestContours:
             n_min, _, value = line.split(",")
             by_nmin.setdefault(n_min, set()).add(value)
         assert all(len(values) == 1 for values in by_nmin.values())
+
+    def test_rejects_non_finite_range(self, capsys):
+        for value in ("inf", "nan"):
+            code, out, err = run_cli(
+                capsys, "contours", "--metric", "fidelity", "--nmin-max", value, "--grid", "3"
+            )
+            assert code == 1
+            assert out == ""
+            assert err.startswith("gaussent: error:") and "nmin_range" in err
 
     def test_dense_ratio_requires_budget(self, capsys):
         code, _, err = run_cli(capsys, "contours", "--metric", "dense_ratio")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -112,8 +114,9 @@ class TestEprVsLoss:
                 assert observed == (eta > 0.5)
 
     def test_validates_arguments(self):
-        with pytest.raises(ValueError):
-            epr_vs_loss(0.0, 0.5)
+        for v in (-0.5, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                epr_vs_loss(v, 0.5)
         with pytest.raises(ValueError):
             epr_vs_loss(0.5, -0.1)
 

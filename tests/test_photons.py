@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,16 @@ class TestInsepFromNmin:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             insep_from_nmin(-0.5)
+
+    def test_huge_budget_keeps_positive_degree(self):
+        # m^2 overflows above n_min ~ 1.3e154; I = 1/(2m) there, with no warning.
+        budgets = np.array([1e154, 2e154, 1e200, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = insep_from_nmin(budgets)
+        assert np.all(values > 0.0)
+        assert np.allclose(values, 0.5 / (budgets + 1.0), rtol=1e-15, atol=0.0)
+        assert insep_from_nmin(1e300) == pytest.approx(0.5e-300, rel=1e-15)
 
     def test_monotone_in_budget(self):
         budgets = np.linspace(0.0, 5.0, 50)

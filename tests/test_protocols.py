@@ -217,13 +217,24 @@ class TestContourGrid:
         assert grid.nexcess_axis[-1] == 4.0
 
     def test_axes_must_increase(self):
-        with pytest.raises(ValueError):
-            ContourGrid(
-                metric="epr",
-                nmin_axis=np.array([0.0, 0.0]),
-                nexcess_axis=np.array([0.0, 1.0]),
-                values=np.zeros((2, 2)),
-            )
+        for axis in ([0.0, 0.0], [0.0, np.nan], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="increasing"):
+                ContourGrid(
+                    metric="epr",
+                    nmin_axis=np.array(axis),
+                    nexcess_axis=np.array([0.0, 1.0]),
+                    values=np.zeros((2, 2)),
+                )
+
+    def test_rejects_non_finite_range(self):
+        for bad in ((0.0, np.inf), (0.0, np.nan), (np.nan, 1.0), (np.inf, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                contour_grid("fidelity", nmin_range=bad, resolution=3)
+            with pytest.raises(ValueError, match="finite"):
+                contour_grid("epr", nexcess_range=bad, resolution=3)
+        for n_encoding in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                contour_grid("dense_ratio", resolution=3, params={"n_encoding": n_encoding})
 
     def test_csv_round_trip(self):
         grid = contour_grid("epr", (0.0, 1.0), (0.0, 1.0), resolution=3)

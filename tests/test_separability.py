@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_entangled_cm
+from gaussent.cli import analyze_cm
 from gaussent.separability import (
     degree_of_inseparability,
     duan_sum_criterion,
-    inseparability_report,
     inseparability_vs_loss,
     k_parameter,
     product_restriction,
@@ -20,6 +21,7 @@ from gaussent.states import (
     SqueezedBeam,
     apply_local_squeezing,
     apply_loss,
+    check_symmetric_form,
     entangle_on_beamsplitter,
 )
 
@@ -132,9 +134,6 @@ class TestStandardFormRestrictions:
         assert not check.balance_ok
         assert check.detail is not None
 
-    def test_tolerance_is_adjustable(self, cm_35mhz):
-        assert standard_form_restrictions(cm_35mhz, balance_abs_tol=0.6).balance_ok
-
     def test_below_shot_noise_is_undefined(self):
         # Both excess variances negative: the product under the root is
         # positive, but the restriction is still undefined.
@@ -156,6 +155,14 @@ class TestProductRestriction:
     def test_exact_on_standard_form_matrices(self, rng):
         for _ in range(100):
             assert product_restriction(random_standard_form_cm(rng))
+
+    def test_nearly_interchangeable_beams_pass(self):
+        # Interchangeable within the form tolerance but not exactly: the
+        # restriction takes the same branch as the degree and decompose.
+        cm = biased_cm(1.0, 1.0 + 1e-12, 1.0, 1.0, 0.0, 0.0)
+        assert product_restriction(cm)
+        assert analyze_cm(cm)["restrictions"]["product_ok"]
+        assert check_symmetric_form(cm)
 
 
 class TestDegreeOfInseparability:
@@ -203,9 +210,14 @@ class TestDegreeOfInseparability:
         # enough to break the product-form restriction.
         root2 = math.sqrt(2.0)
         cm = biased_cm(3.0, 2.0, 3.0, 2.0, -(root2 + 0.3), root2 - 0.2)
+        # Reported once, as a flag; computing the degree warns of nothing.
         assert not product_restriction(cm)
-        with pytest.warns(UserWarning, match="advisory"):
-            degree_of_inseparability(cm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = analyze_cm(cm)
+            degree = degree_of_inseparability(cm)
+        assert record["restrictions"]["product_ok"] is False
+        assert record["inseparability"] == degree
 
     def test_rejection_precedes_advisory_warning(self):
         cm = biased_cm(2.0, 3.0, 2.0, 2.0, -0.5, 0.5)
@@ -250,8 +262,9 @@ class TestInseparabilityVsLoss:
                 assert inseparability_vs_loss(v, eta) < 1.0
 
     def test_validates_arguments(self):
-        with pytest.raises(ValueError):
-            inseparability_vs_loss(-0.5, 0.5)
+        for v in (-0.5, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                inseparability_vs_loss(v, 0.5)
         with pytest.raises(ValueError):
             inseparability_vs_loss(0.5, 1.5)
 
@@ -266,30 +279,3 @@ class TestInseparabilityVsLoss:
         assert degree_of_inseparability(state.cm) == pytest.approx(
             inseparability_vs_loss(v, eta), abs=1e-12
         )
-
-
-class TestReport:
-    def test_anchor_65(self, cm_65mhz):
-        report = inseparability_report(cm_65mhz)
-        assert report.k == 1.0
-        assert report.sum_lhs == pytest.approx(1.6, abs=1e-12)
-        assert report.sum_rhs == 4.0
-        assert report.sum_applicable
-        assert report.product_applicable
-        assert report.degree == pytest.approx(0.40, abs=1e-12)
-
-    def test_rhs_bound(self, rng):
-        for _ in range(50):
-            report = inseparability_report(random_standard_form_cm(rng))
-            assert report.sum_rhs >= 4.0 - 1e-12
-
-    def test_flat_json(self, cm_65mhz):
-        data = inseparability_report(cm_65mhz).to_json_dict()
-        assert set(data) == {
-            "k",
-            "sum_lhs",
-            "sum_rhs",
-            "sum_applicable",
-            "product_applicable",
-            "degree",
-        }

@@ -5,16 +5,18 @@ import pytest
 
 from conftest import ANCHOR_35_ENTRIES, ANCHOR_65_ENTRIES, MEASURED_65
 from gaussent import spectra
+from gaussent.cli import main
 from gaussent.spectra import (
     DERIVED_COLUMNS,
     SpectrumRow,
     cm_at_frequency,
     derive_spectra,
+    derived_to_csv_text,
+    derived_to_json_text,
     load_paper_anchors,
     measured_row,
     parse_spectra,
     synthesize_spectra,
-    write_outputs,
 )
 from gaussent.states import CorrelationMatrix4, sum_diff_variance
 
@@ -196,38 +198,41 @@ class TestSynthesize:
 
 
 class TestWriteOutputs:
-    def test_csv_round_trip(self, tmp_path):
+    """Derived rows as serialized and written by ``gaussent ingest``."""
+
+    def test_csv_round_trip(self):
         derived = derive_spectra(parse_spectra(SAMPLE_CSV))
-        target = tmp_path / "derived.csv"
-        write_outputs(derived, target, format="csv")
-        lines = target.read_text().strip().split("\n")
+        lines = derived_to_csv_text(derived).strip().split("\n")
         assert lines[0] == ",".join(DERIVED_COLUMNS)
         assert len(lines) == 1 + len(derived)
         reparsed = [float(cell) for cell in lines[1].split(",")]
         assert reparsed[0] == derived[0].frequency_mhz
         assert reparsed[1] == derived[0].inseparability  # repr round-trips exactly
 
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         derived = derive_spectra(parse_spectra(SAMPLE_CSV))
-        target = tmp_path / "derived.json"
-        write_outputs(derived, target, format="json")
-        data = json.loads(target.read_text())
+        data = json.loads(derived_to_json_text(derived))
         assert len(data) == len(derived)
         assert data[0]["inseparability"] == derived[0].inseparability
 
-    def test_empty_list_writes_header_only(self, tmp_path):
-        target = tmp_path / "empty.csv"
-        write_outputs([], target, format="csv")
-        assert target.read_text() == ",".join(DERIVED_COLUMNS) + "\n"
+    def test_empty_list_writes_header_only(self):
+        assert derived_to_csv_text([]) == ",".join(DERIVED_COLUMNS) + "\n"
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            write_outputs([], tmp_path / "x.bin", format="parquet")
+    def test_unknown_format(self, tmp_path, capsys):
+        source = tmp_path / "spectra.csv"
+        source.write_text(SAMPLE_CSV)
+        code = main(["ingest", str(source), "--format", "parquet", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "--format" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
-    def test_io_error_carries_path(self, tmp_path):
-        missing_dir = tmp_path / "no_such_dir" / "out.csv"
-        with pytest.raises(OSError, match="no_such_dir"):
-            write_outputs([], missing_dir, format="csv")
+    def test_io_error_carries_path(self, tmp_path, capsys):
+        source = tmp_path / "spectra.csv"
+        source.write_text(SAMPLE_CSV)
+        missing_dir = tmp_path / "no_such_dir" / "x.csv"
+        code = main(["ingest", str(source), "--out", str(missing_dir)])
+        assert code == 2
+        assert "no_such_dir" in capsys.readouterr().err
 
 
 class TestAnchors:
