@@ -54,9 +54,12 @@ def conditional_variance(cm: CorrelationMatrix4, quadrature: str) -> tuple[float
     c_xx, c_yy, c_xy = quadrature_entries(cm, quadrature)
     if c_yy <= 0.0:
         raise ValueError(f"conditioning variance must be positive, got {c_yy}")
-    variance = c_xx - (c_xy * c_xy) / c_yy
-    gain = c_xy / c_yy
-    return variance, gain
+    return _residual_variance(c_xx, c_yy, c_xy), c_xy / c_yy
+
+
+def _residual_variance(c_xx, c_yy, c_xy):
+    """C_xx - C_xy^2 / C_yy, elementwise over floats or numpy arrays."""
+    return c_xx - (c_xy * c_xy) / c_yy
 
 
 def degree_of_epr(cm: CorrelationMatrix4) -> EprReport:

@@ -70,21 +70,9 @@ def decompose(cm: CorrelationMatrix4) -> PhotonDecomposition:
             "symmetrize it or analyze it with the general operations"
         )
     v_plus, v_minus, insep = _symmetric_degree(cm)
-    n_total = float(np.trace(cm.entries)) / 4.0 - 1.0
-    # Photons in a pair of pure single-quadrature-squeezed beams with the
-    # observed sum/difference variances, before and after removing bias.
-    paired = 0.25 * (v_plus + 1.0 / v_plus + v_minus + 1.0 / v_minus) - 1.0
-    debiased = nmin_from_insep(insep)
-
-    n_bias = paired - debiased
-    if insep < 1.0:
-        n_min = debiased
-        n_pure = paired
-    else:
-        # No entanglement to maintain: the debiased photons count as excess.
-        n_min = 0.0
-        n_pure = n_bias
-    n_excess = n_total - n_min - n_bias
+    n_total, n_pure, n_min, n_bias, n_excess = _budget(
+        cm.cxx_plus, cm.cxx_minus, cm.cyy_plus, cm.cyy_minus, v_plus, v_minus, insep
+    )
     return PhotonDecomposition(
         n_total=n_total,
         n_pure=n_pure,
@@ -93,6 +81,35 @@ def decompose(cm: CorrelationMatrix4) -> PhotonDecomposition:
         n_excess=n_excess,
         g_bias_sq=math.sqrt(v_minus / v_plus),
     )
+
+
+def _budget(cxx_plus, cxx_minus, cyy_plus, cyy_minus, v_plus, v_minus, insep):
+    """(n_total, n_pure, n_min, n_bias, n_excess) of interchangeable beams.
+
+    Elementwise over floats or numpy arrays: the four diagonal entries of
+    the matrix, its minimum sum/difference variances V+/V- and its (positive)
+    degree of inseparability.
+    """
+    n_total = (cxx_plus + cxx_minus + cyy_plus + cyy_minus) / 4.0 - 1.0
+    # Photons in a pair of pure single-quadrature-squeezed beams with the
+    # observed sum/difference variances, before and after removing bias.
+    paired = 0.25 * (v_plus + 1.0 / v_plus + v_minus + 1.0 / v_minus) - 1.0
+    debiased = nmin_from_insep(insep)
+    n_bias = paired - debiased
+    # Without entanglement to maintain (I >= 1) the debiased photons count
+    # as excess: n_min = 0 and the pure part is the bias alone.
+    entangled = insep < 1.0
+    n_min = _select(entangled, debiased, 0.0)
+    n_pure = _select(entangled, paired, n_bias)
+    return n_total, n_pure, n_min, n_bias, n_total - n_min - n_bias
+
+
+def _select(condition, if_true, if_false):
+    """``np.where`` that keeps scalars scalars: the scalar measures pay no
+    array overhead and see no numpy overflow warnings."""
+    if isinstance(condition, (bool, np.bool_)):
+        return if_true if condition else if_false
+    return np.where(condition, if_true, if_false)
 
 
 def insep_from_nmin(n_min):
@@ -104,7 +121,7 @@ def insep_from_nmin(n_min):
     precision, so I = 0.5/m there.  Accepts scalars or numpy arrays.
     """
     n_min = np.asarray(n_min, dtype=float)
-    if np.any(n_min < 0.0):
+    if not np.all(n_min >= 0.0):
         raise ValueError("n_min must be non-negative")
     m = n_min + 1.0
     with np.errstate(over="ignore"):
@@ -115,11 +132,23 @@ def insep_from_nmin(n_min):
     return result
 
 
-def nmin_from_insep(insep: float) -> float:
-    """Minimum mean photon number needed to maintain entanglement of strength ``insep``."""
-    if insep <= 0.0:
-        raise ValueError(f"degree of inseparability must be positive, got {insep}")
-    return 0.5 * (insep + 1.0 / insep) - 1.0
+def nmin_from_insep(insep):
+    """Minimum mean photon number needed to maintain entanglement of strength ``insep``.
+
+    n_min = (I + 1/I)/2 - 1, the inverse of :func:`insep_from_nmin` on
+    (0, 1].  Accepts scalars (returning a float) or numpy arrays.
+
+    Raises:
+        ValueError: if any degree is not positive (NaN included).
+    """
+    values = np.asarray(insep, dtype=float)
+    positive = values > 0.0
+    if not positive.all():
+        bad = values[~positive]
+        raise ValueError(f"degree of inseparability must be positive, got {float(bad[0])}")
+    if values.ndim == 0:
+        values = float(values)
+    return 0.5 * (values + 1.0 / values) - 1.0
 
 
 def cross_corr_from_photons(n_min: float, n_excess: float) -> float:

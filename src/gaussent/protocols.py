@@ -73,7 +73,7 @@ def teleport_fidelity(insep: float) -> float:
     the photon-number diagram are vertical.  F = 0.5 without entanglement;
     values above :data:`NO_CLONING_FIDELITY` beat the no-cloning bound.
     """
-    if insep <= 0.0:
+    if not insep > 0.0:
         raise ValueError(f"degree of inseparability must be positive, got {insep}")
     return _fidelity(insep)
 

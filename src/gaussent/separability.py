@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .states import (
     CorrelationMatrix4,
     check_symmetric_form,
@@ -272,7 +274,13 @@ def _symmetric_degree(cm: CorrelationMatrix4) -> tuple[float, float, float]:
         raise ValueError(
             f"non-positive sum/difference variance ({v_plus:.6g}, {v_minus:.6g})"
         )
-    return v_plus, v_minus, math.sqrt(v_plus * v_minus)
+    return v_plus, v_minus, float(_degree_from_variances(v_plus, v_minus))
+
+
+def _degree_from_variances(v_plus, v_minus):
+    """sqrt(V+ V-), elementwise: the degree of interchangeable beams from
+    their minimum sum/difference variances."""
+    return np.sqrt(v_plus * v_minus)
 
 
 def inseparability_vs_loss(v_ave: float, eta: float) -> float:

@@ -3,11 +3,19 @@
 A spectrum is a table of per-sideband-frequency variance measurements
 (mode variances of both beams plus the minimum sum/difference variances).
 Each row reconstructs a correlation matrix, from which the entanglement
-measures and the photon-number budget follow.  A qualitative synthesizer
-produces spectra with the shape seen from OPA-based sources: squeezing
-rolled off by the OPA bandwidth, and a common-mode relaxation-oscillation
-peak on the amplitude quadratures that piles up in the sum channel while
-cancelling from the phase difference.
+measures and the photon-number budget follow.  :func:`derive_spectra`
+derives every row at once, column by column over numpy arrays, without
+building a matrix per row; :func:`derive_row` is its one-row case.  The
+column-wise kernel calls the same elementwise formulas as the scalar
+measures, in the same order of operations, so both give the same bits.
+The dB conversion in :func:`parse_spectra` stays a scalar
+``10.0 ** (x / 10.0)`` per cell on purpose: ``np.power`` differs from it
+in the last bit on some inputs, which would change the output bytes.
+
+A qualitative synthesizer produces spectra with the shape seen from
+OPA-based sources: squeezing rolled off by the OPA bandwidth, and a
+common-mode relaxation-oscillation peak on the amplitude quadratures that
+piles up in the sum channel while cancelling from the phase difference.
 """
 
 from __future__ import annotations
@@ -18,17 +26,21 @@ import json
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from importlib import resources
+from operator import attrgetter
 
 import numpy as np
 
-from . import epr, photons, separability
+from .epr import _residual_variance
+from .photons import _budget
+from .separability import _degree_from_variances
 from .states import (
     CorrelationMatrix4,
     SqueezedBeam,
     apply_loss,
     entangle_on_beamsplitter,
+    _min_sum_diff,
     sum_diff_variance,
 )
 
@@ -98,8 +110,9 @@ def parse_spectra(text: str, units: str = "linear") -> list[SpectrumRow]:
 
     Raises:
         ValueError: on a wrong header, a non-numeric or non-finite cell, a
-            dB value too large to convert, or a non-positive variance,
-            naming the offending row and column.
+            dB value too large to convert, a non-positive variance or a
+            repeated frequency, naming the offending row and column (and,
+            for a repeated frequency, the row it repeats).
     """
     if units not in ("linear", "dB"):
         raise ValueError(f"units must be 'linear' or 'dB', got {units!r}")
@@ -114,7 +127,7 @@ def parse_spectra(text: str, units: str = "linear") -> list[SpectrumRow]:
             f"unexpected header {header}; expected columns {SPECTRUM_COLUMNS}"
         )
 
-    rows = []
+    rows, line_numbers = [], []
     for line_no, record in enumerate(reader, start=2):
         if not record or all(not cell.strip() for cell in record):
             continue
@@ -148,8 +161,18 @@ def parse_spectra(text: str, units: str = "linear") -> list[SpectrumRow]:
             rows.append(SpectrumRow(**values))
         except ValueError as exc:
             raise ValueError(f"row {line_no}: {exc}")
-    rows.sort(key=lambda row: row.frequency_mhz)
-    return rows
+        line_numbers.append(line_no)
+    freq = np.array([row.frequency_mhz for row in rows], dtype=float)
+    order = np.argsort(freq, kind="stable").tolist()
+    repeats = np.flatnonzero(np.diff(freq[order]) == 0.0)
+    if repeats.size:
+        first, second = order[repeats[0]], order[repeats[0] + 1]
+        earlier, later = sorted((line_numbers[first], line_numbers[second]))
+        raise ValueError(
+            f"row {later}, column 'frequency_mhz': duplicate frequency "
+            f"{rows[first].frequency_mhz} MHz, also on row {earlier}"
+        )
+    return [rows[i] for i in order]
 
 
 def cm_at_frequency(row: SpectrumRow) -> CorrelationMatrix4:
@@ -162,43 +185,116 @@ def cm_at_frequency(row: SpectrumRow) -> CorrelationMatrix4:
     The reconstruction round-trips: the sum/difference variances of the
     result reproduce the row's inputs exactly.
     """
-    v_plus = 0.5 * (row.vx_plus + row.vy_plus)
-    v_minus = 0.5 * (row.vx_minus + row.vy_minus)
-    c_plus = row.v_sum_plus - v_plus
-    c_minus = v_minus - row.v_diff_minus
-    return CorrelationMatrix4.symmetric_form(v_plus, v_minus, c_plus, c_minus)
-
-
-def derive_row(row: SpectrumRow) -> DerivedRow:
-    """Derive the entanglement metrics and photon budget of one row."""
-    cm = cm_at_frequency(row)
-    insep = separability.degree_of_inseparability(cm)
-    epr_degree = epr.degree_of_epr(cm).degree
-    budget = photons.decompose(cm)
-    return DerivedRow(
-        frequency_mhz=row.frequency_mhz,
-        inseparability=insep,
-        epr=epr_degree,
-        n_min=budget.n_min,
-        n_bias=budget.n_bias,
-        n_excess=budget.n_excess,
-        n_total=budget.n_total,
-        c_xy_plus=cm.cxy_plus,
-        c_xy_minus=cm.cxy_minus,
+    return CorrelationMatrix4.symmetric_form(
+        *_reconstruct(
+            row.vx_plus, row.vx_minus, row.vy_plus, row.vy_minus, row.v_sum_plus, row.v_diff_minus
+        )
     )
 
 
-def derive_spectra(rows: list[SpectrumRow]) -> list[DerivedRow]:
-    """Derive metrics for every row; bad rows are logged and skipped."""
-    derived = []
-    for row in rows:
-        try:
-            derived.append(derive_row(row))
-        except ValueError as exc:
-            logger.warning(
-                "skipping row at %.6g MHz: %s", row.frequency_mhz, exc
+def _reconstruct(vx_plus, vx_minus, vy_plus, vy_minus, v_sum_plus, v_diff_minus):
+    """(V+, V-, C+, C-) of the interchangeable-beams matrix of a row,
+    elementwise over floats or numpy arrays."""
+    v_plus = 0.5 * (vx_plus + vy_plus)
+    v_minus = 0.5 * (vx_minus + vy_minus)
+    return v_plus, v_minus, v_sum_plus - v_plus, v_minus - v_diff_minus
+
+
+def _derive_columns(
+    freq, vx_plus, vx_minus, vy_plus, vy_minus, v_sum_plus, v_diff_minus
+) -> tuple[tuple, np.ndarray, list[str]]:
+    """Derive the rows of a spectrum table, all at once.
+
+    Takes the columns :data:`SPECTRUM_COLUMNS` as float64 arrays, or as
+    floats for a single row, which spares that row the fixed cost of
+    numpy's array operations.  Returns ``(derived, valid, reasons)``: the
+    nine :data:`DERIVED_COLUMNS` of the rows that can be derived (arrays,
+    or scalars for a valid single row), the per-row validity mask (1-D),
+    and for each invalid row, in row order, the message the scalar analysis
+    of its correlation matrix raises.
+
+    Every value equals, bit for bit, what :func:`cm_at_frequency` and the
+    scalar measures give for the row: both call the same elementwise
+    helpers, and no correlation matrix is built here.
+    """
+    with np.errstate(all="ignore"):
+        v_plus, v_minus, c_plus, c_minus = _reconstruct(
+            vx_plus, vx_minus, vy_plus, vy_minus, v_sum_plus, v_diff_minus
+        )
+        finite = (
+            np.isfinite(v_plus) & np.isfinite(v_minus) & np.isfinite(c_plus) & np.isfinite(c_minus)
+        )
+        # The reconstructed matrix has equal x and y variances, so the
+        # (C_xx + C_yy)/2 of the minimum sum/difference variance is 0.5 * (V + V).
+        sum_plus = _min_sum_diff(v_plus, v_plus, c_plus)
+        diff_minus = _min_sum_diff(v_minus, v_minus, c_minus)
+        positive = (sum_plus > 0.0) & (diff_minus > 0.0)
+        insep = _degree_from_variances(sum_plus, diff_minus)
+        valid = np.atleast_1d(finite & positive & (insep > 0.0))
+        reasons = []
+        if not valid.all():
+            finite, positive, sum_plus, diff_minus, insep = np.atleast_1d(
+                finite, positive, sum_plus, diff_minus, insep
             )
-    return derived
+            # The first check the scalar path fails, with its message.
+            for i in np.flatnonzero(~valid).tolist():
+                if not finite[i]:
+                    reasons.append("correlation matrix entries must be finite")
+                elif not positive[i]:
+                    reasons.append(
+                        f"non-positive sum/difference variance "
+                        f"({sum_plus[i]:.6g}, {diff_minus[i]:.6g})"
+                    )
+                else:  # V+ V- underflowed to zero
+                    reasons.append(
+                        f"degree of inseparability must be positive, got {float(insep[i])}"
+                    )
+            freq, v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, insep = (
+                column[valid]
+                for column in np.atleast_1d(
+                    freq, v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, insep
+                )
+            )
+
+        epr = _residual_variance(v_plus, v_plus, c_plus) * _residual_variance(
+            v_minus, v_minus, c_minus
+        )
+        n_total, _, n_min, n_bias, n_excess = _budget(
+            v_plus, v_minus, v_plus, v_minus, sum_plus, diff_minus, insep
+        )
+    derived = (freq, insep, epr, n_min, n_bias, n_excess, n_total, c_plus, c_minus)
+    return derived, valid, reasons
+
+
+_spectrum_values = attrgetter(*SPECTRUM_COLUMNS)
+
+
+def derive_row(row: SpectrumRow) -> DerivedRow:
+    """Derive the entanglement metrics and photon budget of one row.
+
+    The one-row case of :func:`derive_spectra`.
+
+    Raises:
+        ValueError: if the row cannot be derived, with the reason
+            :func:`derive_spectra` logs for it.
+    """
+    derived, _, reasons = _derive_columns(*_spectrum_values(row))
+    if reasons:
+        raise ValueError(reasons[0])
+    return DerivedRow(*map(float, derived))
+
+
+def derive_spectra(rows: list[SpectrumRow]) -> list[DerivedRow]:
+    """Derive metrics for every row, column by column; rows that cannot be
+    derived are logged, in row order, and skipped."""
+    table = np.array([_spectrum_values(row) for row in rows], dtype=float)
+    # reshape: an empty list gives a 1-D array.
+    derived, valid, reasons = _derive_columns(
+        *table.reshape(len(rows), len(SPECTRUM_COLUMNS)).T
+    )
+    for i, reason in zip(np.flatnonzero(~valid).tolist(), reasons):
+        logger.warning("skipping row at %.6g MHz: %s", rows[i].frequency_mhz, reason)
+    return [DerivedRow(*values) for values in zip(*(column.tolist() for column in derived))]
 
 
 def synthesize_spectra(
@@ -262,16 +358,38 @@ def synthesize_spectra(
     return rows
 
 
+_derived_values = attrgetter(*DERIVED_COLUMNS)
+_CSV_ROW = ",".join(["%r"] * len(DERIVED_COLUMNS))
+# One row of json.dumps(..., indent=2) over the row's dict, with %s where
+# each value goes.
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{name}": %s' for name in DERIVED_COLUMNS) + "\n  }"
+
+
 def derived_to_csv_text(derived: list[DerivedRow]) -> str:
     """CSV serialization of derived rows, header in DerivedRow field order."""
     lines = [",".join(DERIVED_COLUMNS)]
-    for row in derived:
-        lines.append(",".join(repr(getattr(row, name)) for name in DERIVED_COLUMNS))
+    lines.extend(_CSV_ROW % _derived_values(row) for row in derived)
     return "\n".join(lines) + "\n"
 
 
 def derived_to_json_text(derived: list[DerivedRow]) -> str:
-    return json.dumps([asdict(row) for row in derived], indent=2) + "\n"
+    """JSON array of the derived rows, byte for byte what
+    ``json.dumps([asdict(row) for row in derived], indent=2)`` writes.
+
+    With ``indent`` set, json falls back to its pure-Python encoder; a fixed
+    row template of ``float.__repr__`` values, which is what json writes
+    for a finite float, gives the same text several times faster.
+    """
+    if not derived:
+        return "[]\n"
+    body = ",\n".join(
+        _JSON_ROW % tuple(map(float.__repr__, _derived_values(row))) for row in derived
+    )
+    # float.__repr__ writes non-finite values as nan/inf/-inf where json
+    # writes NaN/Infinity/-Infinity; only values follow ": " in the text.
+    for python, js in ((": nan", ": NaN"), (": inf", ": Infinity"), (": -inf", ": -Infinity")):
+        body = body.replace(python, js)
+    return "[\n" + body + "\n]\n"
 
 
 @dataclass(frozen=True)

@@ -349,10 +349,17 @@ def min_sum_diff_variance(
     state_or_cm: TwoModeState | CorrelationMatrix4, quadrature: str
 ) -> float:
     """The smaller of the normalized sum and difference variances."""
-    return min(
-        sum_diff_variance(state_or_cm, quadrature, "sum"),
-        sum_diff_variance(state_or_cm, quadrature, "diff"),
-    )
+    return _min_sum_diff(*quadrature_entries(_as_cm(state_or_cm), quadrature))
+
+
+def _min_sum_diff(c_xx, c_yy, c_xy):
+    """(C_xx + C_yy)/2 - |C_xy|, elementwise over floats or numpy arrays.
+
+    The smaller of the sum and difference variances of
+    :func:`sum_diff_variance`, bit for bit: rounding is monotone, so
+    subtracting |C_xy| picks the same value as taking the minimum.
+    """
+    return 0.5 * (c_xx + c_yy) - abs(c_xy)
 
 
 def is_block_form(cm: CorrelationMatrix4) -> bool:

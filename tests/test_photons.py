@@ -164,6 +164,12 @@ class TestInsepFromNmin:
         with pytest.raises(ValueError):
             insep_from_nmin(-0.5)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            insep_from_nmin(float("nan"))
+        with pytest.raises(ValueError, match="non-negative"):
+            insep_from_nmin(np.array([0.5, np.nan]))
+
     def test_huge_budget_keeps_positive_degree(self):
         # m^2 overflows above n_min ~ 1.3e154; I = 1/(2m) there, with no warning.
         budgets = np.array([1e154, 2e154, 1e200, 1e308])
@@ -178,6 +184,27 @@ class TestInsepFromNmin:
         budgets = np.linspace(0.0, 5.0, 50)
         values = insep_from_nmin(budgets)
         assert np.all(np.diff(values) < 0.0)
+
+
+class TestNminFromInsep:
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="positive, got nan"):
+            nmin_from_insep(float("nan"))
+
+    def test_rejects_nonpositive_naming_the_value(self):
+        with pytest.raises(ValueError, match="positive, got 0.0"):
+            nmin_from_insep(0.0)
+        with pytest.raises(ValueError, match="positive, got -1.0"):
+            nmin_from_insep(np.array([0.5, -1.0, np.nan]))
+
+    def test_arrays_match_scalars(self):
+        inseps = np.array([1e-3, 0.44, 1.0, 2.5, 1e6])
+        values = nmin_from_insep(inseps)
+        assert isinstance(values, np.ndarray)
+        scalars = [nmin_from_insep(float(i)) for i in inseps]
+        assert all(type(value) is float for value in scalars)
+        assert values.tolist() == scalars
+        assert type(nmin_from_insep(np.float64(0.44))) is float
 
 
 class TestCrossCorrFromPhotons:

@@ -47,6 +47,10 @@ class TestTeleportFidelity:
         with pytest.raises(ValueError):
             teleport_fidelity(0.0)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="positive"):
+            teleport_fidelity(float("nan"))
+
 
 class TestShannonCapacity:
     def test_reference_points(self):

@@ -1,15 +1,25 @@
 import json
+import logging
+import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import ANCHOR_35_ENTRIES, ANCHOR_65_ENTRIES, MEASURED_65
 from gaussent import spectra
 from gaussent.cli import main
+from gaussent.epr import degree_of_epr
+from gaussent.photons import decompose
+from gaussent.separability import degree_of_inseparability
 from gaussent.spectra import (
     DERIVED_COLUMNS,
+    DerivedRow,
     SpectrumRow,
     cm_at_frequency,
+    derive_row,
     derive_spectra,
     derived_to_csv_text,
     derived_to_json_text,
@@ -79,6 +89,14 @@ class TestParse:
     def test_skips_blank_lines(self):
         assert len(parse_spectra(SAMPLE_CSV + "\n\n")) == 3
 
+    def test_rejects_duplicate_frequency_naming_both_rows(self):
+        text = SAMPLE_CSV + "6.50,2.0,2.0,2.0,2.0,0.5,0.5\n"
+        with pytest.raises(
+            ValueError,
+            match=r"row 5, column 'frequency_mhz': duplicate frequency 6.5 MHz, also on row 2",
+        ):
+            parse_spectra(text)
+
 
 class TestCmAtFrequency:
     def test_reconstructs_65mhz_anchor(self):
@@ -142,6 +160,19 @@ class TestDeriveSpectra:
         assert derived.epr == 1.0
         assert derived.n_min == derived.n_bias == derived.n_excess == 0.0
 
+    def test_empty_list(self):
+        assert derive_spectra([]) == []
+
+    def test_builds_no_correlation_matrix(self, monkeypatch):
+        rows = synthesize_spectra()
+
+        def refuse(self):
+            raise AssertionError("a correlation matrix was built")
+
+        monkeypatch.setattr(CorrelationMatrix4, "__post_init__", refuse)
+        assert len(derive_spectra(rows)) == len(rows)
+        assert derive_row(rows[0]).frequency_mhz == rows[0].frequency_mhz
+
     def test_bad_row_skipped_with_warning(self, caplog):
         good = SpectrumRow(6.5, 3.3, 3.3, 3.3, 3.3, 0.4, 0.4)
         # Inconsistent: the claimed sum variance exceeds what the mode
@@ -152,6 +183,116 @@ class TestDeriveSpectra:
         assert len(derived) == 1
         assert derived[0].frequency_mhz == 6.5
         assert "skipping row" in caplog.text
+
+
+def _scalar_reference(row):
+    """(derived values, None) or (None, reason) from the scalar API on the
+    row's correlation matrix."""
+    try:
+        cm = cm_at_frequency(row)
+        insep = degree_of_inseparability(cm)
+        epr = degree_of_epr(cm).degree
+        budget = decompose(cm)
+    except ValueError as exc:
+        return None, str(exc)
+    values = (
+        row.frequency_mhz,
+        insep,
+        epr,
+        budget.n_min,
+        budget.n_bias,
+        budget.n_excess,
+        budget.n_total,
+        cm.cxy_plus,
+        cm.cxy_minus,
+    )
+    assert all(type(value) is float for value in values)
+    return values, None
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _hex(row: DerivedRow) -> list[str]:
+    return [float.hex(getattr(row, name)) for name in DERIVED_COLUMNS]
+
+
+# Ordinary variances, where rows with I >= 1 and rows with a negative
+# sum/difference variance are both common, plus magnitudes whose sums
+# overflow or whose products underflow.
+_VARIANCE = st.one_of(
+    st.floats(0.05, 8.0),
+    st.floats(0.05, 8.0),
+    st.floats(1e-200, 1e-150),
+    st.floats(1e150, 1.7e308),
+)
+_ROW = st.builds(
+    SpectrumRow,
+    frequency_mhz=st.floats(0.1, 1000.0),
+    vx_plus=_VARIANCE,
+    vx_minus=_VARIANCE,
+    vy_plus=_VARIANCE,
+    vy_minus=_VARIANCE,
+    v_sum_plus=_VARIANCE,
+    v_diff_minus=_VARIANCE,
+)
+
+
+def _seeded_rows(seed: int, count: int = 16) -> list[SpectrumRow]:
+    """Rows of uniformly random variances: unlike hypothesis's floats, which
+    favour short and boundary values, nearly every one carries a full
+    mantissa, so a change in the order of operations shows in the last bit."""
+    table = np.random.default_rng(seed).uniform(0.05, 8.0, (count, 7))
+    return [SpectrumRow(*values) for values in table.tolist()]
+
+
+class TestColumnWiseDerivation:
+    """derive_spectra against the scalar measures on each row's matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_ROW, max_size=12), st.integers(0, 2**32 - 1))
+    @example([SpectrumRow(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)], 0)  # vacuum, I = 1
+    @example([SpectrumRow(2.0, 1.0, 1.0, 1.0, 1.0, 1.8, 1.2)], 0)  # I > 1
+    @example([SpectrumRow(3.0, 1e308, 1.0, 1e308, 1.0, 1.0, 1.0)], 0)  # V+ overflows
+    @example([SpectrumRow(4.0, *[1e-200] * 6)], 0)  # V+ V- underflows to 0
+    @example([SpectrumRow(5.0, 1.0, 1.0, 1.0, 1.0, 3.0, 1.0)], 0)  # V+ < 0
+    def test_matches_scalar_reference(self, rows, seed):
+        rows = rows + _seeded_rows(seed)
+        messages = _Messages()
+        logger = logging.getLogger("gaussent.spectra")
+        logger.addHandler(messages)
+        try:
+            derived = derive_spectra(rows)
+        finally:
+            logger.removeHandler(messages)
+
+        references = [_scalar_reference(row) for row in rows]
+        assert messages.messages == [
+            f"skipping row at {row.frequency_mhz:.6g} MHz: {reason}"
+            for row, (_, reason) in zip(rows, references)
+            if reason is not None
+        ]
+        assert [_hex(row) for row in derived] == [
+            [float.hex(value) for value in values]
+            for values, _ in references
+            if values is not None
+        ]
+        for row in derived:
+            assert all(type(getattr(row, name)) is float for name in DERIVED_COLUMNS)
+
+        for row, (_, reason) in zip(rows, references):
+            if reason is None:
+                assert _hex(derive_row(row)) == _hex(derive_spectra([row])[0])
+            else:
+                with pytest.raises(ValueError) as raised:
+                    derive_row(row)
+                assert str(raised.value) == reason
 
 
 class TestSynthesize:
@@ -217,6 +358,17 @@ class TestWriteOutputs:
 
     def test_empty_list_writes_header_only(self):
         assert derived_to_csv_text([]) == ",".join(DERIVED_COLUMNS) + "\n"
+
+    def test_json_matches_json_dumps(self):
+        row = derive_spectra(parse_spectra(SAMPLE_CSV))[0]
+        odd = [
+            replace(row, epr=math.nan),
+            replace(row, n_bias=math.inf, n_excess=-math.inf),
+            replace(row, inseparability=-0.0, c_xy_plus=1e-310, c_xy_minus=-1e300),
+        ]
+        for derived in ([], [row], [row] + odd):
+            expected = json.dumps([asdict(r) for r in derived], indent=2) + "\n"
+            assert derived_to_json_text(derived) == expected
 
     def test_unknown_format(self, tmp_path, capsys):
         source = tmp_path / "spectra.csv"
