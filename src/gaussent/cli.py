@@ -115,7 +115,7 @@ def build_parser() -> _Parser:
         "--nexcess-max", type=float, default=4.0, help="upper edge of the n_excess axis"
     )
     p_contours.add_argument(
-        "--grid", type=int, default=200, help="points per axis"
+        "--grid", type=int, default=200, help=f"points per axis, 2 to {protocols.MAX_RESOLUTION}"
     )
     p_contours.add_argument("--out", help="output file (default: stdout)")
     p_contours.add_argument(
@@ -185,11 +185,10 @@ def analyze_cm(
         anchor = spectra.PaperAnchor(
             label=label or "", frequency_mhz=1.0, cm=cm, measured=measured
         )
-        budget = decompose(spectra.cm_at_frequency(spectra.measured_row(anchor)))
+        row = spectra.measured_row(anchor)
+        budget = decompose(spectra.cm_at_frequency(row))
         source = "measured"
-        result["inseparability_measured"] = (
-            measured["v_sum_plus"] * measured["v_diff_minus"]
-        ) ** 0.5
+        result["inseparability_measured"] = (row.v_sum_plus * row.v_diff_minus) ** 0.5
     else:
         try:
             budget = decompose(cm)
@@ -210,7 +209,8 @@ def analyze_cm(
         }
     )
     if "cv_plus" in measured and "cv_minus" in measured:
-        result["epr_from_measured_cv"] = measured["cv_plus"] * measured["cv_minus"]
+        cv = [spectra._json_number(measured, key) for key in ("cv_plus", "cv_minus")]
+        result["epr_from_measured_cv"] = cv[0] * cv[1]
     return result
 
 
@@ -218,6 +218,8 @@ def _cmd_analyze(args) -> int:
     source = args.cm if args.cm is not None else spectra.bundled_fixture_path()
     with open(source, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError(f"{source} does not hold a JSON object")
 
     if "matrix" in data:
         if args.at is not None:

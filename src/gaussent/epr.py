@@ -107,7 +107,7 @@ def epr_from_photons(n_min, n_excess):
     """
     n_min = np.asarray(n_min, dtype=float)
     n_excess = np.asarray(n_excess, dtype=float)
-    if np.any(n_min < 0.0) or np.any(n_excess < 0.0):
+    if not (np.all(n_min >= 0.0) and np.all(n_excess >= 0.0)):
         raise ValueError("photon numbers must be non-negative")
     m = n_min + 1.0
     insep = m - np.sqrt(m * m - 1.0)

@@ -158,7 +158,7 @@ def cross_corr_from_photons(n_min: float, n_excess: float) -> float:
     quadrature; the amplitude correlation carries a negative sign and the
     phase correlation a positive one.
     """
-    if n_min < 0.0 or n_excess < 0.0:
+    if not (n_min >= 0.0 and n_excess >= 0.0):
         raise ValueError("photon numbers must be non-negative")
     m = n_min + 1.0
     return n_excess + math.sqrt(m * m - 1.0)

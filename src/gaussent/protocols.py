@@ -21,6 +21,9 @@ NO_CLONING_FIDELITY = 2.0 / 3.0
 
 GRID_METRICS = ("epr", "fidelity", "dense_ratio")
 
+#: Largest points per axis of a contour grid (4096^2 cells: 134 MB per table).
+MAX_RESOLUTION = 4096
+
 
 @dataclass(frozen=True)
 class ContourGrid:
@@ -89,14 +92,14 @@ def exceeds_no_cloning_limit(fidelity: float) -> bool:
 
 def shannon_capacity(snr: float) -> float:
     """Shannon capacity of one Gaussian channel, log2(1 + R)/2 bits per symbol."""
-    if snr < 0.0:
+    if not snr >= 0.0:
         raise ValueError(f"signal-to-noise ratio must be non-negative, got {snr}")
     return 0.5 * math.log2(1.0 + snr)
 
 
 def squeezing_photons(v_sqz: float) -> float:
     """Photons spent to hold a pure squeezed state at variance ``v_sqz``."""
-    if v_sqz <= 0.0:
+    if not v_sqz > 0.0:
         raise ValueError(f"squeezed variance must be positive, got {v_sqz}")
     return 0.25 * (v_sqz + 1.0 / v_sqz - 2.0)
 
@@ -115,7 +118,7 @@ def squeezed_channel_capacity(n_encoding: float, v_sqz: float) -> float:
     if not 0.0 < v_sqz <= 1.0:
         raise ValueError(f"squeezed variance must lie in (0, 1], got {v_sqz}")
     n_sqz = squeezing_photons(v_sqz)
-    if n_encoding < n_sqz:
+    if not n_encoding >= n_sqz:
         raise ValueError(
             f"photon budget {n_encoding} is below the {n_sqz:.6g} needed for squeezing"
         )
@@ -127,7 +130,7 @@ def optimal_squeezed_capacity(n_encoding: float) -> float:
 
     The optimum sits at v = 1/(2 n + 1) and equals log2(1 + 2 n).
     """
-    if n_encoding < 0.0:
+    if not n_encoding >= 0.0:
         raise ValueError(f"photon budget must be non-negative, got {n_encoding}")
     return math.log2(1.0 + 2.0 * n_encoding)
 
@@ -152,10 +155,10 @@ def dense_coding_capacity(n_encoding: float, n_min: float, n_excess: float) -> f
     Raises:
         ValueError: if the budget does not cover the entangled state.
     """
-    if n_min < 0.0 or n_excess < 0.0:
+    if not (n_min >= 0.0 and n_excess >= 0.0):
         raise ValueError("photon numbers must be non-negative")
     n_total = n_min + n_excess
-    if n_encoding < 0.5 * n_total:
+    if not n_encoding >= 0.5 * n_total:
         raise ValueError(
             f"photon budget {n_encoding} is below the {0.5 * n_total:.6g} needed "
             "for the entangled state"
@@ -186,13 +189,13 @@ def contour_grid(
     whose state exceeds the photon budget evaluate to NaN.
 
     Raises:
-        ValueError: for an unknown metric token, bad ranges/resolution, or
-            missing metric parameters.
+        ValueError: for an unknown metric token, bad ranges, a resolution
+            outside [2, MAX_RESOLUTION] or missing metric parameters.
     """
     if metric not in GRID_METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {GRID_METRICS}")
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
     for name, (lo, hi) in (("nmin_range", nmin_range), ("nexcess_range", nexcess_range)):
         if not 0.0 <= lo < hi < math.inf:
             raise ValueError(

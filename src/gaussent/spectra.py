@@ -56,6 +56,7 @@ SPECTRUM_COLUMNS = (
     "v_sum_plus",
     "v_diff_minus",
 )
+_spectrum_values = attrgetter(*SPECTRUM_COLUMNS)
 
 #: Environment variable that overrides the bundled anchor file.
 FIXTURES_ENV_VAR = "GAUSSENT_FIXTURES"
@@ -63,7 +64,8 @@ FIXTURES_ENV_VAR = "GAUSSENT_FIXTURES"
 
 @dataclass(frozen=True)
 class SpectrumRow:
-    """Measured variances at one sideband frequency (linear, shot noise = 1)."""
+    """Measured variances at one sideband frequency (linear, shot noise = 1);
+    every field must be positive and finite, or ValueError names the column."""
 
     frequency_mhz: float
     vx_plus: float
@@ -74,12 +76,9 @@ class SpectrumRow:
     v_diff_minus: float
 
     def __post_init__(self) -> None:
-        if not self.frequency_mhz > 0.0:
-            raise ValueError(f"frequency must be positive, got {self.frequency_mhz}")
-        for name in SPECTRUM_COLUMNS[1:]:
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        for name, value in zip(SPECTRUM_COLUMNS, _spectrum_values(self)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"column '{name}': must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -109,10 +108,10 @@ def parse_spectra(text: str, units: str = "linear") -> list[SpectrumRow]:
             decibel values (converted via v = 10^(dB/10)).
 
     Raises:
-        ValueError: on a wrong header, a non-numeric or non-finite cell, a
-            dB value too large to convert, a non-positive variance or a
-            repeated frequency, naming the offending row and column (and,
-            for a repeated frequency, the row it repeats).
+        ValueError: on a wrong header or cell count, a non-numeric cell, a
+            dB value too large to convert, a value :class:`SpectrumRow`
+            rejects or a repeated frequency, naming the offending row and
+            column (and, for a repeated frequency, the row it repeats).
     """
     if units not in ("linear", "dB"):
         raise ValueError(f"units must be 'linear' or 'dB', got {units!r}")
@@ -135,32 +134,23 @@ def parse_spectra(text: str, units: str = "linear") -> list[SpectrumRow]:
             raise ValueError(
                 f"row {line_no}: expected {len(SPECTRUM_COLUMNS)} cells, got {len(record)}"
             )
-        values = {}
+        values = []
         for name, cell in zip(SPECTRUM_COLUMNS, record):
             try:
                 value = float(cell)
+                if units == "dB" and name != "frequency_mhz":
+                    value = 10.0 ** (value / 10.0)
             except ValueError:
                 raise ValueError(f"row {line_no}, column '{name}': non-numeric cell {cell!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"row {line_no}, column '{name}': non-finite cell {cell!r}")
-            if units == "dB" and name != "frequency_mhz":
-                try:
-                    value = 10.0 ** (value / 10.0)
-                except OverflowError:
-                    raise ValueError(
-                        f"row {line_no}, column '{name}': {cell!r} dB is out of range"
-                    ) from None
-            values[name] = value
-        for name in SPECTRUM_COLUMNS[1:]:
-            if not values[name] > 0.0:
+            except OverflowError:
                 raise ValueError(
-                    f"row {line_no}, column '{name}': variance must be positive, "
-                    f"got {values[name]}"
-                )
+                    f"row {line_no}, column '{name}': {cell!r} dB is out of range"
+                ) from None
+            values.append(value)
         try:
-            rows.append(SpectrumRow(**values))
+            rows.append(SpectrumRow(*values))
         except ValueError as exc:
-            raise ValueError(f"row {line_no}: {exc}")
+            raise ValueError(f"row {line_no}, {exc}") from None
         line_numbers.append(line_no)
     freq = np.array([row.frequency_mhz for row in rows], dtype=float)
     order = np.argsort(freq, kind="stable").tolist()
@@ -185,11 +175,7 @@ def cm_at_frequency(row: SpectrumRow) -> CorrelationMatrix4:
     The reconstruction round-trips: the sum/difference variances of the
     result reproduce the row's inputs exactly.
     """
-    return CorrelationMatrix4.symmetric_form(
-        *_reconstruct(
-            row.vx_plus, row.vx_minus, row.vy_plus, row.vy_minus, row.v_sum_plus, row.v_diff_minus
-        )
-    )
+    return CorrelationMatrix4.symmetric_form(*_reconstruct(*_spectrum_values(row)[1:]))
 
 
 def _reconstruct(vx_plus, vx_minus, vy_plus, vy_minus, v_sum_plus, v_diff_minus):
@@ -266,9 +252,6 @@ def _derive_columns(
     return derived, valid, reasons
 
 
-_spectrum_values = attrgetter(*SPECTRUM_COLUMNS)
-
-
 def derive_row(row: SpectrumRow) -> DerivedRow:
     """Derive the entanglement metrics and photon budget of one row.
 
@@ -317,7 +300,7 @@ def synthesize_spectra(
     difference, breaking the quadrature symmetry at low frequencies.
 
     Args:
-        freq_grid: sideband frequencies in MHz; defaults to 2.5-10 MHz.
+        freq_grid: sideband frequencies in MHz (positive, finite); default 2.5-10 MHz.
     """
     if not 0.0 < v_floor <= 1.0:
         raise ValueError(f"v_floor must lie in (0, 1], got {v_floor}")
@@ -334,8 +317,6 @@ def synthesize_spectra(
     if freq_grid is None:
         freq_grid = np.linspace(2.5, 10.0, 31)
     freq_grid = [float(f) for f in freq_grid]
-    if any(f <= 0.0 for f in freq_grid):
-        raise ValueError("frequencies must be positive")
 
     width = 0.5 * relax_osc_mhz
     rows = []
@@ -447,7 +428,7 @@ def load_paper_anchors(path: str | None = None) -> PaperAnchors:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     try:
-        statistical_error = float(data["statistical_error"])
+        statistical_error = float(_json_number(data, "statistical_error"))
     except KeyError:
         raise ValueError(f"anchor file {path} lacks the 'statistical_error' field")
     anchors = {}
@@ -477,6 +458,15 @@ def measured_row(anchor: PaperAnchor) -> SpectrumRow:
         vx_minus=anchor.cm.cxx_minus,
         vy_plus=anchor.cm.cyy_plus,
         vy_minus=anchor.cm.cyy_minus,
-        v_sum_plus=float(anchor.measured["v_sum_plus"]),
-        v_diff_minus=float(anchor.measured["v_diff_minus"]),
+        v_sum_plus=float(_json_number(anchor.measured, "v_sum_plus")),
+        v_diff_minus=float(_json_number(anchor.measured, "v_diff_minus")),
     )
+
+
+def _json_number(payload: dict, key: str):
+    """``payload[key]``, unchanged; ValueError naming the key if it is not
+    a JSON number (a string, bool, list, object or null)."""
+    value = payload[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"'{key}' must be a number, got {value!r}")
+    return value

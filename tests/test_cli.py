@@ -106,6 +106,25 @@ class TestAnalyze:
         assert payload["n_min"] is None
         assert payload["inseparability"] > 0.0
 
+    def test_wrong_json_shapes_exit_1_naming_the_key(self, capsys, tmp_path, cm_65mhz):
+        with open(bundled_fixture_path(), encoding="utf-8") as handle:
+            anchors = json.load(handle)
+        bare = cm_65mhz.to_json_dict()
+        cases = (
+            ([1, 2], (), "does not hold a JSON object"),
+            ({**bare, "measured": {"v_sum_plus": "0.44", "v_diff_minus": 0.44}}, (),
+             "'v_sum_plus'"),
+            ({**bare, "measured": {"cv_plus": 0.77, "cv_minus": [0.76]}}, (), "'cv_minus'"),
+            ({**anchors, "statistical_error": "abc"}, ("--at", "6.5MHz"), "'statistical_error'"),
+        )
+        path = tmp_path / "input.json"
+        for data, extra, named in cases:
+            path.write_text(json.dumps(data))
+            code, out, err = run_cli(capsys, "analyze", "--cm", str(path), *extra)
+            assert code == 1, data
+            assert out == ""
+            assert err.startswith("gaussent: error:") and named in err, err
+
     def test_defaults_to_bundled_anchors(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--at", "6.5MHz")
         assert code == 0
@@ -231,6 +250,16 @@ class TestContours:
             assert code == 1
             assert out == ""
             assert err.startswith("gaussent: error:") and "nmin_range" in err
+
+    def test_rejects_grid_above_limit_before_allocating(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid axis was allocated")
+
+        monkeypatch.setattr("gaussent.protocols.np.linspace", refuse)
+        code, out, err = run_cli(capsys, "contours", "--metric", "epr", "--grid", "4097")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("gaussent: error:") and "4096" in err
 
     def test_dense_ratio_requires_budget(self, capsys):
         code, _, err = run_cli(capsys, "contours", "--metric", "dense_ratio")

@@ -6,8 +6,9 @@ import pytest
 
 from oracles import maximize_squeezed_capacity
 from gaussent.epr import epr_from_photons
-from gaussent.photons import insep_from_nmin
+from gaussent.photons import cross_corr_from_photons, insep_from_nmin
 from gaussent.protocols import (
+    MAX_RESOLUTION,
     NO_CLONING_FIDELITY,
     ContourGrid,
     capacity_ratio,
@@ -230,6 +231,21 @@ class TestContourGrid:
                     values=np.zeros((2, 2)),
                 )
 
+    def test_resolution_capped_before_allocation(self, monkeypatch):
+        class Allocating(Exception):
+            pass
+
+        def allocating(*args, **kwargs):
+            raise Allocating
+
+        monkeypatch.setattr("gaussent.protocols.np.linspace", allocating)
+        assert MAX_RESOLUTION >= 2000
+        with pytest.raises(Allocating):
+            contour_grid("epr", resolution=MAX_RESOLUTION)
+        for resolution in (1, MAX_RESOLUTION + 1, 10**5):
+            with pytest.raises(ValueError, match=rf"\[2, {MAX_RESOLUTION}\], got {resolution}"):
+                contour_grid("epr", resolution=resolution)
+
     def test_rejects_non_finite_range(self):
         for bad in ((0.0, np.inf), (0.0, np.nan), (np.nan, 1.0), (np.inf, np.inf)):
             with pytest.raises(ValueError, match="finite"):
@@ -257,3 +273,25 @@ class TestContourGrid:
         assert data["metric"] == "dense_ratio"
         assert data["params"] == {"n_encoding": 2.0}
         assert np.allclose(np.array(data["values"]), grid.values)
+
+
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        (shannon_capacity, (math.nan,)),
+        (squeezing_photons, (math.nan,)),
+        (optimal_squeezed_capacity, (math.nan,)),
+        (squeezed_channel_capacity, (math.nan, 0.5)),
+        (dense_coding_capacity, (math.nan, 0.1, 0.1)),
+        (dense_coding_capacity, (5.0, 0.1, math.nan)),
+        (capacity_ratio, (math.nan, 0.1, 0.1)),
+        (capacity_ratio, (5.0, 0.1, math.nan)),
+        (cross_corr_from_photons, (math.nan, 0.1)),
+        (cross_corr_from_photons, (0.1, math.nan)),
+        (epr_from_photons, (math.nan, 0.1)),
+        (epr_from_photons, (np.array([0.1, 0.2]), np.array([0.1, math.nan]))),
+    ],
+)
+def test_closed_forms_reject_nan(function, args):
+    with pytest.raises(ValueError):
+        function(*args)

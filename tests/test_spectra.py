@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from gaussent.photons import decompose
 from gaussent.separability import degree_of_inseparability
 from gaussent.spectra import (
     DERIVED_COLUMNS,
+    SPECTRUM_COLUMNS,
     DerivedRow,
     SpectrumRow,
     cm_at_frequency,
@@ -89,6 +91,14 @@ class TestParse:
     def test_skips_blank_lines(self):
         assert len(parse_spectra(SAMPLE_CSV + "\n\n")) == 3
 
+    def test_rejects_non_positive_frequency_naming_column(self):
+        for cell in ("0", "-1"):
+            with pytest.raises(
+                ValueError,
+                match=r"row 2, column 'frequency_mhz': must be positive and finite, got ",
+            ):
+                parse_spectra(HEADER + f"\n{cell},1.0,1.0,1.0,1.0,1.0,1.0\n")
+
     def test_rejects_duplicate_frequency_naming_both_rows(self):
         text = SAMPLE_CSV + "6.50,2.0,2.0,2.0,2.0,0.5,0.5\n"
         with pytest.raises(
@@ -96,6 +106,19 @@ class TestParse:
             match=r"row 5, column 'frequency_mhz': duplicate frequency 6.5 MHz, also on row 2",
         ):
             parse_spectra(text)
+
+
+class TestSpectrumRow:
+    @pytest.mark.parametrize("column", SPECTRUM_COLUMNS)
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf, 0.0, -1.0])
+    def test_rejects_value_naming_column(self, column, bad):
+        values = dict.fromkeys(SPECTRUM_COLUMNS, 1.0)
+        values[column] = bad
+        message = f"column '{column}': must be positive and finite, got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SpectrumRow(**values)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SpectrumRow(*values.values())
 
 
 class TestCmAtFrequency:
@@ -336,6 +359,8 @@ class TestSynthesize:
             synthesize_spectra(eta=1.2)
         with pytest.raises(ValueError):
             synthesize_spectra(freq_grid=[-1.0])
+        with pytest.raises(ValueError, match="column 'frequency_mhz'"):
+            synthesize_spectra(freq_grid=[math.inf])
 
 
 class TestWriteOutputs:
