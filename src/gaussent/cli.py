@@ -160,7 +160,7 @@ def analyze_cm(
     the matrix entries were derived from) and the measured-value metrics
     are reported alongside the matrix-derived ones.
     """
-    measured = dict(measured or {})
+    measured = measured or {}
     insep = degree_of_inseparability(cm)
     epr_report = degree_of_epr(cm)
     restrictions = separability.standard_form_restrictions(cm)
@@ -182,13 +182,16 @@ def analyze_cm(
     }
 
     if "v_sum_plus" in measured and "v_diff_minus" in measured:
-        anchor = spectra.PaperAnchor(
-            label=label or "", frequency_mhz=1.0, cm=cm, measured=measured
+        v_sum, v_diff = float(measured["v_sum_plus"]), float(measured["v_diff_minus"])
+        spectra._require_positive_finite(v_sum, "v_sum_plus")
+        spectra._require_positive_finite(v_diff, "v_diff_minus")
+        # The matrix spectra.cm_at_frequency rebuilds from the same variances.
+        modes = (cm.cxx_plus, cm.cxx_minus, cm.cyy_plus, cm.cyy_minus)
+        budget = decompose(
+            CorrelationMatrix4.symmetric_form(*spectra._reconstruct(*modes, v_sum, v_diff))
         )
-        row = spectra.measured_row(anchor)
-        budget = decompose(spectra.cm_at_frequency(row))
         source = "measured"
-        result["inseparability_measured"] = (row.v_sum_plus * row.v_diff_minus) ** 0.5
+        result["inseparability_measured"] = (v_sum * v_diff) ** 0.5
     else:
         try:
             budget = decompose(cm)
@@ -199,18 +202,10 @@ def analyze_cm(
             budget = None
             source = "unavailable"
     result["decomposition_source"] = source
-    result.update(
-        {
-            "n_min": budget.n_min if budget else None,
-            "n_bias": budget.n_bias if budget else None,
-            "n_excess": budget.n_excess if budget else None,
-            "n_total": budget.n_total if budget else None,
-            "g_bias_sq": budget.g_bias_sq if budget else None,
-        }
-    )
+    for key in ("n_min", "n_bias", "n_excess", "n_total", "g_bias_sq"):
+        result[key] = getattr(budget, key, None)
     if "cv_plus" in measured and "cv_minus" in measured:
-        cv = [spectra._json_number(measured, key) for key in ("cv_plus", "cv_minus")]
-        result["epr_from_measured_cv"] = cv[0] * cv[1]
+        result["epr_from_measured_cv"] = measured["cv_plus"] * measured["cv_minus"]
     return result
 
 
@@ -224,8 +219,8 @@ def _cmd_analyze(args) -> int:
     if "matrix" in data:
         if args.at is not None:
             raise ValueError("--at applies only to anchor files with labelled matrices")
-        cm = CorrelationMatrix4.from_json_dict(data)
-        payload = analyze_cm(cm, measured=data.get("measured"))
+        cm, measured = spectra._read_matrix_json(data)
+        payload = analyze_cm(cm, measured=measured)
     else:
         anchors = spectra.load_paper_anchors(source)
         if args.at is None:

@@ -47,13 +47,10 @@ def conditional_variance(cm: CorrelationMatrix4, quadrature: str) -> tuple[float
 
     Returns:
         (variance, optimal gain): C_xx - |C_xy|^2 / C_yy and C_xy / C_yy.
-
-    Raises:
-        ValueError: if the conditioning variance C_yy is not positive.
+        C_yy is a diagonal entry, which :class:`CorrelationMatrix4` keeps
+        positive and finite.
     """
     c_xx, c_yy, c_xy = quadrature_entries(cm, quadrature)
-    if c_yy <= 0.0:
-        raise ValueError(f"conditioning variance must be positive, got {c_yy}")
     return _residual_variance(c_xx, c_yy, c_xy), c_xy / c_yy
 
 

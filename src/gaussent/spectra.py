@@ -40,6 +40,7 @@ from .states import (
     SqueezedBeam,
     apply_loss,
     entangle_on_beamsplitter,
+    _json_number,
     _min_sum_diff,
     sum_diff_variance,
 )
@@ -77,8 +78,13 @@ class SpectrumRow:
 
     def __post_init__(self) -> None:
         for name, value in zip(SPECTRUM_COLUMNS, _spectrum_values(self)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"column '{name}': must be positive and finite, got {value}")
+            _require_positive_finite(value, name)
+
+
+def _require_positive_finite(value, column: str) -> None:
+    """The row gate's rule for one value, with the message naming the column."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"column '{column}': must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -321,6 +327,7 @@ def synthesize_spectra(
     width = 0.5 * relax_osc_mhz
     rows = []
     for freq in freq_grid:
+        _require_positive_finite(freq, "frequency_mhz")
         v_in = 1.0 - (1.0 - v_floor) / (1.0 + (freq / opa_bandwidth_mhz) ** 2)
         beam = SqueezedBeam.pure(v_in)
         state = apply_loss(entangle_on_beamsplitter(beam, beam), eta, eta)
@@ -404,9 +411,27 @@ class PaperAnchors:
 
 
 def _parse_frequency_label(label: str) -> float:
+    """The frequency of a label such as '6.5MHz': a positive, finite number."""
     if not label.endswith("MHz"):
-        raise ValueError(f"anchor label {label!r} does not end in 'MHz'")
-    return float(label[: -len("MHz")])
+        raise ValueError("label does not end in 'MHz'")
+    frequency = float(label[: -len("MHz")])
+    _require_positive_finite(frequency, "frequency_mhz")
+    return frequency
+
+
+def _read_matrix_json(payload) -> tuple[CorrelationMatrix4, dict]:
+    """(matrix, measured) of a correlation-matrix JSON object, a bare file or
+    an anchor entry; ``measured`` must be an object of numbers, and null or
+    absent reads as {}.  ValueError names the offending cell or key."""
+    cm = CorrelationMatrix4.from_json_dict(payload)
+    measured = payload.get("measured")
+    if measured is None:
+        return cm, {}
+    if not isinstance(measured, dict):
+        raise ValueError(f"'measured' must be a JSON object, got {measured!r}")
+    for key, value in measured.items():
+        _json_number(value, f"'{key}'")
+    return cm, measured
 
 
 def bundled_fixture_path() -> str:
@@ -428,21 +453,19 @@ def load_paper_anchors(path: str | None = None) -> PaperAnchors:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     try:
-        statistical_error = float(_json_number(data, "statistical_error"))
+        statistical_error = float(_json_number(data["statistical_error"], "'statistical_error'"))
     except KeyError:
         raise ValueError(f"anchor file {path} lacks the 'statistical_error' field")
     anchors = {}
     for label, payload in data.items():
         if label == "statistical_error":
             continue
-        cm = CorrelationMatrix4.from_json_dict(payload)
-        measured = dict(payload.get("measured", {}))
-        anchors[label] = PaperAnchor(
-            label=label,
-            frequency_mhz=_parse_frequency_label(label),
-            cm=cm,
-            measured=measured,
-        )
+        try:
+            frequency = _parse_frequency_label(label)
+            cm, measured = _read_matrix_json(payload)
+        except ValueError as exc:
+            raise ValueError(f"anchor {label!r}: {exc}") from None
+        anchors[label] = PaperAnchor(label, frequency, cm, measured)
     return PaperAnchors(statistical_error=statistical_error, anchors=anchors)
 
 
@@ -458,15 +481,6 @@ def measured_row(anchor: PaperAnchor) -> SpectrumRow:
         vx_minus=anchor.cm.cxx_minus,
         vy_plus=anchor.cm.cyy_plus,
         vy_minus=anchor.cm.cyy_minus,
-        v_sum_plus=float(_json_number(anchor.measured, "v_sum_plus")),
-        v_diff_minus=float(_json_number(anchor.measured, "v_diff_minus")),
+        v_sum_plus=float(anchor.measured["v_sum_plus"]),
+        v_diff_minus=float(anchor.measured["v_diff_minus"]),
     )
-
-
-def _json_number(payload: dict, key: str):
-    """``payload[key]``, unchanged; ValueError naming the key if it is not
-    a JSON number (a string, bool, list, object or null)."""
-    value = payload[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"'{key}' must be a number, got {value!r}")
-    return value

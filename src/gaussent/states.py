@@ -190,6 +190,13 @@ class CorrelationMatrix4:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationMatrix4":
+        """The matrix of a parsed ``{"order": [...], "matrix": [[...], ...]}`` object.
+
+        Raises:
+            ValueError: on a missing key, another quadrature order, a shape
+                other than 4x4, a cell that is not a JSON number (named by
+                its indices), or a matrix the constructor refuses.
+        """
         try:
             order = tuple(data["order"])
             matrix = data["matrix"]
@@ -197,7 +204,20 @@ class CorrelationMatrix4:
             raise ValueError(f"correlation-matrix JSON needs 'order' and 'matrix' keys: {exc}")
         if order != QUADRATURE_ORDER:
             raise ValueError(f"unsupported quadrature order {order}; expected {QUADRATURE_ORDER}")
-        return cls(np.array(matrix, dtype=float))
+        cells = np.array(matrix, dtype=object)
+        if cells.shape != (4, 4):
+            raise ValueError(f"expected a 4x4 matrix, got shape {cells.shape}")
+        for (i, j), cell in np.ndenumerate(cells):
+            _json_number(cell, f"matrix cell [{i}][{j}]")
+        return cls(cells.astype(float))
+
+
+def _json_number(value, name: str):
+    """``value``, unchanged; ValueError naming ``name`` if it is not a JSON
+    number (a string, bool, list, object or null)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -110,12 +110,26 @@ class TestAnalyze:
         with open(bundled_fixture_path(), encoding="utf-8") as handle:
             anchors = json.load(handle)
         bare = cm_65mhz.to_json_dict()
+        string_cell = json.loads(json.dumps(bare))
+        string_cell["matrix"][0][0] = "3.3"
+        bool_cell = json.loads(json.dumps(bare))
+        bool_cell["matrix"][2][1] = True
+        at_65 = ("--at", "6.5MHz")
         cases = (
             ([1, 2], (), "does not hold a JSON object"),
             ({**bare, "measured": {"v_sum_plus": "0.44", "v_diff_minus": 0.44}}, (),
              "'v_sum_plus'"),
             ({**bare, "measured": {"cv_plus": 0.77, "cv_minus": [0.76]}}, (), "'cv_minus'"),
-            ({**anchors, "statistical_error": "abc"}, ("--at", "6.5MHz"), "'statistical_error'"),
+            ({**anchors, "statistical_error": "abc"}, at_65, "'statistical_error'"),
+            ({**bare, "measured": 5}, (), "'measured'"),
+            ({**bare, "measured": [1, 2]}, (), "'measured'"),
+            ({**anchors, "6.5MHz": {**anchors["6.5MHz"], "measured": [1, 2]}}, at_65,
+             "'measured'"),
+            (string_cell, (), "matrix cell [0][0]"),
+            (bool_cell, (), "matrix cell [2][1]"),
+            ({**bare, "matrix": 5}, (), "4x4"),
+            ({**bare, "measured": {"v_sum_plus": -0.44, "v_diff_minus": 0.44}}, (),
+             "'v_sum_plus'"),
         )
         path = tmp_path / "input.json"
         for data, extra, named in cases:

@@ -359,8 +359,9 @@ class TestSynthesize:
             synthesize_spectra(eta=1.2)
         with pytest.raises(ValueError):
             synthesize_spectra(freq_grid=[-1.0])
-        with pytest.raises(ValueError, match="column 'frequency_mhz'"):
-            synthesize_spectra(freq_grid=[math.inf])
+        for freq in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="column 'frequency_mhz'"):
+                synthesize_spectra(freq_grid=[freq])
 
 
 class TestWriteOutputs:
@@ -470,3 +471,11 @@ class TestAnchors:
         assert anchors.statistical_error == 0.1
         assert sorted(anchors.anchors) == ["1.0MHz"]
         assert anchors["1.0MHz"].frequency_mhz == 1.0
+
+    @pytest.mark.parametrize("label", ["nanMHz", "-1MHz", "0MHz", "infMHz", "abcMHz", "6.5"])
+    def test_label_must_be_a_positive_frequency(self, tmp_path, label):
+        path = tmp_path / "anchors.json"
+        payload = {"order": ["xp", "xm", "yp", "ym"], "matrix": np.eye(4).tolist()}
+        path.write_text(json.dumps({"statistical_error": 0.1, label: payload}))
+        with pytest.raises(ValueError, match=f"anchor '{re.escape(label)}': "):
+            load_paper_anchors(str(path))

@@ -91,6 +91,12 @@ class TestCorrelationMatrix4:
         with pytest.raises(ValueError, match="order"):
             CorrelationMatrix4.from_json_dict(data)
 
+    def test_from_json_rejects_non_number_cell(self, cm_65mhz):
+        data = cm_65mhz.to_json_dict()
+        data["matrix"][1][3] = "2.9"
+        with pytest.raises(ValueError, match=r"matrix cell \[1\]\[3\] must be a number"):
+            CorrelationMatrix4.from_json_dict(data)
+
 
 class TestBeamsplitter:
     def test_matches_moment_propagation_oracle(self, rng):
