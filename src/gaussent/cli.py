@@ -17,6 +17,7 @@ import argparse
 import json
 import logging
 import sys
+from collections.abc import Iterable
 
 from . import protocols, separability, spectra
 from .epr import degree_of_epr, epr_vs_loss
@@ -34,12 +35,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write ``text``, one string or an iterable of chunks, to ``out`` or stdout."""
+    # A bare str handed to writelines would be written one character at a time.
+    chunks = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
 
 
 def _json_text(payload) -> str:
@@ -258,10 +262,7 @@ def _cmd_contours(args) -> int:
         resolution=args.grid,
         params=params,
     )
-    if args.format == "csv":
-        _emit(grid.to_csv_text(), args.out)
-    else:
-        _emit(_json_text(grid.to_json_dict()), args.out)
+    _emit(grid.csv_chunks() if args.format == "csv" else grid.json_chunks(), args.out)
     return 0
 
 

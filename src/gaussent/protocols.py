@@ -8,7 +8,9 @@ of the photon-number diagram.
 
 from __future__ import annotations
 
+import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +29,12 @@ MAX_RESOLUTION = 4096
 
 @dataclass(frozen=True)
 class ContourGrid:
-    """Dense table of one efficacy metric over the (n_min, n_excess) plane."""
+    """Dense table of one efficacy metric over the (n_min, n_excess) plane.
+
+    :meth:`csv_chunks` and :meth:`json_chunks` yield the text one n_min row
+    at a time, so a writer holds about one row of text beside the float64
+    table rather than the whole text; ``to_csv_text`` joins the chunks.
+    """
 
     metric: str
     nmin_axis: np.ndarray
@@ -52,12 +59,45 @@ class ContourGrid:
         object.__setattr__(self, "nexcess_axis", nexcess)
         object.__setattr__(self, "values", values)
 
+    def csv_chunks(self) -> Iterator[str]:
+        """The CSV text, one chunk per n_min row after the header.
+
+        Each row is read once with ``tolist()``; the ``,<n_excess>,`` pieces
+        and the row's n_min ``repr`` are formatted once, not per cell.
+        """
+        yield "n_min,n_excess,value\n"
+        middles = [f",{ne!r}," for ne in self.nexcess_axis.tolist()]
+        if not middles:
+            return
+        for nm, row in zip(self.nmin_axis.tolist(), self.values):
+            head = repr(nm)
+            cells = map(str.__add__, middles, map(float.__repr__, row.tolist()))
+            yield head + ("\n" + head).join(cells) + "\n"
+
+    def json_chunks(self) -> Iterator[str]:
+        """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, one chunk per n_min row.
+
+        The head (``metric``, ``params``) goes through ``json.dumps``; the
+        float lists are joined from ``float.__repr__`` inside the fixed
+        ``indent=2`` brackets, with json's NaN/Infinity spellings.
+        """
+        head = json.dumps({"metric": self.metric, "params": dict(self.params)}, indent=2)
+        yield (
+            f'{head[:-2]},\n  "nmin_axis": {_json_floats(self.nmin_axis.tolist(), 4)}'
+            f',\n  "nexcess_axis": {_json_floats(self.nexcess_axis.tolist(), 4)}'
+            ',\n  "values": '
+        )
+        if not self.values.shape[0]:
+            yield "[]\n}\n"
+            return
+        separator = "[\n    "
+        for row in self.values:
+            yield separator + _json_floats(row.tolist(), 6)
+            separator = ",\n    "
+        yield "\n  ]\n}\n"
+
     def to_csv_text(self) -> str:
-        lines = ["n_min,n_excess,value"]
-        for i, nm in enumerate(self.nmin_axis.tolist()):
-            for j, ne in enumerate(self.nexcess_axis.tolist()):
-                lines.append(f"{nm!r},{ne!r},{float(self.values[i, j])!r}")
-        return "\n".join(lines) + "\n"
+        return "".join(self.csv_chunks())
 
     def to_json_dict(self) -> dict:
         return {
@@ -67,6 +107,18 @@ class ContourGrid:
             "nexcess_axis": self.nexcess_axis.tolist(),
             "values": self.values.tolist(),
         }
+
+
+def _json_floats(values: list, indent: int) -> str:
+    """A list of floats as ``json.dumps(indent=2)`` writes it at depth ``indent``."""
+    if not values:
+        return "[]"
+    pad = " " * indent
+    text = f"[\n{pad}" + f",\n{pad}".join(map(float.__repr__, values)) + f"\n{pad[:-2]}]"
+    if "n" in text:
+        # Only nan, inf and -inf put an "n" in a float repr.
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
 
 
 def teleport_fidelity(insep: float) -> float:
@@ -188,6 +240,10 @@ def contour_grid(
     For ``dense_ratio``, ``params`` must carry ``n_encoding``; grid nodes
     whose state exceeds the photon budget evaluate to NaN.
 
+    The n_min axis is broadcast as a column against the n_excess axis as a
+    row, so only the value table is n x n; n_min-only terms such as
+    ``insep_from_nmin`` are evaluated on n points.
+
     Raises:
         ValueError: for an unknown metric token, bad ranges, a resolution
             outside [2, MAX_RESOLUTION] or missing metric parameters.
@@ -205,14 +261,14 @@ def contour_grid(
 
     nmin_axis = np.linspace(nmin_range[0], nmin_range[1], resolution)
     nexcess_axis = np.linspace(nexcess_range[0], nexcess_range[1], resolution)
-    nm, ne = np.meshgrid(nmin_axis, nexcess_axis, indexing="ij")
+    nm, ne = nmin_axis[:, None], nexcess_axis[None, :]
 
     if metric == "epr":
         values = epr_from_photons(nm, ne)
         params = {}
     elif metric == "fidelity":
         # Constant along the excess axis: vertical efficacy contours.
-        values = _fidelity(insep_from_nmin(nm))
+        values = np.repeat(_fidelity(insep_from_nmin(nm)), resolution, axis=1)
         params = {}
     else:
         if "n_encoding" not in params:

@@ -214,9 +214,18 @@ class CorrelationMatrix4:
 
 def _json_number(value, name: str):
     """``value``, unchanged; ValueError naming ``name`` if it is not a JSON
-    number (a string, bool, list, object or null)."""
+    number (a string, bool, list, object or null) or is an integer too
+    large for a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            digits = len(str(abs(value)))
+            raise ValueError(
+                f"{name} is an integer of {digits} digits, too large for a float"
+            ) from None
     return value
 
 

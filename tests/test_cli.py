@@ -139,6 +139,28 @@ class TestAnalyze:
             assert out == ""
             assert err.startswith("gaussent: error:") and named in err, err
 
+    @pytest.mark.parametrize("where", ["matrix cell [0][0]", "'v_sum_plus'", "'statistical_error'"])
+    def test_integer_too_large_for_a_float_exits_1_naming_it(self, capsys, tmp_path, where):
+        with open(bundled_fixture_path(), encoding="utf-8") as handle:
+            anchors = json.load(handle)
+        huge = 10**400
+        extra = ()
+        if where == "'statistical_error'":
+            data = {**anchors, "statistical_error": huge}
+            extra = ("--at", "6.5MHz")
+        else:
+            data = json.loads(json.dumps(anchors["6.5MHz"]))
+            if where == "'v_sum_plus'":
+                data["measured"]["v_sum_plus"] = huge
+            else:
+                data["matrix"][0][0] = huge
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "analyze", "--cm", str(path), *extra)
+        assert code == 1
+        assert out == ""
+        assert err == f"gaussent: error: {where} is an integer of 401 digits, too large for a float\n"
+
     def test_defaults_to_bundled_anchors(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--at", "6.5MHz")
         assert code == 0
