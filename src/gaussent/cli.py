@@ -209,7 +209,12 @@ def analyze_cm(
     for key in ("n_min", "n_bias", "n_excess", "n_total", "g_bias_sq"):
         result[key] = getattr(budget, key, None)
     if "cv_plus" in measured and "cv_minus" in measured:
-        result["epr_from_measured_cv"] = measured["cv_plus"] * measured["cv_minus"]
+        cv_plus, cv_minus = measured["cv_plus"], measured["cv_minus"]
+        spectra._require_positive_finite(float(cv_plus), "cv_plus")
+        spectra._require_positive_finite(float(cv_minus), "cv_minus")
+        # Checked as floats, reported as given: integers give an integer product.
+        spectra._require_positive_finite(float(cv_plus) * float(cv_minus), "epr_from_measured_cv")
+        result["epr_from_measured_cv"] = cv_plus * cv_minus
     return result
 
 
@@ -269,12 +274,9 @@ def _cmd_contours(args) -> int:
 def _cmd_ingest(args) -> int:
     with open(args.spectra, "r", encoding="utf-8") as handle:
         text = handle.read()
-    rows = spectra.parse_spectra(text, units="dB" if args.db else "linear")
-    derived = spectra.derive_spectra(rows)
-    if args.format == "csv":
-        _emit(spectra.derived_to_csv_text(derived), args.out)
-    else:
-        _emit(spectra.derived_to_json_text(derived), args.out)
+    table = spectra._read_table(text, "dB" if args.db else "linear")
+    write = spectra._csv_chunks if args.format == "csv" else spectra._json_chunks
+    _emit(write(zip(*spectra._derive_table(table))), args.out)
     return 0
 
 

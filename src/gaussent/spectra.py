@@ -3,14 +3,14 @@
 A spectrum is a table of per-sideband-frequency variance measurements
 (mode variances of both beams plus the minimum sum/difference variances).
 Each row reconstructs a correlation matrix, from which the entanglement
-measures and the photon-number budget follow.  :func:`derive_spectra`
-derives every row at once, column by column over numpy arrays, without
-building a matrix per row; :func:`derive_row` is its one-row case.  The
-column-wise kernel calls the same elementwise formulas as the scalar
-measures, in the same order of operations, so both give the same bits.
-The dB conversion in :func:`parse_spectra` stays a scalar
-``10.0 ** (x / 10.0)`` per cell on purpose: ``np.power`` differs from it
-in the last bit on some inputs, which would change the output bytes.
+measures and the photon-number budget follow.  ``gaussent ingest`` keeps
+a spectrum in one float64 table from the CSV to the output: the value gate
+runs column-wise, one kernel derives every row without building a matrix,
+and the writers stream the rows in chunks.  :class:`SpectrumRow` and
+:func:`derive_row` are the one-row case of the gate and the kernel, which
+shares the scalar measures' elementwise formulas, so both give the same
+bits.  The dB conversion stays a scalar ``10.0 ** (x / 10.0)`` per cell:
+``np.power`` differs from it in the last bit on some inputs.
 
 A qualitative synthesizer produces spectra with the shape seen from
 OPA-based sources: squeezing rolled off by the OPA bandwidth, and a
@@ -26,6 +26,7 @@ import json
 import logging
 import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from importlib import resources
 from operator import attrgetter
@@ -47,18 +48,6 @@ from .states import (
 
 logger = logging.getLogger(__name__)
 
-#: Required CSV header of a spectrum table, in order.
-SPECTRUM_COLUMNS = (
-    "frequency_mhz",
-    "vx_plus",
-    "vx_minus",
-    "vy_plus",
-    "vy_minus",
-    "v_sum_plus",
-    "v_diff_minus",
-)
-_spectrum_values = attrgetter(*SPECTRUM_COLUMNS)
-
 #: Environment variable that overrides the bundled anchor file.
 FIXTURES_ENV_VAR = "GAUSSENT_FIXTURES"
 
@@ -66,7 +55,7 @@ FIXTURES_ENV_VAR = "GAUSSENT_FIXTURES"
 @dataclass(frozen=True)
 class SpectrumRow:
     """Measured variances at one sideband frequency (linear, shot noise = 1);
-    every field must be positive and finite, or ValueError names the column."""
+    the value gate's one-row case: ValueError names a field not positive and finite."""
 
     frequency_mhz: float
     vx_plus: float
@@ -81,8 +70,13 @@ class SpectrumRow:
             _require_positive_finite(value, name)
 
 
+#: Required CSV header of a spectrum table, in order.
+SPECTRUM_COLUMNS = tuple(f.name for f in fields(SpectrumRow))
+_spectrum_values = attrgetter(*SPECTRUM_COLUMNS)
+
+
 def _require_positive_finite(value, column: str) -> None:
-    """The row gate's rule for one value, with the message naming the column."""
+    """The value gate's rule for one value, with the message naming the column."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"column '{column}': must be positive and finite, got {value}")
 
@@ -114,61 +108,68 @@ def parse_spectra(text: str, units: str = "linear") -> list[SpectrumRow]:
             decibel values (converted via v = 10^(dB/10)).
 
     Raises:
-        ValueError: on a wrong header or cell count, a non-numeric cell, a
-            dB value too large to convert, a value :class:`SpectrumRow`
-            rejects or a repeated frequency, naming the offending row and
-            column (and, for a repeated frequency, the row it repeats).
+        ValueError: for the first error in file order: a wrong header or
+            cell count, a non-numeric cell, a dB value too large to convert,
+            a value that is not positive and finite or a repeated frequency,
+            naming the row and column (and the row a frequency repeats).
     """
+    return [SpectrumRow(*row) for row in _read_table(text, units).tolist()]
+
+
+def _read_table(text: str, units: str) -> np.ndarray:
+    """:func:`parse_spectra`'s rows as one float64 table, sorted by frequency."""
     if units not in ("linear", "dB"):
         raise ValueError(f"units must be 'linear' or 'dB', got {units!r}")
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
+    header = next(reader, None)
+    if header is None:
         raise ValueError("spectrum CSV is empty; expected a header row")
     header = tuple(name.strip() for name in header)
     if header != SPECTRUM_COLUMNS:
-        raise ValueError(
-            f"unexpected header {header}; expected columns {SPECTRUM_COLUMNS}"
-        )
+        raise ValueError(f"unexpected header {header}; expected columns {SPECTRUM_COLUMNS}")
 
-    rows, line_numbers = [], []
-    for line_no, record in enumerate(reader, start=2):
-        if not record or all(not cell.strip() for cell in record):
-            continue
-        if len(record) != len(SPECTRUM_COLUMNS):
-            raise ValueError(
-                f"row {line_no}: expected {len(SPECTRUM_COLUMNS)} cells, got {len(record)}"
-            )
-        values = []
-        for name, cell in zip(SPECTRUM_COLUMNS, record):
+    width = len(SPECTRUM_COLUMNS)
+    values, line_numbers = [], []
+    try:
+        for line_no, record in enumerate(reader, start=2):
+            if not "".join(record).strip():
+                continue
+            if len(record) != width:
+                raise ValueError(f"row {line_no}: expected {width} cells, got {len(record)}")
+            for name, cell in zip(SPECTRUM_COLUMNS, record):
+                try:
+                    value = float(cell)
+                    if units == "dB" and name != "frequency_mhz":
+                        value = 10.0 ** (value / 10.0)
+                except ValueError:
+                    raise ValueError(f"row {line_no}, column '{name}': non-numeric cell {cell!r}")
+                except OverflowError:
+                    raise ValueError(
+                        f"row {line_no}, column '{name}': {cell!r} dB is out of range"
+                    ) from None
+                values.append(value)
+            line_numbers.append(line_no)
+    finally:  # the value gate, column-wise; before a parse error, on the rows read so far
+        table = np.array(values[: width * len(line_numbers)], float).reshape(-1, width)
+        bad = ~((table > 0.0) & (table < math.inf))
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), width)
             try:
-                value = float(cell)
-                if units == "dB" and name != "frequency_mhz":
-                    value = 10.0 ** (value / 10.0)
-            except ValueError:
-                raise ValueError(f"row {line_no}, column '{name}': non-numeric cell {cell!r}")
-            except OverflowError:
-                raise ValueError(
-                    f"row {line_no}, column '{name}': {cell!r} dB is out of range"
-                ) from None
-            values.append(value)
-        try:
-            rows.append(SpectrumRow(*values))
-        except ValueError as exc:
-            raise ValueError(f"row {line_no}, {exc}") from None
-        line_numbers.append(line_no)
-    freq = np.array([row.frequency_mhz for row in rows], dtype=float)
-    order = np.argsort(freq, kind="stable").tolist()
+                _require_positive_finite(table[i, j].item(), SPECTRUM_COLUMNS[j])
+            except ValueError as exc:
+                raise ValueError(f"row {line_numbers[i]}, {exc}") from None
+
+    freq = table[:, 0]
+    order = np.argsort(freq, kind="stable")
     repeats = np.flatnonzero(np.diff(freq[order]) == 0.0)
     if repeats.size:
         first, second = order[repeats[0]], order[repeats[0] + 1]
         earlier, later = sorted((line_numbers[first], line_numbers[second]))
         raise ValueError(
             f"row {later}, column 'frequency_mhz': duplicate frequency "
-            f"{rows[first].frequency_mhz} MHz, also on row {earlier}"
+            f"{freq[first].item()} MHz, also on row {earlier}"
         )
-    return [rows[i] for i in order]
+    return table[order]
 
 
 def cm_at_frequency(row: SpectrumRow) -> CorrelationMatrix4:
@@ -259,14 +260,9 @@ def _derive_columns(
 
 
 def derive_row(row: SpectrumRow) -> DerivedRow:
-    """Derive the entanglement metrics and photon budget of one row.
-
-    The one-row case of :func:`derive_spectra`.
-
-    Raises:
-        ValueError: if the row cannot be derived, with the reason
-            :func:`derive_spectra` logs for it.
-    """
+    """Derive the entanglement metrics and photon budget of one row: the
+    one-row case of :func:`derive_spectra`, raising ValueError with the
+    reason it logs for a row that cannot be derived."""
     derived, _, reasons = _derive_columns(*_spectrum_values(row))
     if reasons:
         raise ValueError(reasons[0])
@@ -276,14 +272,18 @@ def derive_row(row: SpectrumRow) -> DerivedRow:
 def derive_spectra(rows: list[SpectrumRow]) -> list[DerivedRow]:
     """Derive metrics for every row, column by column; rows that cannot be
     derived are logged, in row order, and skipped."""
-    table = np.array([_spectrum_values(row) for row in rows], dtype=float)
     # reshape: an empty list gives a 1-D array.
-    derived, valid, reasons = _derive_columns(
-        *table.reshape(len(rows), len(SPECTRUM_COLUMNS)).T
-    )
-    for i, reason in zip(np.flatnonzero(~valid).tolist(), reasons):
-        logger.warning("skipping row at %.6g MHz: %s", rows[i].frequency_mhz, reason)
-    return [DerivedRow(*values) for values in zip(*(column.tolist() for column in derived))]
+    table = np.array(list(map(_spectrum_values, rows)), float).reshape(-1, len(SPECTRUM_COLUMNS))
+    return list(map(DerivedRow, *_derive_table(table)))
+
+
+def _derive_table(table: np.ndarray) -> list[list[float]]:
+    """The :data:`DERIVED_COLUMNS` of a spectrum table as lists; rows that
+    cannot be derived are logged, in row order, and skipped."""
+    derived, valid, reasons = _derive_columns(*table.T)
+    for frequency, reason in zip(table[~valid, 0].tolist(), reasons):
+        logger.warning("skipping row at %.6g MHz: %s", frequency, reason)
+    return [column.tolist() for column in derived]
 
 
 def synthesize_spectra(
@@ -332,52 +332,50 @@ def synthesize_spectra(
         beam = SqueezedBeam.pure(v_in)
         state = apply_loss(entangle_on_beamsplitter(beam, beam), eta, eta)
         excess = relax_amplitude / (1.0 + ((freq - relax_osc_mhz) / width) ** 2)
-        rows.append(
-            SpectrumRow(
-                frequency_mhz=freq,
-                vx_plus=state.cm.cxx_plus + excess,
-                vx_minus=state.cm.cxx_minus,
-                vy_plus=state.cm.cyy_plus + excess,
-                vy_minus=state.cm.cyy_minus,
-                v_sum_plus=sum_diff_variance(state, "+", "sum") + 2.0 * excess,
-                v_diff_minus=sum_diff_variance(state, "-", "diff"),
-            )
-        )
+        cm = state.cm
+        modes = (cm.cxx_plus + excess, cm.cxx_minus, cm.cyy_plus + excess, cm.cyy_minus)
+        v_sum = sum_diff_variance(state, "+", "sum") + 2.0 * excess
+        rows.append(SpectrumRow(freq, *modes, v_sum, sum_diff_variance(state, "-", "diff")))
     return rows
 
 
 _derived_values = attrgetter(*DERIVED_COLUMNS)
-_CSV_ROW = ",".join(["%r"] * len(DERIVED_COLUMNS))
-# One row of json.dumps(..., indent=2) over the row's dict, with %s where
-# each value goes.
+_CSV_ROW = ",".join(["%r"] * len(DERIVED_COLUMNS)) + "\n"
+# One row of json.dumps(..., indent=2) over the row's dict, %s per value.
 _JSON_ROW = "  {\n" + ",\n".join(f'    "{name}": %s' for name in DERIVED_COLUMNS) + "\n  }"
+
+
+def _csv_chunks(rows: Iterable[tuple]) -> Iterator[str]:
+    """CSV of derived rows (tuples in :data:`DERIVED_COLUMNS` order), one chunk per row."""
+    yield ",".join(DERIVED_COLUMNS) + "\n"
+    for row in rows:
+        yield _CSV_ROW % row
+
+
+def _json_chunks(rows: Iterable[tuple]) -> Iterator[str]:
+    """JSON array of derived rows (tuples in :data:`DERIVED_COLUMNS` order),
+    one chunk per row.  json's ``indent`` falls back to its pure-Python
+    encoder; a template of ``float.__repr__`` values, which json writes for
+    a finite float, gives the same text several times faster."""
+    separator = "[\n"
+    for row in rows:
+        if all(map(math.isfinite, row)):
+            yield separator + _JSON_ROW % tuple(map(float.__repr__, row))
+        else:  # json's own NaN and Infinity spellings
+            yield separator + json.dumps([dict(zip(DERIVED_COLUMNS, row))], indent=2)[2:-2]
+        separator = ",\n"
+    yield "[]\n" if separator == "[\n" else "\n]\n"
 
 
 def derived_to_csv_text(derived: list[DerivedRow]) -> str:
     """CSV serialization of derived rows, header in DerivedRow field order."""
-    lines = [",".join(DERIVED_COLUMNS)]
-    lines.extend(_CSV_ROW % _derived_values(row) for row in derived)
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks(map(_derived_values, derived)))
 
 
 def derived_to_json_text(derived: list[DerivedRow]) -> str:
     """JSON array of the derived rows, byte for byte what
-    ``json.dumps([asdict(row) for row in derived], indent=2)`` writes.
-
-    With ``indent`` set, json falls back to its pure-Python encoder; a fixed
-    row template of ``float.__repr__`` values, which is what json writes
-    for a finite float, gives the same text several times faster.
-    """
-    if not derived:
-        return "[]\n"
-    body = ",\n".join(
-        _JSON_ROW % tuple(map(float.__repr__, _derived_values(row))) for row in derived
-    )
-    # float.__repr__ writes non-finite values as nan/inf/-inf where json
-    # writes NaN/Infinity/-Infinity; only values follow ": " in the text.
-    for python, js in ((": nan", ": NaN"), (": inf", ": Infinity"), (": -inf", ": -Infinity")):
-        body = body.replace(python, js)
-    return "[\n" + body + "\n]\n"
+    ``json.dumps([asdict(row) for row in derived], indent=2)`` writes."""
+    return "".join(_json_chunks(map(_derived_values, derived)))
 
 
 @dataclass(frozen=True)
@@ -475,12 +473,7 @@ def measured_row(anchor: PaperAnchor) -> SpectrumRow:
     cross-correlation entries of the published matrix)."""
     if not anchor.has_measured_variances():
         raise ValueError(f"anchor {anchor.label!r} carries no measured variances")
-    return SpectrumRow(
-        frequency_mhz=anchor.frequency_mhz,
-        vx_plus=anchor.cm.cxx_plus,
-        vx_minus=anchor.cm.cxx_minus,
-        vy_plus=anchor.cm.cyy_plus,
-        vy_minus=anchor.cm.cyy_minus,
-        v_sum_plus=float(anchor.measured["v_sum_plus"]),
-        v_diff_minus=float(anchor.measured["v_diff_minus"]),
-    )
+    cm, measured = anchor.cm, anchor.measured
+    modes = (cm.cxx_plus, cm.cxx_minus, cm.cyy_plus, cm.cyy_minus)
+    sums = (float(measured["v_sum_plus"]), float(measured["v_diff_minus"]))
+    return SpectrumRow(anchor.frequency_mhz, *modes, *sums)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -130,6 +131,12 @@ class TestAnalyze:
             ({**bare, "matrix": 5}, (), "4x4"),
             ({**bare, "measured": {"v_sum_plus": -0.44, "v_diff_minus": 0.44}}, (),
              "'v_sum_plus'"),
+            ({**bare, "measured": {"cv_plus": -1.0, "cv_minus": 2.0}}, (), "'cv_plus'"),
+            ({**bare, "measured": {"cv_plus": 0.5, "cv_minus": math.nan}}, (), "'cv_minus'"),
+            ({**bare, "measured": {"cv_plus": 10**300, "cv_minus": 10**300}}, (),
+             "'epr_from_measured_cv'"),
+            ({**bare, "measured": {"cv_plus": 1e200, "cv_minus": 1e200}}, (),
+             "'epr_from_measured_cv'"),
         )
         path = tmp_path / "input.json"
         for data, extra, named in cases:

@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_entangled_cm
+from oracles import nu_minus
 from gaussent.cli import analyze_cm
 from gaussent.separability import (
     degree_of_inseparability,
@@ -18,6 +19,7 @@ from gaussent.separability import (
 )
 from gaussent.states import (
     CorrelationMatrix4,
+    QuadratureVariancePair,
     SqueezedBeam,
     apply_local_squeezing,
     apply_loss,
@@ -238,6 +240,42 @@ class TestDegreeOfInseparability:
                           standard_form_restrictions, duan_sum_criterion):
             with pytest.raises(ValueError, match="couples"):
                 operation(cm)
+
+
+class TestSimonOracle:
+    """The degree against Simon's nu~-, the smallest symplectic eigenvalue of
+    the partially transposed matrix, computed by an eigenvalue problem."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.05, 0.95),
+        st.floats(0.05, 0.95),
+        st.floats(1.0, 3.0),
+        st.floats(1.0, 3.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_interchangeable_beams_degree_equals_nu_minus(self, v1, v2, excess1, excess2, eta):
+        beam1 = SqueezedBeam(QuadratureVariancePair(v1, excess1 / v1))
+        beam2 = SqueezedBeam(QuadratureVariancePair(v2, excess2 / v2))
+        cm = apply_loss(entangle_on_beamsplitter(beam1, beam2), eta, eta).cm
+        assert abs(degree_of_inseparability(cm) - nu_minus(cm.entries)) <= 1e-12
+
+    # Pure inputs squeezed to at most 0.5 keep every mode variance above shot
+    # noise through any loss, so the biased branch is defined.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.05, 0.5),
+        st.floats(0.05, 0.5),
+        st.floats(0.05, 1.0),
+        st.floats(0.05, 1.0),
+    )
+    def test_biased_degree_bounds_nu_minus_with_the_same_verdict(self, v1, v2, eta_x, eta_y):
+        assume(eta_x != eta_y)
+        state = entangle_on_beamsplitter(SqueezedBeam.pure(v1), SqueezedBeam.pure(v2))
+        cm = apply_loss(state, eta_x, eta_y).cm
+        degree, nu = degree_of_inseparability(cm), nu_minus(cm.entries)
+        assert degree >= nu - 1e-12
+        assert (degree < 1.0) == (nu < 1.0)
 
 
 class TestInseparabilityVsLoss:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ANCHOR_35_ENTRIES, ANCHOR_65_ENTRIES, MEASURED_65
+from oracles import parse_spectra_rowwise
 from gaussent import spectra
 from gaussent.cli import main
 from gaussent.epr import degree_of_epr
@@ -106,6 +107,63 @@ class TestParse:
             match=r"row 5, column 'frequency_mhz': duplicate frequency 6.5 MHz, also on row 2",
         ):
             parse_spectra(text)
+
+
+def _parse_outcome(parse, text, units):
+    """The rows ``parse`` returns, as hex tuples, or the message it raises."""
+    try:
+        rows = parse(text, units)
+    except ValueError as exc:
+        return str(exc)
+    return [tuple(float.hex(getattr(row, name)) for name in SPECTRUM_COLUMNS) for row in rows]
+
+
+# Cells that parse in both units, and cells that fail in one or both: not a
+# number, out of range once converted from dB (4000 dB overflows, -4000 dB
+# converts to 0), zero, negative, infinite and NaN.
+_GOOD_CELL = st.sampled_from(["1.5", "0.3", "2", "7.25", " 4.0 ", "1e-3", "0.5", "12"])
+_BAD_CELL = st.sampled_from(
+    ["oops", "", "4000", "-4000", "0", "-0.0", "-1", "inf", "-inf", "nan", "1e400"]
+)
+
+
+@st.composite
+def _spectrum_lines(draw):
+    """Lines of a small spectrum table: good rows over a few frequencies, so
+    that some repeat, with up to three bad cells anywhere and, at times, a
+    blank line or a row of the wrong length."""
+    count = draw(st.integers(1, 6))
+    frequencies = st.sampled_from(["1", "2", "2.0", "3.5", "5", "8"])
+    rows = [[draw(frequencies)] + draw(st.lists(_GOOD_CELL, min_size=6, max_size=6))
+            for _ in range(count)]
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(st.integers(0, count - 1))][draw(st.integers(0, 6))] = draw(_BAD_CELL)
+    lines = [",".join(row) for row in rows]
+    if draw(st.integers(0, 3)) == 0:
+        odd = draw(st.lists(_GOOD_CELL, max_size=9).filter(lambda cells: len(cells) != 7))
+        lines.insert(draw(st.integers(0, count)), ",".join(odd))
+    return lines
+
+
+class TestParseErrorOrder:
+    """parse_spectra against the row-by-row parser it replaced: the same rows,
+    or the same message for the first error in file order."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_spectrum_lines(), st.sampled_from(["linear", "dB"]))
+    # A bad value on a row before a non-numeric cell; both on one row; a bad
+    # value before a repeated frequency; a repeat, then a short row; dB
+    # cells that convert to 0 and that overflow.
+    @example(["1,1,1,1,1,1,-1", "2,oops,1,1,1,1,1"], "linear")
+    @example(["1,-1,1,1,1,oops,1"], "linear")
+    @example(["1,0,1,1,1,1,1", "1,1,1,1,1,1,1"], "linear")
+    @example(["2,1,1,1,1,1,1", "2.0,1,1,1,1,1,1", "3,1,1"], "dB")
+    @example(["2,1,1,1,1,1,1", "3,1,1,1,-4000,1,1"], "dB")
+    @example(["3,1,1,1,1,1,1", "2,1,1,1,4000,1,-1"], "dB")
+    def test_matches_rowwise_parser(self, lines, units):
+        text = "\n".join([HEADER] + lines) + "\n"
+        expected = _parse_outcome(parse_spectra_rowwise, text, units)
+        assert _parse_outcome(parse_spectra, text, units) == expected
 
 
 class TestSpectrumRow:
@@ -395,6 +453,25 @@ class TestWriteOutputs:
         for derived in ([], [row], [row] + odd):
             expected = json.dumps([asdict(r) for r in derived], indent=2) + "\n"
             assert derived_to_json_text(derived) == expected
+
+    def test_ingest_builds_no_row_objects(self, tmp_path, monkeypatch, capsys):
+        source = tmp_path / "spectra.csv"
+        source.write_text(SAMPLE_CSV)
+        expected = {}
+        for units in ("linear", "dB"):
+            derived = derive_spectra(parse_spectra(SAMPLE_CSV, units))
+            expected[units, "csv"] = derived_to_csv_text(derived)
+            expected[units, "json"] = derived_to_json_text(derived)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"a {type(self).__name__} was built")
+
+        monkeypatch.setattr(SpectrumRow, "__init__", refuse)
+        monkeypatch.setattr(DerivedRow, "__init__", refuse)
+        for (units, fmt), text in expected.items():
+            argv = ["ingest", str(source), "--format", fmt] + (["--db"] if units == "dB" else [])
+            assert main(argv) == 0
+            assert capsys.readouterr().out == text
 
     def test_unknown_format(self, tmp_path, capsys):
         source = tmp_path / "spectra.csv"
