@@ -5,6 +5,11 @@ criterion: the bias-compensation parameter k, the applicability
 restrictions each form puts on the correlation matrix, the degree of
 inseparability (entangled iff below 1), and its closed-form dependence on
 detection efficiency.
+
+Each quadrature has one bias weight, ((C_yy - 1)/(C_xx - 1))^(1/4) from the
+excesses of its diagonal entries over shot noise.  k is that weight when both
+quadratures agree on it; the product-form restriction instead weights each
+quadrature's inference variance with that quadrature's own weight.
 """
 
 from __future__ import annotations
@@ -59,18 +64,25 @@ class StandardFormCheck:
     detail: str | None = None
 
 
-def _require_block_form(cm: CorrelationMatrix4) -> None:
-    """Reject matrices with cross-quadrature correlations.
+def _excesses(cm: CorrelationMatrix4) -> tuple[float, float, float, float]:
+    """Excesses C - 1 over shot noise of C++_xx, C++_yy, C--_xx and C--_yy.
 
-    Reduction of a fully general matrix to the decoupled form (by local
-    linear unitary operations) is out of scope here; every state this
-    package produces is already in it.
+    ValueError if the matrix couples the quadratures: reducing it to the
+    decoupled form (by local linear unitary operations) is out of scope, and
+    every state this package produces is already in it.
     """
     if not is_block_form(cm):
         raise ValueError(
             "correlation matrix couples the amplitude and phase quadratures; "
             "reduce it to the decoupled form before analysis"
         )
+    c_xx_plus, c_xx_minus, c_yy_plus, c_yy_minus = cm.entries.diagonal().tolist()
+    return c_xx_plus - 1.0, c_yy_plus - 1.0, c_xx_minus - 1.0, c_yy_minus - 1.0
+
+
+def _bias_weight(ex: float, ey: float) -> float:
+    """A quadrature's bias weight ((C_yy - 1)/(C_xx - 1))^(1/4) from its excesses."""
+    return (ey / ex) ** 0.25
 
 
 def k_parameter(cm: CorrelationMatrix4) -> float:
@@ -85,19 +97,14 @@ def k_parameter(cm: CorrelationMatrix4) -> float:
             entry is at or below shot noise, or if the amplitude- and
             phase-quadrature expressions disagree.
     """
-    _require_block_form(cm)
-    excesses = {
-        "C++_xx": cm.cxx_plus - 1.0,
-        "C++_yy": cm.cyy_plus - 1.0,
-        "C--_xx": cm.cxx_minus - 1.0,
-        "C--_yy": cm.cyy_minus - 1.0,
-    }
-    bad = [name for name, value in excesses.items() if value <= 0.0]
+    excesses = _excesses(cm)
+    names = ("C++_xx", "C++_yy", "C--_xx", "C--_yy")
+    bad = [name for name, value in zip(names, excesses) if value <= 0.0]
     if bad:
         raise ValueError(f"degenerate: quadrature at or below shot noise ({', '.join(bad)})")
 
-    k_plus = (excesses["C++_yy"] / excesses["C++_xx"]) ** 0.25
-    k_minus = (excesses["C--_yy"] / excesses["C--_xx"]) ** 0.25
+    ex_p, ey_p, ex_m, ey_m = excesses
+    k_plus, k_minus = _bias_weight(ex_p, ey_p), _bias_weight(ex_m, ey_m)
     if not math.isclose(k_plus, k_minus, rel_tol=K_REL_TOL, abs_tol=0.0):
         raise ValueError(
             f"bias parameter inconsistent between quadratures "
@@ -106,33 +113,15 @@ def k_parameter(cm: CorrelationMatrix4) -> float:
     return k_plus
 
 
-def _inference_variance(cm: CorrelationMatrix4, quadrature: str, k: float) -> tuple[float, bool]:
+def _inference_variance(cm: CorrelationMatrix4, quadrature: str, k: float) -> float:
     """Variance of the k-weighted inference combination for one quadrature.
 
     Expands <(k dX_x - s dX_y / k)^2> with s the sign of the cross
-    correlation (so the correlated combination is always the one measured).
-    Returns the variance and whether the sign had to default to +1 because
-    the cross correlation vanished.
+    correlation (so the correlated combination is always the one measured;
+    s defaults to +1 where the cross correlation vanishes).
     """
     c_xx, c_yy, c_xy = quadrature_entries(cm, quadrature)
-    defaulted = c_xy == 0.0
-    return k * k * c_xx + c_yy / (k * k) - 2.0 * abs(c_xy), defaulted
-
-
-def _self_biased_inference_variance(cm: CorrelationMatrix4, quadrature: str) -> float:
-    """Inference variance with the bias weight taken from this quadrature alone.
-
-    Substitutes k^2 = sqrt((C_yy - 1)/(C_xx - 1)) of the same quadrature,
-    which is the substitution under which the product-form restriction is
-    stated.  Requires both diagonal entries above shot noise.
-    """
-    c_xx, c_yy, c_xy = quadrature_entries(cm, quadrature)
-    ex, ey = c_xx - 1.0, c_yy - 1.0
-    if ex <= 0.0 or ey <= 0.0:
-        raise ValueError(
-            f"degenerate: {quadrature} quadrature at or below shot noise"
-        )
-    return math.sqrt(ey / ex) * c_xx + math.sqrt(ex / ey) * c_yy - 2.0 * abs(c_xy)
+    return k * k * c_xx + c_yy / (k * k) - 2.0 * abs(c_xy)
 
 
 def duan_sum_criterion(
@@ -150,24 +139,22 @@ def duan_sum_criterion(
         cm: correlation matrix in block form (no cross-quadrature terms).
         k: bias parameter; computed from the matrix when omitted.
     """
-    _require_block_form(cm)
+    # First, so that a matrix coupling the quadratures is refused before k is checked.
+    restrictions = standard_form_restrictions(cm)
     if k is None:
         k = k_parameter(cm)
     elif k <= 0.0:
         raise ValueError(f"k must be positive, got {k}")
 
-    lhs_plus, defaulted_plus = _inference_variance(cm, "+", k)
-    lhs_minus, defaulted_minus = _inference_variance(cm, "-", k)
-    lhs = lhs_plus + lhs_minus
+    lhs = _inference_variance(cm, "+", k) + _inference_variance(cm, "-", k)
     rhs = 2.0 * (k * k + 1.0 / (k * k))
-    restrictions = standard_form_restrictions(cm)
     return SumCriterionResult(
         k=k,
         lhs=lhs,
         rhs=rhs,
         satisfied=lhs < rhs,
         applicable=restrictions.ratio_ok and restrictions.balance_ok,
-        sign_defaulted=defaulted_plus or defaulted_minus,
+        sign_defaulted=cm.cxy_plus == 0.0 or cm.cxy_minus == 0.0,
     )
 
 
@@ -181,19 +168,13 @@ def standard_form_restrictions(cm: CorrelationMatrix4) -> StandardFormCheck:
         :data:`RESTRICTION_TOL`).  Degenerate matrices (diagonal at or below
         shot noise) fail both with a diagnostic in ``detail``.
     """
-    _require_block_form(cm)
-    ex_p, ey_p = cm.cxx_plus - 1.0, cm.cyy_plus - 1.0
-    ex_m, ey_m = cm.cxx_minus - 1.0, cm.cyy_minus - 1.0
-
+    excesses = _excesses(cm)
+    ex_p, ey_p, ex_m, ey_m = excesses
     if ey_p == 0.0 or ey_m == 0.0:
-        return StandardFormCheck(
-            False, False, "restriction undefined: variance at shot noise"
-        )
-    ratio_plus = ex_p / ey_p
-    ratio_minus = ex_m / ey_m
-    ratio_ok = math.isclose(ratio_plus, ratio_minus, rel_tol=RATIO_REL_TOL, abs_tol=0.0)
+        return StandardFormCheck(False, False, "restriction undefined: variance at shot noise")
+    ratio_ok = math.isclose(ex_p / ey_p, ex_m / ey_m, rel_tol=RATIO_REL_TOL, abs_tol=0.0)
 
-    if min(ex_p, ey_p, ex_m, ey_m) < 0.0:
+    if min(excesses) < 0.0:
         return StandardFormCheck(
             ratio_ok, False, "restriction undefined: variance below shot noise"
         )
@@ -209,25 +190,25 @@ def product_restriction(cm: CorrelationMatrix4) -> bool:
     Both sides vanish identically for matrices with interchangeable beams
     (as :func:`check_symmetric_form` decides, the same test that picks the
     branch of :func:`degree_of_inseparability`), so those always pass.
-    For biased matrices the inference variances are evaluated with
-    per-quadrature bias weights and the two sides must agree within
-    :data:`RESTRICTION_TOL`; if the variances are undefined (diagonal at or
-    below shot noise) the restriction is reported as not satisfied.
+    For biased matrices each quadrature's inference variance is evaluated
+    with that quadrature's own bias weight and the two sides must agree
+    within :data:`RESTRICTION_TOL`; if the variances are undefined
+    (diagonal at or below shot noise) the restriction is reported as not
+    satisfied.
     """
     if check_symmetric_form(cm):
         return True
-    _require_block_form(cm)
-    lhs = cm.cyy_plus * cm.cxx_minus - cm.cxx_plus * cm.cyy_minus
-    try:
-        d_plus = _self_biased_inference_variance(cm, "+")
-        d_minus = _self_biased_inference_variance(cm, "-")
-    except ValueError:
+    excesses = _excesses(cm)
+    if min(excesses) <= 0.0:
         return False
+    ex_p, ey_p, ex_m, ey_m = excesses
+    d_plus = _inference_variance(cm, "+", _bias_weight(ex_p, ey_p))
+    d_minus = _inference_variance(cm, "-", _bias_weight(ex_m, ey_m))
     if d_plus <= 0.0 or d_minus <= 0.0:
         return False
-    rhs = math.sqrt(d_minus / d_plus) * (cm.cyy_plus - cm.cxx_plus) + math.sqrt(
-        d_plus / d_minus
-    ) * (cm.cxx_minus - cm.cyy_minus)
+    lhs = cm.cyy_plus * cm.cxx_minus - cm.cxx_plus * cm.cyy_minus
+    rhs = math.sqrt(d_minus / d_plus) * (cm.cyy_plus - cm.cxx_plus)
+    rhs += math.sqrt(d_plus / d_minus) * (cm.cxx_minus - cm.cyy_minus)
     return abs(lhs - rhs) <= RESTRICTION_TOL
 
 
@@ -250,8 +231,8 @@ def degree_of_inseparability(cm: CorrelationMatrix4) -> float:
     if check_symmetric_form(cm):
         return _symmetric_degree(cm)[2]
     k = k_parameter(cm)
-    d_plus, _ = _inference_variance(cm, "+", k)
-    d_minus, _ = _inference_variance(cm, "-", k)
+    d_plus = _inference_variance(cm, "+", k)
+    d_minus = _inference_variance(cm, "-", k)
     if d_plus <= 0.0 or d_minus <= 0.0:
         raise ValueError(
             f"non-positive inference variance ({d_plus:.6g}, {d_minus:.6g})"

@@ -121,16 +121,17 @@ def _read_table(text: str, units: str) -> np.ndarray:
     if units not in ("linear", "dB"):
         raise ValueError(f"units must be 'linear' or 'dB', got {units!r}")
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
-        raise ValueError("spectrum CSV is empty; expected a header row")
-    header = tuple(name.strip() for name in header)
-    if header != SPECTRUM_COLUMNS:
-        raise ValueError(f"unexpected header {header}; expected columns {SPECTRUM_COLUMNS}")
-
     width = len(SPECTRUM_COLUMNS)
     values, line_numbers = [], []
+    line_no = 0  # the last record read
     try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("spectrum CSV is empty; expected a header row")
+        header = tuple(name.strip() for name in header)
+        if header != SPECTRUM_COLUMNS:
+            raise ValueError(f"unexpected header {header}; expected columns {SPECTRUM_COLUMNS}")
+        line_no = 1
         for line_no, record in enumerate(reader, start=2):
             if not "".join(record).strip():
                 continue
@@ -149,6 +150,8 @@ def _read_table(text: str, units: str) -> np.ndarray:
                     ) from None
                 values.append(value)
             line_numbers.append(line_no)
+    except csv.Error as exc:  # from the reader, on the record after line_no; a cell too long
+        raise ValueError(f"row {line_no + 1}: {exc}") from None
     finally:  # the value gate, column-wise; before a parse error, on the rows read so far
         table = np.array(values[: width * len(line_numbers)], float).reshape(-1, width)
         bad = ~((table > 0.0) & (table < math.inf))
@@ -448,8 +451,20 @@ def load_paper_anchors(path: str | None = None) -> PaperAnchors:
     """
     if path is None:
         path = bundled_fixture_path()
+    return _paper_anchors(_read_json_object(path), path)
+
+
+def _read_json_object(path: str) -> dict:
+    """The JSON object in the file at ``path``; ValueError if it holds another value."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return data
+
+
+def _paper_anchors(data: dict, path: str) -> PaperAnchors:
+    """:func:`load_paper_anchors` from the parsed object of the file at ``path``."""
     try:
         statistical_error = float(_json_number(data["statistical_error"], "'statistical_error'"))
     except KeyError:

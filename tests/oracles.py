@@ -5,7 +5,8 @@ an eigenvalue problem, so the tests can check the formula against
 something other than itself; they are the only users of scipy.
 :func:`parse_spectra_rowwise` is the row-by-row spectrum parser that the
 column-wise table reader replaced, kept as the reference for its results
-and for the order of its errors.
+and for the order of its errors; the ``*_reference`` functions play the same
+part for the inseparability criteria and restrictions.
 """
 
 import csv
@@ -16,8 +17,21 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from gaussent.protocols import squeezed_channel_capacity
+from gaussent.separability import (
+    K_REL_TOL,
+    RATIO_REL_TOL,
+    RESTRICTION_TOL,
+    StandardFormCheck,
+    SumCriterionResult,
+    degree_of_inseparability,
+)
 from gaussent.spectra import SPECTRUM_COLUMNS, SpectrumRow
-from gaussent.states import CorrelationMatrix4, quadrature_entries
+from gaussent.states import (
+    CorrelationMatrix4,
+    check_symmetric_form,
+    is_block_form,
+    quadrature_entries,
+)
 
 # Symplectic form for the order (X+_x, X-_x, X+_y, X-_y) with shot noise 1,
 # and the partial transpose, which flips the sign of beam y's phase quadrature.
@@ -131,3 +145,140 @@ def maximize_squeezed_capacity(n_encoding: float) -> tuple[float, float]:
         negated, bounds=(v_floor, 1.0), method="bounded", options={"xatol": 1e-12}
     )
     return -float(result.fun), float(result.x)
+
+
+# The inseparability criteria and restrictions as they were written before
+# the excess variances C - 1, the per-quadrature bias weight and the
+# inference variance each got one helper in gaussent.separability: the
+# reference for their values and for their error messages and order.
+
+
+def _require_block_form(cm: CorrelationMatrix4) -> None:
+    if not is_block_form(cm):
+        raise ValueError(
+            "correlation matrix couples the amplitude and phase quadratures; "
+            "reduce it to the decoupled form before analysis"
+        )
+
+
+def k_parameter_reference(cm: CorrelationMatrix4) -> float:
+    _require_block_form(cm)
+    excesses = {
+        "C++_xx": cm.cxx_plus - 1.0,
+        "C++_yy": cm.cyy_plus - 1.0,
+        "C--_xx": cm.cxx_minus - 1.0,
+        "C--_yy": cm.cyy_minus - 1.0,
+    }
+    bad = [name for name, value in excesses.items() if value <= 0.0]
+    if bad:
+        raise ValueError(f"degenerate: quadrature at or below shot noise ({', '.join(bad)})")
+
+    k_plus = (excesses["C++_yy"] / excesses["C++_xx"]) ** 0.25
+    k_minus = (excesses["C--_yy"] / excesses["C--_xx"]) ** 0.25
+    if not math.isclose(k_plus, k_minus, rel_tol=K_REL_TOL, abs_tol=0.0):
+        raise ValueError(
+            f"bias parameter inconsistent between quadratures "
+            f"({k_plus:.8g} vs {k_minus:.8g}); the variance-ratio restriction is violated"
+        )
+    return k_plus
+
+
+def _inference_variance(cm: CorrelationMatrix4, quadrature: str, k: float) -> tuple[float, bool]:
+    c_xx, c_yy, c_xy = quadrature_entries(cm, quadrature)
+    defaulted = c_xy == 0.0
+    return k * k * c_xx + c_yy / (k * k) - 2.0 * abs(c_xy), defaulted
+
+
+def _self_biased_inference_variance(cm: CorrelationMatrix4, quadrature: str) -> float:
+    c_xx, c_yy, c_xy = quadrature_entries(cm, quadrature)
+    ex, ey = c_xx - 1.0, c_yy - 1.0
+    if ex <= 0.0 or ey <= 0.0:
+        raise ValueError(
+            f"degenerate: {quadrature} quadrature at or below shot noise"
+        )
+    return math.sqrt(ey / ex) * c_xx + math.sqrt(ex / ey) * c_yy - 2.0 * abs(c_xy)
+
+
+def duan_sum_criterion_reference(
+    cm: CorrelationMatrix4, k: float | None = None
+) -> SumCriterionResult:
+    _require_block_form(cm)
+    if k is None:
+        k = k_parameter_reference(cm)
+    elif k <= 0.0:
+        raise ValueError(f"k must be positive, got {k}")
+
+    lhs_plus, defaulted_plus = _inference_variance(cm, "+", k)
+    lhs_minus, defaulted_minus = _inference_variance(cm, "-", k)
+    lhs = lhs_plus + lhs_minus
+    rhs = 2.0 * (k * k + 1.0 / (k * k))
+    restrictions = standard_form_restrictions_reference(cm)
+    return SumCriterionResult(
+        k=k,
+        lhs=lhs,
+        rhs=rhs,
+        satisfied=lhs < rhs,
+        applicable=restrictions.ratio_ok and restrictions.balance_ok,
+        sign_defaulted=defaulted_plus or defaulted_minus,
+    )
+
+
+def standard_form_restrictions_reference(cm: CorrelationMatrix4) -> StandardFormCheck:
+    _require_block_form(cm)
+    ex_p, ey_p = cm.cxx_plus - 1.0, cm.cyy_plus - 1.0
+    ex_m, ey_m = cm.cxx_minus - 1.0, cm.cyy_minus - 1.0
+
+    if ey_p == 0.0 or ey_m == 0.0:
+        return StandardFormCheck(
+            False, False, "restriction undefined: variance at shot noise"
+        )
+    ratio_plus = ex_p / ey_p
+    ratio_minus = ex_m / ey_m
+    ratio_ok = math.isclose(ratio_plus, ratio_minus, rel_tol=RATIO_REL_TOL, abs_tol=0.0)
+
+    if min(ex_p, ey_p, ex_m, ey_m) < 0.0:
+        return StandardFormCheck(
+            ratio_ok, False, "restriction undefined: variance below shot noise"
+        )
+    margin_plus = math.sqrt(ex_p * ey_p) - abs(cm.cxy_plus)
+    margin_minus = math.sqrt(ex_m * ey_m) - abs(cm.cxy_minus)
+    balance_ok = abs(margin_plus - margin_minus) <= RESTRICTION_TOL
+    return StandardFormCheck(ratio_ok, balance_ok)
+
+
+def product_restriction_sides(cm: CorrelationMatrix4) -> tuple[float, float] | None:
+    """(lhs, rhs) of the product-form restriction of a biased matrix, None
+    where the inference variances are undefined or not positive."""
+    _require_block_form(cm)
+    lhs = cm.cyy_plus * cm.cxx_minus - cm.cxx_plus * cm.cyy_minus
+    try:
+        d_plus = _self_biased_inference_variance(cm, "+")
+        d_minus = _self_biased_inference_variance(cm, "-")
+    except ValueError:
+        return None
+    if d_plus <= 0.0 or d_minus <= 0.0:
+        return None
+    rhs = math.sqrt(d_minus / d_plus) * (cm.cyy_plus - cm.cxx_plus) + math.sqrt(
+        d_plus / d_minus
+    ) * (cm.cxx_minus - cm.cyy_minus)
+    return lhs, rhs
+
+
+def product_restriction_reference(cm: CorrelationMatrix4) -> bool:
+    if check_symmetric_form(cm):
+        return True
+    sides = product_restriction_sides(cm)
+    return sides is not None and abs(sides[0] - sides[1]) <= RESTRICTION_TOL
+
+
+def degree_of_inseparability_reference(cm: CorrelationMatrix4) -> float:
+    if check_symmetric_form(cm):
+        return degree_of_inseparability(cm)  # that branch has no bias weight
+    k = k_parameter_reference(cm)
+    d_plus, _ = _inference_variance(cm, "+", k)
+    d_minus, _ = _inference_variance(cm, "-", k)
+    if d_plus <= 0.0 or d_minus <= 0.0:
+        raise ValueError(
+            f"non-positive inference variance ({d_plus:.6g}, {d_minus:.6g})"
+        )
+    return math.sqrt(d_plus * d_minus) / (k * k + 1.0 / (k * k))

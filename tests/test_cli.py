@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gaussent.cli import build_parser, main
 from gaussent.spectra import bundled_fixture_path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 DOCUMENTED_FLAGS = (
     "--cm",
@@ -173,6 +179,19 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["label"] == "6.5MHz"
 
+    def test_anchor_file_is_parsed_once(self, capsys, monkeypatch):
+        calls = []
+        real_load = json.load
+
+        def counting_load(*args, **kwargs):
+            calls.append(args)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(json, "load", counting_load)
+        code, _, _ = run_cli(capsys, "analyze", "--cm", bundled_fixture_path(), "--at", "6.5MHz")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_env_var_overrides_default(self, capsys, tmp_path, monkeypatch, cm_65mhz):
         custom = {
             "statistical_error": 0.2,
@@ -270,6 +289,28 @@ class TestSweepLoss:
             assert code == 1
             assert out == ""
             assert err.startswith("gaussent: error:")
+
+    def test_half_a_million_steps_are_written_in_bounded_memory(self, tmp_path):
+        """Built as one string, 5e5 rows (28 MB of CSV) peak near 140 MB;
+        streamed in blocks of rows, the process stays near 30 MB."""
+        out = tmp_path / "sweep.csv"
+        argv = [sys.executable, "-m", "gaussent.cli", "sweep-loss",
+                "--v", "0.5", "--steps", "500000", "--out", str(out)]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        # A spawned child's ru_maxrss counts the resident set of the process
+        # that spawned it, so a small launcher, not pytest, starts the CLI.
+        launcher = (
+            "import os, sys; pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ); "
+            "_, status, usage = os.wait4(pid, 0); "
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+        )
+        result = subprocess.run([sys.executable, "-c", launcher, *argv], env=env,
+                                capture_output=True, text=True, timeout=120)
+        code, max_rss_kib = map(int, result.stdout.split())
+        assert code == 0
+        assert max_rss_kib / 1024 < 80  # ru_maxrss is in KiB on Linux
+        with open(out, "rb") as handle:
+            assert sum(1 for _ in handle) == 1 + 500000
 
 
 class TestContours:
@@ -372,6 +413,21 @@ class TestIngest:
         source.write_text("a,b\n1,2\n")
         code, _, err = run_cli(capsys, "ingest", str(source))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        ("earlier", "message"),
+        [("", "row 2: field larger than field limit"),
+         ("-1,2,2,2,2,1,1\n", "row 2, column 'frequency_mhz': must be positive")],
+    )
+    def test_cell_over_the_csv_field_limit_names_its_row(self, capsys, tmp_path, earlier, message):
+        source = tmp_path / "long_cell.csv"
+        long_row = "7.5," + "9" * 200_000 + ",2,2,2,1,1\n"
+        source.write_text(self.CSV.splitlines(keepends=True)[0] + earlier + long_row)
+        code, out, err = run_cli(capsys, "ingest", str(source))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"gaussent: error: {message}")
+        assert "Traceback" not in err
 
 
 class TestFixturesCommand:

@@ -7,9 +7,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_entangled_cm
-from oracles import nu_minus
+from oracles import (
+    degree_of_inseparability_reference,
+    duan_sum_criterion_reference,
+    k_parameter_reference,
+    nu_minus,
+    product_restriction_reference,
+    product_restriction_sides,
+    standard_form_restrictions_reference,
+)
 from gaussent.cli import analyze_cm
 from gaussent.separability import (
+    RESTRICTION_TOL,
     degree_of_inseparability,
     duan_sum_criterion,
     inseparability_vs_loss,
@@ -25,6 +34,7 @@ from gaussent.states import (
     apply_loss,
     check_symmetric_form,
     entangle_on_beamsplitter,
+    is_block_form,
 )
 
 
@@ -240,6 +250,79 @@ class TestDegreeOfInseparability:
                           standard_form_restrictions, duan_sum_criterion):
             with pytest.raises(ValueError, match="couples"):
                 operation(cm)
+
+
+_DIAGONAL = st.one_of(st.just(1.0), st.floats(0.05, 1.0), st.floats(1.0, 10.0))
+_CROSS = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _criterion_matrices(draw):
+    """Symmetric matrices with diagonals at, below and above shot noise,
+    cross-quadrature terms within and beyond FORM_TOL, nearly
+    interchangeable beams, and biased ones whose quadratures share a weight."""
+    kind = draw(st.sampled_from(["free", "common_weight", "near_interchangeable"]))
+    if kind == "common_weight":
+        cxx_p, cxx_m = draw(st.floats(1.01, 10.0)), draw(st.floats(1.01, 10.0))
+        ratio = draw(st.one_of(st.just(1.0), st.floats(0.1, 10.0)))
+        cyy_p, cyy_m = 1.0 + ratio * (cxx_p - 1.0), 1.0 + ratio * (cxx_m - 1.0)
+    else:
+        cxx_p, cxx_m = draw(_DIAGONAL), draw(_DIAGONAL)
+        if kind == "near_interchangeable":
+            offsets = st.sampled_from([0.0, 1e-10, -1e-10, 1e-9, 2e-9, -2e-9, 1e-6])
+            cyy_p, cyy_m = cxx_p + draw(offsets), cxx_m + draw(offsets)
+        else:
+            cyy_p, cyy_m = draw(_DIAGONAL), draw(_DIAGONAL)
+    cxy_p, cxy_m = draw(_CROSS), draw(_CROSS)
+    if draw(st.booleans()):
+        cxy_m = -cxy_p
+    coupling = draw(st.sampled_from([0.0, 0.0, 5e-10, 1e-3]))
+    return CorrelationMatrix4(
+        [
+            [cxx_p, coupling, cxy_p, 0.0],
+            [coupling, cxx_m, 0.0, cxy_m],
+            [cxy_p, 0.0, cyy_p, 0.0],
+            [0.0, cxy_m, 0.0, cyy_m],
+        ]
+    )
+
+
+def _outcome(operation, *args):
+    try:
+        return "value", operation(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+class TestSharedExcessHelpers:
+    """The criteria and restrictions against their per-expression forms in
+    tests/oracles.py, from before C - 1, the per-quadrature bias weight and
+    the inference variance each had one helper."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        _criterion_matrices(),
+        st.one_of(st.none(), st.sampled_from([0.9, 1.3, 0.0, -1.0]), st.floats(0.1, 10.0)),
+    )
+    def test_matches_reference(self, cm, k):
+        pairs = [
+            (k_parameter, k_parameter_reference),
+            (degree_of_inseparability, degree_of_inseparability_reference),
+            (standard_form_restrictions, standard_form_restrictions_reference),
+            (duan_sum_criterion, duan_sum_criterion_reference),
+        ]
+        for operation, reference in pairs:
+            assert _outcome(operation, cm) == _outcome(reference, cm), operation.__name__
+        assert _outcome(duan_sum_criterion, cm, k) == _outcome(duan_sum_criterion_reference, cm, k)
+
+        outcome = _outcome(product_restriction, cm)
+        if outcome != _outcome(product_restriction_reference, cm):
+            # The weight enters as k^2 and 1/k^2 rather than sqrt(ey/ex) and
+            # sqrt(ex/ey), so the last bits of D+ and D- may differ; only a
+            # verdict within rounding of the tolerance may flip.
+            assert is_block_form(cm) and not check_symmetric_form(cm)
+            lhs, rhs = product_restriction_sides(cm)
+            assert abs(abs(lhs - rhs) - RESTRICTION_TOL) <= 1e-9
 
 
 class TestSimonOracle:

@@ -549,6 +549,12 @@ class TestAnchors:
         assert sorted(anchors.anchors) == ["1.0MHz"]
         assert anchors["1.0MHz"].frequency_mhz == 1.0
 
+    def test_file_holding_an_array_is_refused(self, tmp_path):
+        path = tmp_path / "anchors.json"
+        path.write_text(json.dumps([{"statistical_error": 0.1}]))
+        with pytest.raises(ValueError, match="does not hold a JSON object"):
+            load_paper_anchors(str(path))
+
     @pytest.mark.parametrize("label", ["nanMHz", "-1MHz", "0MHz", "infMHz", "abcMHz", "6.5"])
     def test_label_must_be_a_positive_frequency(self, tmp_path, label):
         path = tmp_path / "anchors.json"
