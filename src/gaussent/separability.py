@@ -76,8 +76,7 @@ def _excesses(cm: CorrelationMatrix4) -> tuple[float, float, float, float]:
             "correlation matrix couples the amplitude and phase quadratures; "
             "reduce it to the decoupled form before analysis"
         )
-    c_xx_plus, c_xx_minus, c_yy_plus, c_yy_minus = cm.entries.diagonal().tolist()
-    return c_xx_plus - 1.0, c_yy_plus - 1.0, c_xx_minus - 1.0, c_yy_minus - 1.0
+    return cm.cxx_plus - 1.0, cm.cyy_plus - 1.0, cm.cxx_minus - 1.0, cm.cyy_minus - 1.0
 
 
 def _bias_weight(ex: float, ey: float) -> float:

@@ -50,11 +50,9 @@ class QuadratureVariancePair:
     v_minus: float
 
     def __post_init__(self) -> None:
-        if not (self.v_plus > 0.0 and self.v_minus > 0.0):
-            raise ValueError(
-                f"quadrature variances must be positive, got "
-                f"v_plus={self.v_plus}, v_minus={self.v_minus}"
-            )
+        for name, value in (("v_plus", self.v_plus), ("v_minus", self.v_minus)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def uncertainty_product(self) -> float:
@@ -77,12 +75,18 @@ class SqueezedBeam:
     alpha_plus: float = 0.0
     alpha_minus: float = 0.0
 
+    def __post_init__(self) -> None:
+        for name, value in (("alpha_plus", self.alpha_plus), ("alpha_minus", self.alpha_minus)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+
     @classmethod
     def pure(cls, v_plus: float) -> "SqueezedBeam":
         """Minimum-uncertainty beam with amplitude variance ``v_plus``.
 
         Raises:
-            ValueError: if ``v_plus`` is not positive.
+            ValueError: if ``v_plus`` is not positive and finite, or is so
+                small that the phase variance 1/v_plus overflows.
         """
         if not v_plus > 0.0:
             raise ValueError(f"squeezed variance must be positive, got {v_plus}")
@@ -102,6 +106,10 @@ class CorrelationMatrix4:
     uncertainty-relation check is opt-in via :meth:`is_physical` so that
     measured matrices that barely violate it through rounding can still
     be analyzed.
+
+    The matrix is validated once, when it is built.  ``entries`` is a
+    read-only float64 array; the named accessors and the scalar measures
+    read the same 16 entries as Python floats, taken from it at that time.
     """
 
     entries: np.ndarray
@@ -110,15 +118,26 @@ class CorrelationMatrix4:
         arr = np.array(self.entries, dtype=float)
         if arr.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        # Row-major: entry (i, j) is flat[4 * i + j].
+        flat = tuple(arr.ravel().tolist())
+        if not all(map(math.isfinite, flat)):
             raise ValueError("correlation matrix entries must be finite")
-        asym = np.max(np.abs(arr - arr.T))
+        # Entries (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3) against their mirrors.
+        asym = max(
+            abs(flat[1] - flat[4]),
+            abs(flat[2] - flat[8]),
+            abs(flat[3] - flat[12]),
+            abs(flat[6] - flat[9]),
+            abs(flat[7] - flat[13]),
+            abs(flat[11] - flat[14]),
+        )
         if asym > SYMMETRY_TOL:
             raise ValueError(f"correlation matrix is not symmetric (max asymmetry {asym:g})")
-        if np.any(np.diag(arr) <= 0.0):
+        if not (flat[0] > 0.0 and flat[5] > 0.0 and flat[10] > 0.0 and flat[15] > 0.0):
             raise ValueError(f"diagonal variances must be positive, got {np.diag(arr)}")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "_flat", flat)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CorrelationMatrix4):
@@ -142,40 +161,38 @@ class CorrelationMatrix4:
             c_minus: phase cross-correlation between the beams.
         """
         return cls(
-            np.array(
-                [
-                    [v_plus, 0.0, c_plus, 0.0],
-                    [0.0, v_minus, 0.0, c_minus],
-                    [c_plus, 0.0, v_plus, 0.0],
-                    [0.0, c_minus, 0.0, v_minus],
-                ]
-            )
+            [
+                [v_plus, 0.0, c_plus, 0.0],
+                [0.0, v_minus, 0.0, c_minus],
+                [c_plus, 0.0, v_plus, 0.0],
+                [0.0, c_minus, 0.0, v_minus],
+            ]
         )
 
     # Named accessors for the entries every analysis touches.
     @property
     def cxx_plus(self) -> float:
-        return float(self.entries[0, 0])
+        return self._flat[0]
 
     @property
     def cxx_minus(self) -> float:
-        return float(self.entries[1, 1])
+        return self._flat[5]
 
     @property
     def cyy_plus(self) -> float:
-        return float(self.entries[2, 2])
+        return self._flat[10]
 
     @property
     def cyy_minus(self) -> float:
-        return float(self.entries[3, 3])
+        return self._flat[15]
 
     @property
     def cxy_plus(self) -> float:
-        return float(self.entries[0, 2])
+        return self._flat[2]
 
     @property
     def cxy_minus(self) -> float:
-        return float(self.entries[1, 3])
+        return self._flat[7]
 
     def uncertainty_violation(self) -> float:
         """Minimum eigenvalue of CM + i*OMEGA (negative means unphysical)."""
@@ -308,12 +325,19 @@ def apply_loss(state: TwoModeState, eta_x: float, eta_y: float) -> TwoModeState:
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {eta}")
 
-    e = np.array(state.cm.entries)
-    e[0:2, 0:2] = eta_x * e[0:2, 0:2] + (1.0 - eta_x) * np.eye(2)
-    e[2:4, 2:4] = eta_y * e[2:4, 2:4] + (1.0 - eta_y) * np.eye(2)
+    # Entry by entry: eta*C + (1 - eta)*delta within a beam's block (the
+    # (1 - eta)*0.0 term turns a -0.0 product into 0.0), C*cross across them.
     cross = math.sqrt(eta_x * eta_y)
-    e[0:2, 2:4] *= cross
-    e[2:4, 0:2] *= cross
+    gx, gy = 1.0 - eta_x, 1.0 - eta_y
+    c00, c01, c02, c03, c10, c11, c12, c13, c20, c21, c22, c23, c30, c31, c32, c33 = (
+        state.cm._flat
+    )
+    e = [
+        [eta_x * c00 + gx, eta_x * c01 + gx * 0.0, c02 * cross, c03 * cross],
+        [eta_x * c10 + gx * 0.0, eta_x * c11 + gx, c12 * cross, c13 * cross],
+        [c20 * cross, c21 * cross, eta_y * c22 + gy, eta_y * c23 + gy * 0.0],
+        [c30 * cross, c31 * cross, eta_y * c32 + gy * 0.0, eta_y * c33 + gy],
+    ]
 
     sx, sy = math.sqrt(eta_x), math.sqrt(eta_y)
     alpha_x = (state.alpha_x[0] * sx, state.alpha_x[1] * sx)
@@ -325,8 +349,8 @@ def apply_local_squeezing(
     cm: CorrelationMatrix4, gain: float
 ) -> CorrelationMatrix4:
     """Apply equal local squeezing (X+ -> g X+, X- -> X-/g) to both beams."""
-    if gain <= 0.0:
-        raise ValueError(f"squeezing gain must be positive, got {gain}")
+    if not 0.0 < gain < math.inf:
+        raise ValueError(f"squeezing gain must be positive and finite, got {gain}")
     s = np.diag([gain, 1.0 / gain, gain, 1.0 / gain])
     return CorrelationMatrix4(s @ cm.entries @ s)
 
@@ -349,8 +373,8 @@ def quadrature_entries(
         i, j = _QUADRATURE_INDEX[quadrature]
     except KeyError:
         raise ValueError(f"quadrature must be '+' or '-', got {quadrature!r}") from None
-    e = cm.entries
-    return float(e[i, i]), float(e[j, j]), float(e[i, j])
+    f = cm._flat
+    return f[5 * i], f[5 * j], f[4 * i + j]
 
 
 def sum_diff_variance(
@@ -393,8 +417,9 @@ def _min_sum_diff(c_xx, c_yy, c_xy):
 
 def is_block_form(cm: CorrelationMatrix4) -> bool:
     """Whether all cross-quadrature entries vanish (amplitude and phase decouple)."""
-    e = cm.entries
-    return max(abs(e[0, 1]), abs(e[0, 3]), abs(e[1, 2]), abs(e[2, 3])) <= FORM_TOL
+    f = cm._flat
+    # Entries (0, 1), (0, 3), (1, 2) and (2, 3).
+    return max(abs(f[1]), abs(f[3]), abs(f[6]), abs(f[11])) <= FORM_TOL
 
 
 def check_symmetric_form(cm: CorrelationMatrix4) -> bool:
@@ -405,5 +430,5 @@ def check_symmetric_form(cm: CorrelationMatrix4) -> bool:
     """
     if not is_block_form(cm):
         return False
-    e = cm.entries
-    return abs(e[0, 0] - e[2, 2]) <= FORM_TOL and abs(e[1, 1] - e[3, 3]) <= FORM_TOL
+    f = cm._flat
+    return abs(f[0] - f[10]) <= FORM_TOL and abs(f[5] - f[15]) <= FORM_TOL

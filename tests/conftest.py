@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -57,3 +60,21 @@ def random_entangled_cm(rng) -> CorrelationMatrix4:
     )
     eta = rng.uniform(0.5, 1.0)
     return apply_loss(state, eta, eta).cm
+
+
+def run_measuring_peak_rss(argv, env) -> tuple[int, int]:
+    """Exit code and peak resident set (``ru_maxrss``, KiB on Linux) of ``argv``.
+
+    A spawned child's ru_maxrss counts the resident set of the process that
+    spawned it (the child shares that memory until exec), so a small
+    launcher, not pytest, starts the command and reports both figures.
+    """
+    launcher = (
+        "import os, sys; pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ); "
+        "_, status, usage = os.wait4(pid, 0); "
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+    )
+    result = subprocess.run([sys.executable, "-c", launcher, *argv], env=env,
+                            capture_output=True, text=True, timeout=120)
+    code, max_rss_kib = map(int, result.stdout.split())
+    return code, max_rss_kib

@@ -6,7 +6,8 @@ something other than itself; they are the only users of scipy.
 :func:`parse_spectra_rowwise` is the row-by-row spectrum parser that the
 column-wise table reader replaced, kept as the reference for its results
 and for the order of its errors; the ``*_reference`` functions play the same
-part for the inseparability criteria and restrictions.
+part for the inseparability criteria and restrictions, and for the
+correlation-matrix checks and the loss channel.
 """
 
 import csv
@@ -27,6 +28,7 @@ from gaussent.separability import (
 )
 from gaussent.spectra import SPECTRUM_COLUMNS, SpectrumRow
 from gaussent.states import (
+    SYMMETRY_TOL,
     CorrelationMatrix4,
     check_symmetric_form,
     is_block_form,
@@ -282,3 +284,41 @@ def degree_of_inseparability_reference(cm: CorrelationMatrix4) -> float:
             f"non-positive inference variance ({d_plus:.6g}, {d_minus:.6g})"
         )
     return math.sqrt(d_plus * d_minus) / (k * k + 1.0 / (k * k))
+
+
+# CorrelationMatrix4's checks and apply_loss's matrix update as they were
+# written with numpy reductions and slice updates, before the matrix kept its
+# entries as Python floats: the reference for which matrices are accepted, for
+# the bits of their entries and for the error messages and their order.
+
+
+def correlation_matrix_reference(entries) -> np.ndarray:
+    """The read-only float64 entries the constructor keeps, or its ValueError."""
+    arr = np.array(entries, dtype=float)
+    if arr.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("correlation matrix entries must be finite")
+    # Finite entries of opposite sign near the float limit differ by inf.
+    with np.errstate(over="ignore"):
+        asym = np.max(np.abs(arr - arr.T))
+    if asym > SYMMETRY_TOL:
+        raise ValueError(f"correlation matrix is not symmetric (max asymmetry {asym:g})")
+    if np.any(np.diag(arr) <= 0.0):
+        raise ValueError(f"diagonal variances must be positive, got {np.diag(arr)}")
+    arr.setflags(write=False)
+    return arr
+
+
+def apply_loss_reference(entries, eta_x: float, eta_y: float) -> np.ndarray:
+    """The entries :func:`gaussent.states.apply_loss` gives a matrix, or its ValueError."""
+    for name, eta in (("eta_x", eta_x), ("eta_y", eta_y)):
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {eta}")
+    e = np.array(entries)
+    e[0:2, 0:2] = eta_x * e[0:2, 0:2] + (1.0 - eta_x) * np.eye(2)
+    e[2:4, 2:4] = eta_y * e[2:4, 2:4] + (1.0 - eta_y) * np.eye(2)
+    cross = math.sqrt(eta_x * eta_y)
+    e[0:2, 2:4] *= cross
+    e[2:4, 0:2] *= cross
+    return correlation_matrix_reference(e)

@@ -1,13 +1,13 @@
 import json
 import math
 import os
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import run_measuring_peak_rss
 from gaussent.cli import build_parser, main
 from gaussent.spectra import bundled_fixture_path
 
@@ -297,16 +297,7 @@ class TestSweepLoss:
         argv = [sys.executable, "-m", "gaussent.cli", "sweep-loss",
                 "--v", "0.5", "--steps", "500000", "--out", str(out)]
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        # A spawned child's ru_maxrss counts the resident set of the process
-        # that spawned it, so a small launcher, not pytest, starts the CLI.
-        launcher = (
-            "import os, sys; pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ); "
-            "_, status, usage = os.wait4(pid, 0); "
-            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
-        )
-        result = subprocess.run([sys.executable, "-c", launcher, *argv], env=env,
-                                capture_output=True, text=True, timeout=120)
-        code, max_rss_kib = map(int, result.stdout.split())
+        code, max_rss_kib = run_measuring_peak_rss(argv, env)
         assert code == 0
         assert max_rss_kib / 1024 < 80  # ru_maxrss is in KiB on Linux
         with open(out, "rb") as handle:

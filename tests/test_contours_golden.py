@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import run_measuring_peak_rss
 import gaussent
 from gaussent.protocols import ContourGrid
 
@@ -73,10 +74,9 @@ def test_a_1500_grid_is_written_in_bounded_memory(tmp_path):
     argv = [sys.executable, "-m", "gaussent.cli", "contours",
             "--metric", "epr", "--grid", "1500", "--out", str(out)]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    pid = os.posix_spawn(sys.executable, argv, env)
-    _, status, usage = os.wait4(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    assert usage.ru_maxrss / 1024 < 200  # ru_maxrss is in KiB on Linux
+    code, max_rss_kib = run_measuring_peak_rss(argv, env)
+    assert code == 0
+    assert max_rss_kib / 1024 < 200  # ru_maxrss is in KiB on Linux
     with open(out, "rb") as handle:
         assert sum(1 for _ in handle) == 1 + 1500 * 1500
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_squeezed_beam
+from conftest import MEASURED_65, random_squeezed_beam
+from oracles import apply_loss_reference, correlation_matrix_reference
+from gaussent.cli import analyze_cm
 from gaussent.states import (
+    FORM_TOL,
+    SYMMETRY_TOL,
     CorrelationMatrix4,
     QuadratureVariancePair,
     SqueezedBeam,
@@ -15,7 +20,9 @@ from gaussent.states import (
     apply_loss,
     check_symmetric_form,
     entangle_on_beamsplitter,
+    is_block_form,
     min_sum_diff_variance,
+    quadrature_entries,
     sum_diff_variance,
 )
 
@@ -45,10 +52,33 @@ class TestQuadratureVariancePair:
         with pytest.raises(ValueError):
             QuadratureVariancePair(1.0, -2.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_naming_the_field(self, bad):
+        with pytest.raises(ValueError, match=f"^v_plus must be positive and finite, got {bad}$"):
+            QuadratureVariancePair(bad, 1.0)
+        with pytest.raises(ValueError, match=f"^v_minus must be positive and finite, got {bad}$"):
+            QuadratureVariancePair(1.0, bad)
+
+    def test_a_pure_beam_whose_phase_variance_overflows_is_refused(self):
+        # 1 / 1e-320 overflows to inf: the beam is refused where it is made,
+        # not later as a matrix with non-finite entries.
+        with pytest.raises(ValueError, match="^v_minus must be positive and finite, got inf$"):
+            SqueezedBeam.pure(1e-320)
+
     def test_physicality(self):
         assert QuadratureVariancePair(0.5, 2.0).is_physical()
         assert QuadratureVariancePair(1.0, 1.0).is_physical()
         assert not QuadratureVariancePair(0.5, 1.0).is_physical()
+
+
+class TestSqueezedBeam:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_amplitudes_naming_the_field(self, bad):
+        variances = QuadratureVariancePair(0.5, 2.0)
+        with pytest.raises(ValueError, match=f"^alpha_plus must be finite, got {bad}$"):
+            SqueezedBeam(variances, alpha_plus=bad)
+        with pytest.raises(ValueError, match=f"^alpha_minus must be finite, got {bad}$"):
+            SqueezedBeam(variances, alpha_minus=bad)
 
 
 class TestCorrelationMatrix4:
@@ -327,6 +357,13 @@ class TestLocalSqueezing:
         with pytest.raises(ValueError):
             apply_local_squeezing(cm_65mhz, 0.0)
 
+    @pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_gain_before_the_product(self, cm_65mhz, gain):
+        # Warnings are errors in this suite, so a gain reaching the matrix
+        # product would fail on numpy's RuntimeWarning instead.
+        with pytest.raises(ValueError, match=f"^squeezing gain must be positive and finite, got {gain}$"):
+            apply_local_squeezing(cm_65mhz, gain)
+
 
 def test_two_mode_state_json(cm_65mhz):
     state = TwoModeState((0.5, 0.0), (0.0, -0.5), cm_65mhz)
@@ -334,3 +371,146 @@ def test_two_mode_state_json(cm_65mhz):
     assert data["alpha_x"] == [0.5, 0.0]
     assert data["alpha_y"] == [0.0, -0.5]
     assert CorrelationMatrix4.from_json_dict(data["cm"]) == cm_65mhz
+
+
+# Off-diagonal pairs (i < j) of a 4x4 matrix, and gaps between a pair's
+# entries just below, at and just above the symmetry tolerance.
+_PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+_TOLERANCE_GAPS = [math.nextafter(SYMMETRY_TOL, 0.0), SYMMETRY_TOL, math.nextafter(SYMMETRY_TOL, 1.0)]
+
+
+@st.composite
+def _matrix_inputs(draw):
+    """Constructor inputs: random symmetric matrices; some with one mirror pair
+    apart by about the symmetry tolerance, a NaN or infinite cell, a zero or
+    negative diagonal entry, -0.0 cells or entries near the float limit; a few
+    of another shape."""
+    shape = draw(st.sampled_from([(4, 4)] * 16 + [(3, 3), (16,), (2, 8), (4, 4, 1)]))
+    if shape != (4, 4):
+        return np.ones(shape).tolist()
+    diagonal = st.one_of(st.floats(1e-3, 1e3), st.just(1.0))
+    off_diagonal = st.one_of(
+        st.floats(-1e3, 1e3),
+        st.sampled_from([0.0, -0.0]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    e = [[0.0] * 4 for _ in range(4)]
+    for i in range(4):
+        e[i][i] = draw(diagonal)
+    if draw(st.integers(0, 5)) == 0:
+        k = draw(st.integers(0, 3))
+        e[k][k] = draw(st.sampled_from([0.0, -0.0, -1.0]))
+    for i, j in _PAIRS:
+        e[i][j] = e[j][i] = draw(off_diagonal)
+    if draw(st.booleans()):
+        i, j = draw(st.sampled_from(_PAIRS))
+        base = draw(st.sampled_from([0.0, e[i][j]]))
+        gap = draw(st.sampled_from(_TOLERANCE_GAPS + [1e-13, 1e-3]))
+        e[i][j], e[j][i] = base, base + draw(st.sampled_from([gap, -gap]))
+    if draw(st.integers(0, 5)) == 0:
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        e[i][j] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        if draw(st.booleans()):
+            e[j][i] = e[i][j]
+    return np.array(e) if draw(st.booleans()) else e
+
+
+_EFFICIENCIES = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from([-0.1, 1.5, math.nan]),
+)
+
+
+def _outcome(operation, *args):
+    try:
+        return "value", operation(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestFloatEntries:
+    """The constructor and apply_loss against their numpy forms in
+    tests/oracles.py, from before the matrix kept its entries as Python floats."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(_matrix_inputs(), _EFFICIENCIES, _EFFICIENCIES)
+    def test_matches_reference(self, entries, eta_x, eta_y):
+        built = _outcome(CorrelationMatrix4, entries)
+        expected = _outcome(correlation_matrix_reference, entries)
+        if expected[0] == "error":
+            assert built == expected
+            return
+        assert built[0] == "value", built
+        cm, reference = built[1], expected[1]
+        assert cm.entries.dtype == np.float64 and not cm.entries.flags.writeable
+        assert cm.entries.tobytes() == reference.tobytes()
+
+        accessors = {"cxx_plus": (0, 0), "cxx_minus": (1, 1), "cyy_plus": (2, 2),
+                     "cyy_minus": (3, 3), "cxy_plus": (0, 2), "cxy_minus": (1, 3)}
+        for name, (i, j) in accessors.items():
+            value = getattr(cm, name)
+            assert type(value) is float, name
+            assert _bits(value) == _bits(reference[i, j]), name
+        for quadrature, (i, j) in (("+", (0, 2)), ("-", (1, 3))):
+            values = quadrature_entries(cm, quadrature)
+            assert all(type(value) is float for value in values)
+            assert [_bits(v) for v in values] == [_bits(reference[k, m]) for k, m in
+                                                  ((i, i), (j, j), (i, j))]
+        cross = max(abs(reference[0, 1]), abs(reference[0, 3]),
+                    abs(reference[1, 2]), abs(reference[2, 3]))
+        assert is_block_form(cm) == (cross <= FORM_TOL)
+        assert check_symmetric_form(cm) == (
+            cross <= FORM_TOL
+            and abs(reference[0, 0] - reference[2, 2]) <= FORM_TOL
+            and abs(reference[1, 1] - reference[3, 3]) <= FORM_TOL
+        )
+
+        lossy = _outcome(lambda: apply_loss(TwoModeState.from_cm(cm), eta_x, eta_y).cm)
+        lossy_expected = _outcome(apply_loss_reference, reference, eta_x, eta_y)
+        if lossy_expected[0] == "error":
+            assert lossy == lossy_expected
+        else:
+            assert lossy[0] == "value", lossy
+            assert lossy[1].entries.tobytes() == lossy_expected[1].tobytes()
+
+
+def _seeded_lossy_states(seed: int, count: int = 256):
+    """Pure squeezed pairs with loss: even ones equal on both beams
+    (interchangeable), odd ones at least 10% more on beam y (biased)."""
+    params = np.random.default_rng(seed).uniform(0.0, 1.0, (count, 4)).tolist()
+    for index, (a, b, c, d) in enumerate(params):
+        eta_x = 0.5 + 0.5 * c
+        eta_y = eta_x if index % 2 == 0 else eta_x * (0.3 + 0.6 * d)
+        state = entangle_on_beamsplitter(
+            SqueezedBeam.pure(0.1 + 0.4 * a), SqueezedBeam.pure(0.1 + 0.4 * b)
+        )
+        yield state, eta_x, eta_y
+
+
+#: sha256 of the analyze_cm records (one repr per line) of the states of
+#: _seeded_lossy_states, each interchangeable one analyzed with and without
+#: the measured 6.5 MHz values, as computed with the numpy-backed matrix.
+ANALYZE_DIGESTS = {
+    0: "aa29961b21eca9d00f5b8a54ddb7a654ae4edf05b20e7df3beb0fca8cc765c72",
+    1: "b09a32760129adb1de824d5f7e7e64cff176e991838df21f4f7475fb0ee93e9e",
+    2: "878b8e84806ba39bc71d5f414864a56f1a63372edb87f531d78c27f9f48677f5",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ANALYZE_DIGESTS))
+def test_analysis_of_seeded_states_is_unchanged(seed):
+    lines = []
+    for index, (state, eta_x, eta_y) in enumerate(_seeded_lossy_states(seed)):
+        cm = apply_loss(state, eta_x, eta_y).cm
+        assert cm.entries.tobytes() == apply_loss_reference(state.cm.entries, eta_x, eta_y).tobytes()
+        lines.append(repr(analyze_cm(cm)))
+        if index % 2 == 0:
+            lines.append(repr(analyze_cm(cm, MEASURED_65, "measured")))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ANALYZE_DIGESTS[seed]
