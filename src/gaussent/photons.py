@@ -141,6 +141,10 @@ def nmin_from_insep(insep):
     Raises:
         ValueError: if any degree is not positive (NaN included).
     """
+    if type(insep) is float:  # spares the scalar measures numpy's per-call cost
+        if not insep > 0.0:
+            raise ValueError(f"degree of inseparability must be positive, got {insep}")
+        return 0.5 * (insep + 1.0 / insep) - 1.0
     values = np.asarray(insep, dtype=float)
     positive = values > 0.0
     if not positive.all():

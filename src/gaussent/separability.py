@@ -254,7 +254,9 @@ def _symmetric_degree(cm: CorrelationMatrix4) -> tuple[float, float, float]:
         raise ValueError(
             f"non-positive sum/difference variance ({v_plus:.6g}, {v_minus:.6g})"
         )
-    return v_plus, v_minus, float(_degree_from_variances(v_plus, v_minus))
+    # _degree_from_variances in math.sqrt, which rounds as np.sqrt does
+    # (both correctly) without numpy's per-call cost.
+    return v_plus, v_minus, math.sqrt(v_plus * v_minus)
 
 
 def _degree_from_variances(v_plus, v_minus):

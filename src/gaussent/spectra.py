@@ -4,9 +4,10 @@ A spectrum is a table of per-sideband-frequency variance measurements
 (mode variances of both beams plus the minimum sum/difference variances).
 Each row reconstructs a correlation matrix, from which the entanglement
 measures and the photon-number budget follow.  ``gaussent ingest`` keeps
-a spectrum in one float64 table from the CSV to the output: the value gate
-runs column-wise, one kernel derives every row without building a matrix,
-and the writers stream the rows in chunks.  :class:`SpectrumRow` and
+a spectrum in one float64 table from the CSV to the output: numpy's C
+reader reads the CSV (the csv reader reads it again to report an error),
+the value gate runs column-wise, one kernel derives every row without
+building a matrix, and the writers stream the rows in chunks.  :class:`SpectrumRow` and
 :func:`derive_row` are the one-row case of the gate and the kernel, which
 shares the scalar measures' elementwise formulas, so both give the same
 bits.  The dB conversion stays a scalar ``10.0 ** (x / 10.0)`` per cell:
@@ -26,6 +27,7 @@ import json
 import logging
 import math
 import os
+import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -117,11 +119,51 @@ def parse_spectra(text: str, units: str = "linear") -> list[SpectrumRow]:
 
 
 def _read_table(text: str, units: str) -> np.ndarray:
-    """:func:`parse_spectra`'s rows as one float64 table, sorted by frequency."""
+    """:func:`parse_spectra`'s rows as one float64 table, sorted by frequency.
+
+    numpy's C reader reads the file.  The csv reader, cell by cell, reads
+    it again whenever the C reader refuses it or its table fails the value
+    gate or repeats a frequency, and only the csv reader reports errors: so
+    each message, and which error comes first in the file, is the csv
+    reader's.  The C reader accepts no file that the csv reader refuses,
+    and gives the same table bit for bit.
+    """
     if units not in ("linear", "dB"):
         raise ValueError(f"units must be 'linear' or 'dB', got {units!r}")
-    reader = csv.reader(io.StringIO(text))
     width = len(SPECTRUM_COLUMNS)
+    # split("\n"), not splitlines(), which also breaks on \x0c, \x85 and
+    # \u2028 where the csv reader does not.  Where float() refuses a cell,
+    # loadtxt reads one over the csv field limit and strips \x1c-\x1f
+    # around a number, so such files go to the csv reader.
+    lines = text.split("\n")
+    try:
+        header = next(csv.reader(io.StringIO(text)), ())
+    except csv.Error:
+        header = ()
+    if (
+        tuple(name.strip() for name in header) == SPECTRUM_COLUMNS
+        and max(map(len, lines)) <= csv.field_size_limit()
+        and not any(separator in text for separator in "\x1c\x1d\x1e\x1f")
+    ):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt only warns on a file without rows
+                table = np.loadtxt(lines, delimiter=",", skiprows=1, comments=None, ndmin=2)
+            if units == "dB" and table.shape[1] == width:
+                for column in table.T[1:]:
+                    column[:] = [10.0 ** (x / 10.0) for x in column.tolist()]
+        except (ValueError, UserWarning, OverflowError):
+            pass
+        else:
+            order = np.argsort(table[:, 0], kind="stable")
+            if (
+                table.shape[1] == width
+                and ((table > 0.0) & (table < math.inf)).all()
+                and (np.diff(table[order, 0]) != 0.0).all()
+            ):
+                return table[order]
+
+    reader = csv.reader(io.StringIO(text))
     values, line_numbers = [], []
     line_no = 0  # the last record read
     try:
@@ -344,8 +386,8 @@ def synthesize_spectra(
 
 _derived_values = attrgetter(*DERIVED_COLUMNS)
 _CSV_ROW = ",".join(["%r"] * len(DERIVED_COLUMNS)) + "\n"
-# One row of json.dumps(..., indent=2) over the row's dict, %s per value.
-_JSON_ROW = "  {\n" + ",\n".join(f'    "{name}": %s' for name in DERIVED_COLUMNS) + "\n  }"
+# One row of json.dumps(..., indent=2) over the row's dict, %r per value.
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{name}": %r' for name in DERIVED_COLUMNS) + "\n  }"
 
 
 def _csv_chunks(rows: Iterable[tuple]) -> Iterator[str]:
@@ -358,27 +400,34 @@ def _csv_chunks(rows: Iterable[tuple]) -> Iterator[str]:
 def _json_chunks(rows: Iterable[tuple]) -> Iterator[str]:
     """JSON array of derived rows (tuples in :data:`DERIVED_COLUMNS` order),
     one chunk per row.  json's ``indent`` falls back to its pure-Python
-    encoder; a template of ``float.__repr__`` values, which json writes for
-    a finite float, gives the same text several times faster."""
+    encoder; a template with a ``%r`` slot per value, which writes a finite
+    float as json does, gives the same text several times faster."""
     separator = "[\n"
     for row in rows:
         if all(map(math.isfinite, row)):
-            yield separator + _JSON_ROW % tuple(map(float.__repr__, row))
+            yield separator + _JSON_ROW % row
         else:  # json's own NaN and Infinity spellings
             yield separator + json.dumps([dict(zip(DERIVED_COLUMNS, row))], indent=2)[2:-2]
         separator = ",\n"
     yield "[]\n" if separator == "[\n" else "\n]\n"
 
 
+def _float_rows(derived: list[DerivedRow]) -> Iterator[tuple]:
+    """The rows' values as Python floats: ``%r`` writes a numpy float64 as
+    ``np.float64(...)``, which neither json nor float() would."""
+    for row in derived:
+        yield tuple(map(float, _derived_values(row)))
+
+
 def derived_to_csv_text(derived: list[DerivedRow]) -> str:
     """CSV serialization of derived rows, header in DerivedRow field order."""
-    return "".join(_csv_chunks(map(_derived_values, derived)))
+    return "".join(_csv_chunks(_float_rows(derived)))
 
 
 def derived_to_json_text(derived: list[DerivedRow]) -> str:
     """JSON array of the derived rows, byte for byte what
     ``json.dumps([asdict(row) for row in derived], indent=2)`` writes."""
-    return "".join(_json_chunks(map(_derived_values, derived)))
+    return "".join(_json_chunks(_float_rows(derived)))
 
 
 @dataclass(frozen=True)

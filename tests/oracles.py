@@ -50,13 +50,26 @@ def nu_minus(entries) -> float:
     return float(np.min(np.abs(np.linalg.eigvals(1j * OMEGA @ pt))))
 
 
+def _csv_records(text: str):
+    """The records of a CSV text.  A csv.Error, such as a cell over the field
+    limit or a carriage return inside a line, is raised as the ValueError
+    gaussent reports, naming the record the reader stopped on."""
+    count = 0
+    try:
+        for record in csv.reader(io.StringIO(text)):
+            count += 1
+            yield record
+    except csv.Error as exc:
+        raise ValueError(f"row {count + 1}: {exc}") from None
+
+
 def parse_spectra_rowwise(text: str, units: str = "linear") -> list[SpectrumRow]:
     """Parse a spectrum CSV one row at a time, each row gated by
     :class:`SpectrumRow` as it is read; same contract as
     :func:`gaussent.spectra.parse_spectra`."""
     if units not in ("linear", "dB"):
         raise ValueError(f"units must be 'linear' or 'dB', got {units!r}")
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_records(text)
     try:
         header = next(reader)
     except StopIteration:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -394,6 +395,26 @@ class TestIngest:
         assert code == 0
         payload = json.loads(out)
         assert payload[0]["frequency_mhz"] == 6.5
+
+    @pytest.mark.parametrize(
+        ("options", "expected"),
+        [(["--format", "csv"], "frequency_mhz,"), (["--format", "json", "--db"], "[]\n")],
+    )
+    def test_header_only_file_writes_an_empty_table_quietly(self, tmp_path, options, expected):
+        # A fresh interpreter, outside pytest's warning filters: a warning
+        # would reach stderr.
+        source = tmp_path / "header_only.csv"
+        source.write_text(self.CSV.splitlines(keepends=True)[0])
+        result = subprocess.run(
+            [sys.executable, "-m", "gaussent.cli", "ingest", str(source), *options],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0
+        assert result.stdout.startswith(expected) and result.stdout.count("\n") == 1
+        assert result.stderr == ""
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "ingest", "/nonexistent/spectra.csv")

@@ -1,8 +1,11 @@
+import csv
+import importlib.util
 import json
 import logging
 import math
 import re
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,12 @@ from gaussent.spectra import (
 from gaussent.states import CorrelationMatrix4, sum_diff_variance
 
 HEADER = "frequency_mhz,vx_plus,vx_minus,vy_plus,vy_minus,v_sum_plus,v_diff_minus"
+
+# The benchmark's own spectrum generator (numpy only), loaded read-only.
+_GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+_GEN_SPEC = importlib.util.spec_from_file_location("perfbench_gen", _GEN_PATH)
+_PERFBENCH_GEN = importlib.util.module_from_spec(_GEN_SPEC)
+_GEN_SPEC.loader.exec_module(_PERFBENCH_GEN)
 
 SAMPLE_CSV = "\n".join(
     [
@@ -120,29 +129,62 @@ def _parse_outcome(parse, text, units):
 
 # Cells that parse in both units, and cells that fail in one or both: not a
 # number, out of range once converted from dB (4000 dB overflows, -4000 dB
-# converts to 0), zero, negative, infinite and NaN.
+# converts to 0), zero, negative, infinite and NaN.  The csv reader and
+# float() accept a quoted cell, digit grouping, non-ASCII digits and a form
+# feed around a number, which numpy's C reader refuses.  float() refuses a
+# hex float, a Fortran exponent, a NaN payload, a form feed inside a number,
+# a comment and \x1c-\x1f around a number, which numpy strips as spaces.
 _GOOD_CELL = st.sampled_from(["1.5", "0.3", "2", "7.25", " 4.0 ", "1e-3", "0.5", "12"])
+_ODD_GOOD_CELL = st.sampled_from(['"1.5"', "1_000", "\u0661", "\x0c2\x0c"])
 _BAD_CELL = st.sampled_from(
-    ["oops", "", "4000", "-4000", "0", "-0.0", "-1", "inf", "-inf", "nan", "1e400"]
+    ["oops", "", "4000", "-4000", "0", "-0.0", "-1", "inf", "-inf", "nan", "1e400",
+     "0x1p3", "1d5", "nan(1)", "1\x0c5", "\x1c2", "2\x1f", "2 # note"]
+)
+# Lines the csv reader skips, and a comment line and a carriage return
+# inside a line, which it refuses.
+_ODD_LINE = st.sampled_from(
+    ["", "   ", "\t", ",,,,,,", " , ,", "\x0c", "# note", "2,1,1\r1,1,1,1"]
 )
 
 
 @st.composite
 def _spectrum_lines(draw):
     """Lines of a small spectrum table: good rows over a few frequencies, so
-    that some repeat, with up to three bad cells anywhere and, at times, a
-    blank line or a row of the wrong length."""
+    that some repeat, with up to three bad or unusual cells anywhere and, at
+    times, a row of the wrong length, an odd line or CRLF line endings."""
     count = draw(st.integers(1, 6))
     frequencies = st.sampled_from(["1", "2", "2.0", "3.5", "5", "8"])
     rows = [[draw(frequencies)] + draw(st.lists(_GOOD_CELL, min_size=6, max_size=6))
             for _ in range(count)]
     for _ in range(draw(st.integers(0, 3))):
-        rows[draw(st.integers(0, count - 1))][draw(st.integers(0, 6))] = draw(_BAD_CELL)
+        cell = draw(st.one_of(_BAD_CELL, _ODD_GOOD_CELL))
+        rows[draw(st.integers(0, count - 1))][draw(st.integers(0, 6))] = cell
     lines = [",".join(row) for row in rows]
     if draw(st.integers(0, 3)) == 0:
         odd = draw(st.lists(_GOOD_CELL, max_size=9).filter(lambda cells: len(cells) != 7))
         lines.insert(draw(st.integers(0, count)), ",".join(odd))
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_ODD_LINE))
+    if draw(st.booleans()):  # CRLF line endings, once joined
+        lines = [line + "\r" for line in lines]
     return lines
+
+
+def _table_outcome(read, text, units):
+    """The table ``read`` returns, as bytes, or the message it raises."""
+    try:
+        table = read(text, units)
+    except ValueError as exc:
+        return str(exc)
+    return np.array(table, float).reshape(-1, len(SPECTRUM_COLUMNS)).tobytes()
+
+
+def _rowwise_table(text, units):
+    return [spectra._spectrum_values(row) for row in parse_spectra_rowwise(text, units)]
+
+
+# Over the csv field limit, and 1.0 to numpy.
+_LONG_CELL = "1." + "0" * csv.field_size_limit()
 
 
 class TestParseErrorOrder:
@@ -160,10 +202,40 @@ class TestParseErrorOrder:
     @example(["2,1,1,1,1,1,1", "2.0,1,1,1,1,1,1", "3,1,1"], "dB")
     @example(["2,1,1,1,1,1,1", "3,1,1,1,-4000,1,1"], "dB")
     @example(["3,1,1,1,1,1,1", "2,1,1,1,4000,1,-1"], "dB")
+    # A header-only file; every row one cell short; a comment; numbers that
+    # only numpy reads; a carriage return inside a line; a cell over the csv
+    # field limit, after a bad value.
+    @example([], "linear")
+    @example(["1,1,1,1,1,1", "2,1,1,1,1,1"], "dB")
+    @example(["1,1,1,1,1,1,1 # note"], "linear")
+    @example(["1,1,1,1,1,1,\x1c2"], "linear")
+    @example(["1,1,1,1,1,1,0x1p3", "2,1,1,1,1,1,1"], "dB")
+    @example(["1,1,1,1,1,1,1\r2,1,1,1,1,1,1"], "linear")
+    @example(["1,1,1,1,1,1,-1", "2,1,1,1,1,1," + _LONG_CELL], "linear")
     def test_matches_rowwise_parser(self, lines, units):
         text = "\n".join([HEADER] + lines) + "\n"
         expected = _parse_outcome(parse_spectra_rowwise, text, units)
         assert _parse_outcome(parse_spectra, text, units) == expected
+
+    @pytest.mark.parametrize("units", ["linear", "dB"])
+    @pytest.mark.parametrize(
+        "text",
+        ["", "\n", HEADER, HEADER + "\n", HEADER + "\r\n\r\n", HEADER + "\n,,,,,,\n  \n",
+         HEADER + "\n1,1,1,1,1,1," + _LONG_CELL + "\n",
+         '"' + HEADER.replace(",", '","') + '\n"\n1,1,1,1,1,1,1\n',
+         HEADER.replace("v_diff_minus", '"v_diff_minus') + "\n1,1,1,1,1,1,1\n"],
+    )
+    def test_edge_files_match_rowwise_parser(self, text, units):
+        expected = _table_outcome(_rowwise_table, text, units)
+        assert _table_outcome(spectra._read_table, text, units) == expected
+
+    @pytest.mark.parametrize("units", ["linear", "dB"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_spectra_read_bit_for_bit(self, seed, units):
+        text = _PERFBENCH_GEN.spectrum_csv(_PERFBENCH_GEN.spectrum(seed, 2000), units == "dB")
+        expected = _table_outcome(_rowwise_table, text, units)
+        assert len(expected) == 2000 * len(SPECTRUM_COLUMNS) * 8
+        assert _table_outcome(spectra._read_table, text, units) == expected
 
 
 class TestSpectrumRow:
@@ -449,10 +521,17 @@ class TestWriteOutputs:
             replace(row, epr=math.nan),
             replace(row, n_bias=math.inf, n_excess=-math.inf),
             replace(row, inseparability=-0.0, c_xy_plus=1e-310, c_xy_minus=-1e300),
+            replace(row, n_min=np.float64(row.n_min)),
+            replace(row, n_min=np.float64(row.n_min), epr=np.float64(math.inf)),
         ]
         for derived in ([], [row], [row] + odd):
             expected = json.dumps([asdict(r) for r in derived], indent=2) + "\n"
             assert derived_to_json_text(derived) == expected
+
+    def test_csv_writes_a_numpy_float_as_its_number(self):
+        row = derive_spectra(parse_spectra(SAMPLE_CSV))[0]
+        as_numpy = replace(row, **{name: np.float64(getattr(row, name)) for name in DERIVED_COLUMNS})
+        assert derived_to_csv_text([as_numpy]) == derived_to_csv_text([row])
 
     def test_ingest_builds_no_row_objects(self, tmp_path, monkeypatch, capsys):
         source = tmp_path / "spectra.csv"
