@@ -22,10 +22,16 @@ from itertools import chain, islice
 
 from . import protocols, separability, spectra
 from .epr import degree_of_epr, epr_vs_loss
-from .photons import decompose
+from .photons import _symmetric_decomposition, decompose
 from .protocols import contour_grid, exceeds_no_cloning_limit, teleport_fidelity
 from .separability import degree_of_inseparability, inseparability_vs_loss
-from .states import CorrelationMatrix4, SqueezedBeam, apply_loss, entangle_on_beamsplitter
+from .states import (
+    CorrelationMatrix4,
+    SqueezedBeam,
+    apply_loss,
+    check_symmetric_form,
+    entangle_on_beamsplitter,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -197,15 +203,13 @@ def analyze_cm(
         )
         source = "measured"
         result["inseparability_measured"] = (v_sum * v_diff) ** 0.5
+    elif check_symmetric_form(cm):
+        # degree_of_inseparability above has refused a non-positive V+ or V-.
+        budget, source = _symmetric_decomposition(cm), "matrix"
     else:
-        try:
-            budget = decompose(cm)
-            source = "matrix"
-        except ValueError:
-            # Biased matrices have no interchangeable-beams decomposition;
-            # still report the measures that are defined.
-            budget = None
-            source = "unavailable"
+        # Biased matrices have no interchangeable-beams decomposition;
+        # still report the measures that are defined.
+        budget, source = None, "unavailable"
     result["decomposition_source"] = source
     for key in ("n_min", "n_bias", "n_excess", "n_total", "g_bias_sq"):
         result[key] = getattr(budget, key, None)

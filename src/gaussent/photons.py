@@ -69,6 +69,11 @@ def decompose(cm: CorrelationMatrix4) -> PhotonDecomposition:
             "correlation matrix is not in the interchangeable-beams form; "
             "symmetrize it or analyze it with the general operations"
         )
+    return _symmetric_decomposition(cm)
+
+
+def _symmetric_decomposition(cm: CorrelationMatrix4) -> PhotonDecomposition:
+    """:func:`decompose` of a matrix known to be in the interchangeable-beams form."""
     v_plus, v_minus, insep = _symmetric_degree(cm)
     n_total, n_pure, n_min, n_bias, n_excess = _budget(
         cm.cxx_plus, cm.cxx_minus, cm.cyy_plus, cm.cyy_minus, v_plus, v_minus, insep

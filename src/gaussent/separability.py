@@ -254,15 +254,19 @@ def _symmetric_degree(cm: CorrelationMatrix4) -> tuple[float, float, float]:
         raise ValueError(
             f"non-positive sum/difference variance ({v_plus:.6g}, {v_minus:.6g})"
         )
-    # _degree_from_variances in math.sqrt, which rounds as np.sqrt does
-    # (both correctly) without numpy's per-call cost.
-    return v_plus, v_minus, math.sqrt(v_plus * v_minus)
+    return v_plus, v_minus, _degree_from_variances(v_plus, v_minus)
 
 
 def _degree_from_variances(v_plus, v_minus):
     """sqrt(V+ V-), elementwise: the degree of interchangeable beams from
-    their minimum sum/difference variances."""
-    return np.sqrt(v_plus * v_minus)
+    their minimum sum/difference variances (not negative, for a float).
+
+    A float goes through math.sqrt, which rounds as np.sqrt does (both
+    correctly) without numpy's per-call cost."""
+    product = v_plus * v_minus
+    if type(product) is float:
+        return math.sqrt(product)
+    return np.sqrt(product)
 
 
 def inseparability_vs_loss(v_ave: float, eta: float) -> float:

@@ -7,10 +7,12 @@ measures and the photon-number budget follow.  ``gaussent ingest`` keeps
 a spectrum in one float64 table from the CSV to the output: numpy's C
 reader reads the CSV (the csv reader reads it again to report an error),
 the value gate runs column-wise, one kernel derives every row without
-building a matrix, and the writers stream the rows in chunks.  :class:`SpectrumRow` and
-:func:`derive_row` are the one-row case of the gate and the kernel, which
-shares the scalar measures' elementwise formulas, so both give the same
-bits.  The dB conversion stays a scalar ``10.0 ** (x / 10.0)`` per cell:
+building a matrix, and the writers stream the rows in chunks.
+:class:`SpectrumRow` and :func:`derive_row` are the one-row case of the gate
+and the kernel.  The kernel's elementwise formulas are the scalar measures'
+own; :func:`derive_row` runs them on Python floats, which overflow to inf as
+numpy's do, so it gives the kernel's bits without numpy's per-call cost.
+The dB conversion stays a scalar ``10.0 ** (x / 10.0)`` per cell:
 ``np.power`` differs from it in the last bit on some inputs.
 
 A qualitative synthesizer produces spectra with the shape seen from
@@ -121,8 +123,10 @@ def parse_spectra(text: str, units: str = "linear") -> list[SpectrumRow]:
 def _read_table(text: str, units: str) -> np.ndarray:
     """:func:`parse_spectra`'s rows as one float64 table, sorted by frequency.
 
-    numpy's C reader reads the file.  The csv reader, cell by cell, reads
-    it again whenever the C reader refuses it or its table fails the value
+    numpy's C reader reads the file; if it refuses a line of blank or empty
+    cells, which the csv reader skips, it reads the file once more without
+    such lines.  The csv reader, cell by cell, reads the file again
+    whenever the C reader refuses it or its table fails the value
     gate or repeats a frequency, and only the csv reader reports errors: so
     each message, and which error comes first in the file, is the csv
     reader's.  The C reader accepts no file that the csv reader refuses,
@@ -146,9 +150,21 @@ def _read_table(text: str, units: str) -> np.ndarray:
         and not any(separator in text for separator in "\x1c\x1d\x1e\x1f")
     ):
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt only warns on a file without rows
-                table = np.loadtxt(lines, delimiter=",", skiprows=1, comments=None, ndmin=2)
+            try:
+                table = _loadtxt(lines)
+            except ValueError:
+                # loadtxt refuses a line of empty or blank cells, which the csv
+                # reader skips: read once more without such lines, if any.
+                # Without a quote, a line's cells are what its commas separate;
+                # the csv reader refuses a carriage return before a line's trailing ones.
+                kept = [
+                    line
+                    for line in lines[1:]
+                    if '"' in line or "\r" in line.rstrip("\r") or line.replace(",", "").strip()
+                ]
+                if len(kept) == len(lines) - 1:
+                    raise
+                table = _loadtxt(lines[:1] + kept)
             if units == "dB" and table.shape[1] == width:
                 for column in table.T[1:]:
                     column[:] = [10.0 ** (x / 10.0) for x in column.tolist()]
@@ -217,6 +233,13 @@ def _read_table(text: str, units: str) -> np.ndarray:
     return table[order]
 
 
+def _loadtxt(lines: list[str]) -> np.ndarray:
+    """numpy's C reader on the lines of a spectrum CSV, past its header."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt only warns on a file without rows
+        return np.loadtxt(lines, delimiter=",", skiprows=1, comments=None, ndmin=2)
+
+
 def cm_at_frequency(row: SpectrumRow) -> CorrelationMatrix4:
     """Reconstruct the correlation matrix of one sideband.
 
@@ -238,22 +261,52 @@ def _reconstruct(vx_plus, vx_minus, vy_plus, vy_minus, v_sum_plus, v_diff_minus)
     return v_plus, v_minus, v_sum_plus - v_plus, v_minus - v_diff_minus
 
 
+def _min_sum_diffs(v_plus, v_minus, c_plus, c_minus):
+    """(V+, V-) of the interchangeable-beams matrix of a row, elementwise.
+
+    The matrix has equal x and y variances, so the (C_xx + C_yy)/2 of the
+    minimum sum/difference variance is 0.5 * (V + V).
+    """
+    return _min_sum_diff(v_plus, v_plus, c_plus), _min_sum_diff(v_minus, v_minus, c_minus)
+
+
+def _invalid_reason(finite, sum_plus, diff_minus, insep) -> str:
+    """Why a row cannot be derived: the message of the first check the
+    scalar analysis of its matrix fails (finite, then positive, then I > 0)."""
+    if not finite:
+        return "correlation matrix entries must be finite"
+    if not (sum_plus > 0.0 and diff_minus > 0.0):
+        return f"non-positive sum/difference variance ({sum_plus:.6g}, {diff_minus:.6g})"
+    # V+ V- underflowed to zero
+    return f"degree of inseparability must be positive, got {float(insep)}"
+
+
+def _measures(freq, v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, insep) -> tuple:
+    """The nine :data:`DERIVED_COLUMNS` of rows that can be derived, elementwise."""
+    epr = _residual_variance(v_plus, v_plus, c_plus) * _residual_variance(
+        v_minus, v_minus, c_minus
+    )
+    n_total, _, n_min, n_bias, n_excess = _budget(
+        v_plus, v_minus, v_plus, v_minus, sum_plus, diff_minus, insep
+    )
+    return freq, insep, epr, n_min, n_bias, n_excess, n_total, c_plus, c_minus
+
+
 def _derive_columns(
     freq, vx_plus, vx_minus, vy_plus, vy_minus, v_sum_plus, v_diff_minus
 ) -> tuple[tuple, np.ndarray, list[str]]:
     """Derive the rows of a spectrum table, all at once.
 
-    Takes the columns :data:`SPECTRUM_COLUMNS` as float64 arrays, or as
-    floats for a single row, which spares that row the fixed cost of
-    numpy's array operations.  Returns ``(derived, valid, reasons)``: the
-    nine :data:`DERIVED_COLUMNS` of the rows that can be derived (arrays,
-    or scalars for a valid single row), the per-row validity mask (1-D),
-    and for each invalid row, in row order, the message the scalar analysis
-    of its correlation matrix raises.
+    Takes the columns :data:`SPECTRUM_COLUMNS` as 1-D float64 arrays.
+    Returns ``(derived, valid, reasons)``: the nine :data:`DERIVED_COLUMNS`
+    of the rows that can be derived, the per-row validity mask, and for
+    each invalid row, in row order, the message the scalar analysis of its
+    correlation matrix raises.
 
     Every value equals, bit for bit, what :func:`cm_at_frequency` and the
-    scalar measures give for the row: both call the same elementwise
-    helpers, and no correlation matrix is built here.
+    scalar measures give for the row, and what :func:`derive_row` gives:
+    all call the same elementwise helpers, and no correlation matrix is
+    built here.
     """
     with np.errstate(all="ignore"):
         v_plus, v_minus, c_plus, c_minus = _reconstruct(
@@ -262,56 +315,48 @@ def _derive_columns(
         finite = (
             np.isfinite(v_plus) & np.isfinite(v_minus) & np.isfinite(c_plus) & np.isfinite(c_minus)
         )
-        # The reconstructed matrix has equal x and y variances, so the
-        # (C_xx + C_yy)/2 of the minimum sum/difference variance is 0.5 * (V + V).
-        sum_plus = _min_sum_diff(v_plus, v_plus, c_plus)
-        diff_minus = _min_sum_diff(v_minus, v_minus, c_minus)
-        positive = (sum_plus > 0.0) & (diff_minus > 0.0)
+        sum_plus, diff_minus = _min_sum_diffs(v_plus, v_minus, c_plus, c_minus)
         insep = _degree_from_variances(sum_plus, diff_minus)
-        valid = np.atleast_1d(finite & positive & (insep > 0.0))
-        reasons = []
-        if not valid.all():
-            finite, positive, sum_plus, diff_minus, insep = np.atleast_1d(
-                finite, positive, sum_plus, diff_minus, insep
-            )
-            # The first check the scalar path fails, with its message.
-            for i in np.flatnonzero(~valid).tolist():
-                if not finite[i]:
-                    reasons.append("correlation matrix entries must be finite")
-                elif not positive[i]:
-                    reasons.append(
-                        f"non-positive sum/difference variance "
-                        f"({sum_plus[i]:.6g}, {diff_minus[i]:.6g})"
-                    )
-                else:  # V+ V- underflowed to zero
-                    reasons.append(
-                        f"degree of inseparability must be positive, got {float(insep[i])}"
-                    )
-            freq, v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, insep = (
-                column[valid]
-                for column in np.atleast_1d(
-                    freq, v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, insep
-                )
-            )
-
-        epr = _residual_variance(v_plus, v_plus, c_plus) * _residual_variance(
-            v_minus, v_minus, c_minus
-        )
-        n_total, _, n_min, n_bias, n_excess = _budget(
-            v_plus, v_minus, v_plus, v_minus, sum_plus, diff_minus, insep
-        )
-    derived = (freq, insep, epr, n_min, n_bias, n_excess, n_total, c_plus, c_minus)
+        valid = finite & (sum_plus > 0.0) & (diff_minus > 0.0) & (insep > 0.0)
+        reasons = [
+            _invalid_reason(finite[i], sum_plus[i], diff_minus[i], insep[i])
+            for i in np.flatnonzero(~valid).tolist()
+        ]
+        columns = (freq, v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, insep)
+        if reasons:
+            columns = (column[valid] for column in columns)
+        derived = _measures(*columns)
     return derived, valid, reasons
 
 
 def derive_row(row: SpectrumRow) -> DerivedRow:
     """Derive the entanglement metrics and photon budget of one row: the
     one-row case of :func:`derive_spectra`, raising ValueError with the
-    reason it logs for a row that cannot be derived."""
-    derived, _, reasons = _derive_columns(*_spectrum_values(row))
-    if reasons:
-        raise ValueError(reasons[0])
-    return DerivedRow(*map(float, derived))
+    reason it logs for a row that cannot be derived.
+
+    The row's values are taken as Python floats, whose ``+``, ``*`` and
+    ``/`` overflow to inf as numpy's do, so the shared helpers give the
+    array path's bits without numpy's fixed cost per call.
+    """
+    freq, *columns = map(float, _spectrum_values(row))
+    v_plus, v_minus, c_plus, c_minus = _reconstruct(*columns)
+    finite = (
+        math.isfinite(v_plus)
+        and math.isfinite(v_minus)
+        and math.isfinite(c_plus)
+        and math.isfinite(c_minus)
+    )
+    sum_plus, diff_minus = _min_sum_diffs(v_plus, v_minus, c_plus, c_minus)
+    # math.sqrt refuses a negative product, which np.sqrt turns into NaN.
+    if sum_plus > 0.0 and diff_minus > 0.0:
+        insep = _degree_from_variances(sum_plus, diff_minus)
+    else:
+        insep = math.nan
+    if not (finite and insep > 0.0):
+        raise ValueError(_invalid_reason(finite, sum_plus, diff_minus, insep))
+    return DerivedRow(
+        *map(float, _measures(freq, v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, insep))
+    )
 
 
 def derive_spectra(rows: list[SpectrumRow]) -> list[DerivedRow]:

@@ -50,9 +50,11 @@ class QuadratureVariancePair:
     v_minus: float
 
     def __post_init__(self) -> None:
-        for name, value in (("v_plus", self.v_plus), ("v_minus", self.v_minus)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        # Unrolled: a loop over (name, value) pairs takes twice as long.
+        if not 0.0 < self.v_plus < math.inf:
+            raise ValueError(f"v_plus must be positive and finite, got {self.v_plus}")
+        if not 0.0 < self.v_minus < math.inf:
+            raise ValueError(f"v_minus must be positive and finite, got {self.v_minus}")
 
     @property
     def uncertainty_product(self) -> float:
@@ -76,9 +78,10 @@ class SqueezedBeam:
     alpha_minus: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, value in (("alpha_plus", self.alpha_plus), ("alpha_minus", self.alpha_minus)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if not math.isfinite(self.alpha_plus):
+            raise ValueError(f"alpha_plus must be finite, got {self.alpha_plus}")
+        if not math.isfinite(self.alpha_minus):
+            raise ValueError(f"alpha_minus must be finite, got {self.alpha_minus}")
 
     @classmethod
     def pure(cls, v_plus: float) -> "SqueezedBeam":

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import run_measuring_peak_rss
+from gaussent import cli
 from gaussent.cli import build_parser, main
 from gaussent.spectra import bundled_fixture_path
 
@@ -95,7 +96,9 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--cm", str(tmp_path / "nope.json"))
         assert code == 2
 
-    def test_biased_matrix_reports_measures_without_decomposition(self, capsys, tmp_path):
+    def test_biased_matrix_reports_measures_without_decomposition(
+        self, capsys, tmp_path, monkeypatch
+    ):
         biased = {
             "order": ["xp", "xm", "yp", "ym"],
             "matrix": [
@@ -107,8 +110,11 @@ class TestAnalyze:
         }
         path = tmp_path / "biased.json"
         path.write_text(json.dumps(biased))
+        decomposed = []
+        monkeypatch.setattr(cli, "decompose", decomposed.append)
         code, out, _ = run_cli(capsys, "analyze", "--cm", str(path))
         assert code == 0
+        assert decomposed == []  # the form is tested once, not by decompose raising
         payload = json.loads(out)
         assert payload["decomposition_source"] == "unavailable"
         assert payload["n_min"] is None

@@ -101,6 +101,25 @@ class TestParse:
     def test_skips_blank_lines(self):
         assert len(parse_spectra(SAMPLE_CSV + "\n\n")) == 3
 
+    def test_blank_looking_lines_keep_the_c_reader(self, monkeypatch):
+        # loadtxt refuses a line of blank or empty cells, which the csv reader
+        # skips; the table must still come from loadtxt, not cell by cell.
+        text = _PERFBENCH_GEN.spectrum_csv(_PERFBENCH_GEN.spectrum(0, 2000), False)
+        clean = spectra._read_table(text, "linear").tobytes()
+        header, body = text.split("\n", 1)
+        calls = []
+        reader = csv.reader
+
+        def counting_reader(*args, **kwargs):
+            calls.append(args)
+            return reader(*args, **kwargs)
+
+        monkeypatch.setattr(spectra.csv, "reader", counting_reader)
+        for odd in (text + "   \n", header + "\n,,,,,,\n" + body):
+            calls.clear()
+            assert spectra._read_table(odd, "linear").tobytes() == clean
+            assert len(calls) == 1  # the header only
+
     def test_rejects_non_positive_frequency_naming_column(self):
         for cell in ("0", "-1"):
             with pytest.raises(
@@ -141,9 +160,9 @@ _BAD_CELL = st.sampled_from(
      "0x1p3", "1d5", "nan(1)", "1\x0c5", "\x1c2", "2\x1f", "2 # note"]
 )
 # Lines the csv reader skips, and a comment line and a carriage return
-# inside a line, which it refuses.
+# inside a line, which it refuses (also on a line of blank cells).
 _ODD_LINE = st.sampled_from(
-    ["", "   ", "\t", ",,,,,,", " , ,", "\x0c", "# note", "2,1,1\r1,1,1,1"]
+    ["", "   ", "\t", ",,,,,,", " , ,", "\x0c", "# note", "2,1,1\r1,1,1,1", ",\r,", " \r ,"]
 )
 
 
@@ -204,7 +223,8 @@ class TestParseErrorOrder:
     @example(["3,1,1,1,1,1,1", "2,1,1,1,4000,1,-1"], "dB")
     # A header-only file; every row one cell short; a comment; numbers that
     # only numpy reads; a carriage return inside a line; a cell over the csv
-    # field limit, after a bad value.
+    # field limit, after a bad value; a carriage return inside a line of
+    # blank cells.
     @example([], "linear")
     @example(["1,1,1,1,1,1", "2,1,1,1,1,1"], "dB")
     @example(["1,1,1,1,1,1,1 # note"], "linear")
@@ -212,6 +232,8 @@ class TestParseErrorOrder:
     @example(["1,1,1,1,1,1,0x1p3", "2,1,1,1,1,1,1"], "dB")
     @example(["1,1,1,1,1,1,1\r2,1,1,1,1,1,1"], "linear")
     @example(["1,1,1,1,1,1,-1", "2,1,1,1,1,1," + _LONG_CELL], "linear")
+    @example([" \r ,", "1,1,1,1,1,1,1"], "linear")
+    @example(["1,1,1,1,1,1,1", ",\r,"], "linear")
     def test_matches_rowwise_parser(self, lines, units):
         text = "\n".join([HEADER] + lines) + "\n"
         expected = _parse_outcome(parse_spectra_rowwise, text, units)
@@ -247,6 +269,10 @@ class TestSpectrumRow:
         message = f"column '{column}': must be positive and finite, got {bad}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SpectrumRow(**values)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SpectrumRow(*values.values())
+        # Every later column bad too: the first bad one is still named.
+        values.update(dict.fromkeys(SPECTRUM_COLUMNS[SPECTRUM_COLUMNS.index(column) + 1 :], -1.0))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SpectrumRow(*values.values())
 
@@ -325,6 +351,34 @@ class TestDeriveSpectra:
         monkeypatch.setattr(CorrelationMatrix4, "__post_init__", refuse)
         assert len(derive_spectra(rows)) == len(rows)
         assert derive_row(rows[0]).frequency_mhz == rows[0].frequency_mhz
+
+    def test_derive_row_makes_no_numpy_call(self, monkeypatch):
+        rows = synthesize_spectra()
+        expected = [_hex(row) for row in derive_spectra(rows)]
+        # Rows that fail the finite, positive and I > 0 checks, in that order.
+        bad = [
+            (SpectrumRow(3.0, 1e308, 1.0, 1e308, 1.0, 1.0, 1.0), "must be finite"),
+            (SpectrumRow(5.0, 1.0, 1.0, 1.0, 1.0, 3.0, 1.0), "non-positive"),
+            (SpectrumRow(4.0, *[1e-200] * 6), "must be positive, got 0.0"),
+        ]
+        # Fields that are numpy floats are taken as Python floats: the same
+        # bits, and no numpy call or overflow warning.
+        def as_numpy(row):
+            return SpectrumRow(*map(np.float64, spectra._spectrum_values(row)))
+
+        numpy_rows = list(map(as_numpy, rows))
+        bad += [(as_numpy(row), reason) for row, reason in bad]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy was called")
+
+        for name in ("errstate", "isfinite", "atleast_1d", "sqrt"):
+            monkeypatch.setattr(np, name, refuse)
+        assert [_hex(derive_row(row)) for row in rows] == expected
+        assert [_hex(derive_row(row)) for row in numpy_rows] == expected
+        for row, reason in bad:
+            with pytest.raises(ValueError, match=re.escape(reason)):
+                derive_row(row)
 
     def test_bad_row_skipped_with_warning(self, caplog):
         good = SpectrumRow(6.5, 3.3, 3.3, 3.3, 3.3, 0.4, 0.4)
@@ -415,6 +469,7 @@ class TestColumnWiseDerivation:
     @example([SpectrumRow(3.0, 1e308, 1.0, 1e308, 1.0, 1.0, 1.0)], 0)  # V+ overflows
     @example([SpectrumRow(4.0, *[1e-200] * 6)], 0)  # V+ V- underflows to 0
     @example([SpectrumRow(5.0, 1.0, 1.0, 1.0, 1.0, 3.0, 1.0)], 0)  # V+ < 0
+    @example([SpectrumRow(6.0, 2e-310, 1.0, 2e-310, 1.0, 1e-310, 1.0)], 0)  # 1 / V+ overflows
     def test_matches_scalar_reference(self, rows, seed):
         rows = rows + _seeded_rows(seed)
         messages = _Messages()

@@ -58,6 +58,8 @@ class TestQuadratureVariancePair:
             QuadratureVariancePair(bad, 1.0)
         with pytest.raises(ValueError, match=f"^v_minus must be positive and finite, got {bad}$"):
             QuadratureVariancePair(1.0, bad)
+        with pytest.raises(ValueError, match=f"^v_plus must be positive and finite, got {bad}$"):
+            QuadratureVariancePair(bad, -1.0)
 
     def test_a_pure_beam_whose_phase_variance_overflows_is_refused(self):
         # 1 / 1e-320 overflows to inf: the beam is refused where it is made,
@@ -79,6 +81,8 @@ class TestSqueezedBeam:
             SqueezedBeam(variances, alpha_plus=bad)
         with pytest.raises(ValueError, match=f"^alpha_minus must be finite, got {bad}$"):
             SqueezedBeam(variances, alpha_minus=bad)
+        with pytest.raises(ValueError, match=f"^alpha_plus must be finite, got {bad}$"):
+            SqueezedBeam(QuadratureVariancePair(1.0, 1.0), bad, math.inf)
 
 
 class TestCorrelationMatrix4:
