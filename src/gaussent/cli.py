@@ -20,16 +20,25 @@ import sys
 from collections.abc import Iterable
 from itertools import chain, islice
 
-from . import protocols, separability, spectra
-from .epr import degree_of_epr, epr_vs_loss
-from .photons import _symmetric_decomposition, decompose
+from . import protocols, spectra
+from .epr import _epr, epr_vs_loss
+from .photons import _decomposition
 from .protocols import contour_grid, exceeds_no_cloning_limit, teleport_fidelity
-from .separability import degree_of_inseparability, inseparability_vs_loss
+from .separability import (
+    _biased_degree,
+    _biased_product_ok,
+    _excesses,
+    _gate,
+    _k,
+    _restrictions,
+    _symmetric_degree,
+    inseparability_vs_loss,
+)
 from .states import (
     CorrelationMatrix4,
     SqueezedBeam,
+    _quadratures,
     apply_loss,
-    check_symmetric_form,
     entangle_on_beamsplitter,
 )
 
@@ -172,23 +181,31 @@ def analyze_cm(
     are reported alongside the matrix-derived ones.
     """
     measured = measured or {}
-    insep = degree_of_inseparability(cm)
-    epr_report = degree_of_epr(cm)
-    restrictions = separability.standard_form_restrictions(cm)
+    # The kernels of degree_of_inseparability, degree_of_epr,
+    # standard_form_restrictions, product_restriction and decompose, on
+    # entries read and a form decided once; the errors come in the same order.
+    interchangeable, plus, minus = _gate(cm._flat)
+    excesses = _excesses(plus, minus)
+    if interchangeable:
+        v_plus, v_minus, insep = _symmetric_degree(plus, minus)
+    else:
+        insep = _biased_degree(plus, minus, _k(excesses))
+    cv_plus, cv_minus, _, _, epr = _epr(plus, minus)
+    ratio_ok, balance_ok, _ = _restrictions(excesses, plus[2], minus[2])
     fidelity = teleport_fidelity(insep)
 
     result: dict = {
         "label": label,
         "inseparability": insep,
-        "epr": epr_report.degree,
-        "cv_plus": epr_report.cv_plus,
-        "cv_minus": epr_report.cv_minus,
+        "epr": epr,
+        "cv_plus": cv_plus,
+        "cv_minus": cv_minus,
         "fidelity": fidelity,
         "beats_no_cloning": exceeds_no_cloning_limit(fidelity),
         "restrictions": {
-            "ratio_ok": restrictions.ratio_ok,
-            "balance_ok": restrictions.balance_ok,
-            "product_ok": separability.product_restriction(cm),
+            "ratio_ok": ratio_ok,
+            "balance_ok": balance_ok,
+            "product_ok": interchangeable or _biased_product_ok(plus, minus, excesses),
         },
     }
 
@@ -197,22 +214,25 @@ def analyze_cm(
         spectra._require_positive_finite(v_sum, "v_sum_plus")
         spectra._require_positive_finite(v_diff, "v_diff_minus")
         # The matrix spectra.cm_at_frequency rebuilds from the same variances.
-        modes = (cm.cxx_plus, cm.cxx_minus, cm.cyy_plus, cm.cyy_minus)
-        budget = decompose(
-            CorrelationMatrix4.symmetric_form(*spectra._reconstruct(*modes, v_sum, v_diff))
-        )
+        modes = (plus[0], minus[0], plus[1], minus[1])
+        rebuilt = CorrelationMatrix4.symmetric_form(*spectra._reconstruct(*modes, v_sum, v_diff))
+        r_plus, r_minus = _quadratures(rebuilt._flat)
+        budget = _decomposition(r_plus, r_minus, *_symmetric_degree(r_plus, r_minus))
         source = "measured"
         result["inseparability_measured"] = (v_sum * v_diff) ** 0.5
-    elif check_symmetric_form(cm):
-        # degree_of_inseparability above has refused a non-positive V+ or V-.
-        budget, source = _symmetric_decomposition(cm), "matrix"
+    elif interchangeable:
+        budget, source = _decomposition(plus, minus, v_plus, v_minus, insep), "matrix"
     else:
         # Biased matrices have no interchangeable-beams decomposition;
         # still report the measures that are defined.
-        budget, source = None, "unavailable"
+        budget, source = (None,) * 6, "unavailable"
+    n_total, _, n_min, n_bias, n_excess, g_bias_sq = budget
     result["decomposition_source"] = source
-    for key in ("n_min", "n_bias", "n_excess", "n_total", "g_bias_sq"):
-        result[key] = getattr(budget, key, None)
+    result["n_min"] = n_min
+    result["n_bias"] = n_bias
+    result["n_excess"] = n_excess
+    result["n_total"] = n_total
+    result["g_bias_sq"] = g_bias_sq
     if "cv_plus" in measured and "cv_minus" in measured:
         cv_plus, cv_minus = measured["cv_plus"], measured["cv_minus"]
         spectra._require_positive_finite(float(cv_plus), "cv_plus")

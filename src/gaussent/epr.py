@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import CorrelationMatrix4, quadrature_entries
+from .states import CorrelationMatrix4, _quadratures, quadrature_entries
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,11 @@ def conditional_variance(cm: CorrelationMatrix4, quadrature: str) -> tuple[float
         C_yy is a diagonal entry, which :class:`CorrelationMatrix4` keeps
         positive and finite.
     """
-    c_xx, c_yy, c_xy = quadrature_entries(cm, quadrature)
+    return _conditional(*quadrature_entries(cm, quadrature))
+
+
+def _conditional(c_xx: float, c_yy: float, c_xy: float) -> tuple[float, float]:
+    """:func:`conditional_variance` from one quadrature's (C_xx, C_yy, C_xy)."""
     return _residual_variance(c_xx, c_yy, c_xy), c_xy / c_yy
 
 
@@ -61,15 +65,15 @@ def _residual_variance(c_xx, c_yy, c_xy):
 
 def degree_of_epr(cm: CorrelationMatrix4) -> EprReport:
     """Degree of EPR paradox; below 1 demonstrates the paradox."""
-    cv_plus, g_plus = conditional_variance(cm, "+")
-    cv_minus, g_minus = conditional_variance(cm, "-")
-    return EprReport(
-        cv_plus=cv_plus,
-        cv_minus=cv_minus,
-        g_plus=g_plus,
-        g_minus=g_minus,
-        degree=cv_plus * cv_minus,
-    )
+    return EprReport(*_epr(*_quadratures(cm._flat)))
+
+
+def _epr(plus: tuple, minus: tuple) -> tuple[float, float, float, float, float]:
+    """The fields of :class:`EprReport`, in order, from the (C_xx, C_yy, C_xy)
+    of the amplitude and of the phase quadrature."""
+    cv_plus, g_plus = _conditional(*plus)
+    cv_minus, g_minus = _conditional(*minus)
+    return cv_plus, cv_minus, g_plus, g_minus, cv_plus * cv_minus
 
 
 def epr_vs_loss(v_ave: float, eta: float) -> float:
@@ -100,12 +104,14 @@ def epr_from_photons(n_min, n_excess):
     Accepts scalars or numpy arrays (broadcast together).
 
     Raises:
-        ValueError: on negative inputs.
+        ValueError: on negative or non-finite inputs.
     """
     n_min = np.asarray(n_min, dtype=float)
     n_excess = np.asarray(n_excess, dtype=float)
     if not (np.all(n_min >= 0.0) and np.all(n_excess >= 0.0)):
         raise ValueError("photon numbers must be non-negative")
+    if not (np.all(n_min < math.inf) and np.all(n_excess < math.inf)):
+        raise ValueError("photon numbers must be finite")
     m = n_min + 1.0
     insep = m - np.sqrt(m * m - 1.0)
     root = (2.0 * n_excess * insep + 1.0) / (n_excess + m)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .separability import _symmetric_degree
-from .states import CorrelationMatrix4, SqueezedBeam, check_symmetric_form
+from .states import CorrelationMatrix4, SqueezedBeam, _quadratures, check_symmetric_form
 
 
 @dataclass(frozen=True)
@@ -69,22 +69,17 @@ def decompose(cm: CorrelationMatrix4) -> PhotonDecomposition:
             "correlation matrix is not in the interchangeable-beams form; "
             "symmetrize it or analyze it with the general operations"
         )
-    return _symmetric_decomposition(cm)
+    plus, minus = _quadratures(cm._flat)
+    return PhotonDecomposition(*_decomposition(plus, minus, *_symmetric_degree(plus, minus)))
 
 
-def _symmetric_decomposition(cm: CorrelationMatrix4) -> PhotonDecomposition:
-    """:func:`decompose` of a matrix known to be in the interchangeable-beams form."""
-    v_plus, v_minus, insep = _symmetric_degree(cm)
-    n_total, n_pure, n_min, n_bias, n_excess = _budget(
-        cm.cxx_plus, cm.cxx_minus, cm.cyy_plus, cm.cyy_minus, v_plus, v_minus, insep
-    )
-    return PhotonDecomposition(
-        n_total=n_total,
-        n_pure=n_pure,
-        n_min=n_min,
-        n_bias=n_bias,
-        n_excess=n_excess,
-        g_bias_sq=math.sqrt(v_minus / v_plus),
+def _decomposition(plus: tuple, minus: tuple, v_plus: float, v_minus: float, insep: float):
+    """The fields of :class:`PhotonDecomposition`, in order, of interchangeable
+    beams: from the (C_xx, C_yy, C_xy) of the amplitude and of the phase
+    quadrature, the minimum sum/difference variances V+/V- and the degree."""
+    return (
+        *_budget(plus[0], minus[0], plus[1], minus[1], v_plus, v_minus, insep),
+        math.sqrt(v_minus / v_plus),
     )
 
 
@@ -124,10 +119,16 @@ def insep_from_nmin(n_min):
     cancellation-free form 1/(m + sqrt(m^2 - 1)) with m = n_min + 1.
     Where m^2 overflows (n_min above about 1.3e154) the root is m to double
     precision, so I = 0.5/m there.  Accepts scalars or numpy arrays.
+
+    Raises:
+        ValueError: if any n_min is negative (NaN included) or infinite.
     """
     n_min = np.asarray(n_min, dtype=float)
-    if not np.all(n_min >= 0.0):
-        raise ValueError("n_min must be non-negative")
+    # One reduction on the common path; the message is picked on failure.
+    if not np.all((n_min >= 0.0) & (n_min < math.inf)):
+        if not np.all(n_min >= 0.0):
+            raise ValueError("n_min must be non-negative")
+        raise ValueError("n_min must be finite")
     m = n_min + 1.0
     with np.errstate(over="ignore"):
         root = np.sqrt(m * m - 1.0)
@@ -167,10 +168,17 @@ def cross_corr_from_photons(n_min: float, n_excess: float) -> float:
     quadrature; the amplitude correlation carries a negative sign and the
     phase correlation a positive one.
     """
-    if not (n_min >= 0.0 and n_excess >= 0.0):
-        raise ValueError("photon numbers must be non-negative")
+    _require_photon_numbers(n_min, n_excess)
     m = n_min + 1.0
     return n_excess + math.sqrt(m * m - 1.0)
+
+
+def _require_photon_numbers(n_min: float, n_excess: float) -> None:
+    """ValueError unless both scalar photon numbers are non-negative and finite."""
+    if not (n_min >= 0.0 and n_excess >= 0.0):
+        raise ValueError("photon numbers must be non-negative")
+    if not (n_min < math.inf and n_excess < math.inf):
+        raise ValueError("photon numbers must be finite")
 
 
 def cm_from_photons(n_min: float, n_excess: float) -> CorrelationMatrix4:

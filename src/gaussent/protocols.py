@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .epr import epr_from_photons
-from .photons import insep_from_nmin
+from .photons import _require_photon_numbers, insep_from_nmin
 
 #: Fidelity above which a teleporter beats the no-cloning bound.
 NO_CLONING_FIDELITY = 2.0 / 3.0
@@ -164,8 +164,8 @@ def squeezed_channel_capacity(n_encoding: float, v_sqz: float) -> float:
     4 (n_encoding - n_sqz) against noise ``v_sqz``.
 
     Raises:
-        ValueError: if the budget does not cover the squeezing photons, or
-            if ``v_sqz`` lies outside (0, 1].
+        ValueError: if the budget is not finite or does not cover the
+            squeezing photons, or if ``v_sqz`` lies outside (0, 1].
     """
     if not 0.0 < v_sqz <= 1.0:
         raise ValueError(f"squeezed variance must lie in (0, 1], got {v_sqz}")
@@ -174,6 +174,7 @@ def squeezed_channel_capacity(n_encoding: float, v_sqz: float) -> float:
         raise ValueError(
             f"photon budget {n_encoding} is below the {n_sqz:.6g} needed for squeezing"
         )
+    _require_finite_budget(n_encoding)
     return shannon_capacity(4.0 * (n_encoding - n_sqz) / v_sqz)
 
 
@@ -184,7 +185,14 @@ def optimal_squeezed_capacity(n_encoding: float) -> float:
     """
     if not n_encoding >= 0.0:
         raise ValueError(f"photon budget must be non-negative, got {n_encoding}")
+    _require_finite_budget(n_encoding)
     return math.log2(1.0 + 2.0 * n_encoding)
+
+
+def _require_finite_budget(n_encoding: float) -> None:
+    """ValueError for an infinite photon budget, which no capacity is defined for."""
+    if not n_encoding < math.inf:
+        raise ValueError(f"photon budget must be finite, got {n_encoding}")
 
 
 def _dense_capacity(signal, n_min):
@@ -205,16 +213,17 @@ def dense_coding_capacity(n_encoding: float, n_min: float, n_excess: float) -> f
     signal shared across the two quadratures.
 
     Raises:
-        ValueError: if the budget does not cover the entangled state.
+        ValueError: if a photon number is negative or not finite, or if the
+            budget is not finite or does not cover the entangled state.
     """
-    if not (n_min >= 0.0 and n_excess >= 0.0):
-        raise ValueError("photon numbers must be non-negative")
+    _require_photon_numbers(n_min, n_excess)
     n_total = n_min + n_excess
     if not n_encoding >= 0.5 * n_total:
         raise ValueError(
             f"photon budget {n_encoding} is below the {0.5 * n_total:.6g} needed "
             "for the entangled state"
         )
+    _require_finite_budget(n_encoding)
     return float(_dense_capacity(n_encoding - 0.5 * n_total, n_min))
 
 

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (
-    CorrelationMatrix4,
-    check_symmetric_form,
-    is_block_form,
-    min_sum_diff_variance,
-    quadrature_entries,
-)
+from .states import CorrelationMatrix4, _form, _min_sum_diff, _quadratures
 
 #: Quoted statistical error of the anchor measurements; absolute tolerance
 #: of the correlation-balance and product-form restrictions.
@@ -64,19 +58,26 @@ class StandardFormCheck:
     detail: str | None = None
 
 
-def _excesses(cm: CorrelationMatrix4) -> tuple[float, float, float, float]:
-    """Excesses C - 1 over shot noise of C++_xx, C++_yy, C--_xx and C--_yy.
+def _gate(f) -> tuple[bool, tuple, tuple]:
+    """(interchangeable beams, "+" entries, "-" entries) of a matrix's 16
+    row-major entries ``f``; each quadrature's entries are (C_xx, C_yy, C_xy).
 
     ValueError if the matrix couples the quadratures: reducing it to the
     decoupled form (by local linear unitary operations) is out of scope, and
     every state this package produces is already in it.
     """
-    if not is_block_form(cm):
+    block, interchangeable = _form(f)
+    if not block:
         raise ValueError(
             "correlation matrix couples the amplitude and phase quadratures; "
             "reduce it to the decoupled form before analysis"
         )
-    return cm.cxx_plus - 1.0, cm.cyy_plus - 1.0, cm.cxx_minus - 1.0, cm.cyy_minus - 1.0
+    return (interchangeable, *_quadratures(f))
+
+
+def _excesses(plus: tuple, minus: tuple) -> tuple[float, float, float, float]:
+    """Excesses C - 1 over shot noise of C++_xx, C++_yy, C--_xx and C--_yy."""
+    return plus[0] - 1.0, plus[1] - 1.0, minus[0] - 1.0, minus[1] - 1.0
 
 
 def _bias_weight(ex: float, ey: float) -> float:
@@ -96,7 +97,12 @@ def k_parameter(cm: CorrelationMatrix4) -> float:
             entry is at or below shot noise, or if the amplitude- and
             phase-quadrature expressions disagree.
     """
-    excesses = _excesses(cm)
+    _, plus, minus = _gate(cm._flat)
+    return _k(_excesses(plus, minus))
+
+
+def _k(excesses: tuple[float, float, float, float]) -> float:
+    """:func:`k_parameter` from the four excesses, with its errors."""
     names = ("C++_xx", "C++_yy", "C--_xx", "C--_yy")
     bad = [name for name, value in zip(names, excesses) if value <= 0.0]
     if bad:
@@ -112,14 +118,13 @@ def k_parameter(cm: CorrelationMatrix4) -> float:
     return k_plus
 
 
-def _inference_variance(cm: CorrelationMatrix4, quadrature: str, k: float) -> float:
+def _inference_variance(c_xx: float, c_yy: float, c_xy: float, k: float) -> float:
     """Variance of the k-weighted inference combination for one quadrature.
 
     Expands <(k dX_x - s dX_y / k)^2> with s the sign of the cross
     correlation (so the correlated combination is always the one measured;
     s defaults to +1 where the cross correlation vanishes).
     """
-    c_xx, c_yy, c_xy = quadrature_entries(cm, quadrature)
     return k * k * c_xx + c_yy / (k * k) - 2.0 * abs(c_xy)
 
 
@@ -137,23 +142,32 @@ def duan_sum_criterion(
     Args:
         cm: correlation matrix in block form (no cross-quadrature terms).
         k: bias parameter; computed from the matrix when omitted.
+
+    Raises:
+        ValueError: if the matrix couples the quadratures, if a given ``k``
+            is not positive or not finite, or for the errors of
+            :func:`k_parameter` when ``k`` is omitted.
     """
     # First, so that a matrix coupling the quadratures is refused before k is checked.
-    restrictions = standard_form_restrictions(cm)
+    _, plus, minus = _gate(cm._flat)
+    excesses = _excesses(plus, minus)
     if k is None:
-        k = k_parameter(cm)
+        k = _k(excesses)
     elif k <= 0.0:
         raise ValueError(f"k must be positive, got {k}")
+    elif not k < math.inf:
+        raise ValueError(f"k must be finite, got {k}")
 
-    lhs = _inference_variance(cm, "+", k) + _inference_variance(cm, "-", k)
+    ratio_ok, balance_ok, _ = _restrictions(excesses, plus[2], minus[2])
+    lhs = _inference_variance(*plus, k) + _inference_variance(*minus, k)
     rhs = 2.0 * (k * k + 1.0 / (k * k))
     return SumCriterionResult(
         k=k,
         lhs=lhs,
         rhs=rhs,
         satisfied=lhs < rhs,
-        applicable=restrictions.ratio_ok and restrictions.balance_ok,
-        sign_defaulted=cm.cxy_plus == 0.0 or cm.cxy_minus == 0.0,
+        applicable=ratio_ok and balance_ok,
+        sign_defaulted=plus[2] == 0.0 or minus[2] == 0.0,
     )
 
 
@@ -167,20 +181,25 @@ def standard_form_restrictions(cm: CorrelationMatrix4) -> StandardFormCheck:
         :data:`RESTRICTION_TOL`).  Degenerate matrices (diagonal at or below
         shot noise) fail both with a diagnostic in ``detail``.
     """
-    excesses = _excesses(cm)
+    _, plus, minus = _gate(cm._flat)
+    return StandardFormCheck(*_restrictions(_excesses(plus, minus), plus[2], minus[2]))
+
+
+def _restrictions(
+    excesses: tuple[float, float, float, float], cxy_plus: float, cxy_minus: float
+) -> tuple[bool, bool, str | None]:
+    """The fields of :class:`StandardFormCheck` from the four excesses and
+    the two cross correlations."""
     ex_p, ey_p, ex_m, ey_m = excesses
     if ey_p == 0.0 or ey_m == 0.0:
-        return StandardFormCheck(False, False, "restriction undefined: variance at shot noise")
+        return False, False, "restriction undefined: variance at shot noise"
     ratio_ok = math.isclose(ex_p / ey_p, ex_m / ey_m, rel_tol=RATIO_REL_TOL, abs_tol=0.0)
 
     if min(excesses) < 0.0:
-        return StandardFormCheck(
-            ratio_ok, False, "restriction undefined: variance below shot noise"
-        )
-    margin_plus = math.sqrt(ex_p * ey_p) - abs(cm.cxy_plus)
-    margin_minus = math.sqrt(ex_m * ey_m) - abs(cm.cxy_minus)
-    balance_ok = abs(margin_plus - margin_minus) <= RESTRICTION_TOL
-    return StandardFormCheck(ratio_ok, balance_ok)
+        return ratio_ok, False, "restriction undefined: variance below shot noise"
+    margin_plus = math.sqrt(ex_p * ey_p) - abs(cxy_plus)
+    margin_minus = math.sqrt(ex_m * ey_m) - abs(cxy_minus)
+    return ratio_ok, abs(margin_plus - margin_minus) <= RESTRICTION_TOL, None
 
 
 def product_restriction(cm: CorrelationMatrix4) -> bool:
@@ -195,19 +214,25 @@ def product_restriction(cm: CorrelationMatrix4) -> bool:
     (diagonal at or below shot noise) the restriction is reported as not
     satisfied.
     """
-    if check_symmetric_form(cm):
-        return True
-    excesses = _excesses(cm)
+    interchangeable, plus, minus = _gate(cm._flat)
+    return interchangeable or _biased_product_ok(plus, minus, _excesses(plus, minus))
+
+
+def _biased_product_ok(plus: tuple, minus: tuple, excesses: tuple) -> bool:
+    """:func:`product_restriction` of a block-form matrix without
+    interchangeable beams, from its quadrature entries and excesses."""
     if min(excesses) <= 0.0:
         return False
     ex_p, ey_p, ex_m, ey_m = excesses
-    d_plus = _inference_variance(cm, "+", _bias_weight(ex_p, ey_p))
-    d_minus = _inference_variance(cm, "-", _bias_weight(ex_m, ey_m))
+    d_plus = _inference_variance(*plus, _bias_weight(ex_p, ey_p))
+    d_minus = _inference_variance(*minus, _bias_weight(ex_m, ey_m))
     if d_plus <= 0.0 or d_minus <= 0.0:
         return False
-    lhs = cm.cyy_plus * cm.cxx_minus - cm.cxx_plus * cm.cyy_minus
-    rhs = math.sqrt(d_minus / d_plus) * (cm.cyy_plus - cm.cxx_plus)
-    rhs += math.sqrt(d_plus / d_minus) * (cm.cxx_minus - cm.cyy_minus)
+    cxx_plus, cyy_plus, _ = plus
+    cxx_minus, cyy_minus, _ = minus
+    lhs = cyy_plus * cxx_minus - cxx_plus * cyy_minus
+    rhs = math.sqrt(d_minus / d_plus) * (cyy_plus - cxx_plus)
+    rhs += math.sqrt(d_plus / d_minus) * (cxx_minus - cyy_minus)
     return abs(lhs - rhs) <= RESTRICTION_TOL
 
 
@@ -227,11 +252,20 @@ def degree_of_inseparability(cm: CorrelationMatrix4) -> float:
         ValueError: if an inference variance is not positive, or if the
             matrix couples the quadratures.
     """
-    if check_symmetric_form(cm):
-        return _symmetric_degree(cm)[2]
-    k = k_parameter(cm)
-    d_plus = _inference_variance(cm, "+", k)
-    d_minus = _inference_variance(cm, "-", k)
+    interchangeable, plus, minus = _gate(cm._flat)
+    if interchangeable:
+        return _symmetric_degree(plus, minus)[2]
+    return _biased_degree(plus, minus, _k(_excesses(plus, minus)))
+
+
+def _biased_degree(plus: tuple, minus: tuple, k: float) -> float:
+    """The normalized product of the k-weighted inference variances.
+
+    Raises:
+        ValueError: if either inference variance is not positive.
+    """
+    d_plus = _inference_variance(*plus, k)
+    d_minus = _inference_variance(*minus, k)
     if d_plus <= 0.0 or d_minus <= 0.0:
         raise ValueError(
             f"non-positive inference variance ({d_plus:.6g}, {d_minus:.6g})"
@@ -239,8 +273,9 @@ def degree_of_inseparability(cm: CorrelationMatrix4) -> float:
     return math.sqrt(d_plus * d_minus) / (k * k + 1.0 / (k * k))
 
 
-def _symmetric_degree(cm: CorrelationMatrix4) -> tuple[float, float, float]:
-    """(V+, V-, sqrt(V+ V-)) of a matrix with interchangeable beams.
+def _symmetric_degree(plus: tuple, minus: tuple) -> tuple[float, float, float]:
+    """(V+, V-, sqrt(V+ V-)) of a matrix with interchangeable beams, from
+    its quadrature entries.
 
     V+/V- are the minimum sum/difference variances of the amplitude and
     phase quadratures; the caller has checked the form.
@@ -248,8 +283,8 @@ def _symmetric_degree(cm: CorrelationMatrix4) -> tuple[float, float, float]:
     Raises:
         ValueError: if either variance is not positive.
     """
-    v_plus = min_sum_diff_variance(cm, "+")
-    v_minus = min_sum_diff_variance(cm, "-")
+    v_plus = _min_sum_diff(*plus)
+    v_minus = _min_sum_diff(*minus)
     if v_plus <= 0.0 or v_minus <= 0.0:
         raise ValueError(
             f"non-positive sum/difference variance ({v_plus:.6g}, {v_minus:.6g})"

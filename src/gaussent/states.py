@@ -34,7 +34,7 @@ PHYSICALITY_TOL = 1e-9
 #: still counts as zero in the block-form and interchangeable-beams tests.
 FORM_TOL = 1e-9
 
-_QUADRATURE_INDEX = {"+": (0, 2), "-": (1, 3)}
+_QUADRATURE_INDEX = {"+": 0, "-": 1}
 
 
 @dataclass(frozen=True)
@@ -289,12 +289,17 @@ def entangle_on_beamsplitter(sqz1: SqueezedBeam, sqz2: SqueezedBeam) -> TwoModeS
     Raises:
         ValueError: if either input violates the uncertainty bound.
     """
-    for label, beam in (("first", sqz1), ("second", sqz2)):
-        if not beam.variances.is_physical():
-            raise ValueError(
-                f"{label} input beam is unphysical: V+ * V- = "
-                f"{beam.variances.uncertainty_product:.6g} < 1"
-            )
+    # Unrolled: a loop over (label, beam) pairs takes twice as long.
+    if not sqz1.variances.is_physical():
+        raise ValueError(
+            f"first input beam is unphysical: V+ * V- = "
+            f"{sqz1.variances.uncertainty_product:.6g} < 1"
+        )
+    if not sqz2.variances.is_physical():
+        raise ValueError(
+            f"second input beam is unphysical: V+ * V- = "
+            f"{sqz2.variances.uncertainty_product:.6g} < 1"
+        )
 
     v1p, v1m = sqz1.variances.v_plus, sqz1.variances.v_minus
     v2p, v2m = sqz2.variances.v_plus, sqz2.variances.v_minus
@@ -324,9 +329,11 @@ def apply_loss(state: TwoModeState, eta_x: float, eta_y: float) -> TwoModeState:
     Raises:
         ValueError: if an efficiency lies outside [0, 1].
     """
-    for name, eta in (("eta_x", eta_x), ("eta_y", eta_y)):
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {eta}")
+    # Unrolled: a loop over (name, value) pairs takes twice as long.
+    if not 0.0 <= eta_x <= 1.0:
+        raise ValueError(f"eta_x must lie in [0, 1], got {eta_x}")
+    if not 0.0 <= eta_y <= 1.0:
+        raise ValueError(f"eta_y must lie in [0, 1], got {eta_y}")
 
     # Entry by entry: eta*C + (1 - eta)*delta within a beam's block (the
     # (1 - eta)*0.0 term turns a -0.0 product into 0.0), C*cross across them.
@@ -373,11 +380,16 @@ def quadrature_entries(
         ValueError: on any other quadrature token.
     """
     try:
-        i, j = _QUADRATURE_INDEX[quadrature]
+        index = _QUADRATURE_INDEX[quadrature]
     except KeyError:
         raise ValueError(f"quadrature must be '+' or '-', got {quadrature!r}") from None
-    f = cm._flat
-    return f[5 * i], f[5 * j], f[4 * i + j]
+    return _quadratures(cm._flat)[index]
+
+
+def _quadratures(f) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """(C_xx, C_yy, C_xy) of the amplitude and of the phase quadrature, from
+    a matrix's 16 row-major entries ``f``."""
+    return (f[0], f[10], f[2]), (f[5], f[15], f[7])
 
 
 def sum_diff_variance(
@@ -420,9 +432,7 @@ def _min_sum_diff(c_xx, c_yy, c_xy):
 
 def is_block_form(cm: CorrelationMatrix4) -> bool:
     """Whether all cross-quadrature entries vanish (amplitude and phase decouple)."""
-    f = cm._flat
-    # Entries (0, 1), (0, 3), (1, 2) and (2, 3).
-    return max(abs(f[1]), abs(f[3]), abs(f[6]), abs(f[11])) <= FORM_TOL
+    return _form(cm._flat)[0]
 
 
 def check_symmetric_form(cm: CorrelationMatrix4) -> bool:
@@ -431,7 +441,12 @@ def check_symmetric_form(cm: CorrelationMatrix4) -> bool:
     True iff every cross-quadrature entry is within :data:`FORM_TOL` of zero
     and the per-quadrature variances of beams x and y agree within it.
     """
-    if not is_block_form(cm):
-        return False
-    f = cm._flat
-    return abs(f[0] - f[10]) <= FORM_TOL and abs(f[5] - f[15]) <= FORM_TOL
+    return _form(cm._flat)[1]
+
+
+def _form(f) -> tuple[bool, bool]:
+    """(:func:`is_block_form`, :func:`check_symmetric_form`) of a matrix's 16
+    row-major entries ``f``."""
+    # Entries (0, 1), (0, 3), (1, 2) and (2, 3).
+    block = max(abs(f[1]), abs(f[3]), abs(f[6]), abs(f[11])) <= FORM_TOL
+    return block, block and abs(f[0] - f[10]) <= FORM_TOL and abs(f[5] - f[15]) <= FORM_TOL

@@ -6,8 +6,9 @@ something other than itself; they are the only users of scipy.
 :func:`parse_spectra_rowwise` is the row-by-row spectrum parser that the
 column-wise table reader replaced, kept as the reference for its results
 and for the order of its errors; the ``*_reference`` functions play the same
-part for the inseparability criteria and restrictions, and for the
-correlation-matrix checks and the loss channel.
+part for the inseparability criteria and restrictions, for the
+correlation-matrix checks and the loss channel, and for the analysis record
+of ``gaussent analyze``.
 """
 
 import csv
@@ -17,7 +18,14 @@ import math
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from gaussent.protocols import squeezed_channel_capacity
+from gaussent import spectra
+from gaussent.epr import degree_of_epr
+from gaussent.photons import decompose
+from gaussent.protocols import (
+    exceeds_no_cloning_limit,
+    squeezed_channel_capacity,
+    teleport_fidelity,
+)
 from gaussent.separability import (
     K_REL_TOL,
     RATIO_REL_TOL,
@@ -25,6 +33,7 @@ from gaussent.separability import (
     StandardFormCheck,
     SumCriterionResult,
     degree_of_inseparability,
+    product_restriction,
 )
 from gaussent.spectra import SPECTRUM_COLUMNS, SpectrumRow
 from gaussent.states import (
@@ -335,3 +344,65 @@ def apply_loss_reference(entries, eta_x: float, eta_y: float) -> np.ndarray:
     e[0:2, 2:4] *= cross
     e[2:4, 0:2] *= cross
     return correlation_matrix_reference(e)
+
+
+# gaussent.cli.analyze_cm as it was written on the public measures, each
+# testing the matrix's form again and returning its result object, before the
+# analysis read the entries once and called the measures' float kernels: the
+# reference for the record's keys and key order, for how the measures are
+# combined, and for the error messages and their order.  The public measures
+# share those kernels, so it checks no formula on its own: the degree and the
+# restrictions come from the independent references above, which give the same
+# bits; the product restriction, whose reference may flip a verdict within
+# rounding of its tolerance, the degree of EPR and the photon budget are
+# checked against their oracles in their own tests.
+
+
+def analyze_cm_reference(
+    cm: CorrelationMatrix4, measured: dict | None = None, label: str | None = None
+) -> dict:
+    measured = measured or {}
+    insep = degree_of_inseparability_reference(cm)
+    epr_report = degree_of_epr(cm)
+    restrictions = standard_form_restrictions_reference(cm)
+    fidelity = teleport_fidelity(insep)
+
+    result: dict = {
+        "label": label,
+        "inseparability": insep,
+        "epr": epr_report.degree,
+        "cv_plus": epr_report.cv_plus,
+        "cv_minus": epr_report.cv_minus,
+        "fidelity": fidelity,
+        "beats_no_cloning": exceeds_no_cloning_limit(fidelity),
+        "restrictions": {
+            "ratio_ok": restrictions.ratio_ok,
+            "balance_ok": restrictions.balance_ok,
+            "product_ok": product_restriction(cm),
+        },
+    }
+
+    if "v_sum_plus" in measured and "v_diff_minus" in measured:
+        v_sum, v_diff = float(measured["v_sum_plus"]), float(measured["v_diff_minus"])
+        spectra._require_positive_finite(v_sum, "v_sum_plus")
+        spectra._require_positive_finite(v_diff, "v_diff_minus")
+        modes = (cm.cxx_plus, cm.cxx_minus, cm.cyy_plus, cm.cyy_minus)
+        budget = decompose(
+            CorrelationMatrix4.symmetric_form(*spectra._reconstruct(*modes, v_sum, v_diff))
+        )
+        source = "measured"
+        result["inseparability_measured"] = (v_sum * v_diff) ** 0.5
+    elif check_symmetric_form(cm):
+        budget, source = decompose(cm), "matrix"
+    else:
+        budget, source = None, "unavailable"
+    result["decomposition_source"] = source
+    for key in ("n_min", "n_bias", "n_excess", "n_total", "g_bias_sq"):
+        result[key] = getattr(budget, key, None)
+    if "cv_plus" in measured and "cv_minus" in measured:
+        cv_plus, cv_minus = measured["cv_plus"], measured["cv_minus"]
+        spectra._require_positive_finite(float(cv_plus), "cv_plus")
+        spectra._require_positive_finite(float(cv_minus), "cv_minus")
+        spectra._require_positive_finite(float(cv_plus) * float(cv_minus), "epr_from_measured_cv")
+        result["epr_from_measured_cv"] = cv_plus * cv_minus
+    return result

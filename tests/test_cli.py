@@ -7,11 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import run_measuring_peak_rss
+from conftest import MEASURED_65, run_measuring_peak_rss
+from oracles import analyze_cm_reference
 from gaussent import cli
-from gaussent.cli import build_parser, main
+from gaussent.cli import analyze_cm, build_parser, main
 from gaussent.spectra import bundled_fixture_path
+from gaussent.states import CorrelationMatrix4, SqueezedBeam, apply_loss, entangle_on_beamsplitter
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -111,10 +115,10 @@ class TestAnalyze:
         path = tmp_path / "biased.json"
         path.write_text(json.dumps(biased))
         decomposed = []
-        monkeypatch.setattr(cli, "decompose", decomposed.append)
+        monkeypatch.setattr(cli, "_decomposition", lambda *args: decomposed.append(args))
         code, out, _ = run_cli(capsys, "analyze", "--cm", str(path))
         assert code == 0
-        assert decomposed == []  # the form is tested once, not by decompose raising
+        assert decomposed == []  # the form is tested once: no budget is computed
         payload = json.loads(out)
         assert payload["decomposition_source"] == "unavailable"
         assert payload["n_min"] is None
@@ -213,6 +217,89 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "fixtures")
         assert code == 0
         assert json.loads(out)["statistical_error"] == 0.2
+
+
+_DIAGONAL = st.one_of(st.just(1.0), st.floats(0.05, 1.0), st.floats(1.0, 10.0))
+_CROSS = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _analyzed_matrices(draw):
+    """Lossy states of two pure squeezed beams, equal loss giving interchangeable
+    beams; and matrices with interchangeable or nearly interchangeable beams
+    (some with a non-positive sum or difference variance), biased ones whose
+    quadratures share a bias weight, and free ones (mostly an inconsistent k),
+    with diagonals at, below and above shot noise and cross-quadrature terms
+    within and beyond the form tolerance, built from float lists or arrays."""
+    kind = draw(st.sampled_from(["state", "interchangeable", "common_weight", "free"]))
+    if kind == "state":
+        eta_x = draw(st.floats(0.05, 1.0))
+        eta_y = draw(st.one_of(st.just(eta_x), st.floats(0.05, 1.0)))
+        beams = (SqueezedBeam.pure(draw(st.floats(0.05, 0.95))) for _ in range(2))
+        return apply_loss(entangle_on_beamsplitter(*beams), eta_x, eta_y).cm
+    if kind == "common_weight":
+        cxx_p, cxx_m = draw(st.floats(1.01, 10.0)), draw(st.floats(1.01, 10.0))
+        ratio = draw(st.one_of(st.just(1.0), st.floats(0.1, 10.0)))
+        cyy_p, cyy_m = 1.0 + ratio * (cxx_p - 1.0), 1.0 + ratio * (cxx_m - 1.0)
+    elif kind == "interchangeable":
+        cxx_p, cxx_m = draw(_DIAGONAL), draw(_DIAGONAL)
+        offsets = st.sampled_from([0.0, 0.0, 0.0, 1e-10, -2e-9, 1e-6])
+        cyy_p, cyy_m = cxx_p + draw(offsets), cxx_m + draw(offsets)
+    else:
+        diagonal = st.one_of(st.floats(1.01, 10.0), _DIAGONAL)
+        cxx_p, cxx_m, cyy_p, cyy_m = (draw(diagonal) for _ in range(4))
+    cxy_p, cxy_m = draw(_CROSS), draw(_CROSS)
+    coupling = draw(st.sampled_from([0.0, 0.0, 0.0, 5e-10, 1e-3]))
+    rows = [
+        [cxx_p, coupling, cxy_p, 0.0],
+        [coupling, cxx_m, 0.0, cxy_m],
+        [cxy_p, 0.0, cyy_p, 0.0],
+        [0.0, cxy_m, 0.0, cyy_m],
+    ]
+    return CorrelationMatrix4(np.array(rows) if draw(st.booleans()) else rows)
+
+
+@st.composite
+def _measured_values(draw):
+    """None, or measured values: the 6.5 MHz ones, or either pair alone,
+    with some values that fail their checks or rebuild a matrix the
+    decomposition refuses, and integer conditional variances."""
+    if draw(st.integers(0, 3)) == 0:
+        return None
+    if draw(st.booleans()):
+        return MEASURED_65
+    measured = {}
+    if draw(st.booleans()):
+        variance = st.one_of(st.just(0.44), st.floats(0.01, 6.0), st.sampled_from([0.0, math.inf]))
+        measured["v_sum_plus"], measured["v_diff_minus"] = draw(variance), draw(variance)
+    if draw(st.booleans()):
+        cv = st.one_of(st.floats(0.01, 2.0), st.integers(1, 3), st.sampled_from([-1.0, math.nan]))
+        measured["cv_plus"], measured["cv_minus"] = draw(cv), draw(cv)
+    return measured
+
+
+def _record_or_error(analyze, cm, measured, label):
+    try:
+        return "value", repr(analyze(cm, measured, label))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+class TestAnalyzeMatchesReference:
+    """analyze_cm against tests/oracles.py's form of it on the public measures:
+    the same record repr (values, keys and key order) or the same error."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(_analyzed_matrices(), _measured_values(), st.sampled_from([None, "6.5MHz"]))
+    # V+ V- underflows to a zero degree, which teleport_fidelity refuses
+    # before the measured values would give a decomposition.
+    @example(CorrelationMatrix4.symmetric_form(1e-200, 1e-200, 0.0, 0.0), MEASURED_65, None)
+    # A non-positive V+ is refused before the measured values are read.
+    @example(CorrelationMatrix4.symmetric_form(1.0, 1.0, -1.5, 0.0), MEASURED_65, None)
+    def test_matches_reference(self, cm, measured, label):
+        assert _record_or_error(analyze_cm, cm, measured, label) == _record_or_error(
+            analyze_cm_reference, cm, measured, label
+        )
 
 
 class TestModel:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -294,4 +295,30 @@ class TestContourGrid:
 )
 def test_closed_forms_reject_nan(function, args):
     with pytest.raises(ValueError):
+        function(*args)
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (optimal_squeezed_capacity, (math.inf,), "photon budget must be finite, got inf"),
+        (dense_coding_capacity, (math.inf, 0.5, 0.5), "photon budget must be finite, got inf"),
+        (capacity_ratio, (math.inf, 0.5, 0.5), "photon budget must be finite, got inf"),
+        (squeezed_channel_capacity, (math.inf, 0.5), "photon budget must be finite, got inf"),
+        (dense_coding_capacity, (math.inf, math.inf, 0.5), "photon numbers must be finite"),
+        (dense_coding_capacity, (5.0, 0.1, math.inf), "photon numbers must be finite"),
+        (cross_corr_from_photons, (math.inf, 0.1), "photon numbers must be finite"),
+        (cross_corr_from_photons, (0.1, math.inf), "photon numbers must be finite"),
+        (epr_from_photons, (math.inf, 1.0), "photon numbers must be finite"),
+        (epr_from_photons, (np.array([0.1, 0.2]), np.array([0.1, math.inf])),
+         "photon numbers must be finite"),
+        (insep_from_nmin, (math.inf,), "n_min must be finite"),
+        (insep_from_nmin, (np.array([1e200, math.inf]),), "n_min must be finite"),
+        # A negative value keeps its message, also beside an infinite one.
+        (epr_from_photons, (-0.1, math.inf), "photon numbers must be non-negative"),
+        (optimal_squeezed_capacity, (-1.0,), "photon budget must be non-negative, got -1.0"),
+    ],
+)
+def test_closed_forms_reject_infinity(function, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         function(*args)

@@ -123,6 +123,19 @@ class TestSumCriterion:
         with pytest.raises(ValueError):
             duan_sum_criterion(cm_65mhz, k=-1.0)
 
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (math.nan, "k must be finite, got nan"),
+            (math.inf, "k must be finite, got inf"),
+            (-math.inf, "k must be positive, got -inf"),
+            (0.0, "k must be positive, got 0.0"),
+        ],
+    )
+    def test_rejects_non_finite_k(self, cm_65mhz, k, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            duan_sum_criterion(cm_65mhz, k=k)
+
 
 class TestStandardFormRestrictions:
     def test_anchor_65_passes_both(self, cm_65mhz):

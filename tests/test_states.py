@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MEASURED_65, random_squeezed_beam
-from oracles import apply_loss_reference, correlation_matrix_reference
+from oracles import analyze_cm_reference, apply_loss_reference, correlation_matrix_reference
 from gaussent.cli import analyze_cm
 from gaussent.states import (
     FORM_TOL,
@@ -518,3 +518,44 @@ def test_analysis_of_seeded_states_is_unchanged(seed):
             lines.append(repr(analyze_cm(cm, MEASURED_65, "measured")))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == ANALYZE_DIGESTS[seed]
+
+
+def test_scalar_chain_makes_one_array_per_matrix(monkeypatch):
+    """Beams to analysis record, for interchangeable beams and for biased
+    ones, with numpy's asarray, sqrt and where patched to raise and its array
+    counted: each matrix makes its entries array, once, and the beams, the
+    loss and the analysis make no other numpy call."""
+    cases = [(0.3, 0.4, 0.8, 0.8), (0.3, 0.4, 0.9, 0.5)]
+    arrays = []
+    np_array = np.array
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy was called")
+
+    def count(*args, **kwargs):
+        arrays.append(args)
+        return np_array(*args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        for name in ("asarray", "sqrt", "where"):
+            patched.setattr(np, name, refuse)
+        patched.setattr(np, "array", count)
+        chains = []
+        for v1, v2, eta_x, eta_y in cases:
+            state = entangle_on_beamsplitter(SqueezedBeam.pure(v1), SqueezedBeam.pure(v2))
+            lossy = apply_loss(state, eta_x, eta_y)
+            chains.append((state.cm, lossy.cm, eta_x, eta_y, analyze_cm(lossy.cm)))
+    assert len(arrays) == 2 * len(cases)
+
+    for (cm, lossy, eta_x, eta_y, record), source in zip(chains, ("matrix", "unavailable")):
+        assert record["decomposition_source"] == source
+        assert repr(record) == repr(analyze_cm_reference(lossy))
+        matrix = cm.to_json_dict()["matrix"]
+        expected = (correlation_matrix_reference(matrix),
+                    apply_loss_reference(correlation_matrix_reference(matrix), eta_x, eta_y))
+        for built, reference in zip((cm, lossy), expected):
+            assert built.entries.dtype == np.float64 and not built.entries.flags.writeable
+            assert built.entries.tobytes() == reference.tobytes()
+            assert repr(built.to_json_dict()) == repr(
+                {"order": ["xp", "xm", "yp", "ym"], "matrix": reference.tolist()}
+            )
