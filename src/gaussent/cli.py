@@ -34,13 +34,7 @@ from .separability import (
     _symmetric_degree,
     inseparability_vs_loss,
 )
-from .states import (
-    CorrelationMatrix4,
-    SqueezedBeam,
-    _quadratures,
-    apply_loss,
-    entangle_on_beamsplitter,
-)
+from .states import CorrelationMatrix4, SqueezedBeam, apply_loss, entangle_on_beamsplitter
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,9 +209,8 @@ def analyze_cm(
         spectra._require_positive_finite(v_diff, "v_diff_minus")
         # The matrix spectra.cm_at_frequency rebuilds from the same variances.
         modes = (plus[0], minus[0], plus[1], minus[1])
-        rebuilt = CorrelationMatrix4.symmetric_form(*spectra._reconstruct(*modes, v_sum, v_diff))
-        r_plus, r_minus = _quadratures(rebuilt._flat)
-        budget = _decomposition(r_plus, r_minus, *_symmetric_degree(r_plus, r_minus))
+        r_plus, r_minus, c_plus, c_minus, *degree = spectra._symmetric_row(*modes, v_sum, v_diff)
+        budget = _decomposition((r_plus, r_plus, c_plus), (r_minus, r_minus, c_minus), *degree)
         source = "measured"
         result["inseparability_measured"] = (v_sum * v_diff) ** 0.5
     elif interchangeable:

@@ -144,6 +144,11 @@ def nmin_from_insep(insep):
     n_min = (I + 1/I)/2 - 1, the inverse of :func:`insep_from_nmin` on
     (0, 1].  Accepts scalars (returning a float) or numpy arrays.
 
+    An infinite degree is accepted and gives inf: a spectrum row whose
+    sum/difference variances overflow has I = inf, n_min = 0 and
+    n_bias = -inf on both the one-row and the array path.  Refusing it
+    would skip that row on the one and refuse the whole table on the other.
+
     Raises:
         ValueError: if any degree is not positive (NaN included).
     """

@@ -143,16 +143,28 @@ def exceeds_no_cloning_limit(fidelity: float) -> bool:
 
 
 def shannon_capacity(snr: float) -> float:
-    """Shannon capacity of one Gaussian channel, log2(1 + R)/2 bits per symbol."""
+    """Shannon capacity of one Gaussian channel, log2(1 + R)/2 bits per symbol.
+
+    Raises:
+        ValueError: if ``snr`` is negative (NaN included) or infinite.
+    """
     if not snr >= 0.0:
         raise ValueError(f"signal-to-noise ratio must be non-negative, got {snr}")
+    if snr == math.inf:
+        raise ValueError(f"signal-to-noise ratio must be finite, got {snr}")
     return 0.5 * math.log2(1.0 + snr)
 
 
 def squeezing_photons(v_sqz: float) -> float:
-    """Photons spent to hold a pure squeezed state at variance ``v_sqz``."""
+    """Photons spent to hold a pure squeezed state at variance ``v_sqz``.
+
+    Raises:
+        ValueError: if ``v_sqz`` is not positive (NaN included) or is infinite.
+    """
     if not v_sqz > 0.0:
         raise ValueError(f"squeezed variance must be positive, got {v_sqz}")
+    if v_sqz == math.inf:
+        raise ValueError(f"squeezed variance must be finite, got {v_sqz}")
     return 0.25 * (v_sqz + 1.0 / v_sqz - 2.0)
 
 
@@ -165,7 +177,8 @@ def squeezed_channel_capacity(n_encoding: float, v_sqz: float) -> float:
 
     Raises:
         ValueError: if the budget is not finite or does not cover the
-            squeezing photons, or if ``v_sqz`` lies outside (0, 1].
+            squeezing photons, if ``v_sqz`` lies outside (0, 1], or if the
+            signal-to-noise ratio overflows to infinity.
     """
     if not 0.0 < v_sqz <= 1.0:
         raise ValueError(f"squeezed variance must lie in (0, 1], got {v_sqz}")

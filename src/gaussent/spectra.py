@@ -5,12 +5,15 @@ A spectrum is a table of per-sideband-frequency variance measurements
 Each row reconstructs a correlation matrix, from which the entanglement
 measures and the photon-number budget follow.  ``gaussent ingest`` keeps
 a spectrum in one float64 table from the CSV to the output: numpy's C
-reader reads the CSV (the csv reader reads it again to report an error),
-the value gate runs column-wise, one kernel derives every row without
-building a matrix, and the writers stream the rows in chunks.
-:class:`SpectrumRow` and :func:`derive_row` are the one-row case of the gate
-and the kernel.  The kernel's elementwise formulas are the scalar measures'
-own; :func:`derive_row` runs them on Python floats, which overflow to inf as
+reader reads the CSV, the value gate runs column-wise, one kernel derives
+every row without building a matrix, and the writers stream the rows in
+chunks.  The fast path decides, the one-row path explains: the array code
+only decides whether a file or a row is good, and the one-row code (the
+csv reader, row by row, for a file; :func:`derive_row`'s kernel for a row)
+is the only code that says why one is not.  :class:`SpectrumRow` and
+:func:`derive_row` are the one-row case of the gate and the kernel.  The
+kernel's elementwise formulas are the scalar measures' own;
+:func:`derive_row` runs them on Python floats, which overflow to inf as
 numpy's do, so it gives the kernel's bits without numpy's per-call cost.
 The dB conversion stays a scalar ``10.0 ** (x / 10.0)`` per cell:
 ``np.power`` differs from it in the last bit on some inputs.
@@ -39,7 +42,7 @@ import numpy as np
 
 from .epr import _residual_variance
 from .photons import _budget
-from .separability import _degree_from_variances
+from .separability import _degree_from_variances, _symmetric_degree
 from .states import (
     CorrelationMatrix4,
     SqueezedBeam,
@@ -123,14 +126,14 @@ def parse_spectra(text: str, units: str = "linear") -> list[SpectrumRow]:
 def _read_table(text: str, units: str) -> np.ndarray:
     """:func:`parse_spectra`'s rows as one float64 table, sorted by frequency.
 
-    numpy's C reader reads the file; if it refuses a line of blank or empty
-    cells, which the csv reader skips, it reads the file once more without
-    such lines.  The csv reader, cell by cell, reads the file again
-    whenever the C reader refuses it or its table fails the value
-    gate or repeats a frequency, and only the csv reader reports errors: so
-    each message, and which error comes first in the file, is the csv
-    reader's.  The C reader accepts no file that the csv reader refuses,
-    and gives the same table bit for bit.
+    The fast path decides, the one-row path explains.  numpy's C reader
+    reads the file, and the table is kept if it passes the value gate and
+    repeats no frequency.  Otherwise (or where the C reader refuses a line,
+    such as one of blank or empty cells, which the csv reader skips) the
+    csv reader reads the file again, row by row, gating each row as it is
+    read, and only it reports errors: so each message, and which error
+    comes first in the file, is the csv reader's.  The C reader accepts no
+    file that the csv reader refuses, and gives the same table bit for bit.
     """
     if units not in ("linear", "dB"):
         raise ValueError(f"units must be 'linear' or 'dB', got {units!r}")
@@ -150,21 +153,9 @@ def _read_table(text: str, units: str) -> np.ndarray:
         and not any(separator in text for separator in "\x1c\x1d\x1e\x1f")
     ):
         try:
-            try:
-                table = _loadtxt(lines)
-            except ValueError:
-                # loadtxt refuses a line of empty or blank cells, which the csv
-                # reader skips: read once more without such lines, if any.
-                # Without a quote, a line's cells are what its commas separate;
-                # the csv reader refuses a carriage return before a line's trailing ones.
-                kept = [
-                    line
-                    for line in lines[1:]
-                    if '"' in line or "\r" in line.rstrip("\r") or line.replace(",", "").strip()
-                ]
-                if len(kept) == len(lines) - 1:
-                    raise
-                table = _loadtxt(lines[:1] + kept)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt only warns on a file without rows
+                table = np.loadtxt(lines, delimiter=",", skiprows=1, comments=None, ndmin=2)
             if units == "dB" and table.shape[1] == width:
                 for column in table.T[1:]:
                     column[:] = [10.0 ** (x / 10.0) for x in column.tolist()]
@@ -180,7 +171,7 @@ def _read_table(text: str, units: str) -> np.ndarray:
                 return table[order]
 
     reader = csv.reader(io.StringIO(text))
-    values, line_numbers = [], []
+    rows, line_numbers = [], []
     line_no = 0  # the last record read
     try:
         header = next(reader, None)
@@ -195,6 +186,7 @@ def _read_table(text: str, units: str) -> np.ndarray:
                 continue
             if len(record) != width:
                 raise ValueError(f"row {line_no}: expected {width} cells, got {len(record)}")
+            values = []
             for name, cell in zip(SPECTRUM_COLUMNS, record):
                 try:
                     value = float(cell)
@@ -207,19 +199,18 @@ def _read_table(text: str, units: str) -> np.ndarray:
                         f"row {line_no}, column '{name}': {cell!r} dB is out of range"
                     ) from None
                 values.append(value)
+            # The value gate, once the row's cells are all numbers.
+            try:
+                for name, value in zip(SPECTRUM_COLUMNS, values):
+                    _require_positive_finite(value, name)
+            except ValueError as exc:
+                raise ValueError(f"row {line_no}, {exc}") from None
+            rows.append(values)
             line_numbers.append(line_no)
     except csv.Error as exc:  # from the reader, on the record after line_no; a cell too long
         raise ValueError(f"row {line_no + 1}: {exc}") from None
-    finally:  # the value gate, column-wise; before a parse error, on the rows read so far
-        table = np.array(values[: width * len(line_numbers)], float).reshape(-1, width)
-        bad = ~((table > 0.0) & (table < math.inf))
-        if bad.any():
-            i, j = divmod(int(bad.argmax()), width)
-            try:
-                _require_positive_finite(table[i, j].item(), SPECTRUM_COLUMNS[j])
-            except ValueError as exc:
-                raise ValueError(f"row {line_numbers[i]}, {exc}") from None
 
+    table = np.array(rows, float).reshape(-1, width)
     freq = table[:, 0]
     order = np.argsort(freq, kind="stable")
     repeats = np.flatnonzero(np.diff(freq[order]) == 0.0)
@@ -231,13 +222,6 @@ def _read_table(text: str, units: str) -> np.ndarray:
             f"{freq[first].item()} MHz, also on row {earlier}"
         )
     return table[order]
-
-
-def _loadtxt(lines: list[str]) -> np.ndarray:
-    """numpy's C reader on the lines of a spectrum CSV, past its header."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # loadtxt only warns on a file without rows
-        return np.loadtxt(lines, delimiter=",", skiprows=1, comments=None, ndmin=2)
 
 
 def cm_at_frequency(row: SpectrumRow) -> CorrelationMatrix4:
@@ -261,28 +245,35 @@ def _reconstruct(vx_plus, vx_minus, vy_plus, vy_minus, v_sum_plus, v_diff_minus)
     return v_plus, v_minus, v_sum_plus - v_plus, v_minus - v_diff_minus
 
 
-def _min_sum_diffs(v_plus, v_minus, c_plus, c_minus):
-    """(V+, V-) of the interchangeable-beams matrix of a row, elementwise.
+def _symmetric_row(vx_plus, vx_minus, vy_plus, vy_minus, v_sum_plus, v_diff_minus):
+    """(v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, insep) of one
+    row, in floats: the entries of the interchangeable-beams matrix
+    :func:`cm_at_frequency` builds, its minimum sum/difference variances and
+    its degree of inseparability.
 
-    The matrix has equal x and y variances, so the (C_xx + C_yy)/2 of the
-    minimum sum/difference variance is 0.5 * (V + V).
+    Raises:
+        ValueError: with the message the scalar analysis of that matrix
+            raises first: for an entry that is not finite, then for a
+            non-positive sum/difference variance.  A degree that underflows
+            to 0 is refused later, by ``nmin_from_insep`` in the budget.
     """
-    return _min_sum_diff(v_plus, v_plus, c_plus), _min_sum_diff(v_minus, v_minus, c_minus)
-
-
-def _invalid_reason(finite, sum_plus, diff_minus, insep) -> str:
-    """Why a row cannot be derived: the message of the first check the
-    scalar analysis of its matrix fails (finite, then positive, then I > 0)."""
-    if not finite:
-        return "correlation matrix entries must be finite"
-    if not (sum_plus > 0.0 and diff_minus > 0.0):
-        return f"non-positive sum/difference variance ({sum_plus:.6g}, {diff_minus:.6g})"
-    # V+ V- underflowed to zero
-    return f"degree of inseparability must be positive, got {float(insep)}"
+    v_plus, v_minus, c_plus, c_minus = _reconstruct(
+        vx_plus, vx_minus, vy_plus, vy_minus, v_sum_plus, v_diff_minus
+    )
+    if not (
+        math.isfinite(v_plus)
+        and math.isfinite(v_minus)
+        and math.isfinite(c_plus)
+        and math.isfinite(c_minus)
+    ):
+        raise ValueError("correlation matrix entries must be finite")
+    degree = _symmetric_degree((v_plus, v_plus, c_plus), (v_minus, v_minus, c_minus))
+    return v_plus, v_minus, c_plus, c_minus, *degree
 
 
 def _measures(freq, v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, insep) -> tuple:
-    """The nine :data:`DERIVED_COLUMNS` of rows that can be derived, elementwise."""
+    """The nine :data:`DERIVED_COLUMNS` of rows that can be derived, elementwise;
+    ValueError, from the budget, for a degree that is not positive."""
     epr = _residual_variance(v_plus, v_plus, c_plus) * _residual_variance(
         v_minus, v_minus, c_minus
     )
@@ -290,43 +281,6 @@ def _measures(freq, v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, inse
         v_plus, v_minus, v_plus, v_minus, sum_plus, diff_minus, insep
     )
     return freq, insep, epr, n_min, n_bias, n_excess, n_total, c_plus, c_minus
-
-
-def _derive_columns(
-    freq, vx_plus, vx_minus, vy_plus, vy_minus, v_sum_plus, v_diff_minus
-) -> tuple[tuple, np.ndarray, list[str]]:
-    """Derive the rows of a spectrum table, all at once.
-
-    Takes the columns :data:`SPECTRUM_COLUMNS` as 1-D float64 arrays.
-    Returns ``(derived, valid, reasons)``: the nine :data:`DERIVED_COLUMNS`
-    of the rows that can be derived, the per-row validity mask, and for
-    each invalid row, in row order, the message the scalar analysis of its
-    correlation matrix raises.
-
-    Every value equals, bit for bit, what :func:`cm_at_frequency` and the
-    scalar measures give for the row, and what :func:`derive_row` gives:
-    all call the same elementwise helpers, and no correlation matrix is
-    built here.
-    """
-    with np.errstate(all="ignore"):
-        v_plus, v_minus, c_plus, c_minus = _reconstruct(
-            vx_plus, vx_minus, vy_plus, vy_minus, v_sum_plus, v_diff_minus
-        )
-        finite = (
-            np.isfinite(v_plus) & np.isfinite(v_minus) & np.isfinite(c_plus) & np.isfinite(c_minus)
-        )
-        sum_plus, diff_minus = _min_sum_diffs(v_plus, v_minus, c_plus, c_minus)
-        insep = _degree_from_variances(sum_plus, diff_minus)
-        valid = finite & (sum_plus > 0.0) & (diff_minus > 0.0) & (insep > 0.0)
-        reasons = [
-            _invalid_reason(finite[i], sum_plus[i], diff_minus[i], insep[i])
-            for i in np.flatnonzero(~valid).tolist()
-        ]
-        columns = (freq, v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, insep)
-        if reasons:
-            columns = (column[valid] for column in columns)
-        derived = _measures(*columns)
-    return derived, valid, reasons
 
 
 def derive_row(row: SpectrumRow) -> DerivedRow:
@@ -339,24 +293,7 @@ def derive_row(row: SpectrumRow) -> DerivedRow:
     array path's bits without numpy's fixed cost per call.
     """
     freq, *columns = map(float, _spectrum_values(row))
-    v_plus, v_minus, c_plus, c_minus = _reconstruct(*columns)
-    finite = (
-        math.isfinite(v_plus)
-        and math.isfinite(v_minus)
-        and math.isfinite(c_plus)
-        and math.isfinite(c_minus)
-    )
-    sum_plus, diff_minus = _min_sum_diffs(v_plus, v_minus, c_plus, c_minus)
-    # math.sqrt refuses a negative product, which np.sqrt turns into NaN.
-    if sum_plus > 0.0 and diff_minus > 0.0:
-        insep = _degree_from_variances(sum_plus, diff_minus)
-    else:
-        insep = math.nan
-    if not (finite and insep > 0.0):
-        raise ValueError(_invalid_reason(finite, sum_plus, diff_minus, insep))
-    return DerivedRow(
-        *map(float, _measures(freq, v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, insep))
-    )
+    return DerivedRow(*map(float, _measures(freq, *_symmetric_row(*columns))))
 
 
 def derive_spectra(rows: list[SpectrumRow]) -> list[DerivedRow]:
@@ -368,11 +305,35 @@ def derive_spectra(rows: list[SpectrumRow]) -> list[DerivedRow]:
 
 
 def _derive_table(table: np.ndarray) -> list[list[float]]:
-    """The :data:`DERIVED_COLUMNS` of a spectrum table as lists; rows that
-    cannot be derived are logged, in row order, and skipped."""
-    derived, valid, reasons = _derive_columns(*table.T)
-    for frequency, reason in zip(table[~valid, 0].tolist(), reasons):
-        logger.warning("skipping row at %.6g MHz: %s", frequency, reason)
+    """The :data:`DERIVED_COLUMNS` of a spectrum table as lists, all rows at
+    once; rows that cannot be derived are logged, in row order, and skipped.
+
+    The array path decides which rows can be derived; for each one that
+    cannot, the one-row path of :func:`derive_row` gives the reason, the
+    message the scalar analysis of its correlation matrix raises.  Every
+    value equals, bit for bit, what :func:`cm_at_frequency` and the scalar
+    measures give for the row, and what :func:`derive_row` gives: all call
+    the same elementwise helpers, and no correlation matrix is built here.
+    """
+    with np.errstate(all="ignore"):
+        v_plus, v_minus, c_plus, c_minus = _reconstruct(*table.T[1:])
+        sum_plus = _min_sum_diff(v_plus, v_plus, c_plus)
+        diff_minus = _min_sum_diff(v_minus, v_minus, c_minus)
+        insep = _degree_from_variances(sum_plus, diff_minus)
+        # An infinite mode variance makes its cross-correlation infinite and
+        # its sum/difference variance NaN, and a finite one leaves the
+        # cross-correlation finite: so these comparisons refuse exactly the
+        # rows that the one-row path refuses.
+        valid = (sum_plus > 0.0) & (diff_minus > 0.0) & (insep > 0.0)
+        columns = (table[:, 0], v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, insep)
+        if not valid.all():
+            for freq, *values in table[~valid].tolist():
+                try:
+                    _measures(freq, *_symmetric_row(*values))
+                except ValueError as exc:
+                    logger.warning("skipping row at %.6g MHz: %s", freq, exc)
+            columns = (column[valid] for column in columns)
+        derived = _measures(*columns)
     return [column.tolist() for column in derived]
 
 
@@ -563,6 +524,10 @@ def _paper_anchors(data: dict, path: str) -> PaperAnchors:
         statistical_error = float(_json_number(data["statistical_error"], "'statistical_error'"))
     except KeyError:
         raise ValueError(f"anchor file {path} lacks the 'statistical_error' field")
+    if not 0.0 < statistical_error < math.inf:
+        raise ValueError(
+            f"'statistical_error' must be positive and finite, got {statistical_error}"
+        )
     anchors = {}
     for label, payload in data.items():
         if label == "statistical_error":

@@ -139,6 +139,11 @@ class TestAnalyze:
              "'v_sum_plus'"),
             ({**bare, "measured": {"cv_plus": 0.77, "cv_minus": [0.76]}}, (), "'cv_minus'"),
             ({**anchors, "statistical_error": "abc"}, at_65, "'statistical_error'"),
+            ({**anchors, "statistical_error": math.nan}, at_65, "'statistical_error'"),
+            ({**anchors, "statistical_error": math.inf}, at_65, "'statistical_error'"),
+            ({**anchors, "statistical_error": -math.inf}, at_65, "'statistical_error'"),
+            ({**anchors, "statistical_error": -0.05}, at_65, "'statistical_error'"),
+            ({**anchors, "statistical_error": 0.0}, at_65, "'statistical_error'"),
             ({**bare, "measured": 5}, (), "'measured'"),
             ({**bare, "measured": [1, 2]}, (), "'measured'"),
             ({**anchors, "6.5MHz": {**anchors["6.5MHz"], "measured": [1, 2]}}, at_65,
@@ -162,6 +167,17 @@ class TestAnalyze:
             assert code == 1, data
             assert out == ""
             assert err.startswith("gaussent: error:") and named in err, err
+
+    def test_measured_variances_overflowing_the_rebuilt_matrix_exit_1(self, capsys, tmp_path):
+        # The mode variances average to inf in the interchangeable-beams
+        # matrix rebuilt from the measured sum/difference variances.
+        data = CorrelationMatrix4(np.diag([1e308, 1.0, 1e308, 1.0])).to_json_dict()
+        data["measured"] = {"v_sum_plus": 0.5, "v_diff_minus": 0.5}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "analyze", "--cm", str(path))
+        assert (code, out) == (1, "")
+        assert err == "gaussent: error: correlation matrix entries must be finite\n"
 
     @pytest.mark.parametrize("where", ["matrix cell [0][0]", "'v_sum_plus'", "'statistical_error'"])
     def test_integer_too_large_for_a_float_exits_1_naming_it(self, capsys, tmp_path, where):

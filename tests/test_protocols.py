@@ -312,6 +312,10 @@ def test_closed_forms_reject_nan(function, args):
         (epr_from_photons, (math.inf, 1.0), "photon numbers must be finite"),
         (epr_from_photons, (np.array([0.1, 0.2]), np.array([0.1, math.inf])),
          "photon numbers must be finite"),
+        (shannon_capacity, (math.inf,), "signal-to-noise ratio must be finite, got inf"),
+        (squeezing_photons, (math.inf,), "squeezed variance must be finite, got inf"),
+        # A finite budget whose signal-to-noise ratio overflows.
+        (squeezed_channel_capacity, (1e308, 1.0), "signal-to-noise ratio must be finite, got inf"),
         (insep_from_nmin, (math.inf,), "n_min must be finite"),
         (insep_from_nmin, (np.array([1e200, math.inf]),), "n_min must be finite"),
         # A negative value keeps its message, also beside an infinite one.
