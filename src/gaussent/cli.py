@@ -120,7 +120,7 @@ def build_parser() -> _Parser:
         help="which efficacy metric to tabulate",
     )
     p_contours.add_argument(
-        "--n-encoding", type=float, help="photon budget (required for dense_ratio)"
+        "--n-encoding", type=float, help="photon budget (dense_ratio only, and required there)"
     )
     p_contours.add_argument(
         "--nmin-max", type=float, default=3.0, help="upper edge of the n_min axis"
@@ -279,6 +279,8 @@ def _cmd_contours(args) -> int:
         if args.n_encoding is None:
             raise ValueError("--n-encoding is required for the dense_ratio metric")
         params["n_encoding"] = args.n_encoding
+    elif args.n_encoding is not None:
+        raise ValueError("--n-encoding applies only to the dense_ratio metric")
     grid = contour_grid(
         args.metric,
         nmin_range=(0.0, args.nmin_max),

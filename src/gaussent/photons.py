@@ -44,11 +44,10 @@ def mean_photon_number(beam: SqueezedBeam) -> float:
     n = |a+|^2 + |a-|^2 + (V+ + V- - 2)/4; zero for vacuum and positive
     for any squeezed or displaced physical state.
     """
-    v = beam.variances
     return (
         beam.alpha_plus * beam.alpha_plus
         + beam.alpha_minus * beam.alpha_minus
-        + 0.25 * (v.v_plus + v.v_minus - 2.0)
+        + 0.25 * (beam.v_plus + beam.v_minus - 2.0)
     )
 
 
@@ -171,11 +170,11 @@ def cross_corr_from_photons(n_min: float, n_excess: float) -> float:
 
     |<dX_x dX_y>| = n_excess + sqrt((n_min + 1)^2 - 1) for either
     quadrature; the amplitude correlation carries a negative sign and the
-    phase correlation a positive one.
+    phase correlation a positive one.  The root is evaluated as
+    sqrt(n_min (n_min + 2)), which keeps its digits where n_min is small.
     """
     _require_photon_numbers(n_min, n_excess)
-    m = n_min + 1.0
-    return n_excess + math.sqrt(m * m - 1.0)
+    return n_excess + math.sqrt(n_min * (n_min + 2.0))
 
 
 def _require_photon_numbers(n_min: float, n_excess: float) -> None:

@@ -43,9 +43,10 @@ class ContourGrid:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        nmin = np.asarray(self.nmin_axis, dtype=float)
-        nexcess = np.asarray(self.nexcess_axis, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        # Copies: freezing the caller's own arrays would make them read-only.
+        nmin = np.array(self.nmin_axis, dtype=float)
+        nexcess = np.array(self.nexcess_axis, dtype=float)
+        values = np.array(self.values, dtype=float)
         if values.shape != (nmin.size, nexcess.size):
             raise ValueError(
                 f"values shape {values.shape} does not match axes "

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .states import CorrelationMatrix4, _form, _min_sum_diff, _quadratures
 
 #: Quoted statistical error of the anchor measurements; absolute tolerance
@@ -289,19 +287,7 @@ def _symmetric_degree(plus: tuple, minus: tuple) -> tuple[float, float, float]:
         raise ValueError(
             f"non-positive sum/difference variance ({v_plus:.6g}, {v_minus:.6g})"
         )
-    return v_plus, v_minus, _degree_from_variances(v_plus, v_minus)
-
-
-def _degree_from_variances(v_plus, v_minus):
-    """sqrt(V+ V-), elementwise: the degree of interchangeable beams from
-    their minimum sum/difference variances (not negative, for a float).
-
-    A float goes through math.sqrt, which rounds as np.sqrt does (both
-    correctly) without numpy's per-call cost."""
-    product = v_plus * v_minus
-    if type(product) is float:
-        return math.sqrt(product)
-    return np.sqrt(product)
+    return v_plus, v_minus, math.sqrt(v_plus * v_minus)
 
 
 def inseparability_vs_loss(v_ave: float, eta: float) -> float:

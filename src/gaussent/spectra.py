@@ -42,7 +42,7 @@ import numpy as np
 
 from .epr import _residual_variance
 from .photons import _budget
-from .separability import _degree_from_variances, _symmetric_degree
+from .separability import _symmetric_degree
 from .states import (
     CorrelationMatrix4,
     SqueezedBeam,
@@ -319,7 +319,7 @@ def _derive_table(table: np.ndarray) -> list[list[float]]:
         v_plus, v_minus, c_plus, c_minus = _reconstruct(*table.T[1:])
         sum_plus = _min_sum_diff(v_plus, v_plus, c_plus)
         diff_minus = _min_sum_diff(v_minus, v_minus, c_minus)
-        insep = _degree_from_variances(sum_plus, diff_minus)
+        insep = np.sqrt(sum_plus * diff_minus)
         # An infinite mode variance makes its cross-correlation infinite and
         # its sum/difference variance NaN, and a finite one leaves the
         # cross-correlation finite: so these comparisons refuse exactly the
@@ -365,10 +365,10 @@ def synthesize_spectra(
         ("opa_bandwidth_mhz", opa_bandwidth_mhz),
         ("relax_osc_mhz", relax_osc_mhz),
     ):
-        if value <= 0.0:
-            raise ValueError(f"{name} must be positive, got {value}")
-    if relax_amplitude < 0.0:
-        raise ValueError(f"relax_amplitude must be non-negative, got {relax_amplitude}")
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not 0.0 <= relax_amplitude < math.inf:
+        raise ValueError(f"relax_amplitude must be non-negative and finite, got {relax_amplitude}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     if freq_grid is None:

@@ -38,16 +38,21 @@ _QUADRATURE_INDEX = {"+": 0, "-": 1}
 
 
 @dataclass(frozen=True)
-class QuadratureVariancePair:
-    """Amplitude/phase quadrature variances of a single beam.
+class SqueezedBeam:
+    """One optical mode: its two quadrature variances and coherent amplitude.
 
     Attributes:
         v_plus: amplitude-quadrature variance (shot noise = 1).
         v_minus: phase-quadrature variance (shot noise = 1).
+        alpha_plus: real part of the frequency-domain coherent amplitude
+            (shot-noise units).
+        alpha_minus: imaginary part of the same amplitude.
     """
 
     v_plus: float
     v_minus: float
+    alpha_plus: float = 0.0
+    alpha_minus: float = 0.0
 
     def __post_init__(self) -> None:
         # Unrolled: a loop over (name, value) pairs takes twice as long.
@@ -55,33 +60,18 @@ class QuadratureVariancePair:
             raise ValueError(f"v_plus must be positive and finite, got {self.v_plus}")
         if not 0.0 < self.v_minus < math.inf:
             raise ValueError(f"v_minus must be positive and finite, got {self.v_minus}")
+        if not math.isfinite(self.alpha_plus):
+            raise ValueError(f"alpha_plus must be finite, got {self.alpha_plus}")
+        if not math.isfinite(self.alpha_minus):
+            raise ValueError(f"alpha_minus must be finite, got {self.alpha_minus}")
 
     @property
     def uncertainty_product(self) -> float:
         return self.v_plus * self.v_minus
 
     def is_physical(self) -> bool:
-        """Whether the pair respects the uncertainty bound V+ * V- >= 1."""
+        """Whether the beam respects the uncertainty bound V+ * V- >= 1."""
         return self.uncertainty_product >= 1.0 - PHYSICALITY_TOL
-
-
-@dataclass(frozen=True)
-class SqueezedBeam:
-    """One optical mode: quadrature variances plus coherent amplitude.
-
-    ``alpha_plus``/``alpha_minus`` are the real/imaginary parts of the
-    frequency-domain coherent amplitude, in shot-noise units.
-    """
-
-    variances: QuadratureVariancePair
-    alpha_plus: float = 0.0
-    alpha_minus: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha_plus):
-            raise ValueError(f"alpha_plus must be finite, got {self.alpha_plus}")
-        if not math.isfinite(self.alpha_minus):
-            raise ValueError(f"alpha_minus must be finite, got {self.alpha_minus}")
 
     @classmethod
     def pure(cls, v_plus: float) -> "SqueezedBeam":
@@ -93,11 +83,11 @@ class SqueezedBeam:
         """
         if not v_plus > 0.0:
             raise ValueError(f"squeezed variance must be positive, got {v_plus}")
-        return cls(QuadratureVariancePair(v_plus, 1.0 / v_plus))
+        return cls(v_plus, 1.0 / v_plus)
 
     @classmethod
     def vacuum(cls) -> "SqueezedBeam":
-        return cls(QuadratureVariancePair(1.0, 1.0))
+        return cls(1.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,19 +280,17 @@ def entangle_on_beamsplitter(sqz1: SqueezedBeam, sqz2: SqueezedBeam) -> TwoModeS
         ValueError: if either input violates the uncertainty bound.
     """
     # Unrolled: a loop over (label, beam) pairs takes twice as long.
-    if not sqz1.variances.is_physical():
+    if not sqz1.is_physical():
         raise ValueError(
-            f"first input beam is unphysical: V+ * V- = "
-            f"{sqz1.variances.uncertainty_product:.6g} < 1"
+            f"first input beam is unphysical: V+ * V- = {sqz1.uncertainty_product:.6g} < 1"
         )
-    if not sqz2.variances.is_physical():
+    if not sqz2.is_physical():
         raise ValueError(
-            f"second input beam is unphysical: V+ * V- = "
-            f"{sqz2.variances.uncertainty_product:.6g} < 1"
+            f"second input beam is unphysical: V+ * V- = {sqz2.uncertainty_product:.6g} < 1"
         )
 
-    v1p, v1m = sqz1.variances.v_plus, sqz1.variances.v_minus
-    v2p, v2m = sqz2.variances.v_plus, sqz2.variances.v_minus
+    v1p, v1m = sqz1.v_plus, sqz1.v_minus
+    v2p, v2m = sqz2.v_plus, sqz2.v_minus
 
     var_plus = 0.5 * (v1p + v2m)
     var_minus = 0.5 * (v1m + v2p)

@@ -6,7 +6,6 @@ import pytest
 
 from gaussent.states import (
     CorrelationMatrix4,
-    QuadratureVariancePair,
     SqueezedBeam,
     apply_loss,
     entangle_on_beamsplitter,
@@ -50,7 +49,7 @@ def random_squeezed_beam(rng, impure: bool = True) -> SqueezedBeam:
     """A physical amplitude-squeezed beam with random squeezing and purity."""
     v_plus = rng.uniform(0.1, 0.9)
     excess = rng.uniform(1.0, 3.0) if impure else 1.0
-    return SqueezedBeam(QuadratureVariancePair(v_plus, excess / v_plus))
+    return SqueezedBeam(v_plus, excess / v_plus)
 
 
 def random_entangled_cm(rng) -> CorrelationMatrix4:

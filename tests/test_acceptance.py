@@ -25,7 +25,6 @@ from gaussent.separability import (
 )
 from gaussent.spectra import cm_at_frequency, load_paper_anchors, measured_row
 from gaussent.states import (
-    QuadratureVariancePair,
     SqueezedBeam,
     apply_local_squeezing,
     apply_loss,
@@ -179,8 +178,8 @@ def test_criterion_11_invariance_suite():
         mu2 = float(rng.uniform(1.0, 3.0))
         eta = float(rng.uniform(0.4, 1.0))
         state = entangle_on_beamsplitter(
-            SqueezedBeam(QuadratureVariancePair(v1, mu1 / v1)),
-            SqueezedBeam(QuadratureVariancePair(v2, mu2 / v2)),
+            SqueezedBeam(v1, mu1 / v1),
+            SqueezedBeam(v2, mu2 / v2),
         )
         lossy = apply_loss(state, eta, eta)
         if lossy.cm.uncertainty_violation() < -1e-9:
@@ -198,7 +197,7 @@ def test_criterion_11_invariance_suite():
 
 def test_criterion_12_perfect_squeezing_limit():
     failures = []
-    beam = SqueezedBeam(QuadratureVariancePair(1e-8, 1e8))
+    beam = SqueezedBeam(1e-8, 1e8)
     state = entangle_on_beamsplitter(beam, beam)
     raw_sum_plus = 2.0 * sum_diff_variance(state, "+", "sum")
     raw_diff_minus = 2.0 * sum_diff_variance(state, "-", "diff")

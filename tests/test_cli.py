@@ -451,6 +451,15 @@ class TestContours:
         assert code == 1
         assert "n-encoding" in err
 
+    @pytest.mark.parametrize("metric", ["epr", "fidelity"])
+    def test_budget_refused_for_other_metrics(self, capsys, metric):
+        code, out, err = run_cli(
+            capsys, "contours", "--metric", metric, "--n-encoding", "2", "--grid", "3"
+        )
+        assert code == 1
+        assert out == ""
+        assert "--n-encoding applies only to the dense_ratio metric" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "contours", "--metric", "epr", "--grid", "3", "--format", "json"

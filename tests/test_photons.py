@@ -1,3 +1,5 @@
+import decimal
+import fractions
 import math
 import warnings
 
@@ -19,7 +21,6 @@ from gaussent.photons import (
 from gaussent.spectra import SpectrumRow, cm_at_frequency
 from gaussent.states import (
     CorrelationMatrix4,
-    QuadratureVariancePair,
     SqueezedBeam,
     apply_local_squeezing,
     entangle_on_beamsplitter,
@@ -32,18 +33,18 @@ class TestMeanPhotonNumber:
         assert mean_photon_number(SqueezedBeam.vacuum()) == 0.0
 
     def test_pure_squeezed_beam(self):
-        beam = SqueezedBeam(QuadratureVariancePair(0.5, 2.0))
+        beam = SqueezedBeam(0.5, 2.0)
         assert mean_photon_number(beam) == pytest.approx(0.125, abs=1e-15)
 
     def test_coherent_displacement_only(self):
-        beam = SqueezedBeam(QuadratureVariancePair(1.0, 1.0), alpha_plus=1.0)
+        beam = SqueezedBeam(1.0, 1.0, alpha_plus=1.0)
         assert mean_photon_number(beam) == pytest.approx(1.0, abs=1e-15)
 
     def test_nonnegative_for_physical_beams(self, rng):
         for _ in range(200):
             v_plus = rng.uniform(0.05, 2.0)
             v_minus = rng.uniform(1.0, 4.0) / v_plus
-            beam = SqueezedBeam(QuadratureVariancePair(v_plus, v_minus))
+            beam = SqueezedBeam(v_plus, v_minus)
             assert mean_photon_number(beam) >= 0.0
 
 
@@ -91,7 +92,7 @@ class TestDecompose:
         assert budget.g_bias_sq == pytest.approx(math.sqrt(0.4 / 0.9), abs=1e-12)
 
     def test_pure_symmetric_state(self):
-        beam = SqueezedBeam(QuadratureVariancePair(0.5, 2.0))
+        beam = SqueezedBeam(0.5, 2.0)
         cm = entangle_on_beamsplitter(beam, beam).cm
         budget = decompose(cm)
         assert budget.n_total == pytest.approx(0.25, abs=1e-12)
@@ -225,10 +226,24 @@ class TestCrossCorrFromPhotons:
         with pytest.raises(ValueError):
             cross_corr_from_photons(-0.1, 0.0)
 
+    def test_small_budgets_keep_their_digits(self):
+        # (n + 1)^2 - 1 taken exactly, its root to 40 decimal digits; the
+        # float form of that expression returns 0.0 at n = 1e-17.
+        with decimal.localcontext() as context:
+            context.prec = 40
+            for exponent in range(-300, 4):
+                for mantissa in (1.0, 2.5, 7.3):
+                    n_min = mantissa * 10.0**exponent
+                    square = (fractions.Fraction(n_min) + 1) ** 2 - 1
+                    root = (decimal.Decimal(square.numerator) / square.denominator).sqrt()
+                    reference = float(root)
+                    value = cross_corr_from_photons(n_min, 0.0)
+                    assert abs(value - reference) <= 4.5e-16 * reference, n_min
+
 
 class TestReconstruction:
     def test_cm_from_photons_matches_beamsplitter_state(self):
-        beam = SqueezedBeam(QuadratureVariancePair(0.5, 2.0))
+        beam = SqueezedBeam(0.5, 2.0)
         direct = entangle_on_beamsplitter(beam, beam).cm
         rebuilt = cm_from_photons(0.25, 0.0)
         assert np.max(np.abs(direct.entries - rebuilt.entries)) <= 1e-12

@@ -232,6 +232,16 @@ class TestContourGrid:
                     values=np.zeros((2, 2)),
                 )
 
+    def test_callers_arrays_stay_writeable(self):
+        nmin, nexcess, values = np.array([0.0, 1.0]), np.array([0.0, 2.0]), np.zeros((2, 2))
+        grid = ContourGrid("epr", nmin, nexcess, values)
+        for given, kept in ((nmin, grid.nmin_axis), (nexcess, grid.nexcess_axis),
+                            (values, grid.values)):
+            assert given.flags.writeable
+            assert not kept.flags.writeable
+        values[0, 0] = 1.0
+        assert grid.values[0, 0] == 0.0
+
     def test_resolution_capped_before_allocation(self, monkeypatch):
         class Allocating(Exception):
             pass

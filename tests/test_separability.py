@@ -28,7 +28,6 @@ from gaussent.separability import (
 )
 from gaussent.states import (
     CorrelationMatrix4,
-    QuadratureVariancePair,
     SqueezedBeam,
     apply_local_squeezing,
     apply_loss,
@@ -351,8 +350,8 @@ class TestSimonOracle:
         st.floats(0.0, 1.0),
     )
     def test_interchangeable_beams_degree_equals_nu_minus(self, v1, v2, excess1, excess2, eta):
-        beam1 = SqueezedBeam(QuadratureVariancePair(v1, excess1 / v1))
-        beam2 = SqueezedBeam(QuadratureVariancePair(v2, excess2 / v2))
+        beam1 = SqueezedBeam(v1, excess1 / v1)
+        beam2 = SqueezedBeam(v2, excess2 / v2)
         cm = apply_loss(entangle_on_beamsplitter(beam1, beam2), eta, eta).cm
         assert abs(degree_of_inseparability(cm) - nu_minus(cm.entries)) <= 1e-12
 

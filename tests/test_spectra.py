@@ -549,6 +549,19 @@ class TestSynthesize:
             with pytest.raises(ValueError, match="column 'frequency_mhz'"):
                 synthesize_spectra(freq_grid=[freq])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "name, rule",
+        [
+            ("opa_bandwidth_mhz", "positive"),
+            ("relax_osc_mhz", "positive"),
+            ("relax_amplitude", "non-negative"),
+        ],
+    )
+    def test_non_finite_parameter_is_named(self, name, rule, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be {rule} and finite, got {bad}$"):
+            synthesize_spectra(**{name: bad})
+
 
 class TestWriteOutputs:
     """Derived rows as serialized and written by ``gaussent ingest``."""

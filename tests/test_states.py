@@ -13,7 +13,6 @@ from gaussent.states import (
     FORM_TOL,
     SYMMETRY_TOL,
     CorrelationMatrix4,
-    QuadratureVariancePair,
     SqueezedBeam,
     TwoModeState,
     apply_local_squeezing,
@@ -45,21 +44,21 @@ def beamsplitter_oracle(v1p, v1m, v2p, v2m):
     return smat @ sigma_in @ smat.T
 
 
-class TestQuadratureVariancePair:
+class TestSqueezedBeam:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            QuadratureVariancePair(0.0, 1.0)
+            SqueezedBeam(0.0, 1.0)
         with pytest.raises(ValueError):
-            QuadratureVariancePair(1.0, -2.0)
+            SqueezedBeam(1.0, -2.0)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_rejects_non_finite_naming_the_field(self, bad):
         with pytest.raises(ValueError, match=f"^v_plus must be positive and finite, got {bad}$"):
-            QuadratureVariancePair(bad, 1.0)
+            SqueezedBeam(bad, 1.0)
         with pytest.raises(ValueError, match=f"^v_minus must be positive and finite, got {bad}$"):
-            QuadratureVariancePair(1.0, bad)
+            SqueezedBeam(1.0, bad)
         with pytest.raises(ValueError, match=f"^v_plus must be positive and finite, got {bad}$"):
-            QuadratureVariancePair(bad, -1.0)
+            SqueezedBeam(bad, -1.0)
 
     def test_a_pure_beam_whose_phase_variance_overflows_is_refused(self):
         # 1 / 1e-320 overflows to inf: the beam is refused where it is made,
@@ -68,21 +67,18 @@ class TestQuadratureVariancePair:
             SqueezedBeam.pure(1e-320)
 
     def test_physicality(self):
-        assert QuadratureVariancePair(0.5, 2.0).is_physical()
-        assert QuadratureVariancePair(1.0, 1.0).is_physical()
-        assert not QuadratureVariancePair(0.5, 1.0).is_physical()
+        assert SqueezedBeam(0.5, 2.0).is_physical()
+        assert SqueezedBeam(1.0, 1.0).is_physical()
+        assert not SqueezedBeam(0.5, 1.0).is_physical()
 
-
-class TestSqueezedBeam:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_amplitudes_naming_the_field(self, bad):
-        variances = QuadratureVariancePair(0.5, 2.0)
         with pytest.raises(ValueError, match=f"^alpha_plus must be finite, got {bad}$"):
-            SqueezedBeam(variances, alpha_plus=bad)
+            SqueezedBeam(0.5, 2.0, alpha_plus=bad)
         with pytest.raises(ValueError, match=f"^alpha_minus must be finite, got {bad}$"):
-            SqueezedBeam(variances, alpha_minus=bad)
+            SqueezedBeam(0.5, 2.0, alpha_minus=bad)
         with pytest.raises(ValueError, match=f"^alpha_plus must be finite, got {bad}$"):
-            SqueezedBeam(QuadratureVariancePair(1.0, 1.0), bad, math.inf)
+            SqueezedBeam(1.0, 1.0, bad, math.inf)
 
 
 class TestCorrelationMatrix4:
@@ -138,16 +134,11 @@ class TestBeamsplitter:
             b1 = random_squeezed_beam(rng)
             b2 = random_squeezed_beam(rng)
             state = entangle_on_beamsplitter(b1, b2)
-            expected = beamsplitter_oracle(
-                b1.variances.v_plus,
-                b1.variances.v_minus,
-                b2.variances.v_plus,
-                b2.variances.v_minus,
-            )
+            expected = beamsplitter_oracle(b1.v_plus, b1.v_minus, b2.v_plus, b2.v_minus)
             assert np.max(np.abs(state.cm.entries - expected)) <= 1e-12
 
     def test_equal_squeezed_inputs(self):
-        beam = SqueezedBeam(QuadratureVariancePair(0.5, 2.0))
+        beam = SqueezedBeam(0.5, 2.0)
         state = entangle_on_beamsplitter(beam, beam)
         e = state.cm.entries
         assert np.allclose(np.diag(e), 1.25)
@@ -160,12 +151,12 @@ class TestBeamsplitter:
         assert np.array_equal(state.cm.entries, np.eye(4))
 
     def test_rejects_unphysical_input(self):
-        bad = SqueezedBeam(QuadratureVariancePair(0.5, 0.5))
+        bad = SqueezedBeam(0.5, 0.5)
         with pytest.raises(ValueError, match="unphysical"):
             entangle_on_beamsplitter(bad, SqueezedBeam.vacuum())
 
     def test_near_perfect_squeezing_limit(self):
-        beam = SqueezedBeam(QuadratureVariancePair(1e-8, 1e8))
+        beam = SqueezedBeam(1e-8, 1e8)
         state = entangle_on_beamsplitter(beam, beam)
         # Raw (unnormalized) variances of the correlated combinations.
         raw_sum_plus = 2.0 * sum_diff_variance(state, "+", "sum")
@@ -197,15 +188,15 @@ class TestBeamsplitter:
     )
     @settings(max_examples=100)
     def test_sign_structure_for_amplitude_squeezed_inputs(self, v1, v2, mu1, mu2):
-        b1 = SqueezedBeam(QuadratureVariancePair(v1, mu1 / v1))
-        b2 = SqueezedBeam(QuadratureVariancePair(v2, mu2 / v2))
+        b1 = SqueezedBeam(v1, mu1 / v1)
+        b2 = SqueezedBeam(v2, mu2 / v2)
         cm = entangle_on_beamsplitter(b1, b2).cm
         assert cm.cxy_plus < 0.0
         assert cm.cxy_minus > 0.0
 
     def test_alpha_propagation(self):
-        b1 = SqueezedBeam(QuadratureVariancePair(1.0, 1.0), alpha_plus=2.0, alpha_minus=0.0)
-        b2 = SqueezedBeam(QuadratureVariancePair(1.0, 1.0), alpha_plus=0.0, alpha_minus=4.0)
+        b1 = SqueezedBeam(1.0, 1.0, alpha_plus=2.0, alpha_minus=0.0)
+        b2 = SqueezedBeam(1.0, 1.0, alpha_plus=0.0, alpha_minus=4.0)
         state = entangle_on_beamsplitter(b1, b2)
         s = math.sqrt(2.0)
         assert state.alpha_x == pytest.approx(((2.0 - 4.0) / s, 0.0))
@@ -229,7 +220,7 @@ class TestApplyLoss:
             apply_loss(state, 0.5, -0.1)
 
     def test_half_loss_on_entangled_pair(self):
-        beam = SqueezedBeam(QuadratureVariancePair(0.5, 2.0))
+        beam = SqueezedBeam(0.5, 2.0)
         state = apply_loss(entangle_on_beamsplitter(beam, beam), 0.5, 0.5)
         assert state.cm.cxx_plus == pytest.approx(1.125, abs=1e-15)
         assert state.cm.cxy_plus == pytest.approx(-0.375, abs=1e-15)
@@ -248,7 +239,7 @@ class TestApplyLoss:
     @given(eta1=st.floats(0.0, 1.0), eta2=st.floats(0.0, 1.0))
     @settings(max_examples=100)
     def test_loss_channels_compose(self, eta1, eta2):
-        beam = SqueezedBeam(QuadratureVariancePair(0.3, 5.0))
+        beam = SqueezedBeam(0.3, 5.0)
         state = entangle_on_beamsplitter(beam, beam)
         twice = apply_loss(apply_loss(state, eta1, eta1), eta2, eta2)
         once = apply_loss(state, eta1 * eta2, eta1 * eta2)
