@@ -297,7 +297,7 @@ def _cmd_ingest(args) -> int:
         text = handle.read()
     table = spectra._read_table(text, "dB" if args.db else "linear")
     write = spectra._csv_chunks if args.format == "csv" else spectra._json_chunks
-    _emit(write(zip(*spectra._derive_table(table))), args.out)
+    _emit(write(spectra._derive_table(table)), args.out)
     return 0
 
 

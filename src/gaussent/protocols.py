@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._floattext import CHUNK, compose, float_text, text_rows
 from .epr import epr_from_photons
 from .photons import _require_photon_numbers, insep_from_nmin
 
@@ -31,9 +32,11 @@ MAX_RESOLUTION = 4096
 class ContourGrid:
     """Dense table of one efficacy metric over the (n_min, n_excess) plane.
 
-    :meth:`csv_chunks` and :meth:`json_chunks` yield the text one n_min row
-    at a time, so a writer holds about one row of text beside the float64
-    table rather than the whole text; ``to_csv_text`` joins the chunks.
+    :meth:`csv_chunks` and :meth:`json_chunks` yield the text in chunks of
+    :data:`CHUNK` cells, each formatted by one vectorized call of
+    :func:`float_text`, so a writer holds about one chunk of text beside
+    the float64 table rather than the whole text; ``to_csv_text`` joins
+    the chunks.
     """
 
     metric: str
@@ -61,40 +64,42 @@ class ContourGrid:
         object.__setattr__(self, "values", values)
 
     def csv_chunks(self) -> Iterator[str]:
-        """The CSV text, one chunk per n_min row after the header.
+        """The CSV text: the header, then one chunk per :data:`CHUNK` cells.
 
-        Each row is read once with ``tolist()``; the ``,<n_excess>,`` pieces
-        and the row's n_min ``repr`` are formatted once, not per cell.
+        The axes are formatted once; each chunk formats its values in one
+        :func:`float_text` call and repeats the axes' text beside them.
         """
         yield "n_min,n_excess,value\n"
-        middles = [f",{ne!r}," for ne in self.nexcess_axis.tolist()]
-        if not middles:
-            return
-        for nm, row in zip(self.nmin_axis.tolist(), self.values):
-            head = repr(nm)
-            cells = map(str.__add__, middles, map(float.__repr__, row.tolist()))
-            yield head + ("\n" + head).join(cells) + "\n"
+        nmin, nexcess = float_text(self.nmin_axis), float_text(self.nexcess_axis)
+        for index, cells in _chunks(self.values):
+            rows, cols = np.divmod(index, self.nexcess_axis.size)
+            yield compose(nmin[rows], ",", nexcess[cols], ",", float_text(cells), "\n")
 
     def json_chunks(self) -> Iterator[str]:
-        """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, one chunk per n_min row.
+        """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``: the head and
+        the axes, then one chunk per :data:`CHUNK` cells.
 
         The head (``metric``, ``params``) goes through ``json.dumps``; the
-        float lists are joined from ``float.__repr__`` inside the fixed
-        ``indent=2`` brackets, with json's NaN/Infinity spellings.
+        floats through :func:`float_text` with json's NaN/Infinity
+        spellings, inside the fixed ``indent=2`` brackets.  Each cell opens
+        with one of :data:`_CELL_OPENS` and a row's last cell closes the row.
         """
         head = json.dumps({"metric": self.metric, "params": dict(self.params)}, indent=2)
         yield (
-            f'{head[:-2]},\n  "nmin_axis": {_json_floats(self.nmin_axis.tolist(), 4)}'
-            f',\n  "nexcess_axis": {_json_floats(self.nexcess_axis.tolist(), 4)}'
+            f'{head[:-2]},\n  "nmin_axis": {_json_axis(self.nmin_axis)}'
+            f',\n  "nexcess_axis": {_json_axis(self.nexcess_axis)}'
             ',\n  "values": '
         )
-        if not self.values.shape[0]:
-            yield "[]\n}\n"
+        nrows, ncols = self.values.shape
+        if not self.values.size:  # no cells: a row's list, if any row, is empty
+            rows = ",\n    ".join(["[]"] * nrows)
+            yield (f"[\n    {rows}\n  ]" if nrows else "[]") + "\n}\n"
             return
-        separator = "[\n    "
-        for row in self.values:
-            yield separator + _json_floats(row.tolist(), 6)
-            separator = ",\n    "
+        for index, cells in _chunks(self.values):
+            cols = index % ncols
+            opens = (cols == 0).astype(np.intp) + (index == 0)
+            closes = (cols == ncols - 1).astype(np.intp)
+            yield compose(_CELL_OPENS[opens], float_text(cells, json=True), _ROW_CLOSES[closes])
         yield "\n  ]\n}\n"
 
     def to_csv_text(self) -> str:
@@ -110,16 +115,29 @@ class ContourGrid:
         }
 
 
-def _json_floats(values: list, indent: int) -> str:
-    """A list of floats as ``json.dumps(indent=2)`` writes it at depth ``indent``."""
-    if not values:
+# What opens a cell of the JSON values: another cell of the row, the first
+# of a row, the first of the table; what closes a row's last cell; and
+# what opens the first and the other values of an axis.
+_CELL_OPENS = text_rows([",\n      ", ",\n    [\n      ", "[\n    [\n      "])
+_ROW_CLOSES = text_rows(["", "\n    ]"])
+_AXIS_OPENS = text_rows(["[\n    ", ",\n    "])
+
+
+def _chunks(values: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(flat indices, cells) of ``values`` in row-major order, :data:`CHUNK` cells at a time."""
+    flat = values.ravel()
+    for start in range(0, flat.size, CHUNK):
+        cells = flat[start : start + CHUNK]
+        yield np.arange(start, start + cells.size), cells
+
+
+def _json_axis(axis: np.ndarray) -> str:
+    """An axis as ``json.dumps(indent=2)`` writes it as a value of the grid's object."""
+    if not axis.size:
         return "[]"
-    pad = " " * indent
-    text = f"[\n{pad}" + f",\n{pad}".join(map(float.__repr__, values)) + f"\n{pad[:-2]}]"
-    if "n" in text:
-        # Only nan, inf and -inf put an "n" in a float repr.
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    return text
+    opens = np.ones(axis.size, np.intp)
+    opens[0] = 0
+    return compose(_AXIS_OPENS[opens], float_text(axis, json=True)) + "\n  ]"
 
 
 def teleport_fidelity(insep: float) -> float:

@@ -7,10 +7,12 @@ measures and the photon-number budget follow.  ``gaussent ingest`` keeps
 a spectrum in one float64 table from the CSV to the output: numpy's C
 reader reads the CSV, the value gate runs column-wise, one kernel derives
 every row without building a matrix, and the writers stream the rows in
-chunks.  The fast path decides, the one-row path explains: the array code
-only decides whether a file or a row is good, and the one-row code (the
-csv reader, row by row, for a file; :func:`derive_row`'s kernel for a row)
-is the only code that says why one is not.  :class:`SpectrumRow` and
+chunks, each chunk's floats written by one vectorized ``float.__repr__``
+call (:mod:`gaussent._floattext`).  The fast path decides, the one-row
+path explains: the array code only decides whether a file or a row is
+good, and the one-row code (the csv reader, row by row, for a file;
+:func:`derive_row`'s kernel for a row) is the only code that says why one
+is not.  :class:`SpectrumRow` and
 :func:`derive_row` are the one-row case of the gate and the kernel.  The
 kernel's elementwise formulas are the scalar measures' own;
 :func:`derive_row` runs them on Python floats, which overflow to inf as
@@ -33,13 +35,14 @@ import logging
 import math
 import os
 import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from importlib import resources
 from operator import attrgetter
 
 import numpy as np
 
+from ._floattext import CHUNK, compose, float_text
 from .epr import _residual_variance
 from .photons import _budget
 from .separability import _symmetric_degree
@@ -301,12 +304,13 @@ def derive_spectra(rows: list[SpectrumRow]) -> list[DerivedRow]:
     derived are logged, in row order, and skipped."""
     # reshape: an empty list gives a 1-D array.
     table = np.array(list(map(_spectrum_values, rows)), float).reshape(-1, len(SPECTRUM_COLUMNS))
-    return list(map(DerivedRow, *_derive_table(table)))
+    return list(map(DerivedRow, *(column.tolist() for column in _derive_table(table))))
 
 
-def _derive_table(table: np.ndarray) -> list[list[float]]:
-    """The :data:`DERIVED_COLUMNS` of a spectrum table as lists, all rows at
-    once; rows that cannot be derived are logged, in row order, and skipped.
+def _derive_table(table: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The :data:`DERIVED_COLUMNS` of a spectrum table as float64 arrays, all
+    rows at once; rows that cannot be derived are logged, in row order, and
+    skipped.
 
     The array path decides which rows can be derived; for each one that
     cannot, the one-row path of :func:`derive_row` gives the reason, the
@@ -333,8 +337,7 @@ def _derive_table(table: np.ndarray) -> list[list[float]]:
                 except ValueError as exc:
                     logger.warning("skipping row at %.6g MHz: %s", freq, exc)
             columns = (column[valid] for column in columns)
-        derived = _measures(*columns)
-    return [column.tolist() for column in derived]
+        return _measures(*columns)
 
 
 def synthesize_spectra(
@@ -391,49 +394,59 @@ def synthesize_spectra(
 
 
 _derived_values = attrgetter(*DERIVED_COLUMNS)
-_CSV_ROW = ",".join(["%r"] * len(DERIVED_COLUMNS)) + "\n"
-# One row of json.dumps(..., indent=2) over the row's dict, %r per value.
-_JSON_ROW = "  {\n" + ",\n".join(f'    "{name}": %r' for name in DERIVED_COLUMNS) + "\n  }"
+#: Rows of derived columns per chunk: one kernel call formats them all.
+_CHUNK_ROWS = CHUNK // len(DERIVED_COLUMNS)
+# What precedes each value of a row in json.dumps(..., indent=2) over the
+# row's dict.
+_JSON_KEYS = [
+    ("  {\n" if i == 0 else ",\n") + f'    "{name}": ' for i, name in enumerate(DERIVED_COLUMNS)
+]
 
 
-def _csv_chunks(rows: Iterable[tuple]) -> Iterator[str]:
-    """CSV of derived rows (tuples in :data:`DERIVED_COLUMNS` order), one chunk per row."""
+def _text_chunks(columns, json: bool) -> Iterator[tuple[int, list]]:
+    """(first row, text of each column) of the derived columns,
+    :data:`_CHUNK_ROWS` rows at a time, each chunk in one kernel call."""
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        block = np.stack([column[start : start + _CHUNK_ROWS] for column in columns], axis=1)
+        cells = float_text(block, json).reshape(*block.shape, -1)
+        yield start, [cells[:, j] for j in range(block.shape[1])]
+
+
+def _csv_chunks(columns) -> Iterator[str]:
+    """CSV of the derived columns (float64 arrays in :data:`DERIVED_COLUMNS`
+    order), one chunk per :data:`_CHUNK_ROWS` rows."""
     yield ",".join(DERIVED_COLUMNS) + "\n"
-    for row in rows:
-        yield _CSV_ROW % row
+    for _, cells in _text_chunks(columns, json=False):
+        pieces = [piece for cell in cells for piece in (",", cell)]
+        yield compose(*pieces[1:], "\n")
 
 
-def _json_chunks(rows: Iterable[tuple]) -> Iterator[str]:
-    """JSON array of derived rows (tuples in :data:`DERIVED_COLUMNS` order),
-    one chunk per row.  json's ``indent`` falls back to its pure-Python
-    encoder; a template with a ``%r`` slot per value, which writes a finite
-    float as json does, gives the same text several times faster."""
-    separator = "[\n"
-    for row in rows:
-        if all(map(math.isfinite, row)):
-            yield separator + _JSON_ROW % row
-        else:  # json's own NaN and Infinity spellings
-            yield separator + json.dumps([dict(zip(DERIVED_COLUMNS, row))], indent=2)[2:-2]
-        separator = ",\n"
-    yield "[]\n" if separator == "[\n" else "\n]\n"
+def _json_chunks(columns) -> Iterator[str]:
+    """JSON array of the derived columns (float64 arrays in
+    :data:`DERIVED_COLUMNS` order), one chunk per :data:`_CHUNK_ROWS` rows:
+    what ``json.dumps`` writes of the rows' dicts with ``indent=2``."""
+    start = None
+    for start, cells in _text_chunks(columns, json=True):
+        pieces = [piece for key, cell in zip(_JSON_KEYS, cells) for piece in (key, cell)]
+        text = compose(",\n", *pieces, "\n  }")
+        yield text if start else "[\n" + text[2:]
+    yield "[]\n" if start is None else "\n]\n"
 
 
-def _float_rows(derived: list[DerivedRow]) -> Iterator[tuple]:
-    """The rows' values as Python floats: ``%r`` writes a numpy float64 as
-    ``np.float64(...)``, which neither json nor float() would."""
-    for row in derived:
-        yield tuple(map(float, _derived_values(row)))
+def _columns(derived: list[DerivedRow]) -> np.ndarray:
+    """The rows' values as float64 columns in :data:`DERIVED_COLUMNS` order."""
+    return np.array(list(map(_derived_values, derived)), float).reshape(-1, len(DERIVED_COLUMNS)).T
 
 
 def derived_to_csv_text(derived: list[DerivedRow]) -> str:
     """CSV serialization of derived rows, header in DerivedRow field order."""
-    return "".join(_csv_chunks(_float_rows(derived)))
+    return "".join(_csv_chunks(_columns(derived)))
 
 
 def derived_to_json_text(derived: list[DerivedRow]) -> str:
     """JSON array of the derived rows, byte for byte what
     ``json.dumps([asdict(row) for row in derived], indent=2)`` writes."""
-    return "".join(_json_chunks(_float_rows(derived)))
+    return "".join(_json_chunks(_columns(derived)))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,20 @@ def test_cli_import_does_not_load_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_import_builds_no_float_text_table():
+    """The float-to-text kernel's tables are built on its first call, not at import."""
+    probe = (
+        "import gaussent.cli, gaussent._floattext as kernel; "
+        "print(kernel._tables.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0"
+
+
 def test_readme_quick_start_runs(capsys):
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## Quick start"):]
