@@ -21,20 +21,10 @@ from collections.abc import Iterable
 from itertools import chain, islice
 
 from . import protocols, spectra
-from .epr import _epr, epr_vs_loss
-from .photons import _decomposition
-from .protocols import contour_grid, exceeds_no_cloning_limit, teleport_fidelity
-from .separability import (
-    _biased_degree,
-    _biased_product_ok,
-    _excesses,
-    _gate,
-    _k,
-    _restrictions,
-    _symmetric_degree,
-    inseparability_vs_loss,
-)
-from .states import CorrelationMatrix4, SqueezedBeam, apply_loss, entangle_on_beamsplitter
+from .epr import epr_vs_loss
+from .separability import inseparability_vs_loss
+from .spectra import analyze_cm
+from .states import SqueezedBeam, apply_loss, entangle_on_beamsplitter
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,95 +154,8 @@ def _cmd_model(args) -> int:
     return 0
 
 
-def analyze_cm(
-    cm: CorrelationMatrix4, measured: dict | None = None, label: str | None = None
-) -> dict:
-    """Full analysis record for one correlation matrix.
-
-    When the anchor carries directly measured sum/difference variances,
-    the photon budget is computed from those (they are the unrounded data
-    the matrix entries were derived from) and the measured-value metrics
-    are reported alongside the matrix-derived ones.
-    """
-    measured = measured or {}
-    # The kernels of degree_of_inseparability, degree_of_epr,
-    # standard_form_restrictions, product_restriction and decompose, on
-    # entries read and a form decided once; the errors come in the same order.
-    interchangeable, plus, minus = _gate(cm._flat)
-    excesses = _excesses(plus, minus)
-    if interchangeable:
-        v_plus, v_minus, insep = _symmetric_degree(plus, minus)
-    else:
-        insep = _biased_degree(plus, minus, _k(excesses))
-    cv_plus, cv_minus, _, _, epr = _epr(plus, minus)
-    ratio_ok, balance_ok, _ = _restrictions(excesses, plus[2], minus[2])
-    fidelity = teleport_fidelity(insep)
-
-    result: dict = {
-        "label": label,
-        "inseparability": insep,
-        "epr": epr,
-        "cv_plus": cv_plus,
-        "cv_minus": cv_minus,
-        "fidelity": fidelity,
-        "beats_no_cloning": exceeds_no_cloning_limit(fidelity),
-        "restrictions": {
-            "ratio_ok": ratio_ok,
-            "balance_ok": balance_ok,
-            "product_ok": interchangeable or _biased_product_ok(plus, minus, excesses),
-        },
-    }
-
-    if "v_sum_plus" in measured and "v_diff_minus" in measured:
-        v_sum, v_diff = float(measured["v_sum_plus"]), float(measured["v_diff_minus"])
-        spectra._require_positive_finite(v_sum, "v_sum_plus")
-        spectra._require_positive_finite(v_diff, "v_diff_minus")
-        # The matrix spectra.cm_at_frequency rebuilds from the same variances.
-        modes = (plus[0], minus[0], plus[1], minus[1])
-        r_plus, r_minus, c_plus, c_minus, *degree = spectra._symmetric_row(*modes, v_sum, v_diff)
-        budget = _decomposition((r_plus, r_plus, c_plus), (r_minus, r_minus, c_minus), *degree)
-        source = "measured"
-        result["inseparability_measured"] = (v_sum * v_diff) ** 0.5
-    elif interchangeable:
-        budget, source = _decomposition(plus, minus, v_plus, v_minus, insep), "matrix"
-    else:
-        # Biased matrices have no interchangeable-beams decomposition;
-        # still report the measures that are defined.
-        budget, source = (None,) * 6, "unavailable"
-    n_total, _, n_min, n_bias, n_excess, g_bias_sq = budget
-    result["decomposition_source"] = source
-    result["n_min"] = n_min
-    result["n_bias"] = n_bias
-    result["n_excess"] = n_excess
-    result["n_total"] = n_total
-    result["g_bias_sq"] = g_bias_sq
-    if "cv_plus" in measured and "cv_minus" in measured:
-        cv_plus, cv_minus = measured["cv_plus"], measured["cv_minus"]
-        spectra._require_positive_finite(float(cv_plus), "cv_plus")
-        spectra._require_positive_finite(float(cv_minus), "cv_minus")
-        # Checked as floats, reported as given: integers give an integer product.
-        spectra._require_positive_finite(float(cv_plus) * float(cv_minus), "epr_from_measured_cv")
-        result["epr_from_measured_cv"] = cv_plus * cv_minus
-    return result
-
-
 def _cmd_analyze(args) -> int:
-    source = args.cm if args.cm is not None else spectra.bundled_fixture_path()
-    data = spectra._read_json_object(source)
-    if "matrix" in data:
-        if args.at is not None:
-            raise ValueError("--at applies only to anchor files with labelled matrices")
-        cm, measured = spectra._read_matrix_json(data)
-        payload = analyze_cm(cm, measured=measured)
-    else:
-        anchors = spectra._paper_anchors(data, source)
-        if args.at is None:
-            raise ValueError(
-                f"--at is required for anchor files; available: {sorted(anchors.anchors)}"
-            )
-        anchor = anchors[args.at]
-        payload = analyze_cm(anchor.cm, measured=anchor.measured, label=anchor.label)
-    _emit(_json_text(payload), args.out)
+    _emit(_json_text(analyze_cm(*spectra.load_matrix(args.cm, args.at))), args.out)
     return 0
 
 
@@ -281,7 +184,7 @@ def _cmd_contours(args) -> int:
         params["n_encoding"] = args.n_encoding
     elif args.n_encoding is not None:
         raise ValueError("--n-encoding applies only to the dense_ratio metric")
-    grid = contour_grid(
+    grid = protocols.contour_grid(
         args.metric,
         nmin_range=(0.0, args.nmin_max),
         nexcess_range=(0.0, args.nexcess_max),
@@ -293,17 +196,13 @@ def _cmd_contours(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    with open(args.spectra, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    table = spectra._read_table(text, "dB" if args.db else "linear")
-    write = spectra._csv_chunks if args.format == "csv" else spectra._json_chunks
-    _emit(write(spectra._derive_table(table)), args.out)
+    units = "dB" if args.db else "linear"
+    _emit(spectra.ingest_file(args.spectra, units, args.format == "json"), args.out)
     return 0
 
 
 def _cmd_fixtures(args) -> int:
-    with open(spectra.bundled_fixture_path(), "r", encoding="utf-8") as handle:
-        _emit(handle.read(), args.out)
+    _emit(spectra.read_text(spectra.bundled_fixture_path()), args.out)
     return 0
 
 

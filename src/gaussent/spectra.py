@@ -1,4 +1,4 @@
-"""Frequency-resolved spectra: ingestion, reconstruction, derived metrics.
+"""Frequency-resolved spectra, the analysis record of one matrix, and the input readers.
 
 A spectrum is a table of per-sideband-frequency variance measurements
 (mode variances of both beams plus the minimum sum/difference variances).
@@ -12,13 +12,18 @@ call (:mod:`gaussent._floattext`).  The fast path decides, the one-row
 path explains: the array code only decides whether a file or a row is
 good, and the one-row code (the csv reader, row by row, for a file;
 :func:`derive_row`'s kernel for a row) is the only code that says why one
-is not.  :class:`SpectrumRow` and
-:func:`derive_row` are the one-row case of the gate and the kernel.  The
-kernel's elementwise formulas are the scalar measures' own;
-:func:`derive_row` runs them on Python floats, which overflow to inf as
-numpy's do, so it gives the kernel's bits without numpy's per-call cost.
-The dB conversion stays a scalar ``10.0 ** (x / 10.0)`` per cell:
-``np.power`` differs from it in the last bit on some inputs.
+is not.  :class:`SpectrumRow` and :func:`derive_row` are the one-row case
+of the gate and the kernel.  The kernel's elementwise formulas are the
+scalar measures' own; :func:`derive_row` runs them on Python floats, which
+overflow to inf as numpy's do, so it gives the kernel's bits without
+numpy's per-call cost.  The dB conversion stays a scalar
+``10.0 ** (x / 10.0)`` per cell: ``np.power`` differs from it in the last
+bit on some inputs.
+
+:func:`analyze_cm` builds the record ``gaussent analyze`` writes.  The CLI's
+files are read here, by :func:`load_matrix` (a matrix, state or anchor
+file), :func:`ingest_file` (a spectrum CSV) and :func:`read_text`; the
+error for a file that is not UTF-8 or not JSON names the file.
 
 A qualitative synthesizer produces spectra with the shape seen from
 OPA-based sources: squeezing rolled off by the OPA bandwidth, and a
@@ -43,9 +48,12 @@ from operator import attrgetter
 import numpy as np
 
 from ._floattext import CHUNK, compose, float_text
-from .epr import _residual_variance
-from .photons import _budget
-from .separability import _symmetric_degree
+from .epr import _epr, _residual_variance
+from .photons import _budget, _decomposition
+from .protocols import exceeds_no_cloning_limit, teleport_fidelity
+from .separability import (
+    _biased_degree, _biased_product_ok, _excesses, _gate, _k, _restrictions, _symmetric_degree
+)
 from .states import (
     CorrelationMatrix4,
     SqueezedBeam,
@@ -449,6 +457,13 @@ def derived_to_json_text(derived: list[DerivedRow]) -> str:
     return "".join(_json_chunks(_columns(derived)))
 
 
+def ingest_file(path: str, units: str = "linear", json: bool = False) -> Iterator[str]:
+    """The derived columns of the spectrum CSV at ``path`` as CSV or JSON text chunks;
+    read and derived here, so a refused file raises before any chunk is written."""
+    table = _read_table(read_text(path), units)
+    return (_json_chunks if json else _csv_chunks)(_derive_table(table))
+
+
 @dataclass(frozen=True)
 class PaperAnchor:
     """One published reference point: a correlation matrix, optionally with
@@ -460,7 +475,14 @@ class PaperAnchor:
     measured: dict
 
     def has_measured_variances(self) -> bool:
-        return "v_sum_plus" in self.measured and "v_diff_minus" in self.measured
+        return _measured_sums(self.measured) is not None
+
+
+def _measured_sums(measured: dict) -> tuple | None:
+    """The measured (v_sum_plus, v_diff_minus), or None unless the block holds both."""
+    if "v_sum_plus" in measured and "v_diff_minus" in measured:
+        return measured["v_sum_plus"], measured["v_diff_minus"]
+    return None
 
 
 @dataclass(frozen=True)
@@ -474,9 +496,7 @@ class PaperAnchors:
         try:
             return self.anchors[label]
         except KeyError:
-            raise KeyError(
-                f"no anchor {label!r}; available: {sorted(self.anchors)}"
-            )
+            raise KeyError(f"no anchor {label!r}; available: {sorted(self.anchors)}")
 
 
 def _parse_frequency_label(label: str) -> float:
@@ -505,27 +525,34 @@ def _read_matrix_json(payload) -> tuple[CorrelationMatrix4, dict]:
 
 def bundled_fixture_path() -> str:
     """Path of the anchor file: the env override if set, else the bundled copy."""
-    override = os.environ.get(FIXTURES_ENV_VAR)
-    if override:
-        return override
-    return str(resources.files("gaussent").joinpath("fixtures/paper_anchors.json"))
+    bundled = resources.files("gaussent").joinpath("fixtures/paper_anchors.json")
+    return os.environ.get(FIXTURES_ENV_VAR) or str(bundled)
 
 
 def load_paper_anchors(path: str | None = None) -> PaperAnchors:
-    """Load the anchor correlation matrices.
-
-    Resolution order: explicit ``path``, the :data:`FIXTURES_ENV_VAR`
-    environment variable, then the copy bundled with the package.
-    """
+    """The anchor correlation matrices of the file at ``path``, by default
+    :func:`bundled_fixture_path`: the :data:`FIXTURES_ENV_VAR` file, else the bundled one."""
     if path is None:
         path = bundled_fixture_path()
     return _paper_anchors(_read_json_object(path), path)
 
 
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file at ``path``; ValueError, naming the file, if it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_json_object(path: str) -> dict:
-    """The JSON object in the file at ``path``; ValueError if it holds another value."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    """The JSON object in the file at ``path``; ValueError, naming the file, for anything else."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path} does not hold a JSON object")
     return data
@@ -558,9 +585,98 @@ def measured_row(anchor: PaperAnchor) -> SpectrumRow:
     """Spectrum row combining the anchor's mode variances with its directly
     measured sum/difference variances (higher precision than the rounded
     cross-correlation entries of the published matrix)."""
-    if not anchor.has_measured_variances():
+    sums = _measured_sums(anchor.measured)
+    if sums is None:
         raise ValueError(f"anchor {anchor.label!r} carries no measured variances")
-    cm, measured = anchor.cm, anchor.measured
-    modes = (cm.cxx_plus, cm.cxx_minus, cm.cyy_plus, cm.cyy_minus)
-    sums = (float(measured["v_sum_plus"]), float(measured["v_diff_minus"]))
-    return SpectrumRow(anchor.frequency_mhz, *modes, *sums)
+    modes = (anchor.cm.cxx_plus, anchor.cm.cxx_minus, anchor.cm.cyy_plus, anchor.cm.cyy_minus)
+    return SpectrumRow(anchor.frequency_mhz, *modes, *map(float, sums))
+
+
+def load_matrix(path: str | None = None, at: str | None = None) -> tuple:
+    """(matrix, measured, label) of a bare matrix file, a state file as ``gaussent model``
+    writes (its ``cm`` object) or the anchor ``at`` of an anchor file, at ``path``
+    or else at :func:`load_paper_anchors`'s default path."""
+    if path is None:
+        path = bundled_fixture_path()
+    data = _read_json_object(path)
+    if "matrix" in data or "cm" in data:  # an anchor label ends in "MHz"
+        if at is not None:
+            raise ValueError("--at applies only to anchor files with labelled matrices")
+        return (*_read_matrix_json(data if "matrix" in data else data["cm"]), None)
+    anchors = _paper_anchors(data, path)
+    if at is None:
+        raise ValueError(f"--at is required for anchor files; available: {sorted(anchors.anchors)}")
+    anchor = anchors[at]
+    return anchor.cm, anchor.measured, anchor.label
+
+
+def analyze_cm(
+    cm: CorrelationMatrix4, measured: dict | None = None, label: str | None = None
+) -> dict:
+    """Full analysis record for one correlation matrix.
+
+    When the anchor carries directly measured sum/difference variances,
+    the photon budget is computed from those (they are the unrounded data
+    the matrix entries were derived from) and the measured-value metrics
+    are reported alongside the matrix-derived ones.
+    """
+    measured = measured or {}
+    # The kernels of degree_of_inseparability, degree_of_epr,
+    # standard_form_restrictions, product_restriction and decompose, on
+    # entries read and a form decided once; the errors come in the same order.
+    interchangeable, plus, minus = _gate(cm._flat)
+    excesses = _excesses(plus, minus)
+    if interchangeable:
+        v_plus, v_minus, insep = _symmetric_degree(plus, minus)
+    else:
+        insep = _biased_degree(plus, minus, _k(excesses))
+    cv_plus, cv_minus, _, _, epr = _epr(plus, minus)
+    ratio_ok, balance_ok, _ = _restrictions(excesses, plus[2], minus[2])
+    fidelity = teleport_fidelity(insep)
+
+    result: dict = {
+        "label": label,
+        "inseparability": insep,
+        "epr": epr,
+        "cv_plus": cv_plus,
+        "cv_minus": cv_minus,
+        "fidelity": fidelity,
+        "beats_no_cloning": exceeds_no_cloning_limit(fidelity),
+        "restrictions": {
+            "ratio_ok": ratio_ok,
+            "balance_ok": balance_ok,
+            "product_ok": interchangeable or _biased_product_ok(plus, minus, excesses),
+        },
+    }
+
+    if (sums := _measured_sums(measured)) is not None:
+        v_sum, v_diff = map(float, sums)
+        _require_positive_finite(v_sum, "v_sum_plus")
+        _require_positive_finite(v_diff, "v_diff_minus")
+        # The matrix cm_at_frequency rebuilds from the same variances.
+        modes = (plus[0], minus[0], plus[1], minus[1])
+        r_plus, r_minus, c_plus, c_minus, *degree = _symmetric_row(*modes, v_sum, v_diff)
+        budget = _decomposition((r_plus, r_plus, c_plus), (r_minus, r_minus, c_minus), *degree)
+        source = "measured"
+        result["inseparability_measured"] = (v_sum * v_diff) ** 0.5
+    elif interchangeable:
+        budget, source = _decomposition(plus, minus, v_plus, v_minus, insep), "matrix"
+    else:
+        # Biased matrices have no interchangeable-beams decomposition;
+        # still report the measures that are defined.
+        budget, source = (None,) * 6, "unavailable"
+    n_total, _, n_min, n_bias, n_excess, g_bias_sq = budget
+    result["decomposition_source"] = source
+    result["n_min"] = n_min
+    result["n_bias"] = n_bias
+    result["n_excess"] = n_excess
+    result["n_total"] = n_total
+    result["g_bias_sq"] = g_bias_sq
+    if "cv_plus" in measured and "cv_minus" in measured:
+        cv_plus, cv_minus = measured["cv_plus"], measured["cv_minus"]
+        _require_positive_finite(float(cv_plus), "cv_plus")
+        _require_positive_finite(float(cv_minus), "cv_minus")
+        # Checked as floats, reported as given: integers give an integer product.
+        _require_positive_finite(float(cv_plus) * float(cv_minus), "epr_from_measured_cv")
+        result["epr_from_measured_cv"] = cv_plus * cv_minus
+    return result

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import MEASURED_65, run_measuring_peak_rss
 from oracles import analyze_cm_reference
-from gaussent import cli
+from gaussent import cli, spectra
 from gaussent.cli import analyze_cm, build_parser, main
 from gaussent.spectra import bundled_fixture_path
 from gaussent.states import CorrelationMatrix4, SqueezedBeam, apply_loss, entangle_on_beamsplitter
@@ -115,7 +116,7 @@ class TestAnalyze:
         path = tmp_path / "biased.json"
         path.write_text(json.dumps(biased))
         decomposed = []
-        monkeypatch.setattr(cli, "_decomposition", lambda *args: decomposed.append(args))
+        monkeypatch.setattr(spectra, "_decomposition", lambda *args: decomposed.append(args))
         code, out, _ = run_cli(capsys, "analyze", "--cm", str(path))
         assert code == 0
         assert decomposed == []  # the form is tested once: no budget is computed
@@ -200,6 +201,13 @@ class TestAnalyze:
         assert code == 1
         assert out == ""
         assert err == f"gaussent: error: {where} is an integer of 401 digits, too large for a float\n"
+
+    def test_malformed_json_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "cm.json"
+        path.write_text('{"a": ')
+        code, out, err = run_cli(capsys, "analyze", "--cm", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"gaussent: error: {path}: Expecting value: line 1 column 7 (char 6)\n"
 
     def test_defaults_to_bundled_anchors(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--at", "6.5MHz")
@@ -366,6 +374,19 @@ class TestModel:
         assert payload["epr"] == pytest.approx(
             4.0 * (0.2 + 0.6 / (0.8 * 0.5 + 2.0)) ** 2, abs=1e-12
         )
+
+    def test_analyze_reads_the_state_file_model_writes(self, capsys, tmp_path):
+        state_path = tmp_path / "state.json"
+        argv = ("model", "--v1", "0.5", "--v2", "0.5", "--eta", "0.86", "--out", str(state_path))
+        assert run_cli(capsys, *argv)[0] == 0
+        code, out, err = run_cli(capsys, "analyze", "--cm", str(state_path))
+        assert (code, err) == (0, "")
+        beam = SqueezedBeam.pure(0.5)
+        state = apply_loss(entangle_on_beamsplitter(beam, beam), 0.86, 0.86)
+        assert out == json.dumps(analyze_cm(state.cm), indent=2) + "\n"
+        code, out, err = run_cli(capsys, "analyze", "--cm", str(state_path), "--at", "6.5MHz")
+        assert (code, out) == (1, "")
+        assert err == "gaussent: error: --at applies only to anchor files with labelled matrices\n"
 
 
 class TestSweepLoss:
@@ -569,7 +590,66 @@ class TestFixturesCommand:
         assert set(payload) == {"statistical_error", "3.5MHz", "6.5MHz"}
 
 
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
 class TestCliContract:
+    @pytest.mark.parametrize("command", ["ingest", "analyze", "fixtures"])
+    def test_file_not_in_utf8_is_named_with_the_whole_error(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff")
+        monkeypatch.setenv("GAUSSENT_FIXTURES", str(path))
+        argv = {"ingest": ["ingest", str(path)], "analyze": ["analyze", "--cm", str(path)]}
+        code, out, err = run_cli(capsys, *argv.get(command, [command]))
+        assert (code, out) == (1, "")
+        assert err == f"gaussent: error: {path}: {_NOT_UTF8}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "{bad}"],
+            ["analyze", "--cm", "{bad}"],
+            ["contours", "--metric", "dense_ratio"],
+        ],
+    )
+    def test_refused_input_leaves_an_existing_out_file_unchanged(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad"
+        bad.write_text("a,b\n1,2\n")
+        out = tmp_path / "out"
+        out.write_text("kept")
+        argv = [arg.format(bad=bad) for arg in argv] + ["--out", str(out)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and err.startswith("gaussent: error:")
+        assert out.read_text() == "kept"
+
+    def test_cli_reads_no_private_name_of_another_module(self):
+        """Neither ``from .module import _name`` nor ``module._name``."""
+        tree = ast.parse((SRC / "gaussent" / "cli.py").read_text(encoding="utf-8"))
+        modules, private = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("gaussent")
+            ):
+                for alias in node.names:
+                    if node.module in (None, "gaussent"):  # from . import spectra
+                        modules.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        private.add(f"{node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+            ):
+                private.add(f"{node.value.id}.{node.attr}")
+        assert sorted(private) == []
+
+    def test_analyze_cm_is_the_spectra_record(self):
+        assert cli.analyze_cm is spectra.analyze_cm
+
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1

@@ -703,6 +703,37 @@ class TestAnchors:
         with pytest.raises(ValueError, match="does not hold a JSON object"):
             load_paper_anchors(str(path))
 
+    def test_malformed_json_names_the_file(self, tmp_path):
+        path = tmp_path / "anchors.json"
+        path.write_text('{"a": ')
+        with pytest.raises(ValueError) as info:
+            load_paper_anchors(str(path))
+        assert str(info.value) == f"{path}: Expecting value: line 1 column 7 (char 6)"
+
+    def test_file_not_in_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "anchors.json"
+        path.write_bytes(b"\xff")
+        with pytest.raises(ValueError) as info:
+            load_paper_anchors(str(path))
+        assert str(info.value) == (
+            f"{path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        )
+
+
+class TestIngestFile:
+    def test_refused_file_raises_before_any_chunk_is_asked_for(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n1,2\n")
+        with pytest.raises(ValueError, match="unexpected header"):
+            spectra.ingest_file(str(path))
+
+    def test_chunks_are_the_writers_text(self, tmp_path):
+        path = tmp_path / "spectra.csv"
+        path.write_text(SAMPLE_CSV)
+        derived = derive_spectra(parse_spectra(SAMPLE_CSV))
+        assert "".join(spectra.ingest_file(str(path))) == derived_to_csv_text(derived)
+        assert "".join(spectra.ingest_file(str(path), json=True)) == derived_to_json_text(derived)
+
     @pytest.mark.parametrize("label", ["nanMHz", "-1MHz", "0MHz", "infMHz", "abcMHz", "6.5"])
     def test_label_must_be_a_positive_frequency(self, tmp_path, label):
         path = tmp_path / "anchors.json"
