@@ -55,8 +55,10 @@ class ContourGrid:
                 f"values shape {values.shape} does not match axes "
                 f"({nmin.size}, {nexcess.size})"
             )
-        if not (np.all(np.diff(nmin) > 0.0) and np.all(np.diff(nexcess) > 0.0)):
-            raise ValueError("grid axes must be strictly increasing")
+        for name, axis in (("nmin_axis", nmin), ("nexcess_axis", nexcess)):
+            if not (rises := np.diff(axis) > 0.0).all():
+                first, then = axis[np.argmin(rises) :][:2].tolist()  # where it first fails to rise
+                raise ValueError(f"{name} must be strictly increasing, got {first} then {then}")
         for arr in (nmin, nexcess, values):
             arr.setflags(write=False)
         object.__setattr__(self, "nmin_axis", nmin)
@@ -79,22 +81,17 @@ class ContourGrid:
         """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``: the head and
         the axes, then one chunk per :data:`CHUNK` cells.
 
-        The head (``metric``, ``params``) goes through ``json.dumps``; the
-        floats through :func:`float_text` with json's NaN/Infinity
-        spellings, inside the fixed ``indent=2`` brackets.  Each cell opens
-        with one of :data:`_CELL_OPENS` and a row's last cell closes the row.
+        ``json.dumps`` writes the head and the axes, up to a ``null`` that
+        holds the values' place; :func:`float_text` writes the values with
+        json's NaN/Infinity spellings.  Each cell opens with one of
+        :data:`_CELL_OPENS` and a row's last cell closes the row.
         """
-        head = json.dumps({"metric": self.metric, "params": dict(self.params)}, indent=2)
-        yield (
-            f'{head[:-2]},\n  "nmin_axis": {_json_axis(self.nmin_axis)}'
-            f',\n  "nexcess_axis": {_json_axis(self.nexcess_axis)}'
-            ',\n  "values": '
-        )
-        nrows, ncols = self.values.shape
-        if not self.values.size:  # no cells: a row's list, if any row, is empty
-            rows = ",\n    ".join(["[]"] * nrows)
-            yield (f"[\n    {rows}\n  ]" if nrows else "[]") + "\n}\n"
+        if not self.values.size:  # no cells: json.dumps writes the whole grid
+            yield json.dumps(self.to_json_dict(), indent=2) + "\n"
             return
+        head = json.dumps({**self._json_head(), "values": None}, indent=2)
+        yield head[: -len("null\n}")]
+        ncols = self.values.shape[1]
         for index, cells in _chunks(self.values):
             cols = index % ncols
             opens = (cols == 0).astype(np.intp) + (index == 0)
@@ -106,21 +103,21 @@ class ContourGrid:
         return "".join(self.csv_chunks())
 
     def to_json_dict(self) -> dict:
+        return {**self._json_head(), "values": self.values.tolist()}
+
+    def _json_head(self) -> dict:
         return {
             "metric": self.metric,
             "params": dict(self.params),
             "nmin_axis": self.nmin_axis.tolist(),
             "nexcess_axis": self.nexcess_axis.tolist(),
-            "values": self.values.tolist(),
         }
 
 
 # What opens a cell of the JSON values: another cell of the row, the first
-# of a row, the first of the table; what closes a row's last cell; and
-# what opens the first and the other values of an axis.
+# of a row, the first of the table; and what closes a row's last cell.
 _CELL_OPENS = text_rows([",\n      ", ",\n    [\n      ", "[\n    [\n      "])
 _ROW_CLOSES = text_rows(["", "\n    ]"])
-_AXIS_OPENS = text_rows(["[\n    ", ",\n    "])
 
 
 def _chunks(values: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -129,15 +126,6 @@ def _chunks(values: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     for start in range(0, flat.size, CHUNK):
         cells = flat[start : start + CHUNK]
         yield np.arange(start, start + cells.size), cells
-
-
-def _json_axis(axis: np.ndarray) -> str:
-    """An axis as ``json.dumps(indent=2)`` writes it as a value of the grid's object."""
-    if not axis.size:
-        return "[]"
-    opens = np.ones(axis.size, np.intp)
-    opens[0] = 0
-    return compose(_AXIS_OPENS[opens], float_text(axis, json=True)) + "\n  ]"
 
 
 def teleport_fidelity(insep: float) -> float:

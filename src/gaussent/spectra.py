@@ -22,8 +22,9 @@ bit on some inputs.
 
 :func:`analyze_cm` builds the record ``gaussent analyze`` writes.  The CLI's
 files are read here, by :func:`load_matrix` (a matrix, state or anchor
-file), :func:`ingest_file` (a spectrum CSV) and :func:`read_text`; the
-error for a file that is not UTF-8 or not JSON names the file.
+file), :func:`ingest_file` (a spectrum CSV) and :func:`read_text`, which
+drops a leading BOM; the error for a file that is not UTF-8 or not JSON
+names the file.
 
 A qualitative synthesizer produces spectra with the shape seen from
 OPA-based sources: squeezing rolled off by the OPA bandwidth, and a
@@ -34,7 +35,6 @@ piles up in the sum channel while cancelling from the phase difference.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import math
@@ -43,6 +43,7 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from importlib import resources
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -137,51 +138,25 @@ def parse_spectra(text: str, units: str = "linear") -> list[SpectrumRow]:
 def _read_table(text: str, units: str) -> np.ndarray:
     """:func:`parse_spectra`'s rows as one float64 table, sorted by frequency.
 
-    The fast path decides, the one-row path explains.  numpy's C reader
-    reads the file, and the table is kept if it passes the value gate and
-    repeats no frequency.  Otherwise (or where the C reader refuses a line,
-    such as one of blank or empty cells, which the csv reader skips) the
-    csv reader reads the file again, row by row, gating each row as it is
-    read, and only it reports errors: so each message, and which error
-    comes first in the file, is the csv reader's.  The C reader accepts no
-    file that the csv reader refuses, and gives the same table bit for bit.
+    The fast path decides, the one-row path explains.  The csv reader reads
+    the header; numpy's C reader reads the lines after it, and the table is
+    kept if it passes the value gate and repeats no frequency.  Otherwise
+    (or where the C reader refuses a line, such as one of blank or empty
+    cells, which the csv reader skips) the csv reader goes on from the
+    header, gating each row with :class:`SpectrumRow` as it is read, and
+    only it reports errors: so each message, and which error comes first in
+    the file, is the csv reader's.  The C reader accepts no file that the
+    csv reader refuses, and gives the same table bit for bit.
     """
     if units not in ("linear", "dB"):
         raise ValueError(f"units must be 'linear' or 'dB', got {units!r}")
     width = len(SPECTRUM_COLUMNS)
     # split("\n"), not splitlines(), which also breaks on \x0c, \x85 and
-    # \u2028 where the csv reader does not.  Where float() refuses a cell,
-    # loadtxt reads one over the csv field limit and strips \x1c-\x1f
-    # around a number, so such files go to the csv reader.
+    # \u2028 where the csv reader does not.  The reader gets the lines that
+    # io.StringIO(text) gives, but not its copy of the text (4 bytes a
+    # character), which would stay alive through loadtxt.
     lines = text.split("\n")
-    try:
-        header = next(csv.reader(io.StringIO(text)), ())
-    except csv.Error:
-        header = ()
-    if (
-        tuple(name.strip() for name in header) == SPECTRUM_COLUMNS
-        and max(map(len, lines)) <= csv.field_size_limit()
-        and not any(separator in text for separator in "\x1c\x1d\x1e\x1f")
-    ):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt only warns on a file without rows
-                table = np.loadtxt(lines, delimiter=",", skiprows=1, comments=None, ndmin=2)
-            if units == "dB" and table.shape[1] == width:
-                for column in table.T[1:]:
-                    column[:] = [10.0 ** (x / 10.0) for x in column.tolist()]
-        except (ValueError, UserWarning, OverflowError):
-            pass
-        else:
-            order = np.argsort(table[:, 0], kind="stable")
-            if (
-                table.shape[1] == width
-                and ((table > 0.0) & (table < math.inf)).all()
-                and (np.diff(table[order, 0]) != 0.0).all()
-            ):
-                return table[order]
-
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(chain((line + "\n" for line in lines[:-1]), filter(None, lines[-1:])))
     rows, line_numbers = [], []
     line_no = 0  # the last record read
     try:
@@ -192,6 +167,30 @@ def _read_table(text: str, units: str) -> np.ndarray:
         if header != SPECTRUM_COLUMNS:
             raise ValueError(f"unexpected header {header}; expected columns {SPECTRUM_COLUMNS}")
         line_no = 1
+        # Where float() refuses a cell, loadtxt reads one over the csv field
+        # limit and strips \x1c-\x1f around a number, so such files stay
+        # with the csv reader.
+        if max(map(len, lines)) <= csv.field_size_limit() and not any(
+            separator in text for separator in "\x1c\x1d\x1e\x1f"
+        ):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # loadtxt only warns on a file without rows
+                    body = lines[reader.line_num :]
+                    table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+                if units == "dB" and table.shape[1] == width:
+                    for column in table.T[1:]:
+                        column[:] = [10.0 ** (x / 10.0) for x in column.tolist()]
+            except (ValueError, UserWarning, OverflowError):
+                pass
+            else:
+                order = np.argsort(table[:, 0], kind="stable")
+                if (
+                    table.shape[1] == width
+                    and ((table > 0.0) & (table < math.inf)).all()
+                    and (np.diff(table[order, 0]) != 0.0).all()
+                ):
+                    return table[order]
         for line_no, record in enumerate(reader, start=2):
             if not "".join(record).strip():
                 continue
@@ -210,10 +209,8 @@ def _read_table(text: str, units: str) -> np.ndarray:
                         f"row {line_no}, column '{name}': {cell!r} dB is out of range"
                     ) from None
                 values.append(value)
-            # The value gate, once the row's cells are all numbers.
-            try:
-                for name, value in zip(SPECTRUM_COLUMNS, values):
-                    _require_positive_finite(value, name)
+            try:  # the value gate, once the row's cells are all numbers
+                SpectrumRow(*values)
             except ValueError as exc:
                 raise ValueError(f"row {line_no}, {exc}") from None
             rows.append(values)
@@ -538,9 +535,9 @@ def load_paper_anchors(path: str | None = None) -> PaperAnchors:
 
 
 def read_text(path: str) -> str:
-    """The text of the UTF-8 file at ``path``; ValueError, naming the file, if it is not UTF-8."""
+    """The UTF-8 text at ``path``, less any BOM; ValueError, naming the file, if it is not UTF-8."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -548,10 +545,10 @@ def read_text(path: str) -> str:
 
 def _read_json_object(path: str) -> dict:
     """The JSON object in the file at ``path``; ValueError, naming the file, for anything else."""
+    text = read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+        data = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path} does not hold a JSON object")

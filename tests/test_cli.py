@@ -216,13 +216,13 @@ class TestAnalyze:
 
     def test_anchor_file_is_parsed_once(self, capsys, monkeypatch):
         calls = []
-        real_load = json.load
+        real_loads = json.loads
 
-        def counting_load(*args, **kwargs):
+        def counting_loads(*args, **kwargs):
             calls.append(args)
-            return real_load(*args, **kwargs)
+            return real_loads(*args, **kwargs)
 
-        monkeypatch.setattr(json, "load", counting_load)
+        monkeypatch.setattr(json, "loads", counting_loads)
         code, _, _ = run_cli(capsys, "analyze", "--cm", bundled_fixture_path(), "--at", "6.5MHz")
         assert code == 0
         assert len(calls) == 1
@@ -467,6 +467,17 @@ class TestContours:
         assert out == ""
         assert err.startswith("gaussent: error:") and "4096" in err
 
+    @pytest.mark.parametrize("axis", ["nmin", "nexcess"])
+    def test_repeated_axis_value_is_named(self, capsys, axis):
+        code, out, err = run_cli(
+            capsys, "contours", "--metric", "epr", "--grid", "4", f"--{axis}-max", "1e-323"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"gaussent: error: {axis}_axis must be strictly increasing, "
+            "got 1e-323 then 1e-323\n"
+        )
+
     def test_dense_ratio_requires_budget(self, capsys):
         code, _, err = run_cli(capsys, "contours", "--metric", "dense_ratio")
         assert code == 1
@@ -605,6 +616,29 @@ class TestCliContract:
         code, out, err = run_cli(capsys, *argv.get(command, [command]))
         assert (code, out) == (1, "")
         assert err == f"gaussent: error: {path}: {_NOT_UTF8}\n"
+
+    @pytest.mark.parametrize("command", ["ingest", "analyze --cm", "analyze --at"])
+    def test_leading_bom_reads_as_its_absence(self, capsys, tmp_path, monkeypatch, command):
+        """Excel's "CSV UTF-8" and other writers open a file with a BOM."""
+        anchors = Path(bundled_fixture_path()).read_text(encoding="utf-8")
+        text = {
+            "ingest": TestIngest.CSV,
+            "analyze --cm": json.dumps(json.loads(anchors)["6.5MHz"]),
+            "analyze --at": anchors,
+        }[command]
+        outputs = []
+        for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+            path = tmp_path / name
+            path.write_text(text, encoding=encoding)
+            monkeypatch.setenv("GAUSSENT_FIXTURES", str(path))
+            argv = {
+                "ingest": ["ingest", str(path)],
+                "analyze --cm": ["analyze", "--cm", str(path)],
+                "analyze --at": ["analyze", "--at", "6.5MHz"],
+            }[command]
+            outputs.append(run_cli(capsys, *argv))
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
 
     @pytest.mark.parametrize(
         "argv",

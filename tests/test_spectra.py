@@ -101,14 +101,16 @@ class TestParse:
     def test_skips_blank_lines(self):
         assert len(parse_spectra(SAMPLE_CSV + "\n\n")) == 3
 
-    def test_blank_looking_lines_fall_back_to_the_same_table(self):
+    @pytest.mark.parametrize("units", ["linear", "dB"])
+    def test_blank_looking_lines_fall_back_to_the_same_table(self, units):
         # loadtxt refuses a line of blank or empty cells, which the csv reader
-        # skips; the csv reader's table must equal the C reader's bit for bit.
-        text = _PERFBENCH_GEN.spectrum_csv(_PERFBENCH_GEN.spectrum(0, 2000), False)
-        clean = spectra._read_table(text, "linear").tobytes()
+        # skips; the csv reader's table (its per-cell dB, its SpectrumRow gate)
+        # must equal the C reader's (its column dB) bit for bit.
+        text = _PERFBENCH_GEN.spectrum_csv(_PERFBENCH_GEN.spectrum(0, 2000), units == "dB")
+        clean = spectra._read_table(text, units).tobytes()
         header, body = text.split("\n", 1)
         for odd in (text + "   \n", header + "\n,,,,,,\n" + body):
-            assert spectra._read_table(odd, "linear").tobytes() == clean
+            assert spectra._read_table(odd, units).tobytes() == clean
 
     def test_rejects_non_positive_frequency_naming_column(self):
         for cell in ("0", "-1"):
@@ -235,10 +237,13 @@ class TestParseErrorOrder:
         ["", "\n", HEADER, HEADER + "\n", HEADER + "\r\n\r\n", HEADER + "\n,,,,,,\n  \n",
          HEADER + "\n1,1,1,1,1,1," + _LONG_CELL + "\n",
          '"' + HEADER.replace(",", '","') + '\n"\n1,1,1,1,1,1,1\n',
-         HEADER.replace("v_diff_minus", '"v_diff_minus') + "\n1,1,1,1,1,1,1\n"],
+         HEADER.replace("v_diff_minus", '"v_diff_minus') + "\n1,1,1,1,1,1,1\n",
+         HEADER.replace(",", " " * csv.field_size_limit() + ",", 1) + "\n1,1,1,1,1,1,1\n"],
     )
     def test_edge_files_match_rowwise_parser(self, text, units):
         expected = _table_outcome(_rowwise_table, text, units)
+        if len(text.split("\n", 1)[0]) > csv.field_size_limit():  # a header cell too long
+            assert expected == f"row 1: field larger than field limit ({csv.field_size_limit()})"
         assert _table_outcome(spectra._read_table, text, units) == expected
 
     @pytest.mark.parametrize("units", ["linear", "dB"])
