@@ -162,9 +162,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_sweep_loss(args) -> int:
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
-    # The closed forms check --v; calling them once here raises before the first byte.
+    # Both closed forms share one gate on --v; one call here raises before the first byte.
     inseparability_vs_loss(args.v, 0.0)
-    epr_vs_loss(args.v, 0.0)
     etas = (index / (args.steps - 1) for index in range(args.steps))
     lines = (
         f"{eta!r},{inseparability_vs_loss(args.v, eta)!r},{epr_vs_loss(args.v, eta)!r}\n"

@@ -10,12 +10,13 @@ photon-number variables make explicit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .photons import _require_photon_numbers
+from .separability import _require_loss_inputs
 from .states import CorrelationMatrix4, _quadratures, quadrature_entries
 
 
@@ -84,10 +85,7 @@ def epr_vs_loss(v_ave: float, eta: float) -> float:
     any squeezing level: above that efficiency the paradox is observable,
     below it never is.
     """
-    if not 0.0 < v_ave < math.inf:
-        raise ValueError(f"average squeezed variance must be positive and finite, got {v_ave}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    _require_loss_inputs(v_ave, eta)
     denom = eta * (v_ave + 1.0 / v_ave - 2.0) + 2.0
     root = 1.0 - eta + (2.0 * eta - 1.0) / denom
     return 4.0 * root * root
@@ -108,17 +106,15 @@ def epr_from_photons(n_min, n_excess):
     """
     n_min = np.asarray(n_min, dtype=float)
     n_excess = np.asarray(n_excess, dtype=float)
-    if not (np.all(n_min >= 0.0) and np.all(n_excess >= 0.0)):
-        raise ValueError("photon numbers must be non-negative")
-    if not (np.all(n_min < math.inf) and np.all(n_excess < math.inf)):
-        raise ValueError("photon numbers must be finite")
+    _require_photon_numbers(n_min, n_excess)
     m = n_min + 1.0
-    insep = m - np.sqrt(m * m - 1.0)
-    root = (2.0 * n_excess * insep + 1.0) / (n_excess + m)
-    result = root * root
-    if result.ndim == 0:
-        return float(result)
-    return result
+    # Where m^2 overflows (n_min above about 1.3e154), I = 0.5/m as in insep_from_nmin.
+    with np.errstate(over="ignore"):
+        root = np.sqrt(m * m - 1.0)
+    insep = np.where(np.isinf(root), 0.5 / m, m - root)
+    ratio = (2.0 * n_excess * insep + 1.0) / (n_excess + m)
+    result = ratio * ratio
+    return result if result.ndim else float(result)
 
 
 def epr_asymptotes(insep: float) -> EprAsymptotes:

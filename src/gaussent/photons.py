@@ -132,9 +132,7 @@ def insep_from_nmin(n_min):
     with np.errstate(over="ignore"):
         root = np.sqrt(m * m - 1.0)
     result = np.where(np.isinf(root), 0.5 / m, 1.0 / (m + root))
-    if result.ndim == 0:
-        return float(result)
-    return result
+    return result if result.ndim else float(result)
 
 
 def nmin_from_insep(insep):
@@ -152,17 +150,16 @@ def nmin_from_insep(insep):
         ValueError: if any degree is not positive (NaN included).
     """
     if type(insep) is float:  # spares the scalar measures numpy's per-call cost
-        if not insep > 0.0:
-            raise ValueError(f"degree of inseparability must be positive, got {insep}")
-        return 0.5 * (insep + 1.0 / insep) - 1.0
-    values = np.asarray(insep, dtype=float)
-    positive = values > 0.0
-    if not positive.all():
-        bad = values[~positive]
-        raise ValueError(f"degree of inseparability must be positive, got {float(bad[0])}")
-    if values.ndim == 0:
-        values = float(values)
-    return 0.5 * (values + 1.0 / values) - 1.0
+        first_bad = insep
+    else:
+        insep = np.asarray(insep, dtype=float)
+        bad = insep[~(insep > 0.0)]
+        first_bad = float(bad[0]) if bad.size else 1.0  # 1.0: a stand-in that passes
+        if insep.ndim == 0:
+            insep = float(insep)
+    if not first_bad > 0.0:
+        raise ValueError(f"degree of inseparability must be positive, got {first_bad}")
+    return 0.5 * (insep + 1.0 / insep) - 1.0
 
 
 def cross_corr_from_photons(n_min: float, n_excess: float) -> float:
@@ -177,11 +174,11 @@ def cross_corr_from_photons(n_min: float, n_excess: float) -> float:
     return n_excess + math.sqrt(n_min * (n_min + 2.0))
 
 
-def _require_photon_numbers(n_min: float, n_excess: float) -> None:
-    """ValueError unless both scalar photon numbers are non-negative and finite."""
-    if not (n_min >= 0.0 and n_excess >= 0.0):
+def _require_photon_numbers(n_min, n_excess) -> None:
+    """ValueError unless every photon number, float or array element, is non-negative and finite."""
+    if not (np.all(n_min >= 0.0) and np.all(n_excess >= 0.0)):
         raise ValueError("photon numbers must be non-negative")
-    if not (n_min < math.inf and n_excess < math.inf):
+    if not (np.all(n_min < math.inf) and np.all(n_excess < math.inf)):
         raise ValueError("photon numbers must be finite")
 
 

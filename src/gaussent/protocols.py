@@ -55,10 +55,7 @@ class ContourGrid:
                 f"values shape {values.shape} does not match axes "
                 f"({nmin.size}, {nexcess.size})"
             )
-        for name, axis in (("nmin_axis", nmin), ("nexcess_axis", nexcess)):
-            if not (rises := np.diff(axis) > 0.0).all():
-                first, then = axis[np.argmin(rises) :][:2].tolist()  # where it first fails to rise
-                raise ValueError(f"{name} must be strictly increasing, got {first} then {then}")
+        _require_rising_axes(nmin, nexcess)
         for arr in (nmin, nexcess, values):
             arr.setflags(write=False)
         object.__setattr__(self, "nmin_axis", nmin)
@@ -112,6 +109,14 @@ class ContourGrid:
             "nmin_axis": self.nmin_axis.tolist(),
             "nexcess_axis": self.nexcess_axis.tolist(),
         }
+
+
+def _require_rising_axes(nmin_axis: np.ndarray, nexcess_axis: np.ndarray) -> None:
+    """ValueError naming the first axis, and its step, that does not strictly increase."""
+    for name, axis in (("nmin_axis", nmin_axis), ("nexcess_axis", nexcess_axis)):
+        if not (rises := np.diff(axis) > 0.0).all():
+            first, then = axis[np.argmin(rises) :][:2].tolist()  # where it first fails to rise
+            raise ValueError(f"{name} must be strictly increasing, got {first} then {then}")
 
 
 # What opens a cell of the JSON values: another cell of the row, the first
@@ -215,13 +220,11 @@ def _require_finite_budget(n_encoding: float) -> None:
         raise ValueError(f"photon budget must be finite, got {n_encoding}")
 
 
-def _dense_capacity(signal, n_min):
-    """log2(1 + signal / I(n_min)), elementwise over arrays.
-
-    The dense-coding capacity of ``signal`` photons shared by the two
-    quadrature channels, whose noise is the degree of inseparability.
-    """
-    return np.log2(1.0 + signal / insep_from_nmin(n_min))
+def _dense_capacity(n_encoding, n_min, n_excess):
+    """log2(1 + s / I(n_min)) with signal s = n_encoding - (n_min + n_excess)/2,
+    elementwise over floats or arrays; NaN where s < 0, a state over the budget."""
+    signal = n_encoding - 0.5 * (n_min + n_excess)
+    return np.log2(1.0 + np.where(signal >= 0.0, signal, np.nan) / insep_from_nmin(n_min))
 
 
 def dense_coding_capacity(n_encoding: float, n_min: float, n_excess: float) -> float:
@@ -237,14 +240,14 @@ def dense_coding_capacity(n_encoding: float, n_min: float, n_excess: float) -> f
             budget is not finite or does not cover the entangled state.
     """
     _require_photon_numbers(n_min, n_excess)
-    n_total = n_min + n_excess
-    if not n_encoding >= 0.5 * n_total:
+    capacity = float(_dense_capacity(n_encoding, n_min, n_excess))
+    if math.isnan(capacity):
         raise ValueError(
-            f"photon budget {n_encoding} is below the {0.5 * n_total:.6g} needed "
+            f"photon budget {n_encoding} is below the {0.5 * (n_min + n_excess):.6g} needed "
             "for the entangled state"
         )
     _require_finite_budget(n_encoding)
-    return float(_dense_capacity(n_encoding - 0.5 * n_total, n_min))
+    return capacity
 
 
 def capacity_ratio(n_encoding: float, n_min: float, n_excess: float) -> float:
@@ -274,8 +277,10 @@ def contour_grid(
     ``insep_from_nmin`` are evaluated on n points.
 
     Raises:
-        ValueError: for an unknown metric token, bad ranges, a resolution
-            outside [2, MAX_RESOLUTION] or missing metric parameters.
+        ValueError, before any n x n array is built: for an unknown metric
+            token, a resolution outside [2, MAX_RESOLUTION], bad ranges,
+            missing or unused params, or an axis that does not strictly
+            increase (a range too narrow for its resolution).
     """
     if metric not in GRID_METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {GRID_METRICS}")
@@ -287,34 +292,26 @@ def contour_grid(
                 f"{name} must be finite, non-negative and increasing, got ({lo}, {hi})"
             )
     params = dict(params or {})
-
-    nmin_axis = np.linspace(nmin_range[0], nmin_range[1], resolution)
-    nexcess_axis = np.linspace(nexcess_range[0], nexcess_range[1], resolution)
-    nm, ne = nmin_axis[:, None], nexcess_axis[None, :]
-
-    if metric == "epr":
-        values = epr_from_photons(nm, ne)
-        params = {}
-    elif metric == "fidelity":
-        # Constant along the excess axis: vertical efficacy contours.
-        values = np.repeat(_fidelity(insep_from_nmin(nm)), resolution, axis=1)
-        params = {}
-    else:
+    if unused := [key for key in params if (metric, key) != ("dense_ratio", "n_encoding")]:
+        raise ValueError(f"{metric} grids do not use params {unused}")
+    if metric == "dense_ratio":
         if "n_encoding" not in params:
             raise ValueError("dense_ratio grids need params={'n_encoding': ...}")
         n_encoding = float(params["n_encoding"])
         if not 0.0 < n_encoding < math.inf:
             raise ValueError(f"n_encoding must be positive and finite, got {n_encoding}")
         params = {"n_encoding": n_encoding}
-        signal = n_encoding - 0.5 * (nm + ne)
-        optimum = optimal_squeezed_capacity(n_encoding)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            values = np.where(signal >= 0.0, _dense_capacity(signal, nm) / optimum, np.nan)
+    nmin_axis = np.linspace(nmin_range[0], nmin_range[1], resolution)
+    nexcess_axis = np.linspace(nexcess_range[0], nexcess_range[1], resolution)
+    _require_rising_axes(nmin_axis, nexcess_axis)
 
-    return ContourGrid(
-        metric=metric,
-        nmin_axis=nmin_axis,
-        nexcess_axis=nexcess_axis,
-        values=values,
-        params=params,
-    )
+    nm, ne = nmin_axis[:, None], nexcess_axis[None, :]
+    if metric == "epr":
+        values = epr_from_photons(nm, ne)
+    elif metric == "fidelity":
+        # Constant along the excess axis: vertical efficacy contours.
+        values = np.repeat(_fidelity(insep_from_nmin(nm)), resolution, axis=1)
+    else:
+        values = _dense_capacity(n_encoding, nm, ne) / optimal_squeezed_capacity(n_encoding)
+
+    return ContourGrid(metric, nmin_axis, nexcess_axis, values, params)

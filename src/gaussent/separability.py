@@ -298,8 +298,13 @@ def inseparability_vs_loss(v_ave: float, eta: float) -> float:
     variance of the inputs.  Below 1 whenever v_ave < 1 and eta > 0, so
     loss alone never makes the state separable.
     """
+    _require_loss_inputs(v_ave, eta)
+    return eta * v_ave + (1.0 - eta)
+
+
+def _require_loss_inputs(v_ave: float, eta: float) -> None:
+    """ValueError unless ``v_ave`` and ``eta`` lie in the equal-loss closed forms' domain."""
     if not 0.0 < v_ave < math.inf:
         raise ValueError(f"average squeezed variance must be positive and finite, got {v_ave}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    return eta * v_ave + (1.0 - eta)

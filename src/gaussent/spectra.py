@@ -40,6 +40,7 @@ import logging
 import math
 import os
 import warnings
+from codecs import BOM_UTF8
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -540,6 +541,10 @@ def read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
+        if os.path.getsize(path) == 3 + len(exc.object):  # utf-8-sig counts from after a BOM
+            exc = UnicodeDecodeError(
+                exc.encoding, BOM_UTF8 + exc.object, exc.start + 3, exc.end + 3, exc.reason
+            )
         raise ValueError(f"{path}: {exc}") from None
 
 

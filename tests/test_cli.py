@@ -1,4 +1,5 @@
 import ast
+import codecs
 import json
 import math
 import os
@@ -468,7 +469,16 @@ class TestContours:
         assert err.startswith("gaussent: error:") and "4096" in err
 
     @pytest.mark.parametrize("axis", ["nmin", "nexcess"])
-    def test_repeated_axis_value_is_named(self, capsys, axis):
+    def test_repeated_axis_value_is_named(self, capsys, monkeypatch, axis):
+        def evaluated(*args):
+            raise AssertionError("a refused grid evaluated its metric")
+
+        monkeypatch.setattr("gaussent.protocols.epr_from_photons", evaluated)
+        code, out, err = run_cli(
+            capsys, "contours", "--metric", "epr", "--grid", "4096", f"--{axis}-max", "1e-320"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"gaussent: error: {axis}_axis must be strictly increasing, got ")
         code, out, err = run_cli(
             capsys, "contours", "--metric", "epr", "--grid", "4", f"--{axis}-max", "1e-323"
         )
@@ -610,12 +620,15 @@ class TestCliContract:
         self, capsys, tmp_path, monkeypatch, command
     ):
         path = tmp_path / "input"
-        path.write_bytes(b"\xff")
         monkeypatch.setenv("GAUSSENT_FIXTURES", str(path))
         argv = {"ingest": ["ingest", str(path)], "analyze": ["analyze", "--cm", str(path)]}
-        code, out, err = run_cli(capsys, *argv.get(command, [command]))
-        assert (code, out) == (1, "")
-        assert err == f"gaussent: error: {path}: {_NOT_UTF8}\n"
+        # Behind a BOM the bad byte is named at its offset in the file.
+        for content, offset in ((b"\xff", 0), (codecs.BOM_UTF8 + b"\xff", 3)):
+            path.write_bytes(content)
+            code, out, err = run_cli(capsys, *argv.get(command, [command]))
+            assert (code, out) == (1, "")
+            message = _NOT_UTF8.replace("position 0", f"position {offset}")
+            assert err == f"gaussent: error: {path}: {message}\n"
 
     @pytest.mark.parametrize("command", ["ingest", "analyze --cm", "analyze --at"])
     def test_leading_bom_reads_as_its_absence(self, capsys, tmp_path, monkeypatch, command):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gaussent.epr import (
     epr_vs_loss,
 )
 from gaussent.photons import cm_from_photons, decompose, nmin_from_insep
+from gaussent.separability import inseparability_vs_loss
 from gaussent.states import (
     CorrelationMatrix4,
     SqueezedBeam,
@@ -119,6 +121,12 @@ class TestEprVsLoss:
                 epr_vs_loss(v, 0.5)
         with pytest.raises(ValueError):
             epr_vs_loss(0.5, -0.1)
+        # Both equal-loss closed forms refuse the same inputs with the same words.
+        for v, eta in ((0.0, 0.5), (math.nan, -1.0), (0.5, -0.1), (0.5, math.nan), (0.5, 1.5)):
+            with pytest.raises(ValueError) as refused:
+                epr_vs_loss(v, eta)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+                inseparability_vs_loss(v, eta)
 
 
 class TestEprFromPhotons:
@@ -160,6 +168,20 @@ class TestEprFromPhotons:
         assert values.shape == (2,)
         assert values[0] == pytest.approx(1.0)
         assert values[1] == pytest.approx(epr_from_photons(0.356, 1.944))
+
+    def test_budgets_past_the_square_overflow_match_mpmath(self):
+        """From n_min of about 1.34e154 on, (n_min + 1)^2 overflows; I = 0.5/m there."""
+        mpmath = pytest.importorskip("mpmath")
+        n_min = np.concatenate(([1e154, 1.34e154, 1.35e154], np.logspace(155, 300, 30)))
+        n_excess = np.concatenate(([0.0, 1.0, 1e3], np.logspace(10, 300, 30)))
+        values = epr_from_photons(n_min[:, None], n_excess[None, :])
+        assert np.isfinite(values).all()
+        assert epr_from_photons(1e200, 1e3) == 0.0  # 1e-400, below the smallest double
+        with mpmath.workdps(60):
+            for (i, j), value in np.ndenumerate(values):
+                m, e = mpmath.mpf(float(n_min[i])) + 1, mpmath.mpf(float(n_excess[j]))
+                insep = m - mpmath.sqrt(m * m - 1)
+                assert abs(float(value) - ((2 * e * insep + 1) / (e + m)) ** 2) <= 1e-300
 
 
 class TestAsymptotes:

@@ -197,6 +197,12 @@ class TestNminFromInsep:
             nmin_from_insep(0.0)
         with pytest.raises(ValueError, match="positive, got -1.0"):
             nmin_from_insep(np.array([0.5, -1.0, np.nan]))
+        # 0-d and array inputs give the scalar message, naming the first bad degree.
+        for bad in (0.0, -1.0, -math.inf, math.nan):
+            message = f"^degree of inseparability must be positive, got {bad}$"
+            for insep in (bad, np.float64(bad), np.array(bad), np.array([[0.5, bad], [-2.0, 1]])):
+                with pytest.raises(ValueError, match=message):
+                    nmin_from_insep(insep)
 
     def test_arrays_match_scalars(self):
         inseps = np.array([1e-3, 0.44, 1.0, 2.5, 1e6])

@@ -257,6 +257,43 @@ class TestContourGrid:
             with pytest.raises(ValueError, match=rf"\[2, {MAX_RESOLUTION}\], got {resolution}"):
                 contour_grid("epr", resolution=resolution)
 
+    def test_refused_grid_never_evaluates_its_metric(self, monkeypatch):
+        class Evaluated(Exception):
+            pass
+
+        def evaluated(*args, **kwargs):
+            raise Evaluated
+
+        monkeypatch.setattr("gaussent.protocols.epr_from_photons", evaluated)
+        monkeypatch.setattr("gaussent.protocols._dense_capacity", evaluated)
+        budget = {"n_encoding": 2.0}
+        for metric, params in (("epr", None), ("dense_ratio", budget)):
+            with pytest.raises(Evaluated):
+                contour_grid(metric, resolution=3, params=params)
+            with pytest.raises(ValueError, match="^nmin_axis must be strictly increasing"):
+                contour_grid(metric, (0.0, 1e-320), resolution=MAX_RESOLUTION, params=params)
+            with pytest.raises(ValueError, match="^nexcess_axis must be strictly increasing"):
+                contour_grid(metric, nexcess_range=(0.0, 1e-323), resolution=4, params=params)
+        for metric, params in (("epr", budget), ("dense_ratio", {**budget, "scale": 1.0})):
+            with pytest.raises(ValueError, match="do not use params"):
+                contour_grid(metric, resolution=3, params=params)
+
+    @pytest.mark.parametrize(
+        "metric, params, message",
+        [
+            ("epr", {"n_encoding": 5.0}, "epr grids do not use params ['n_encoding']"),
+            ("fidelity", {"a": 1, "b": 2}, "fidelity grids do not use params ['a', 'b']"),
+            ("dense_ratio", {"n_encoding": 5.0, "eta": 0.5},
+             "dense_ratio grids do not use params ['eta']"),
+            # An unused key is named before a missing budget.
+            ("dense_ratio", {"eta": 0.5}, "dense_ratio grids do not use params ['eta']"),
+        ],
+        ids=["epr", "fidelity", "dense_ratio", "dense_ratio-without-budget"],
+    )
+    def test_unused_params_are_refused_by_name(self, metric, params, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            contour_grid(metric, resolution=3, params=params)
+
     def test_rejects_non_finite_range(self):
         for bad in ((0.0, np.inf), (0.0, np.nan), (np.nan, 1.0), (np.inf, np.inf)):
             with pytest.raises(ValueError, match="finite"):
@@ -330,6 +367,12 @@ def test_closed_forms_reject_nan(function, args):
         (insep_from_nmin, (np.array([1e200, math.inf]),), "n_min must be finite"),
         # A negative value keeps its message, also beside an infinite one.
         (epr_from_photons, (-0.1, math.inf), "photon numbers must be non-negative"),
+        # 0-d and array inputs give the scalar messages, in the same order.
+        (epr_from_photons, (np.array(math.inf), np.array(0.1)), "photon numbers must be finite"),
+        (epr_from_photons, (np.array(math.inf), np.array(-0.1)),
+         "photon numbers must be non-negative"),
+        (epr_from_photons, (np.array([0.5, math.inf]), np.array([0.1, math.nan])),
+         "photon numbers must be non-negative"),
         (optimal_squeezed_capacity, (-1.0,), "photon budget must be non-negative, got -1.0"),
     ],
 )
