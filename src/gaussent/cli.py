@@ -74,7 +74,6 @@ def build_parser() -> _Parser:
     p_model.add_argument(
         "--eta", type=float, default=1.0, help="detection efficiency applied to both beams"
     )
-    p_model.add_argument("--out", help="output file (default: stdout)")
 
     p_analyze = sub.add_parser(
         "analyze", help="entanglement measures and photon budget of a stored matrix"
@@ -87,7 +86,6 @@ def build_parser() -> _Parser:
     p_analyze.add_argument(
         "--at", help="anchor label to analyze when --cm names an anchor file (e.g. 6.5MHz)"
     )
-    p_analyze.add_argument("--out", help="output file (default: stdout)")
 
     p_sweep = sub.add_parser(
         "sweep-loss", help="closed-form loss dependence of both entanglement measures"
@@ -98,7 +96,6 @@ def build_parser() -> _Parser:
     p_sweep.add_argument(
         "--steps", type=int, default=21, help="number of efficiency points over [0, 1]"
     )
-    p_sweep.add_argument("--out", help="output file (default: stdout)")
 
     p_contours = sub.add_parser(
         "contours", help="efficacy grid over the (n_min, n_excess) plane"
@@ -121,10 +118,6 @@ def build_parser() -> _Parser:
     p_contours.add_argument(
         "--grid", type=int, default=200, help=f"points per axis, 2 to {protocols.MAX_RESOLUTION}"
     )
-    p_contours.add_argument("--out", help="output file (default: stdout)")
-    p_contours.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="output format"
-    )
 
     p_ingest = sub.add_parser(
         "ingest", help="derive metric spectra from a measured variance table"
@@ -133,33 +126,28 @@ def build_parser() -> _Parser:
     p_ingest.add_argument(
         "--db", action="store_true", help="variances in the input are in dB"
     )
-    p_ingest.add_argument("--out", help="output file (default: stdout)")
-    p_ingest.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="output format"
-    )
 
-    p_fixtures = sub.add_parser("fixtures", help="print the bundled anchor matrices")
-    p_fixtures.add_argument("--out", help="output file (default: stdout)")
+    sub.add_parser("fixtures", help="print the bundled anchor matrices")
 
+    # Added last, so each subcommand's help lists them after its own options.
+    for name, p in sub.choices.items():
+        p.add_argument("--out", help="output file (default: stdout)")
+        if name in ("contours", "ingest"):
+            p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     return parser
 
 
-def _cmd_model(args) -> int:
-    beam1 = SqueezedBeam.pure(args.v1)
-    beam2 = SqueezedBeam.pure(args.v2)
-    state = entangle_on_beamsplitter(beam1, beam2)
-    if args.eta != 1.0:
-        state = apply_loss(state, args.eta, args.eta)
-    _emit(_json_text(state.to_json_dict()), args.out)
-    return 0
+def _cmd_model(args) -> str:
+    beams = SqueezedBeam.pure(args.v1), SqueezedBeam.pure(args.v2)
+    state = apply_loss(entangle_on_beamsplitter(*beams), args.eta, args.eta)
+    return _json_text(state.to_json_dict())
 
 
-def _cmd_analyze(args) -> int:
-    _emit(_json_text(analyze_cm(*spectra.load_matrix(args.cm, args.at))), args.out)
-    return 0
+def _cmd_analyze(args) -> str:
+    return _json_text(analyze_cm(*spectra.load_matrix(args.cm, args.at)))
 
 
-def _cmd_sweep_loss(args) -> int:
+def _cmd_sweep_loss(args) -> Iterable[str]:
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
     # Both closed forms share one gate on --v; one call here raises before the first byte.
@@ -171,11 +159,10 @@ def _cmd_sweep_loss(args) -> int:
     )
     # 4096 lines to a chunk: a chunk per line writes up to a quarter slower.
     chunks = iter(lambda: "".join(islice(lines, 4096)), "")
-    _emit(chain(["eta,inseparability,epr\n"], chunks), args.out)
-    return 0
+    return chain(["eta,inseparability,epr\n"], chunks)
 
 
-def _cmd_contours(args) -> int:
+def _cmd_contours(args) -> Iterable[str]:
     params = {}
     if args.metric == "dense_ratio":
         if args.n_encoding is None:
@@ -190,19 +177,15 @@ def _cmd_contours(args) -> int:
         resolution=args.grid,
         params=params,
     )
-    _emit(grid.csv_chunks() if args.format == "csv" else grid.json_chunks(), args.out)
-    return 0
+    return grid.csv_chunks() if args.format == "csv" else grid.json_chunks()
 
 
-def _cmd_ingest(args) -> int:
-    units = "dB" if args.db else "linear"
-    _emit(spectra.ingest_file(args.spectra, units, args.format == "json"), args.out)
-    return 0
+def _cmd_ingest(args) -> Iterable[str]:
+    return spectra.ingest_file(args.spectra, "dB" if args.db else "linear", args.format == "json")
 
 
-def _cmd_fixtures(args) -> int:
-    _emit(spectra.read_text(spectra.bundled_fixture_path()), args.out)
-    return 0
+def _cmd_fixtures(args) -> str:
+    return spectra.read_text(spectra.bundled_fixture_path())
 
 
 _COMMANDS = {
@@ -223,7 +206,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        # A command checks its input before it returns, so a refused one leaves --out unopened.
+        _emit(_COMMANDS[args.command](args), args.out)
+        return 0
     except (ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"gaussent: error: {message}", file=sys.stderr)

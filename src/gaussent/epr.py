@@ -112,7 +112,8 @@ def epr_from_photons(n_min, n_excess):
     with np.errstate(over="ignore"):
         root = np.sqrt(m * m - 1.0)
     insep = np.where(np.isinf(root), 0.5 / m, m - root)
-    ratio = (2.0 * n_excess * insep + 1.0) / (n_excess + m)
+    # Numerator and denominator halved: the same bits, and no overflow up to the float limit.
+    ratio = (n_excess * insep + 0.5) / (0.5 * n_excess + 0.5 * m)
     result = ratio * ratio
     return result if result.ndim else float(result)
 

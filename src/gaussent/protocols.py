@@ -211,7 +211,8 @@ def optimal_squeezed_capacity(n_encoding: float) -> float:
     if not n_encoding >= 0.0:
         raise ValueError(f"photon budget must be non-negative, got {n_encoding}")
     _require_finite_budget(n_encoding)
-    return math.log2(1.0 + 2.0 * n_encoding)
+    two_n = 2.0 * n_encoding  # inf above about 9e307, where log2(1 + 2n) = 1 + log2(n)
+    return math.log2(1.0 + two_n) if two_n < math.inf else 1.0 + math.log2(n_encoding)
 
 
 def _require_finite_budget(n_encoding: float) -> None:
@@ -224,7 +225,15 @@ def _dense_capacity(n_encoding, n_min, n_excess):
     """log2(1 + s / I(n_min)) with signal s = n_encoding - (n_min + n_excess)/2,
     elementwise over floats or arrays; NaN where s < 0, a state over the budget."""
     signal = n_encoding - 0.5 * (n_min + n_excess)
-    return np.log2(1.0 + np.where(signal >= 0.0, signal, np.nan) / insep_from_nmin(n_min))
+    insep = insep_from_nmin(n_min)
+    with np.errstate(over="ignore"):
+        capacity = np.log2(1.0 + np.where(signal >= 0.0, signal, np.nan) / insep)
+    if np.fmax.reduce(capacity, axis=None) == np.inf:  # s / I overflowed: log2 s - log2 I
+        over = np.isinf(capacity)
+        signal, insep = (np.broadcast_to(a, over.shape)[over] for a in (signal, insep))
+        capacity = np.array(capacity)
+        capacity[over] = np.log2(signal) - np.log2(insep)
+    return capacity
 
 
 def dense_coding_capacity(n_encoding: float, n_min: float, n_excess: float) -> float:

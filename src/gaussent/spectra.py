@@ -40,7 +40,6 @@ import logging
 import math
 import os
 import warnings
-from codecs import BOM_UTF8
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -537,14 +536,11 @@ def load_paper_anchors(path: str | None = None) -> PaperAnchors:
 
 def read_text(path: str) -> str:
     """The UTF-8 text at ``path``, less any BOM; ValueError, naming the file, if it is not UTF-8."""
+    # Text mode reads CRLF and CR as LF; plain utf-8 reports a byte's offset in the file.
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            return handle.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        if os.path.getsize(path) == 3 + len(exc.object):  # utf-8-sig counts from after a BOM
-            exc = UnicodeDecodeError(
-                exc.encoding, BOM_UTF8 + exc.object, exc.start + 3, exc.end + 3, exc.reason
-            )
         raise ValueError(f"{path}: {exc}") from None
 
 

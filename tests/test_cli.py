@@ -161,6 +161,12 @@ class TestAnalyze:
              "'epr_from_measured_cv'"),
             ({**bare, "measured": {"cv_plus": 1e200, "cv_minus": 1e200}}, (),
              "'epr_from_measured_cv'"),
+            ({"matrix": bare["matrix"]}, (),
+             "correlation-matrix JSON needs 'order' and 'matrix' keys: 'order'"),
+            ({"cm": {"order": bare["order"]}}, (),
+             "correlation-matrix JSON needs 'order' and 'matrix' keys: 'matrix'"),
+            ({key: anchors[key] for key in ("3.5MHz", "6.5MHz")}, at_65,
+             "lacks the 'statistical_error' field"),
         )
         path = tmp_path / "input.json"
         for data, extra, named in cases:
@@ -449,6 +455,23 @@ class TestContours:
             by_nmin.setdefault(n_min, set()).add(value)
         assert all(len(values) == 1 for values in by_nmin.values())
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # mpmath's values at each cell, row by row.
+            (["--metric", "dense_ratio", "--n-encoding", "1e308", "--nmin-max", "1e300"],
+             [0.999023584203828, 0.999023584203828, 1.973074919672009, 1.973074919672009]),
+            (["--metric", "epr", "--nexcess-max", "1e308"],
+             [1.0, 4.0, 0.0625, 0.06453292136265967]),
+        ],
+        ids=["dense_ratio", "epr"],
+    )
+    def test_grids_near_the_float_limit_stay_finite(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, "contours", *argv, "--grid", "2")
+        assert (code, err) == (0, "")
+        values = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+        assert values == pytest.approx(expected, rel=1e-14, abs=0)
+
     def test_rejects_non_finite_range(self, capsys):
         for value in ("inf", "nan"):
             code, out, err = run_cli(
@@ -622,12 +645,18 @@ class TestCliContract:
         path = tmp_path / "input"
         monkeypatch.setenv("GAUSSENT_FIXTURES", str(path))
         argv = {"ingest": ["ingest", str(path)], "analyze": ["analyze", "--cm", str(path)]}
-        # Behind a BOM the bad byte is named at its offset in the file.
-        for content, offset in ((b"\xff", 0), (codecs.BOM_UTF8 + b"\xff", 3)):
+        # Behind a BOM the bad byte is named at its offset in the file, and a
+        # cut-off BOM is bytes that are not UTF-8.
+        for content, message in (
+            (b"\xff", _NOT_UTF8),
+            (codecs.BOM_UTF8 + b"\xff", _NOT_UTF8.replace("position 0", "position 3")),
+            (b"\xef\xbb",
+             "'utf-8' codec can't decode bytes in position 0-1: unexpected end of data"),
+            (b"\xef", "'utf-8' codec can't decode byte 0xef in position 0: unexpected end of data"),
+        ):
             path.write_bytes(content)
             code, out, err = run_cli(capsys, *argv.get(command, [command]))
             assert (code, out) == (1, "")
-            message = _NOT_UTF8.replace("position 0", f"position {offset}")
             assert err == f"gaussent: error: {path}: {message}\n"
 
     @pytest.mark.parametrize("command", ["ingest", "analyze --cm", "analyze --at"])
@@ -640,9 +669,15 @@ class TestCliContract:
             "analyze --at": anchors,
         }[command]
         outputs = []
-        for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        # CRLF and CR-only line ends read as LF ones.
+        for name, encoding, newline in (
+            ("plain", "utf-8", "\n"),
+            ("crlf", "utf-8", "\r\n"),
+            ("cr", "utf-8", "\r"),
+            ("bom", "utf-8-sig", "\n"),
+        ):
             path = tmp_path / name
-            path.write_text(text, encoding=encoding)
+            path.write_text(text, encoding=encoding, newline=newline)
             monkeypatch.setenv("GAUSSENT_FIXTURES", str(path))
             argv = {
                 "ingest": ["ingest", str(path)],
@@ -651,7 +686,7 @@ class TestCliContract:
             }[command]
             outputs.append(run_cli(capsys, *argv))
         assert path.read_bytes().startswith(b"\xef\xbb\xbf")
-        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+        assert outputs[0][0] == 0 and all(output == outputs[0] for output in outputs)
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -182,6 +183,25 @@ class TestEprFromPhotons:
                 m, e = mpmath.mpf(float(n_min[i])) + 1, mpmath.mpf(float(n_excess[j]))
                 insep = m - mpmath.sqrt(m * m - 1)
                 assert abs(float(value) - ((2 * e * insep + 1) / (e + m)) ** 2) <= 1e-300
+
+    def test_excess_past_the_doubling_overflow_matches_mpmath(self):
+        """From n_excess of about 9e307 on, 2 n_excess overflows, and from n_excess + m
+        of about 1.8e308 the denominator too; E halves both, so neither overflows."""
+        mpmath = pytest.importorskip("mpmath")
+        n_min = np.array([0.0, 1.0, 3.0, 1e200, 1e300, 1e307, 1e308])
+        n_excess = np.array(
+            [*np.logspace(300, 308, 17), 8.99e307, 9e307, 1.79e308, sys.float_info.max]
+        )
+        values = epr_from_photons(n_min[:, None], n_excess[None, :])
+        assert np.isfinite(values).all()
+        assert epr_from_photons(0.0, 1e308) == pytest.approx(4.0, rel=1e-15, abs=0)
+        with mpmath.workdps(60):
+            for (i, j), value in np.ndenumerate(values):
+                m, e = mpmath.mpf(float(n_min[i])) + 1, mpmath.mpf(float(n_excess[j]))
+                insep = 1 / (m + mpmath.sqrt(m * m - 1))
+                expected = ((2 * e * insep + 1) / (e + m)) ** 2
+                assert abs(value - expected) <= 1e-14 * expected + 1e-300
+                assert epr_from_photons(float(n_min[i]), float(n_excess[j])) == value
 
 
 class TestAsymptotes:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -103,6 +104,15 @@ class TestOptimalSqueezedCapacity:
         )
         assert optimal_squeezed_capacity(125.0) == pytest.approx(7.972, abs=1e-3)
 
+    def test_budgets_past_the_doubling_overflow_match_mpmath(self):
+        """Above about 9e307, 2n overflows; log2(1 + 2n) = 1 + log2(n) there."""
+        mpmath = pytest.importorskip("mpmath")
+        budgets = [*np.logspace(300, 308, 17), 8.99e307, 9e307, 1.79e308, sys.float_info.max]
+        with mpmath.workdps(50):
+            for n in map(float, budgets):
+                expected = float(mpmath.log(1 + 2 * mpmath.mpf(n), 2))
+                assert optimal_squeezed_capacity(n) == pytest.approx(expected, rel=1e-15, abs=0)
+
     def test_matches_numeric_maximization(self):
         for n in (0.5, 3.375, 125.0):
             numeric, v_opt = maximize_squeezed_capacity(n)
@@ -146,6 +156,35 @@ class TestCapacityRatio:
     def test_small_budget_penalized_by_excess(self):
         ratios = [capacity_ratio(3.375, 0.356, e) for e in np.linspace(0.0, 4.0, 9)]
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
+
+    def test_budgets_near_the_float_limit_match_mpmath(self):
+        """s / I overflows where the budget is huge and I small; log2 s - log2 I there.
+        Floats and grids alike, and NaN where the state is over the budget."""
+        mpmath = pytest.importorskip("mpmath")
+
+        def ratio(budget, n_min, n_excess):
+            budget, n_min, n_excess = map(mpmath.mpf, (budget, n_min, n_excess))
+            signal, m = budget - (n_min + n_excess) / 2, n_min + 1
+            if signal < 0:
+                return math.nan
+            inverse_insep = m + mpmath.sqrt(m * m - 1)
+            capacity = mpmath.log(1 + signal * inverse_insep, 2)
+            return float(capacity / mpmath.log(1 + 2 * budget, 2))
+
+        expected = pytest.approx(0.999023584203827620, rel=1e-15, abs=0)
+        assert capacity_ratio(1e308, 0.0, 0.0) == expected
+        budgets = [*np.logspace(300, 308, 9), 9e307, 1.79e308, sys.float_info.max]
+        points = [(0.0, 0.0), (1.0, 1e3), (1e10, 0.0), (1e154, 1e154), (1e200, 1e300), (1e300, 0)]
+        with mpmath.workdps(60):
+            for budget in map(float, budgets):
+                for point in points:
+                    expected = pytest.approx(ratio(budget, *point), rel=1e-14, abs=0)
+                    assert capacity_ratio(budget, *point) == expected
+                params = {"n_encoding": budget}
+                grid = contour_grid("dense_ratio", (0.0, 1e300), (0.0, 2e300), 5, params)
+                expected = [[ratio(budget, a, b) for b in grid.nexcess_axis]
+                            for a in grid.nmin_axis]
+                np.testing.assert_allclose(grid.values, expected, rtol=1e-14)
 
     def test_large_budget_insensitive_to_excess(self):
         for n_min in (0.1, 0.356, 1.0):
@@ -231,6 +270,12 @@ class TestContourGrid:
                     nexcess_axis=np.array([0.0, 1.0]),
                     values=np.zeros((2, 2)),
                 )
+
+    def test_values_must_match_the_axes(self):
+        for values in (np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(6)):
+            message = f"values shape {values.shape} does not match axes (3, 2)"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ContourGrid("epr", [0.0, 1.0, 2.0], [0.0, 1.0], values)
 
     def test_callers_arrays_stay_writeable(self):
         nmin, nexcess, values = np.array([0.0, 1.0]), np.array([0.0, 2.0]), np.zeros((2, 2))
@@ -374,6 +419,7 @@ def test_closed_forms_reject_nan(function, args):
         (epr_from_photons, (np.array([0.5, math.inf]), np.array([0.1, math.nan])),
          "photon numbers must be non-negative"),
         (optimal_squeezed_capacity, (-1.0,), "photon budget must be non-negative, got -1.0"),
+        (capacity_ratio, (0.0, 0.0, 0.0), "capacity ratio undefined at zero photon budget"),
     ],
 )
 def test_closed_forms_reject_infinity(function, args, message):

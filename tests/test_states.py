@@ -114,6 +114,9 @@ class TestCorrelationMatrix4:
         assert data["order"] == ["xp", "xm", "yp", "ym"]
         restored = CorrelationMatrix4.from_json_dict(data)
         assert restored == cm_65mhz
+        # Against anything but a matrix, == defers and falls back to identity.
+        assert restored.__eq__(5) is NotImplemented
+        assert not restored == 5 and restored != data["matrix"]
 
     def test_from_json_rejects_bad_order(self, cm_65mhz):
         data = cm_65mhz.to_json_dict()
@@ -152,8 +155,10 @@ class TestBeamsplitter:
 
     def test_rejects_unphysical_input(self):
         bad = SqueezedBeam(0.5, 0.5)
-        with pytest.raises(ValueError, match="unphysical"):
+        with pytest.raises(ValueError, match="^first input beam is unphysical"):
             entangle_on_beamsplitter(bad, SqueezedBeam.vacuum())
+        with pytest.raises(ValueError, match="^second input beam is unphysical"):
+            entangle_on_beamsplitter(SqueezedBeam.vacuum(), bad)
 
     def test_near_perfect_squeezing_limit(self):
         beam = SqueezedBeam(1e-8, 1e8)
