@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Subcommands map onto the library workflows: ``model`` builds an entangled
-state from two squeezed inputs, ``analyze`` evaluates the entanglement
-measures and photon budget of a stored correlation matrix, ``sweep-loss``
-tabulates the closed-form loss dependence of both measures, ``contours``
-emits efficacy grids over the photon-number diagram, ``ingest`` derives
-metric spectra from measured variance tables, and ``fixtures`` prints the
-bundled anchor matrices.
+Subcommands map onto the library workflows: ``model`` writes the
+correlation matrix of an entangled state built from two squeezed inputs,
+``analyze`` evaluates the entanglement measures and photon budget of a
+stored correlation matrix, ``sweep-loss`` tabulates the closed-form loss
+dependence of both measures, ``contours`` emits efficacy grids over the
+photon-number diagram, ``ingest`` derives metric spectra from measured
+variance tables, and ``fixtures`` prints the bundled anchor matrices.
 
 Exit codes: 0 on success, 1 on a validation/usage error, 2 on I/O error.
 """
@@ -140,7 +140,7 @@ def build_parser() -> _Parser:
 def _cmd_model(args) -> str:
     beams = SqueezedBeam.pure(args.v1), SqueezedBeam.pure(args.v2)
     state = apply_loss(entangle_on_beamsplitter(*beams), args.eta, args.eta)
-    return _json_text(state.to_json_dict())
+    return _json_text(state.cm.to_json_dict())
 
 
 def _cmd_analyze(args) -> str:

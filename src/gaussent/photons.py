@@ -22,9 +22,10 @@ from .states import CorrelationMatrix4, SqueezedBeam, _quadratures, check_symmet
 class PhotonDecomposition:
     """Photon-number budget of one state.
 
-    Invariants: all components are non-negative, n_total = n_min + n_bias
-    + n_excess, and n_pure = n_min + n_bias.  ``g_bias_sq`` is the squared
-    gain of the equal local squeezing operation that removes the bias.
+    Invariants: n_total = n_min + n_bias + n_excess, n_pure = n_min + n_bias,
+    and for a physical matrix only, every component is non-negative (an
+    unphysical diag(0.5, 0.5, 0.5, 0.5) gives n_excess = -0.75).  ``g_bias_sq``
+    is the squared gain of the equal local squeezing that removes the bias.
     """
 
     n_total: float
@@ -41,24 +42,19 @@ class PhotonDecomposition:
 def mean_photon_number(beam: SqueezedBeam) -> float:
     """Mean photons per bandwidth per time in one sideband mode.
 
-    n = |a+|^2 + |a-|^2 + (V+ + V- - 2)/4; zero for vacuum and positive
-    for any squeezed or displaced physical state.
+    n = (V+ + V- - 2)/4; zero for vacuum and positive for any squeezed
+    physical state.
     """
-    return (
-        beam.alpha_plus * beam.alpha_plus
-        + beam.alpha_minus * beam.alpha_minus
-        + 0.25 * (beam.v_plus + beam.v_minus - 2.0)
-    )
+    return 0.25 * (beam.v_plus + beam.v_minus - 2.0)
 
 
 def decompose(cm: CorrelationMatrix4) -> PhotonDecomposition:
     """Split the state's mean photon number into maintenance, bias, and excess.
 
     Requires a matrix with interchangeable beams and no cross-quadrature
-    correlations (coherent amplitudes are taken to be zero).  When the
-    state is not entangled (degree of inseparability >= 1) no photons are
-    needed for maintenance: n_min = 0 and the total splits into bias and
-    excess only.
+    correlations.  When the state is not entangled (degree of
+    inseparability >= 1) no photons are needed for maintenance: n_min = 0
+    and the total splits into bias and excess only.
 
     Raises:
         ValueError: if the matrix is not in the interchangeable-beams form.

@@ -224,7 +224,7 @@ def _require_finite_budget(n_encoding: float) -> None:
 def _dense_capacity(n_encoding, n_min, n_excess):
     """log2(1 + s / I(n_min)) with signal s = n_encoding - (n_min + n_excess)/2,
     elementwise over floats or arrays; NaN where s < 0, a state over the budget."""
-    signal = n_encoding - 0.5 * (n_min + n_excess)
+    signal = n_encoding - _half_photons(n_min, n_excess)
     insep = insep_from_nmin(n_min)
     with np.errstate(over="ignore"):
         capacity = np.log2(1.0 + np.where(signal >= 0.0, signal, np.nan) / insep)
@@ -234,6 +234,16 @@ def _dense_capacity(n_encoding, n_min, n_excess):
         capacity = np.array(capacity)
         capacity[over] = np.log2(signal) - np.log2(insep)
     return capacity
+
+
+def _half_photons(n_min, n_excess):
+    """(n_min + n_excess)/2, the state's photons in the encoded beam, elementwise;
+    n_min/2 + n_excess/2 on the cells where the sum overflows."""
+    with np.errstate(over="ignore"):
+        half = 0.5 * (n_min + n_excess)
+    if np.fmax.reduce(half, axis=None) == np.inf:
+        half = np.where(np.isinf(half), 0.5 * n_min + 0.5 * n_excess, half)
+    return half
 
 
 def dense_coding_capacity(n_encoding: float, n_min: float, n_excess: float) -> float:
@@ -252,7 +262,7 @@ def dense_coding_capacity(n_encoding: float, n_min: float, n_excess: float) -> f
     capacity = float(_dense_capacity(n_encoding, n_min, n_excess))
     if math.isnan(capacity):
         raise ValueError(
-            f"photon budget {n_encoding} is below the {0.5 * (n_min + n_excess):.6g} needed "
+            f"photon budget {n_encoding} is below the {_half_photons(n_min, n_excess):.6g} needed "
             "for the entangled state"
         )
     _require_finite_budget(n_encoding)

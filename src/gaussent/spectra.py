@@ -591,9 +591,9 @@ def measured_row(anchor: PaperAnchor) -> SpectrumRow:
 
 
 def load_matrix(path: str | None = None, at: str | None = None) -> tuple:
-    """(matrix, measured, label) of a bare matrix file, a state file as ``gaussent model``
-    writes (its ``cm`` object) or the anchor ``at`` of an anchor file, at ``path``
-    or else at :func:`load_paper_anchors`'s default path."""
+    """(matrix, measured, label) of a bare matrix file as ``gaussent model`` writes,
+    an earlier ``model``'s state file (its ``cm`` object) or the anchor ``at`` of an
+    anchor file, at ``path`` or else at :func:`load_paper_anchors`'s default path."""
     if path is None:
         path = bundled_fixture_path()
     data = _read_json_object(path)

@@ -1,9 +1,9 @@
 """Two-mode Gaussian states in the quadrature picture.
 
 All variances are linear and normalized to shot noise (vacuum = 1).
-A two-mode state is carried by the coherent amplitudes of beams x and y
-plus the 4x4 correlation matrix over the quadrature operators
-(X+_x, X-_x, X+_y, X-_y), where + labels amplitude and - phase.
+A two-mode state is carried by its 4x4 correlation matrix over the
+quadrature operators (X+_x, X-_x, X+_y, X-_y), where + labels amplitude
+and - phase.
 """
 
 from __future__ import annotations
@@ -39,20 +39,15 @@ _QUADRATURE_INDEX = {"+": 0, "-": 1}
 
 @dataclass(frozen=True)
 class SqueezedBeam:
-    """One optical mode: its two quadrature variances and coherent amplitude.
+    """One optical mode: its two quadrature variances.
 
     Attributes:
         v_plus: amplitude-quadrature variance (shot noise = 1).
         v_minus: phase-quadrature variance (shot noise = 1).
-        alpha_plus: real part of the frequency-domain coherent amplitude
-            (shot-noise units).
-        alpha_minus: imaginary part of the same amplitude.
     """
 
     v_plus: float
     v_minus: float
-    alpha_plus: float = 0.0
-    alpha_minus: float = 0.0
 
     def __post_init__(self) -> None:
         # Unrolled: a loop over (name, value) pairs takes twice as long.
@@ -60,10 +55,6 @@ class SqueezedBeam:
             raise ValueError(f"v_plus must be positive and finite, got {self.v_plus}")
         if not 0.0 < self.v_minus < math.inf:
             raise ValueError(f"v_minus must be positive and finite, got {self.v_minus}")
-        if not math.isfinite(self.alpha_plus):
-            raise ValueError(f"alpha_plus must be finite, got {self.alpha_plus}")
-        if not math.isfinite(self.alpha_minus):
-            raise ValueError(f"alpha_minus must be finite, got {self.alpha_minus}")
 
     @property
     def uncertainty_product(self) -> float:
@@ -241,22 +232,9 @@ def _json_number(value, name: str):
 
 @dataclass(frozen=True)
 class TwoModeState:
-    """Coherent amplitudes of both beams plus their correlation matrix."""
+    """Two beams, held as their correlation matrix."""
 
-    alpha_x: tuple[float, float]
-    alpha_y: tuple[float, float]
     cm: CorrelationMatrix4
-
-    @classmethod
-    def from_cm(cls, cm: CorrelationMatrix4) -> "TwoModeState":
-        return cls((0.0, 0.0), (0.0, 0.0), cm)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha_x": list(self.alpha_x),
-            "alpha_y": list(self.alpha_y),
-            "cm": self.cm.to_json_dict(),
-        }
 
 
 def entangle_on_beamsplitter(sqz1: SqueezedBeam, sqz2: SqueezedBeam) -> TwoModeState:
@@ -296,15 +274,7 @@ def entangle_on_beamsplitter(sqz1: SqueezedBeam, sqz2: SqueezedBeam) -> TwoModeS
     var_minus = 0.5 * (v1m + v2p)
     c_plus = 0.5 * (v1p - v2m)
     c_minus = 0.5 * (v1m - v2p)
-    cm = CorrelationMatrix4.symmetric_form(var_plus, var_minus, c_plus, c_minus)
-
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    a1p, a1m = sqz1.alpha_plus, sqz1.alpha_minus
-    a2p, a2m = sqz2.alpha_plus, sqz2.alpha_minus
-    alpha_x = ((a1p - a2m) * inv_sqrt2, (a1m + a2p) * inv_sqrt2)
-    alpha_y = ((a1p + a2m) * inv_sqrt2, (a1m - a2p) * inv_sqrt2)
-
-    return TwoModeState(alpha_x, alpha_y, cm)
+    return TwoModeState(CorrelationMatrix4.symmetric_form(var_plus, var_minus, c_plus, c_minus))
 
 
 def apply_loss(state: TwoModeState, eta_x: float, eta_y: float) -> TwoModeState:
@@ -312,7 +282,7 @@ def apply_loss(state: TwoModeState, eta_x: float, eta_y: float) -> TwoModeState:
 
     Beam x keeps a fraction ``eta_x`` of its field (likewise y): same-mode
     variances map to eta*V + (1 - eta), cross-mode correlations scale by
-    sqrt(eta_x * eta_y), and coherent amplitudes scale by sqrt(eta).
+    sqrt(eta_x * eta_y).
 
     Raises:
         ValueError: if an efficiency lies outside [0, 1].
@@ -336,11 +306,7 @@ def apply_loss(state: TwoModeState, eta_x: float, eta_y: float) -> TwoModeState:
         [c20 * cross, c21 * cross, eta_y * c22 + gy, eta_y * c23 + gy * 0.0],
         [c30 * cross, c31 * cross, eta_y * c32 + gy * 0.0, eta_y * c33 + gy],
     ]
-
-    sx, sy = math.sqrt(eta_x), math.sqrt(eta_y)
-    alpha_x = (state.alpha_x[0] * sx, state.alpha_x[1] * sx)
-    alpha_y = (state.alpha_y[0] * sy, state.alpha_y[1] * sy)
-    return TwoModeState(alpha_x, alpha_y, CorrelationMatrix4(e))
+    return TwoModeState(CorrelationMatrix4(e))
 
 
 def apply_local_squeezing(

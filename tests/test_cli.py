@@ -337,16 +337,14 @@ class TestModel:
     def test_pure_inputs(self, capsys):
         code, out, _ = run_cli(capsys, "model", "--v1", "0.5", "--v2", "0.5")
         assert code == 0
-        payload = json.loads(out)
-        matrix = np.array(payload["cm"]["matrix"])
+        matrix = np.array(json.loads(out)["matrix"])
         assert matrix[0, 0] == pytest.approx(1.25)
         assert matrix[0, 2] == pytest.approx(-0.75)
-        assert payload["alpha_x"] == [0.0, 0.0]
 
     def test_with_loss(self, capsys):
         code, out, _ = run_cli(capsys, "model", "--v1", "0.5", "--v2", "0.5", "--eta", "0.5")
         assert code == 0
-        matrix = np.array(json.loads(out)["cm"]["matrix"])
+        matrix = np.array(json.loads(out)["matrix"])
         assert matrix[0, 0] == pytest.approx(1.125)
         assert matrix[0, 2] == pytest.approx(-0.375)
 
@@ -363,16 +361,14 @@ class TestModel:
         )
         assert code == 0
         assert out == ""
-        assert json.loads(target.read_text())["cm"]["order"] == ["xp", "xm", "yp", "ym"]
+        assert json.loads(target.read_text())["order"] == ["xp", "xm", "yp", "ym"]
 
     def test_model_output_feeds_analyze(self, capsys, tmp_path):
-        state_path = tmp_path / "state.json"
+        cm_path = tmp_path / "cm.json"
         run_cli(
             capsys, "model", "--v1", "0.5", "--v2", "0.5", "--eta", "0.8",
-            "--out", str(state_path),
+            "--out", str(cm_path),
         )
-        cm_path = tmp_path / "cm.json"
-        cm_path.write_text(json.dumps(json.loads(state_path.read_text())["cm"]))
         code, out, _ = run_cli(capsys, "analyze", "--cm", str(cm_path))
         assert code == 0
         payload = json.loads(out)
@@ -384,16 +380,31 @@ class TestModel:
 
     def test_analyze_reads_the_state_file_model_writes(self, capsys, tmp_path):
         state_path = tmp_path / "state.json"
-        argv = ("model", "--v1", "0.5", "--v2", "0.5", "--eta", "0.86", "--out", str(state_path))
+        argv = ("model", "--v1", "0.5", "--v2", "0.3", "--eta", "0.86", "--out", str(state_path))
         assert run_cli(capsys, *argv)[0] == 0
+        beams = SqueezedBeam.pure(0.5), SqueezedBeam.pure(0.3)
+        state = apply_loss(entangle_on_beamsplitter(*beams), 0.86, 0.86)
+        assert state_path.read_text() == json.dumps(state.cm.to_json_dict(), indent=2) + "\n"
         code, out, err = run_cli(capsys, "analyze", "--cm", str(state_path))
         assert (code, err) == (0, "")
-        beam = SqueezedBeam.pure(0.5)
-        state = apply_loss(entangle_on_beamsplitter(beam, beam), 0.86, 0.86)
         assert out == json.dumps(analyze_cm(state.cm), indent=2) + "\n"
         code, out, err = run_cli(capsys, "analyze", "--cm", str(state_path), "--at", "6.5MHz")
         assert (code, out) == (1, "")
         assert err == "gaussent: error: --at applies only to anchor files with labelled matrices\n"
+
+    def test_a_state_file_of_the_earlier_format_still_analyzes(self, capsys, tmp_path):
+        # Before model wrote the bare matrix, it wrapped it beside the beams'
+        # coherent amplitudes; analyze reads the matrix and ignores the rest.
+        bare_path, state_path = tmp_path / "cm.json", tmp_path / "state.json"
+        argv = ("model", "--v1", "0.5", "--v2", "0.3", "--eta", "0.86", "--out", str(bare_path))
+        assert run_cli(capsys, *argv)[0] == 0
+        bare = json.loads(bare_path.read_text())
+        state_path.write_text(
+            json.dumps({"alpha_x": [0.0, 0.0], "alpha_y": [0.0, 0.0], "cm": bare}, indent=2)
+        )
+        expected = run_cli(capsys, "analyze", "--cm", str(bare_path))
+        assert expected[0] == 0
+        assert run_cli(capsys, "analyze", "--cm", str(state_path)) == expected
 
 
 class TestSweepLoss:
@@ -461,10 +472,13 @@ class TestContours:
             # mpmath's values at each cell, row by row.
             (["--metric", "dense_ratio", "--n-encoding", "1e308", "--nmin-max", "1e300"],
              [0.999023584203828, 0.999023584203828, 1.973074919672009, 1.973074919672009]),
+            (["--metric", "dense_ratio", "--n-encoding", "1.7e308", "--nmin-max", "1e308",
+              "--nexcess-max", "1e308"],
+             [0.9990243135101786, 0.9985340307167936, 1.9977871088072783, 1.9970284075983935]),
             (["--metric", "epr", "--nexcess-max", "1e308"],
              [1.0, 4.0, 0.0625, 0.06453292136265967]),
         ],
-        ids=["dense_ratio", "epr"],
+        ids=["dense_ratio", "dense_ratio_past_the_sum_overflow", "epr"],
     )
     def test_grids_near_the_float_limit_stay_finite(self, capsys, argv, expected):
         code, out, err = run_cli(capsys, "contours", *argv, "--grid", "2")

@@ -36,16 +36,21 @@ class TestMeanPhotonNumber:
         beam = SqueezedBeam(0.5, 2.0)
         assert mean_photon_number(beam) == pytest.approx(0.125, abs=1e-15)
 
-    def test_coherent_displacement_only(self):
-        beam = SqueezedBeam(1.0, 1.0, alpha_plus=1.0)
-        assert mean_photon_number(beam) == pytest.approx(1.0, abs=1e-15)
-
     def test_nonnegative_for_physical_beams(self, rng):
         for _ in range(200):
             v_plus = rng.uniform(0.05, 2.0)
             v_minus = rng.uniform(1.0, 4.0) / v_plus
             beam = SqueezedBeam(v_plus, v_minus)
             assert mean_photon_number(beam) >= 0.0
+
+    def test_beamsplitter_keeps_the_beams_photons(self, rng):
+        # The splitter is passive: the state's photons are the two beams'.
+        for _ in range(200):
+            beams = [SqueezedBeam.pure(rng.uniform(0.05, 1.0)) for _ in range(2)]
+            state = entangle_on_beamsplitter(*beams)
+            assert decompose(state.cm).n_total == pytest.approx(
+                sum(map(mean_photon_number, beams)), rel=1e-12
+            )
 
 
 class TestDecompose:

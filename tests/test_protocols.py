@@ -142,6 +142,47 @@ class TestDenseCoding:
         values = [dense_coding_capacity(n, 0.356, 1.944) for n in (2, 5, 20, 100)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    def test_photon_sums_past_the_float_limit_match_mpmath(self):
+        """Above about 1.8e308 n_min + n_excess overflows; the state's half is
+        n_min/2 + n_excess/2 there, in the capacity and in the refusal alike.
+        Floats and grids alike, and NaN where the state is over the budget."""
+        mpmath = pytest.importorskip("mpmath")
+
+        def capacity(budget, n_min, n_excess):
+            budget, n_min, n_excess = map(mpmath.mpf, (budget, n_min, n_excess))
+            signal, m = budget - (n_min + n_excess) / 2, n_min + 1
+            if signal < 0:
+                return mpmath.mpf("nan")
+            return mpmath.log(1 + signal * (m + mpmath.sqrt(m * m - 1)), 2)
+
+        budgets = [*np.logspace(300, 308, 9), 1.7e308, 1.79e308, sys.float_info.max]
+        points = [(1e308, 1e308), (9e307, 9e307), (1.79e308, 1.79e308), (1e300, 1.79e308)]
+        with mpmath.workdps(60):
+            for budget in map(float, budgets):
+                for n_min, n_excess in points:
+                    expected = float(capacity(budget, n_min, n_excess))
+                    if math.isnan(expected):
+                        half = re.escape(f"{0.5 * n_min + 0.5 * n_excess:.6g}")
+                        with pytest.raises(ValueError, match=f"below the {half} needed"):
+                            dense_coding_capacity(budget, n_min, n_excess)
+                    else:
+                        assert dense_coding_capacity(budget, n_min, n_excess) == pytest.approx(
+                            expected, rel=1e-14, abs=0
+                        )
+                grid = contour_grid(
+                    "dense_ratio", (0.0, 1.79e308), (0.0, 1.79e308), 5, {"n_encoding": budget}
+                )
+                optimum = mpmath.log(1 + 2 * mpmath.mpf(budget), 2)
+                expected = [[float(capacity(budget, a, b) / optimum) for b in grid.nexcess_axis]
+                            for a in grid.nmin_axis]
+                np.testing.assert_allclose(grid.values, expected, rtol=1e-14)
+
+    def test_subnormal_photon_numbers_are_halved_as_one_sum(self):
+        # Halving each of these terms would round it up, to 2 * 2**-1074, and
+        # put a state that exactly meets its budget over it.
+        tiny = 3 * 2.0**-1074
+        assert dense_coding_capacity(tiny, tiny, tiny) == 0.0
+
 
 class TestCapacityRatio:
     def test_anchor_budget(self):
