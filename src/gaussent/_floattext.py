@@ -188,17 +188,11 @@ def float_text(values, json: bool = False) -> np.ndarray:
     """``float.__repr__`` of each float64 of ``values``, as the rows of a
     NUL-padded uint8 matrix as wide as the longest text (at most WIDTH);
     ``json`` spells nan and the infinities ``NaN``, ``Infinity`` and
-    ``-Infinity``, as ``json`` does."""
+    ``-Infinity``, as ``json`` does.
+
+    Callers pass about one :data:`CHUNK` of floats: a larger array gets the
+    same text, with temporaries that grow with it."""
     floats = np.ascontiguousarray(values, np.float64).ravel()
-    n = floats.size
-    if n > CHUNK:
-        out = np.zeros((n, WIDTH), np.uint8)
-        width = 0
-        for start in range(0, n, CHUNK):
-            part = float_text(floats[start : start + CHUNK], json)
-            out[start : start + CHUNK, : part.shape[1]] = part
-            width = max(width, part.shape[1])
-        return out[:, :width]
     bits = floats.view(_U64)
     bq = (bits >> _U64(52)) & _U64(0x7FF)
     normal = (bq != _U64(0)) & (bq != _U64(0x7FF))
@@ -212,7 +206,7 @@ def float_text(values, json: bool = False) -> np.ndarray:
     fraction = (bits[rest] & _T_MASK) != _U64(0)
     kind = (bits[rest] >> _U64(63)).view(np.int64) + 3 * infinite
     kind[infinite & fraction] = 2
-    out = np.zeros((n, WIDTH), np.uint8)
+    out = np.zeros((floats.size, WIDTH), np.uint8)
     out[kept, : text.shape[1]] = text
     out[rest] = _tables().specials[json][kind]
     subnormals = rest[fraction & ~infinite]

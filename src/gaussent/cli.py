@@ -139,6 +139,8 @@ def build_parser() -> _Parser:
 
 def _cmd_model(args) -> str:
     beams = SqueezedBeam.pure(args.v1), SqueezedBeam.pure(args.v2)
+    if not 0.0 <= args.eta <= 1.0:
+        raise ValueError(f"--eta must lie in [0, 1], got {args.eta}")
     state = apply_loss(entangle_on_beamsplitter(*beams), args.eta, args.eta)
     return _json_text(state.cm.to_json_dict())
 

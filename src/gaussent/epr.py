@@ -10,14 +10,14 @@ photon-number variables make explicit.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .photons import _require_photon_numbers
 from .separability import _require_loss_inputs
-from .states import CorrelationMatrix4, _quadratures, quadrature_entries
+from .states import CorrelationMatrix4, _quadratures
 
 
 @dataclass(frozen=True)
@@ -30,33 +30,10 @@ class EprReport:
     g_minus: float
     degree: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 class EprAsymptotes(NamedTuple):
     pure_limit: float
     impure_limit: float
-
-
-def conditional_variance(cm: CorrelationMatrix4, quadrature: str) -> tuple[float, float]:
-    """Residual variance of one beam's quadrature given the other beam.
-
-    Args:
-        cm: correlation matrix of the pair.
-        quadrature: "+" or "-".
-
-    Returns:
-        (variance, optimal gain): C_xx - |C_xy|^2 / C_yy and C_xy / C_yy.
-        C_yy is a diagonal entry, which :class:`CorrelationMatrix4` keeps
-        positive and finite.
-    """
-    return _conditional(*quadrature_entries(cm, quadrature))
-
-
-def _conditional(c_xx: float, c_yy: float, c_xy: float) -> tuple[float, float]:
-    """:func:`conditional_variance` from one quadrature's (C_xx, C_yy, C_xy)."""
-    return _residual_variance(c_xx, c_yy, c_xy), c_xy / c_yy
 
 
 def _residual_variance(c_xx, c_yy, c_xy):
@@ -65,16 +42,22 @@ def _residual_variance(c_xx, c_yy, c_xy):
 
 
 def degree_of_epr(cm: CorrelationMatrix4) -> EprReport:
-    """Degree of EPR paradox; below 1 demonstrates the paradox."""
+    """Degree of EPR paradox; below 1 demonstrates the paradox.
+
+    Each quadrature's conditional variance is the residual variance of beam
+    x given beam y, C_xx - C_xy^2 / C_yy, at the optimal gain C_xy / C_yy.
+    C_yy is a diagonal entry, which :class:`CorrelationMatrix4` keeps
+    positive and finite.
+    """
     return EprReport(*_epr(*_quadratures(cm._flat)))
 
 
 def _epr(plus: tuple, minus: tuple) -> tuple[float, float, float, float, float]:
     """The fields of :class:`EprReport`, in order, from the (C_xx, C_yy, C_xy)
     of the amplitude and of the phase quadrature."""
-    cv_plus, g_plus = _conditional(*plus)
-    cv_minus, g_minus = _conditional(*minus)
-    return cv_plus, cv_minus, g_plus, g_minus, cv_plus * cv_minus
+    cv_plus = _residual_variance(*plus)
+    cv_minus = _residual_variance(*minus)
+    return cv_plus, cv_minus, plus[2] / plus[1], minus[2] / minus[1], cv_plus * cv_minus
 
 
 def epr_vs_loss(v_ave: float, eta: float) -> float:
@@ -86,7 +69,8 @@ def epr_vs_loss(v_ave: float, eta: float) -> float:
     below it never is.
     """
     _require_loss_inputs(v_ave, eta)
-    denom = eta * (v_ave + 1.0 / v_ave - 2.0) + 2.0
+    # At eta = 0 the photon term is 0 even where 1/v overflows (0 * inf is NaN).
+    denom = (eta * (v_ave + 1.0 / v_ave - 2.0) if eta else 0.0) + 2.0
     root = 1.0 - eta + (2.0 * eta - 1.0) / denom
     return 4.0 * root * root
 

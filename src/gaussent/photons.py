@@ -10,7 +10,7 @@ These are the axes of the photon-number diagram.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,21 +22,17 @@ from .states import CorrelationMatrix4, SqueezedBeam, _quadratures, check_symmet
 class PhotonDecomposition:
     """Photon-number budget of one state.
 
-    Invariants: n_total = n_min + n_bias + n_excess, n_pure = n_min + n_bias,
-    and for a physical matrix only, every component is non-negative (an
-    unphysical diag(0.5, 0.5, 0.5, 0.5) gives n_excess = -0.75).  ``g_bias_sq``
-    is the squared gain of the equal local squeezing that removes the bias.
+    Invariant: n_total = n_min + n_bias + n_excess, and for a physical
+    matrix only, every component is non-negative (an unphysical
+    diag(0.5, 0.5, 0.5, 0.5) gives n_excess = -0.75).  ``g_bias_sq`` is the
+    squared gain of the equal local squeezing that removes the bias.
     """
 
     n_total: float
-    n_pure: float
     n_min: float
     n_bias: float
     n_excess: float
     g_bias_sq: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def mean_photon_number(beam: SqueezedBeam) -> float:
@@ -79,7 +75,7 @@ def _decomposition(plus: tuple, minus: tuple, v_plus: float, v_minus: float, ins
 
 
 def _budget(cxx_plus, cxx_minus, cyy_plus, cyy_minus, v_plus, v_minus, insep):
-    """(n_total, n_pure, n_min, n_bias, n_excess) of interchangeable beams.
+    """(n_total, n_min, n_bias, n_excess) of interchangeable beams.
 
     Elementwise over floats or numpy arrays: the four diagonal entries of
     the matrix, its minimum sum/difference variances V+/V- and its (positive)
@@ -92,11 +88,9 @@ def _budget(cxx_plus, cxx_minus, cyy_plus, cyy_minus, v_plus, v_minus, insep):
     debiased = nmin_from_insep(insep)
     n_bias = paired - debiased
     # Without entanglement to maintain (I >= 1) the debiased photons count
-    # as excess: n_min = 0 and the pure part is the bias alone.
-    entangled = insep < 1.0
-    n_min = _select(entangled, debiased, 0.0)
-    n_pure = _select(entangled, paired, n_bias)
-    return n_total, n_pure, n_min, n_bias, n_total - n_min - n_bias
+    # as excess: n_min = 0.
+    n_min = _select(insep < 1.0, debiased, 0.0)
+    return n_total, n_min, n_bias, n_total - n_min - n_bias
 
 
 def _select(condition, if_true, if_false):
@@ -165,9 +159,12 @@ def cross_corr_from_photons(n_min: float, n_excess: float) -> float:
     quadrature; the amplitude correlation carries a negative sign and the
     phase correlation a positive one.  The root is evaluated as
     sqrt(n_min (n_min + 2)), which keeps its digits where n_min is small.
+    Where that product overflows (n_min above about 1.34e154) the root is
+    n_min to double precision, as in :func:`insep_from_nmin`.
     """
     _require_photon_numbers(n_min, n_excess)
-    return n_excess + math.sqrt(n_min * (n_min + 2.0))
+    product = n_min * (n_min + 2.0)
+    return n_excess + (math.sqrt(product) if product < math.inf else n_min)
 
 
 def _require_photon_numbers(n_min, n_excess) -> None:

@@ -285,7 +285,7 @@ def _measures(freq, v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, inse
     epr = _residual_variance(v_plus, v_plus, c_plus) * _residual_variance(
         v_minus, v_minus, c_minus
     )
-    n_total, _, n_min, n_bias, n_excess = _budget(
+    n_total, n_min, n_bias, n_excess = _budget(
         v_plus, v_minus, v_plus, v_minus, sum_plus, diff_minus, insep
     )
     return freq, insep, epr, n_min, n_bias, n_excess, n_total, c_plus, c_minus
@@ -470,9 +470,6 @@ class PaperAnchor:
     frequency_mhz: float
     cm: CorrelationMatrix4
     measured: dict
-
-    def has_measured_variances(self) -> bool:
-        return _measured_sums(self.measured) is not None
 
 
 def _measured_sums(measured: dict) -> tuple | None:
@@ -662,8 +659,8 @@ def analyze_cm(
     else:
         # Biased matrices have no interchangeable-beams decomposition;
         # still report the measures that are defined.
-        budget, source = (None,) * 6, "unavailable"
-    n_total, _, n_min, n_bias, n_excess, g_bias_sq = budget
+        budget, source = (None,) * 5, "unavailable"
+    n_total, n_min, n_bias, n_excess, g_bias_sq = budget
     result["decomposition_source"] = source
     result["n_min"] = n_min
     result["n_bias"] = n_bias

@@ -325,21 +325,6 @@ def _as_cm(state_or_cm: TwoModeState | CorrelationMatrix4) -> CorrelationMatrix4
     return state_or_cm
 
 
-def quadrature_entries(
-    cm: CorrelationMatrix4, quadrature: str
-) -> tuple[float, float, float]:
-    """(C_xx, C_yy, C_xy) of one quadrature: "+" (amplitude) or "-" (phase).
-
-    Raises:
-        ValueError: on any other quadrature token.
-    """
-    try:
-        index = _QUADRATURE_INDEX[quadrature]
-    except KeyError:
-        raise ValueError(f"quadrature must be '+' or '-', got {quadrature!r}") from None
-    return _quadratures(cm._flat)[index]
-
-
 def _quadratures(f) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
     """(C_xx, C_yy, C_xy) of the amplitude and of the phase quadrature, from
     a matrix's 16 row-major entries ``f``."""
@@ -360,18 +345,15 @@ def sum_diff_variance(
         quadrature: "+" (amplitude) or "-" (phase).
         sign: "sum" or "diff".
     """
-    c_xx, c_yy, c_xy = quadrature_entries(_as_cm(state_or_cm), quadrature)
+    try:
+        index = _QUADRATURE_INDEX[quadrature]
+    except KeyError:
+        raise ValueError(f"quadrature must be '+' or '-', got {quadrature!r}") from None
+    c_xx, c_yy, c_xy = _quadratures(_as_cm(state_or_cm)._flat)[index]
     if sign not in ("sum", "diff"):
         raise ValueError(f"sign must be 'sum' or 'diff', got {sign!r}")
     s = 1.0 if sign == "sum" else -1.0
     return 0.5 * (c_xx + c_yy) + s * c_xy
-
-
-def min_sum_diff_variance(
-    state_or_cm: TwoModeState | CorrelationMatrix4, quadrature: str
-) -> float:
-    """The smaller of the normalized sum and difference variances."""
-    return _min_sum_diff(*quadrature_entries(_as_cm(state_or_cm), quadrature))
 
 
 def _min_sum_diff(c_xx, c_yy, c_xy):

@@ -41,7 +41,6 @@ from gaussent.states import (
     CorrelationMatrix4,
     check_symmetric_form,
     is_block_form,
-    quadrature_entries,
 )
 
 # Symplectic form for the order (X+_x, X-_x, X+_y, X-_y) with shot noise 1,
@@ -128,13 +127,19 @@ def parse_spectra_rowwise(text: str, units: str = "linear") -> list[SpectrumRow]
     return [rows[i] for i in order]
 
 
+def _quadrature_entries(cm: CorrelationMatrix4, quadrature: str) -> tuple[float, float, float]:
+    """(C_xx, C_yy, C_xy) of one quadrature, "+" or "-", read from the numpy entries."""
+    i, j = {"+": (0, 2), "-": (1, 3)}[quadrature]
+    return float(cm.entries[i, i]), float(cm.entries[j, j]), float(cm.entries[i, j])
+
+
 def numeric_conditional_variance(cm: CorrelationMatrix4, quadrature: str) -> float:
     """Conditional variance by direct 1-D minimization over the inference gain.
 
     Golden-section search of <(dX_x - g dX_y)^2> over g in [-10, 10];
     serves as an independent check of the closed form.
     """
-    c_xx, c_yy, c_xy = quadrature_entries(cm, quadrature)
+    c_xx, c_yy, c_xy = _quadrature_entries(cm, quadrature)
 
     def objective(g: float) -> float:
         return c_xx - 2.0 * g * c_xy + g * g * c_yy
@@ -208,13 +213,13 @@ def k_parameter_reference(cm: CorrelationMatrix4) -> float:
 
 
 def _inference_variance(cm: CorrelationMatrix4, quadrature: str, k: float) -> tuple[float, bool]:
-    c_xx, c_yy, c_xy = quadrature_entries(cm, quadrature)
+    c_xx, c_yy, c_xy = _quadrature_entries(cm, quadrature)
     defaulted = c_xy == 0.0
     return k * k * c_xx + c_yy / (k * k) - 2.0 * abs(c_xy), defaulted
 
 
 def _self_biased_inference_variance(cm: CorrelationMatrix4, quadrature: str) -> float:
-    c_xx, c_yy, c_xy = quadrature_entries(cm, quadrature)
+    c_xx, c_yy, c_xy = _quadrature_entries(cm, quadrature)
     ex, ey = c_xx - 1.0, c_yy - 1.0
     if ex <= 0.0 or ey <= 0.0:
         raise ValueError(

@@ -354,6 +354,16 @@ class TestModel:
             assert code == 1
             assert err.startswith("gaussent: error:")
 
+    def test_out_of_range_eta_is_refused_by_its_flag(self, capsys):
+        for eta in ("1.5", "-0.1", "nan"):
+            code, out, err = run_cli(capsys, "model", "--v1", "0.5", "--v2", "0.5", "--eta", eta)
+            assert (code, out) == (1, "")
+            assert err == f"gaussent: error: --eta must lie in [0, 1], got {float(eta)}\n"
+        # The beams are built first, so a bad --v1 is still the one reported.
+        code, _, err = run_cli(capsys, "model", "--v1", "0", "--v2", "0.5", "--eta", "1.5")
+        assert code == 1
+        assert err == "gaussent: error: squeezed variance must be positive, got 0.0\n"
+
     def test_writes_file(self, capsys, tmp_path):
         target = tmp_path / "state.json"
         code, out, _ = run_cli(
@@ -427,6 +437,12 @@ class TestSweepLoss:
         assert first == [0.0, 1.0, 1.0]
         assert last[0] == 1.0
         assert last[1] == pytest.approx(0.3)
+
+    def test_subnormal_variance_reads_unity_at_no_transmission(self, capsys):
+        # 1/v overflows below v of about 5.6e-309; E at eta = 0 is still exactly 1.
+        code, out, err = run_cli(capsys, "sweep-loss", "--v", "1e-320", "--steps", "3")
+        assert (code, err) == (0, "")
+        assert out.split("\n")[1] == "0.0,1.0,1.0"
 
     def test_rejects_single_step(self, capsys):
         code, _, err = run_cli(capsys, "sweep-loss", "--v", "0.5", "--steps", "1")

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from conftest import random_entangled_cm
 from oracles import numeric_conditional_variance
 from gaussent.epr import (
-    conditional_variance,
     degree_of_epr,
     epr_asymptotes,
     epr_from_photons,
@@ -24,47 +24,49 @@ from gaussent.states import (
 )
 
 
+def cv_and_gain(cm, quadrature):
+    """(variance, gain) of one quadrature, "+" or "-", from degree_of_epr's fields."""
+    report = degree_of_epr(cm)
+    if quadrature == "+":
+        return report.cv_plus, report.g_plus
+    return report.cv_minus, report.g_minus
+
+
 class TestConditionalVariance:
     def test_anchor_65_both_quadratures(self, cm_65mhz):
         expected = 3.3 - 2.9**2 / 3.3
         for quadrature in ("+", "-"):
-            variance, gain = conditional_variance(cm_65mhz, quadrature)
+            variance, gain = cv_and_gain(cm_65mhz, quadrature)
             assert abs(numeric_conditional_variance(cm_65mhz, quadrature) - variance) <= 1e-9
             assert variance == pytest.approx(expected, abs=1e-12)
             assert abs(gain) == pytest.approx(2.9 / 3.3, abs=1e-12)
-        assert conditional_variance(cm_65mhz, "+")[1] < 0  # anti-correlated amplitudes
-        assert conditional_variance(cm_65mhz, "-")[1] > 0
+        report = degree_of_epr(cm_65mhz)
+        assert report.g_plus < 0 < report.g_minus  # anti-correlated amplitudes
 
     def test_anchor_35_amplitude(self, cm_35mhz):
-        variance, _ = conditional_variance(cm_35mhz, "+")
+        variance = degree_of_epr(cm_35mhz).cv_plus
         assert variance == pytest.approx(6.2 - 5.3**2 / 6.2, abs=1e-12)
         assert variance == pytest.approx(1.669, abs=1e-3)
 
     def test_uncorrelated_returns_mode_variance(self):
-        cm = CorrelationMatrix4(np.diag([2.0, 3.0, 1.5, 1.5]))
-        variance, gain = conditional_variance(cm, "+")
-        assert variance == 2.0
-        assert gain == 0.0
+        report = degree_of_epr(CorrelationMatrix4(np.diag([2.0, 3.0, 1.5, 1.5])))
+        assert report.cv_plus == 2.0
+        assert report.g_plus == 0.0
 
     def test_conditioning_never_increases_variance(self, rng):
         for _ in range(200):
             cm = random_entangled_cm(rng)
-            for quadrature in ("+", "-"):
-                variance, _ = conditional_variance(cm, quadrature)
-                mode = cm.cxx_plus if quadrature == "+" else cm.cxx_minus
-                assert variance <= mode + 1e-15
+            report = degree_of_epr(cm)
+            assert report.cv_plus <= cm.cxx_plus + 1e-15
+            assert report.cv_minus <= cm.cxx_minus + 1e-15
 
     def test_numeric_minimization_agrees(self, rng):
         for _ in range(50):
             cm = random_entangled_cm(rng)
             for quadrature in ("+", "-"):
-                closed, _ = conditional_variance(cm, quadrature)
+                closed, _ = cv_and_gain(cm, quadrature)
                 numeric = numeric_conditional_variance(cm, quadrature)
                 assert abs(closed - numeric) <= 1e-9
-
-    def test_bad_quadrature_token(self, cm_65mhz):
-        with pytest.raises(ValueError, match="quadrature"):
-            conditional_variance(cm_65mhz, "amplitude")
 
 
 class TestDegreeOfEpr:
@@ -82,7 +84,7 @@ class TestDegreeOfEpr:
         assert degree_of_epr(CorrelationMatrix4.identity()).degree == 1.0
 
     def test_json_fields(self, cm_65mhz):
-        data = degree_of_epr(cm_65mhz).to_json_dict()
+        data = asdict(degree_of_epr(cm_65mhz))
         assert set(data) == {"cv_plus", "cv_minus", "g_plus", "g_minus", "degree"}
 
 
@@ -97,6 +99,18 @@ class TestEprVsLoss:
     def test_no_squeezing_gives_unity(self):
         for eta in (0.0, 0.3, 0.5, 0.8, 1.0):
             assert epr_vs_loss(1.0, eta) == pytest.approx(1.0, abs=1e-12)
+
+    def test_subnormal_squeezing_matches_mpmath(self):
+        """Below v of about 5.6e-309, 1/v overflows; E is still exactly 1 at eta = 0."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            for v in (1e-300, 1e-320, 5e-324):
+                for eta in (0.0, 0.25, 0.5, 1.0):
+                    x, e = mpmath.mpf(v), mpmath.mpf(eta)
+                    root = 1 - e + (2 * e - 1) / (e * (x + 1 / x - 2) + 2)
+                    expected = float(4 * root * root)
+                    assert epr_vs_loss(v, eta) == pytest.approx(expected, rel=1e-15, abs=0)
+        assert epr_vs_loss(1e-320, 0.0) == epr_vs_loss(1e-320, -0.0) == 1.0
 
     def test_pipeline_matches_closed_form(self, rng):
         for _ in range(100):

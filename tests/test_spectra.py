@@ -657,8 +657,12 @@ class TestAnchors:
     def test_bundled_measured_values(self):
         anchor = load_paper_anchors()["6.5MHz"]
         assert anchor.measured == MEASURED_65
-        assert anchor.has_measured_variances()
-        assert not load_paper_anchors()["3.5MHz"].has_measured_variances()
+        row = measured_row(anchor)
+        assert (row.v_sum_plus, row.v_diff_minus) == (
+            MEASURED_65["v_sum_plus"], MEASURED_65["v_diff_minus"]
+        )
+        with pytest.raises(ValueError, match="carries no measured variances"):
+            measured_row(load_paper_anchors()["3.5MHz"])
 
     def test_derived_anchor_metrics(self):
         from gaussent.epr import degree_of_epr
