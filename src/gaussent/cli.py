@@ -137,8 +137,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _flagged(flag: str, function, *args):
+    """``function(*args)``, its ValueError prefixed with ``flag``."""
+    try:
+        return function(*args)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _cmd_model(args) -> str:
-    beams = SqueezedBeam.pure(args.v1), SqueezedBeam.pure(args.v2)
+    beams = [_flagged(f"--v{n}", SqueezedBeam.pure, v) for n, v in ((1, args.v1), (2, args.v2))]
     if not 0.0 <= args.eta <= 1.0:
         raise ValueError(f"--eta must lie in [0, 1], got {args.eta}")
     state = apply_loss(entangle_on_beamsplitter(*beams), args.eta, args.eta)
@@ -153,7 +161,7 @@ def _cmd_sweep_loss(args) -> Iterable[str]:
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
     # Both closed forms share one gate on --v; one call here raises before the first byte.
-    inseparability_vs_loss(args.v, 0.0)
+    _flagged("--v", inseparability_vs_loss, args.v, 0.0)
     etas = (index / (args.steps - 1) for index in range(args.steps))
     lines = (
         f"{eta!r},{inseparability_vs_loss(args.v, eta)!r},{epr_vs_loss(args.v, eta)!r}\n"

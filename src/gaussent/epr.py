@@ -37,8 +37,15 @@ class EprAsymptotes(NamedTuple):
 
 
 def _residual_variance(c_xx, c_yy, c_xy):
-    """C_xx - C_xy^2 / C_yy, elementwise over floats or numpy arrays."""
-    return c_xx - (c_xy * c_xy) / c_yy
+    """C_xx - C_xy^2 / C_yy, elementwise over floats or numpy arrays.  Where C_xy^2
+    overflows (|C_xy| above about 1.34e154) it is taken on the entries scaled by
+    2^-600 and scaled back, which is exact; floats make no numpy call."""
+    square = c_xy * c_xy
+    floats = isinstance(square, float)
+    if square < np.inf if floats else not (over := np.isinf(square)).any():
+        return c_xx - square / c_yy
+    scaled = _residual_variance(c_xx * 2.0**-600, c_yy * 2.0**-600, c_xy * 2.0**-600) * 2.0**600
+    return scaled if floats else np.where(over, scaled, c_xx - square / c_yy)
 
 
 def degree_of_epr(cm: CorrelationMatrix4) -> EprReport:

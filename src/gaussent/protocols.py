@@ -18,6 +18,7 @@ import numpy as np
 from ._floattext import CHUNK, compose, float_text, text_rows
 from .epr import epr_from_photons
 from .photons import _require_photon_numbers, insep_from_nmin
+from .states import _require_positive_finite
 
 #: Fidelity above which a teleporter beats the no-cloning bound.
 NO_CLONING_FIDELITY = 2.0 / 3.0
@@ -148,10 +149,6 @@ def teleport_fidelity(insep: float) -> float:
 def _fidelity(insep):
     """F = 1/(1 + I), elementwise over arrays."""
     return 1.0 / (1.0 + insep)
-
-
-def exceeds_no_cloning_limit(fidelity: float) -> bool:
-    return fidelity > NO_CLONING_FIDELITY
 
 
 def shannon_capacity(snr: float) -> float:
@@ -317,8 +314,7 @@ def contour_grid(
         if "n_encoding" not in params:
             raise ValueError("dense_ratio grids need params={'n_encoding': ...}")
         n_encoding = float(params["n_encoding"])
-        if not 0.0 < n_encoding < math.inf:
-            raise ValueError(f"n_encoding must be positive and finite, got {n_encoding}")
+        _require_positive_finite(n_encoding, "n_encoding")
         params = {"n_encoding": n_encoding}
     nmin_axis = np.linspace(nmin_range[0], nmin_range[1], resolution)
     nexcess_axis = np.linspace(nexcess_range[0], nexcess_range[1], resolution)

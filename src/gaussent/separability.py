@@ -17,7 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .states import CorrelationMatrix4, _form, _min_sum_diff, _quadratures
+from .states import (
+    CorrelationMatrix4, _form, _min_sum_diff, _quadratures,
+    _require_fraction, _require_positive_finite,
+)
 
 #: Quoted statistical error of the anchor measurements; absolute tolerance
 #: of the correlation-balance and product-form restrictions.
@@ -111,7 +114,7 @@ def _k(excesses: tuple[float, float, float, float]) -> float:
     if not math.isclose(k_plus, k_minus, rel_tol=K_REL_TOL, abs_tol=0.0):
         raise ValueError(
             f"bias parameter inconsistent between quadratures "
-            f"({k_plus:.8g} vs {k_minus:.8g}); the variance-ratio restriction is violated"
+            f"({k_plus:.8g} vs {k_minus:.8g}, relative tolerance {K_REL_TOL:g})"
         )
     return k_plus
 
@@ -304,7 +307,5 @@ def inseparability_vs_loss(v_ave: float, eta: float) -> float:
 
 def _require_loss_inputs(v_ave: float, eta: float) -> None:
     """ValueError unless ``v_ave`` and ``eta`` lie in the equal-loss closed forms' domain."""
-    if not 0.0 < v_ave < math.inf:
-        raise ValueError(f"average squeezed variance must be positive and finite, got {v_ave}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    _require_positive_finite(v_ave, "average squeezed variance")
+    _require_fraction(eta, "eta")

@@ -51,7 +51,7 @@ import numpy as np
 from ._floattext import CHUNK, compose, float_text
 from .epr import _epr, _residual_variance
 from .photons import _budget, _decomposition
-from .protocols import exceeds_no_cloning_limit, teleport_fidelity
+from .protocols import NO_CLONING_FIDELITY, teleport_fidelity
 from .separability import (
     _biased_degree, _biased_product_ok, _excesses, _gate, _k, _restrictions, _symmetric_degree
 )
@@ -62,6 +62,8 @@ from .states import (
     entangle_on_beamsplitter,
     _json_number,
     _min_sum_diff,
+    _require_fraction,
+    _require_positive_finite,
     sum_diff_variance,
 )
 
@@ -85,19 +87,14 @@ class SpectrumRow:
     v_diff_minus: float
 
     def __post_init__(self) -> None:
-        for name, value in zip(SPECTRUM_COLUMNS, _spectrum_values(self)):
-            _require_positive_finite(value, name)
+        for label, value in zip(_COLUMN_LABELS, _spectrum_values(self)):
+            _require_positive_finite(value, label)
 
 
 #: Required CSV header of a spectrum table, in order.
 SPECTRUM_COLUMNS = tuple(f.name for f in fields(SpectrumRow))
 _spectrum_values = attrgetter(*SPECTRUM_COLUMNS)
-
-
-def _require_positive_finite(value, column: str) -> None:
-    """The value gate's rule for one value, with the message naming the column."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"column '{column}': must be positive and finite, got {value}")
+_COLUMN_LABELS = tuple(f"column '{name}':" for name in SPECTRUM_COLUMNS)  # built once, not per row
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,7 @@ def _read_table(text: str, units: str) -> np.ndarray:
     kept if it passes the value gate and repeats no frequency.  Otherwise
     (or where the C reader refuses a line, such as one of blank or empty
     cells, which the csv reader skips) the csv reader goes on from the
-    header, gating each row with :class:`SpectrumRow` as it is read, and
+    header, gating each row's values as it is read, and
     only it reports errors: so each message, and which error comes first in
     the file, is the csv reader's.  The C reader accepts no file that the
     csv reader refuses, and gives the same table bit for bit.
@@ -209,10 +206,8 @@ def _read_table(text: str, units: str) -> np.ndarray:
                         f"row {line_no}, column '{name}': {cell!r} dB is out of range"
                     ) from None
                 values.append(value)
-            try:  # the value gate, once the row's cells are all numbers
-                SpectrumRow(*values)
-            except ValueError as exc:
-                raise ValueError(f"row {line_no}, {exc}") from None
+            for label, value in zip(_COLUMN_LABELS, values):  # once every cell has converted
+                _require_positive_finite(value, f"row {line_no}, {label}")
             rows.append(values)
             line_numbers.append(line_no)
     except csv.Error as exc:  # from the reader, on the record after line_no; a cell too long
@@ -301,7 +296,7 @@ def derive_row(row: SpectrumRow) -> DerivedRow:
     array path's bits without numpy's fixed cost per call.
     """
     freq, *columns = map(float, _spectrum_values(row))
-    return DerivedRow(*map(float, _measures(freq, *_symmetric_row(*columns))))
+    return DerivedRow(*_measures(freq, *_symmetric_row(*columns)))
 
 
 def derive_spectra(rows: list[SpectrumRow]) -> list[DerivedRow]:
@@ -369,16 +364,11 @@ def synthesize_spectra(
     """
     if not 0.0 < v_floor <= 1.0:
         raise ValueError(f"v_floor must lie in (0, 1], got {v_floor}")
-    for name, value in (
-        ("opa_bandwidth_mhz", opa_bandwidth_mhz),
-        ("relax_osc_mhz", relax_osc_mhz),
-    ):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    _require_positive_finite(opa_bandwidth_mhz, "opa_bandwidth_mhz")
+    _require_positive_finite(relax_osc_mhz, "relax_osc_mhz")
     if not 0.0 <= relax_amplitude < math.inf:
         raise ValueError(f"relax_amplitude must be non-negative and finite, got {relax_amplitude}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    _require_fraction(eta, "eta")
     if freq_grid is None:
         freq_grid = np.linspace(2.5, 10.0, 31)
     freq_grid = [float(f) for f in freq_grid]
@@ -386,7 +376,7 @@ def synthesize_spectra(
     width = 0.5 * relax_osc_mhz
     rows = []
     for freq in freq_grid:
-        _require_positive_finite(freq, "frequency_mhz")
+        _require_positive_finite(freq, "column 'frequency_mhz':")
         v_in = 1.0 - (1.0 - v_floor) / (1.0 + (freq / opa_bandwidth_mhz) ** 2)
         beam = SqueezedBeam.pure(v_in)
         state = apply_loss(entangle_on_beamsplitter(beam, beam), eta, eta)
@@ -498,7 +488,7 @@ def _parse_frequency_label(label: str) -> float:
     if not label.endswith("MHz"):
         raise ValueError("label does not end in 'MHz'")
     frequency = float(label[: -len("MHz")])
-    _require_positive_finite(frequency, "frequency_mhz")
+    _require_positive_finite(frequency, "column 'frequency_mhz':")
     return frequency
 
 
@@ -559,10 +549,7 @@ def _paper_anchors(data: dict, path: str) -> PaperAnchors:
         statistical_error = float(_json_number(data["statistical_error"], "'statistical_error'"))
     except KeyError:
         raise ValueError(f"anchor file {path} lacks the 'statistical_error' field")
-    if not 0.0 < statistical_error < math.inf:
-        raise ValueError(
-            f"'statistical_error' must be positive and finite, got {statistical_error}"
-        )
+    _require_positive_finite(statistical_error, "'statistical_error'")
     anchors = {}
     for label, payload in data.items():
         if label == "statistical_error":
@@ -636,7 +623,7 @@ def analyze_cm(
         "cv_plus": cv_plus,
         "cv_minus": cv_minus,
         "fidelity": fidelity,
-        "beats_no_cloning": exceeds_no_cloning_limit(fidelity),
+        "beats_no_cloning": fidelity > NO_CLONING_FIDELITY,
         "restrictions": {
             "ratio_ok": ratio_ok,
             "balance_ok": balance_ok,
@@ -646,14 +633,14 @@ def analyze_cm(
 
     if (sums := _measured_sums(measured)) is not None:
         v_sum, v_diff = map(float, sums)
-        _require_positive_finite(v_sum, "v_sum_plus")
-        _require_positive_finite(v_diff, "v_diff_minus")
+        _require_positive_finite(v_sum, "column 'v_sum_plus':")
+        _require_positive_finite(v_diff, "column 'v_diff_minus':")
         # The matrix cm_at_frequency rebuilds from the same variances.
         modes = (plus[0], minus[0], plus[1], minus[1])
         r_plus, r_minus, c_plus, c_minus, *degree = _symmetric_row(*modes, v_sum, v_diff)
         budget = _decomposition((r_plus, r_plus, c_plus), (r_minus, r_minus, c_minus), *degree)
         source = "measured"
-        result["inseparability_measured"] = (v_sum * v_diff) ** 0.5
+        result["inseparability_measured"] = math.sqrt(v_sum * v_diff)
     elif interchangeable:
         budget, source = _decomposition(plus, minus, v_plus, v_minus, insep), "matrix"
     else:
@@ -669,9 +656,9 @@ def analyze_cm(
     result["g_bias_sq"] = g_bias_sq
     if "cv_plus" in measured and "cv_minus" in measured:
         cv_plus, cv_minus = measured["cv_plus"], measured["cv_minus"]
-        _require_positive_finite(float(cv_plus), "cv_plus")
-        _require_positive_finite(float(cv_minus), "cv_minus")
+        _require_positive_finite(float(cv_plus), "column 'cv_plus':")
+        _require_positive_finite(float(cv_minus), "column 'cv_minus':")
         # Checked as floats, reported as given: integers give an integer product.
-        _require_positive_finite(float(cv_plus) * float(cv_minus), "epr_from_measured_cv")
+        _require_positive_finite(float(cv_plus) * float(cv_minus), "column 'epr_from_measured_cv':")
         result["epr_from_measured_cv"] = cv_plus * cv_minus
     return result

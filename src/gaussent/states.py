@@ -37,6 +37,18 @@ FORM_TOL = 1e-9
 _QUADRATURE_INDEX = {"+": 0, "-": 1}
 
 
+def _require_positive_finite(value, name: str) -> None:
+    """ValueError, naming ``name``, unless ``value`` is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _require_fraction(value, name: str) -> None:
+    """ValueError, naming ``name``, unless ``value`` lies in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class SqueezedBeam:
     """One optical mode: its two quadrature variances.
@@ -50,19 +62,12 @@ class SqueezedBeam:
     v_minus: float
 
     def __post_init__(self) -> None:
-        # Unrolled: a loop over (name, value) pairs takes twice as long.
-        if not 0.0 < self.v_plus < math.inf:
-            raise ValueError(f"v_plus must be positive and finite, got {self.v_plus}")
-        if not 0.0 < self.v_minus < math.inf:
-            raise ValueError(f"v_minus must be positive and finite, got {self.v_minus}")
-
-    @property
-    def uncertainty_product(self) -> float:
-        return self.v_plus * self.v_minus
+        _require_positive_finite(self.v_plus, "v_plus")
+        _require_positive_finite(self.v_minus, "v_minus")
 
     def is_physical(self) -> bool:
         """Whether the beam respects the uncertainty bound V+ * V- >= 1."""
-        return self.uncertainty_product >= 1.0 - PHYSICALITY_TOL
+        return self.v_plus * self.v_minus >= 1.0 - PHYSICALITY_TOL
 
     @classmethod
     def pure(cls, v_plus: float) -> "SqueezedBeam":
@@ -260,11 +265,11 @@ def entangle_on_beamsplitter(sqz1: SqueezedBeam, sqz2: SqueezedBeam) -> TwoModeS
     # Unrolled: a loop over (label, beam) pairs takes twice as long.
     if not sqz1.is_physical():
         raise ValueError(
-            f"first input beam is unphysical: V+ * V- = {sqz1.uncertainty_product:.6g} < 1"
+            f"first input beam is unphysical: V+ * V- = {sqz1.v_plus * sqz1.v_minus:.6g} < 1"
         )
     if not sqz2.is_physical():
         raise ValueError(
-            f"second input beam is unphysical: V+ * V- = {sqz2.uncertainty_product:.6g} < 1"
+            f"second input beam is unphysical: V+ * V- = {sqz2.v_plus * sqz2.v_minus:.6g} < 1"
         )
 
     v1p, v1m = sqz1.v_plus, sqz1.v_minus
@@ -287,11 +292,8 @@ def apply_loss(state: TwoModeState, eta_x: float, eta_y: float) -> TwoModeState:
     Raises:
         ValueError: if an efficiency lies outside [0, 1].
     """
-    # Unrolled: a loop over (name, value) pairs takes twice as long.
-    if not 0.0 <= eta_x <= 1.0:
-        raise ValueError(f"eta_x must lie in [0, 1], got {eta_x}")
-    if not 0.0 <= eta_y <= 1.0:
-        raise ValueError(f"eta_y must lie in [0, 1], got {eta_y}")
+    _require_fraction(eta_x, "eta_x")
+    _require_fraction(eta_y, "eta_y")
 
     # Entry by entry: eta*C + (1 - eta)*delta within a beam's block (the
     # (1 - eta)*0.0 term turns a -0.0 product into 0.0), C*cross across them.
@@ -313,8 +315,7 @@ def apply_local_squeezing(
     cm: CorrelationMatrix4, gain: float
 ) -> CorrelationMatrix4:
     """Apply equal local squeezing (X+ -> g X+, X- -> X-/g) to both beams."""
-    if not 0.0 < gain < math.inf:
-        raise ValueError(f"squeezing gain must be positive and finite, got {gain}")
+    _require_positive_finite(gain, "squeezing gain")
     s = np.diag([gain, 1.0 / gain, gain, 1.0 / gain])
     return CorrelationMatrix4(s @ cm.entries @ s)
 

@@ -22,7 +22,7 @@ from gaussent import spectra
 from gaussent.epr import degree_of_epr
 from gaussent.photons import decompose
 from gaussent.protocols import (
-    exceeds_no_cloning_limit,
+    NO_CLONING_FIDELITY,
     squeezed_channel_capacity,
     teleport_fidelity,
 )
@@ -39,6 +39,7 @@ from gaussent.spectra import SPECTRUM_COLUMNS, SpectrumRow
 from gaussent.states import (
     SYMMETRY_TOL,
     CorrelationMatrix4,
+    _require_positive_finite,
     check_symmetric_form,
     is_block_form,
 )
@@ -207,7 +208,7 @@ def k_parameter_reference(cm: CorrelationMatrix4) -> float:
     if not math.isclose(k_plus, k_minus, rel_tol=K_REL_TOL, abs_tol=0.0):
         raise ValueError(
             f"bias parameter inconsistent between quadratures "
-            f"({k_plus:.8g} vs {k_minus:.8g}); the variance-ratio restriction is violated"
+            f"({k_plus:.8g} vs {k_minus:.8g}, relative tolerance {K_REL_TOL:g})"
         )
     return k_plus
 
@@ -379,7 +380,7 @@ def analyze_cm_reference(
         "cv_plus": epr_report.cv_plus,
         "cv_minus": epr_report.cv_minus,
         "fidelity": fidelity,
-        "beats_no_cloning": exceeds_no_cloning_limit(fidelity),
+        "beats_no_cloning": fidelity > NO_CLONING_FIDELITY,
         "restrictions": {
             "ratio_ok": restrictions.ratio_ok,
             "balance_ok": restrictions.balance_ok,
@@ -389,14 +390,14 @@ def analyze_cm_reference(
 
     if "v_sum_plus" in measured and "v_diff_minus" in measured:
         v_sum, v_diff = float(measured["v_sum_plus"]), float(measured["v_diff_minus"])
-        spectra._require_positive_finite(v_sum, "v_sum_plus")
-        spectra._require_positive_finite(v_diff, "v_diff_minus")
+        _require_positive_finite(v_sum, "column 'v_sum_plus':")
+        _require_positive_finite(v_diff, "column 'v_diff_minus':")
         modes = (cm.cxx_plus, cm.cxx_minus, cm.cyy_plus, cm.cyy_minus)
         budget = decompose(
             CorrelationMatrix4.symmetric_form(*spectra._reconstruct(*modes, v_sum, v_diff))
         )
         source = "measured"
-        result["inseparability_measured"] = (v_sum * v_diff) ** 0.5
+        result["inseparability_measured"] = math.sqrt(v_sum * v_diff)
     elif check_symmetric_form(cm):
         budget, source = decompose(cm), "matrix"
     else:
@@ -406,8 +407,8 @@ def analyze_cm_reference(
         result[key] = getattr(budget, key, None)
     if "cv_plus" in measured and "cv_minus" in measured:
         cv_plus, cv_minus = measured["cv_plus"], measured["cv_minus"]
-        spectra._require_positive_finite(float(cv_plus), "cv_plus")
-        spectra._require_positive_finite(float(cv_minus), "cv_minus")
-        spectra._require_positive_finite(float(cv_plus) * float(cv_minus), "epr_from_measured_cv")
+        _require_positive_finite(float(cv_plus), "column 'cv_plus':")
+        _require_positive_finite(float(cv_minus), "column 'cv_minus':")
+        _require_positive_finite(float(cv_plus) * float(cv_minus), "column 'epr_from_measured_cv':")
         result["epr_from_measured_cv"] = cv_plus * cv_minus
     return result

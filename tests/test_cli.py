@@ -362,7 +362,24 @@ class TestModel:
         # The beams are built first, so a bad --v1 is still the one reported.
         code, _, err = run_cli(capsys, "model", "--v1", "0", "--v2", "0.5", "--eta", "1.5")
         assert code == 1
-        assert err == "gaussent: error: squeezed variance must be positive, got 0.0\n"
+        assert err == "gaussent: error: --v1: squeezed variance must be positive, got 0.0\n"
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("0", "squeezed variance must be positive, got 0.0"),
+            ("nan", "squeezed variance must be positive, got nan"),
+            ("inf", "v_plus must be positive and finite, got inf"),
+            # 1/v overflows, so the phase variance is the one refused.
+            ("1e-320", "v_minus must be positive and finite, got inf"),
+        ],
+    )
+    @pytest.mark.parametrize("flag", ["--v1", "--v2"])
+    def test_bad_variance_is_refused_by_its_flag(self, capsys, flag, value, message):
+        values = {"--v1": "0.5", "--v2": "0.5", flag: value}
+        code, out, err = run_cli(capsys, "model", *(cell for item in values.items() for cell in item))
+        assert (code, out) == (1, "")
+        assert err == f"gaussent: error: {flag}: {message}\n"
 
     def test_writes_file(self, capsys, tmp_path):
         target = tmp_path / "state.json"
@@ -454,6 +471,15 @@ class TestSweepLoss:
             assert code == 1
             assert out == ""
             assert err.startswith("gaussent: error:")
+
+    @pytest.mark.parametrize("value", ["0", "-0.5", "nan", "inf"])
+    def test_bad_variance_is_refused_by_its_flag(self, capsys, value):
+        code, out, err = run_cli(capsys, "sweep-loss", "--v", value, "--steps", "3")
+        assert (code, out) == (1, "")
+        assert err == (
+            "gaussent: error: --v: average squeezed variance must be positive and finite, "
+            f"got {float(value)}\n"
+        )
 
     def test_half_a_million_steps_are_written_in_bounded_memory(self, tmp_path):
         """Built as one string, 5e5 rows (28 MB of CSV) peak near 140 MB;

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_entangled_cm
 from oracles import numeric_conditional_variance
+from gaussent.cli import analyze_cm
 from gaussent.epr import (
     degree_of_epr,
     epr_asymptotes,
@@ -67,6 +68,43 @@ class TestConditionalVariance:
                 closed, _ = cv_and_gain(cm, quadrature)
                 numeric = numeric_conditional_variance(cm, quadrature)
                 assert abs(closed - numeric) <= 1e-9
+
+
+class TestConditionalVariancePastTheSquareOverflow:
+    """|C_xy| from 1e150 to 1e300: C_xy^2 overflows past about 1.34e154."""
+
+    @staticmethod
+    def _cm(c_xx, c_yy, c_xy):
+        return CorrelationMatrix4(
+            [[c_xx, 0.0, -c_xy, 0.0], [0.0, c_xx, 0.0, c_xy],
+             [-c_xy, 0.0, c_yy, 0.0], [0.0, c_xy, 0.0, c_yy]]
+        )
+
+    def test_matches_mpmath(self, rng):
+        mpmath = pytest.importorskip("mpmath")
+        for exponent in np.linspace(150.0, 300.0, 151).tolist():
+            c_xy = 10.0**exponent * rng.uniform(1.0, 10.0)
+            c_yy = c_xy * 10.0 ** rng.uniform(-2.0, 2.0)
+            c_xx = c_xy / c_yy * c_xy * rng.uniform(1.1, 4.0)
+            report = degree_of_epr(self._cm(c_xx, c_yy, c_xy))
+            x, y, c = map(mpmath.mpf, (c_xx, c_yy, c_xy))
+            # At 53 bits each operation rounds as a double's does, with no
+            # exponent limit: the value the formula would give without overflow.
+            with mpmath.workprec(53):
+                rounded = float(x - c * c / y)
+            with mpmath.workdps(40):
+                exact = x - c * c / y
+            assert report.cv_plus == report.cv_minus == rounded
+            assert abs(report.cv_plus - exact) <= 3e-15 * exact
+
+    def test_the_overflowing_symmetric_matrix_reads_finite(self):
+        mpmath = pytest.importorskip("mpmath")
+        c = 1e160 - 2e144
+        record = analyze_cm(CorrelationMatrix4.symmetric_form(1e160, 1e160, -c, c))
+        with mpmath.workdps(40):
+            exact = mpmath.mpf(1e160) - mpmath.mpf(c) ** 2 / mpmath.mpf(1e160)
+        assert record["cv_plus"] == record["cv_minus"] == pytest.approx(float(exact), rel=1e-15)
+        assert record["epr"] == record["cv_plus"] * record["cv_minus"]
 
 
 class TestDegreeOfEpr:

@@ -16,7 +16,6 @@ from gaussent.protocols import (
     capacity_ratio,
     contour_grid,
     dense_coding_capacity,
-    exceeds_no_cloning_limit,
     optimal_squeezed_capacity,
     shannon_capacity,
     squeezed_channel_capacity,
@@ -42,8 +41,8 @@ class TestTeleportFidelity:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_no_cloning_flag(self):
-        assert exceeds_no_cloning_limit(teleport_fidelity(0.44))
-        assert not exceeds_no_cloning_limit(teleport_fidelity(0.6))
+        assert teleport_fidelity(0.44) > NO_CLONING_FIDELITY
+        assert not teleport_fidelity(0.6) > NO_CLONING_FIDELITY
         assert NO_CLONING_FIDELITY == pytest.approx(2.0 / 3.0)
 
     def test_rejects_nonpositive(self):

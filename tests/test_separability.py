@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -88,6 +89,19 @@ class TestKParameter:
         cm = biased_cm(2.0, 5.0, 2.0, 3.0, -0.5, 0.5)
         with pytest.raises(ValueError, match="inconsistent"):
             k_parameter(cm)
+
+    def test_refusal_states_the_tolerance_it_tested(self):
+        # The excess ratios agree within RATIO_REL_TOL, so the variance-ratio
+        # restriction holds; the k values differ by more than K_REL_TOL.
+        cm = biased_cm(3.0, 2.0, 4.0, 2.5001, -1.5, 1.8)
+        assert standard_form_restrictions(cm).ratio_ok
+        message = (
+            "bias parameter inconsistent between quadratures "
+            "(0.84089642 vs 0.84091043, relative tolerance 1e-06)"
+        )
+        for refused in (k_parameter, analyze_cm):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                refused(cm)
 
 
 class TestSumCriterion:

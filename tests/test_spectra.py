@@ -509,6 +509,51 @@ class TestColumnWiseDerivation:
                 assert str(raised.value) == reason
 
 
+class TestRowsPastTheSquareOverflow:
+    """Rows whose cross-correlation passes about 1.34e154, where C_xy^2
+    overflows: the conditional variances stay finite (E = cv+ cv- itself
+    overflows where they pass about 1.34e154), and both paths give the same bits."""
+
+    @staticmethod
+    def _rows():
+        rng = np.random.default_rng(7)
+        rows = []
+        for index, exponent in enumerate(np.linspace(155.0, 300.0, 30).tolist()):
+            v = 10.0**exponent * rng.uniform(1.0, 5.0)
+            d = v * 10.0 ** rng.uniform(-15.0, -1.0)
+            rows.append(SpectrumRow(20.0 + index, v, v, v, v, d, d))
+        return rows
+
+    def test_one_row_and_table_paths_agree(self):
+        big = self._rows()
+        ordinary = synthesize_spectra()
+        table = np.array([spectra._spectrum_values(row) for row in ordinary + big])
+        mixed = np.stack(spectra._derive_table(table), axis=1)
+        alone = np.stack(spectra._derive_table(table[: len(ordinary)]), axis=1)
+        assert mixed[: len(ordinary)].tobytes() == alone.tobytes()
+        for row, values in zip(big, mixed[len(ordinary) :].tolist()):
+            derived = derive_row(row)
+            assert all(type(getattr(derived, name)) is float for name in DERIVED_COLUMNS)
+            assert _hex(derived) == [float.hex(value) for value in values]
+            report = degree_of_epr(cm_at_frequency(row))
+            assert math.isfinite(report.cv_plus) and math.isfinite(report.cv_minus)
+            assert derived.epr == report.degree
+        # The row the overflow was seen on reads E = (3.12e144)^2, not inf.
+        assert derive_row(SpectrumRow(1.0, *[1e160] * 4, 2e144, 2e144)).epr == pytest.approx(
+            9.7453140114e288, rel=1e-10
+        )
+
+
+def test_inseparability_measured_is_the_correctly_rounded_root():
+    mpmath = pytest.importorskip("mpmath")
+    cm = CorrelationMatrix4.symmetric_form(3.0, 3.0, -1.0, 1.0)
+    for v_sum, v_diff in np.random.default_rng(0).uniform(0.01, 5.9, (20000, 2)).tolist():
+        record = spectra.analyze_cm(cm, {"v_sum_plus": v_sum, "v_diff_minus": v_diff})
+        with mpmath.workprec(53):  # mpmath's square root is correctly rounded
+            expected = float(mpmath.sqrt(mpmath.mpf(v_sum * v_diff)))
+        assert record["inseparability_measured"] == expected
+
+
 class TestSynthesize:
     def test_high_frequency_rows_approach_vacuum(self):
         rows = synthesize_spectra(freq_grid=[300.0, 500.0])

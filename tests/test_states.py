@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import MEASURED_65, random_squeezed_beam
 from oracles import analyze_cm_reference, apply_loss_reference, correlation_matrix_reference
+from gaussent import spectra
 from gaussent.cli import analyze_cm
+from gaussent.epr import epr_vs_loss
+from gaussent.protocols import contour_grid
+from gaussent.separability import inseparability_vs_loss
 from gaussent.states import (
     FORM_TOL,
     SYMMETRY_TOL,
@@ -537,3 +542,51 @@ def test_scalar_chain_makes_one_array_per_matrix(monkeypatch):
             assert repr(built.to_json_dict()) == repr(
                 {"order": ["xp", "xm", "yp", "ym"], "matrix": reference.tolist()}
             )
+
+
+_SPECTRUM_HEADER = ",".join(spectra.SPECTRUM_COLUMNS)
+_PAIR = entangle_on_beamsplitter(SqueezedBeam.pure(0.5), SqueezedBeam.pure(0.5))
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: apply_loss(_PAIR, 0.5, 1.5), "eta_y must lie in [0, 1], got 1.5"),
+        (lambda: apply_loss(_PAIR, math.nan, 0.5), "eta_x must lie in [0, 1], got nan"),
+        (lambda: inseparability_vs_loss(math.inf, 0.5),
+         "average squeezed variance must be positive and finite, got inf"),
+        (lambda: epr_vs_loss(0.0, 0.5),
+         "average squeezed variance must be positive and finite, got 0.0"),
+        (lambda: epr_vs_loss(0.5, -0.1), "eta must lie in [0, 1], got -0.1"),
+        (lambda: contour_grid("dense_ratio", params={"n_encoding": math.nan}),
+         "n_encoding must be positive and finite, got nan"),
+        (lambda: spectra.synthesize_spectra(eta=1.2), "eta must lie in [0, 1], got 1.2"),
+        (lambda: spectra.synthesize_spectra(freq_grid=[2.5, -1.0]),
+         "column 'frequency_mhz': must be positive and finite, got -1.0"),
+        (lambda: spectra._paper_anchors({"statistical_error": 0.0}, "anchors.json"),
+         "'statistical_error' must be positive and finite, got 0.0"),
+        (lambda: spectra._paper_anchors({"statistical_error": 0.1, "infMHz": {}}, "anchors.json"),
+         "anchor 'infMHz': column 'frequency_mhz': must be positive and finite, got inf"),
+        (lambda: spectra.parse_spectra(
+            _SPECTRUM_HEADER + "\n6.5,3.3,3.3,3.3,3.3,0.44,0.44\n7.0,inf,1,1,1,1,1\n"),
+         "row 3, column 'vx_plus': must be positive and finite, got inf"),
+        # -4000 dB converts to 0.0, which the gate refuses.
+        (lambda: spectra.parse_spectra(_SPECTRUM_HEADER + "\n6.5,1,1,1,1,1,-4000\n", "dB"),
+         "row 2, column 'v_diff_minus': must be positive and finite, got 0.0"),
+        (lambda: analyze_cm(CorrelationMatrix4.identity(), {"v_sum_plus": 0.0, "v_diff_minus": 1.0}),
+         "column 'v_sum_plus': must be positive and finite, got 0.0"),
+        (lambda: analyze_cm(CorrelationMatrix4.identity(), {"v_sum_plus": 1, "v_diff_minus": -1}),
+         "column 'v_diff_minus': must be positive and finite, got -1.0"),
+        (lambda: analyze_cm(CorrelationMatrix4.identity(), {"cv_plus": -1.0, "cv_minus": 1.0}),
+         "column 'cv_plus': must be positive and finite, got -1.0"),
+        (lambda: analyze_cm(CorrelationMatrix4.identity(), {"cv_plus": 1.0, "cv_minus": math.inf}),
+         "column 'cv_minus': must be positive and finite, got inf"),
+        (lambda: analyze_cm(CorrelationMatrix4.identity(), {"cv_plus": 1e200, "cv_minus": 1e200}),
+         "column 'epr_from_measured_cv': must be positive and finite, got inf"),
+    ],
+)
+def test_each_gate_names_what_it_refused(refused, message):
+    """The sites of the positive-and-finite and [0, 1] rules not pinned by
+    their own tests, each with its exact message."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        refused()
