@@ -2,10 +2,13 @@
 
 :func:`float_text` writes each float of an array as ``float.__repr__``
 does (``nan``/``inf``, or json's ``NaN``/``Infinity``), as the rows of a
-NUL-padded uint8 matrix at most :data:`WIDTH` bytes wide; :func:`compose`
-lays such matrices and constant pieces side by side into lines and drops
-the padding.  The writers of contour grids and derived spectra call the
-two on chunks of :data:`CHUNK` cells, about 1 MB of text each.
+NUL-padded uint8 matrix as wide as the longest text, at most
+:data:`WIDTH` bytes; :func:`compose` lays such matrices and constant
+pieces side by side into lines and returns their bytes, padding dropped.
+The writers call :func:`float_text` on about :data:`CHUNK` cells at a
+time, about 1 MB of text: the derived spectra lay out each chunk with
+:func:`compose`, and the contour grids lay out blocks of whole rows in a
+buffer of their own (``protocols._RowBlocks``).
 
 The digits are Schubfach's (R. Giulietti, "The Schubfach way to render
 doubles", 2020, as in the JDK's ``DoubleToDecimal``): the shortest
@@ -19,7 +22,9 @@ The text is laid out by one gather through a template per shape: sign,
 digit count, and the decimal point's slot or the exponent form.  Zeros,
 nan and the infinities are constant rows.  Subnormals alone go to
 ``float.__repr__``: there Schubfach, as Java, keeps two digits where
-Python keeps one (``4.9E-324`` against ``5e-324``).
+Python keeps one (``4.9E-324`` against ``5e-324``).  A chunk that holds
+any of these is assembled in one matrix allocated at its final width,
+the longest of the normal, constant and subnormal texts it holds.
 
 The tables are built on the first call, not at import.
 """
@@ -72,7 +77,7 @@ class _Tables(NamedTuple):
     suffixes: np.ndarray  # "e-324".."e+308", NUL-padded to 5 bytes
     templates: np.ndarray  # per shape, the source column of each output byte
     lengths: np.ndarray  # per shape, the length of the text
-    specials: dict  # text of the zeros, nan and the infinities, per spelling
+    specials: dict  # text of the zeros, nan and the infinities and their lengths, per spelling
 
 
 @functools.cache
@@ -148,10 +153,14 @@ def _templates() -> np.ndarray:
 
 
 def _specials() -> dict:
-    """Per spelling (json or not), the text of +0, -0, nan, +inf and -inf."""
+    """Per spelling (json or not), the text of +0, -0, nan, +inf and -inf
+    and the length of each."""
     words = ["0.0", "-0.0", "nan", "inf", "-inf"]
     json_words = words[:2] + ["NaN", "Infinity", "-Infinity"]
-    return {False: text_rows(words, WIDTH), True: text_rows(json_words, WIDTH)}
+    return {
+        json: (text_rows(spelled, WIDTH), np.array([len(word) for word in spelled]))
+        for json, spelled in ((False, words), (True, json_words))
+    }
 
 
 def text_rows(words, width: int | None = None) -> np.ndarray:
@@ -163,7 +172,7 @@ def text_rows(words, width: int | None = None) -> np.ndarray:
     return np.frombuffer(padded, np.uint8).reshape(len(encoded), width)
 
 
-def compose(*pieces) -> str:
+def compose(*pieces) -> bytes:
     """Lines laid out from ``pieces``, side by side, NUL padding dropped.
 
     Each piece is an (n, w) uint8 matrix, whose row i goes into line i, or
@@ -181,7 +190,7 @@ def compose(*pieces) -> str:
         lines[:, at : at + column.shape[-1]] = column
         at += column.shape[-1]
     text = lines.ravel()
-    return text[text != 0].tobytes().decode("ascii")
+    return text[text != 0].tobytes()
 
 
 def float_text(values, json: bool = False) -> np.ndarray:
@@ -206,12 +215,15 @@ def float_text(values, json: bool = False) -> np.ndarray:
     fraction = (bits[rest] & _T_MASK) != _U64(0)
     kind = (bits[rest] >> _U64(63)).view(np.int64) + 3 * infinite
     kind[infinite & fraction] = 2
-    out = np.zeros((floats.size, WIDTH), np.uint8)
-    out[kept, : text.shape[1]] = text
-    out[rest] = _tables().specials[json][kind]
     subnormals = rest[fraction & ~infinite]
-    out[subnormals] = text_rows(map(float.__repr__, floats[subnormals].tolist()), WIDTH)
-    return out[:, : np.count_nonzero(out.any(axis=0))]
+    subnormal_text = text_rows(map(float.__repr__, floats[subnormals].tolist()))
+    specials, special_lengths = _tables().specials[json]
+    width = max(text.shape[1], special_lengths[kind].max(initial=0), subnormal_text.shape[1])
+    out = np.zeros((floats.size, width), np.uint8)
+    out[kept, : text.shape[1]] = text
+    out[rest] = specials[kind, :width]
+    out[subnormals, : subnormal_text.shape[1]] = subnormal_text
+    return out
 
 
 def _normal_text(bits: np.ndarray, bq: np.ndarray) -> np.ndarray:

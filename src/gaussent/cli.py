@@ -35,14 +35,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _emit(text: str | Iterable[str], out: str | None) -> None:
-    """Write ``text``, one string or an iterable of chunks, to ``out`` or stdout."""
-    # A bare str handed to writelines would be written one character at a time.
-    chunks = [text] if isinstance(text, str) else text
+def _emit(output: str | Iterable[bytes], out: str | None) -> None:
+    """Write ``output``, one str (as UTF-8) or an iterable of byte chunks, to
+    ``out`` or stdout."""
+    chunks = [output.encode()] if isinstance(output, str) else output
     if out is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # what was printed before goes first
+        sys.stdout.buffer.writelines(chunks)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+        with open(out, "wb") as handle:
             handle.writelines(chunks)
 
 
@@ -157,7 +158,7 @@ def _cmd_analyze(args) -> str:
     return _json_text(analyze_cm(*spectra.load_matrix(args.cm, args.at)))
 
 
-def _cmd_sweep_loss(args) -> Iterable[str]:
+def _cmd_sweep_loss(args) -> Iterable[bytes]:
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
     # Both closed forms share one gate on --v; one call here raises before the first byte.
@@ -168,11 +169,11 @@ def _cmd_sweep_loss(args) -> Iterable[str]:
         for eta in etas
     )
     # 4096 lines to a chunk: a chunk per line writes up to a quarter slower.
-    chunks = iter(lambda: "".join(islice(lines, 4096)), "")
-    return chain(["eta,inseparability,epr\n"], chunks)
+    chunks = iter(lambda: "".join(islice(lines, 4096)).encode(), b"")
+    return chain([b"eta,inseparability,epr\n"], chunks)
 
 
-def _cmd_contours(args) -> Iterable[str]:
+def _cmd_contours(args) -> Iterable[bytes]:
     params = {}
     if args.metric == "dense_ratio":
         if args.n_encoding is None:
@@ -190,7 +191,7 @@ def _cmd_contours(args) -> Iterable[str]:
     return grid.csv_chunks() if args.format == "csv" else grid.json_chunks()
 
 
-def _cmd_ingest(args) -> Iterable[str]:
+def _cmd_ingest(args) -> Iterable[bytes]:
     return spectra.ingest_file(args.spectra, "dB" if args.db else "linear", args.format == "json")
 
 

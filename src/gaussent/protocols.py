@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._floattext import CHUNK, compose, float_text, text_rows
+from ._floattext import CHUNK, WIDTH, float_text
 from .epr import epr_from_photons
 from .photons import _require_photon_numbers, insep_from_nmin
 from .states import _require_positive_finite
@@ -33,11 +33,13 @@ MAX_RESOLUTION = 4096
 class ContourGrid:
     """Dense table of one efficacy metric over the (n_min, n_excess) plane.
 
-    :meth:`csv_chunks` and :meth:`json_chunks` yield the text in chunks of
-    :data:`CHUNK` cells, each formatted by one vectorized call of
-    :func:`float_text`, so a writer holds about one chunk of text beside
-    the float64 table rather than the whole text; ``to_csv_text`` joins
-    the chunks.
+    :meth:`csv_chunks` and :meth:`json_chunks` yield the text as bytes, one
+    chunk per block of whole rows of about :data:`CHUNK` cells (or a
+    :data:`CHUNK`-cell slice of a longer row), each block's values
+    formatted by one vectorized call of :func:`float_text` and laid out
+    in one buffer that the writer reuses, so a writer holds about one
+    chunk of text beside the float64 table rather than the whole text;
+    ``to_csv_text`` joins the chunks.
     """
 
     metric: str
@@ -63,42 +65,59 @@ class ContourGrid:
         object.__setattr__(self, "nexcess_axis", nexcess)
         object.__setattr__(self, "values", values)
 
-    def csv_chunks(self) -> Iterator[str]:
-        """The CSV text: the header, then one chunk per :data:`CHUNK` cells.
+    def csv_chunks(self) -> Iterator[bytes]:
+        """The CSV text: the header, then one chunk per block of rows.
 
-        The axes are formatted once; each chunk formats its values in one
-        :func:`float_text` call and repeats the axes' text beside them.
+        The axes are formatted once.  The lines of a block sit in one
+        buffer whose commas, newlines and n_excess text are written once;
+        each block writes its n_min text and its values' text, formatted
+        in one :func:`float_text` call.
         """
-        yield "n_min,n_excess,value\n"
+        yield b"n_min,n_excess,value\n"
+        if not self.values.size:
+            return
         nmin, nexcess = float_text(self.nmin_axis), float_text(self.nexcess_axis)
-        for index, cells in _chunks(self.values):
-            rows, cols = np.divmod(index, self.nexcess_axis.size)
-            yield compose(nmin[rows], ",", nexcess[cols], ",", float_text(cells), "\n")
+        a, b = nmin.shape[1], nexcess.shape[1]
+        buffer = _RowBlocks(self.values.shape, head=0, before=a + b + 2, after=1)
+        buffer.cells[..., [a, a + b + 1]] = ord(",")
+        buffer.cells[..., -1] = ord("\n")
+        for rows, cols, new_cols in buffer.blocks():
+            cells = buffer.cells[: rows.stop - rows.start, : cols.stop - cols.start]
+            if new_cols:
+                cells[..., a + 1 : a + b + 1] = nexcess[cols]
+            cells[..., :a] = nmin[rows, None]
+            yield buffer.text(self.values[rows, cols], json=False)
 
-    def json_chunks(self) -> Iterator[str]:
+    def json_chunks(self) -> Iterator[bytes]:
         """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``: the head and
-        the axes, then one chunk per :data:`CHUNK` cells.
+        the axes, then one chunk per block of rows.
 
         ``json.dumps`` writes the head and the axes, up to a ``null`` that
         holds the values' place; :func:`float_text` writes the values with
-        json's NaN/Infinity spellings.  Each cell opens with one of
-        :data:`_CELL_OPENS` and a row's last cell closes the row.
+        json's NaN/Infinity spellings.  Each row's line opens with
+        :data:`_NEXT_ROW`, and the first row's is cut to ``"[\\n    ["``.
         """
         if not self.values.size:  # no cells: json.dumps writes the whole grid
-            yield json.dumps(self.to_json_dict(), indent=2) + "\n"
+            yield (json.dumps(self.to_json_dict(), indent=2) + "\n").encode()
             return
         head = json.dumps({**self._json_head(), "values": None}, indent=2)
-        yield head[: -len("null\n}")]
-        ncols = self.values.shape[1]
-        for index, cells in _chunks(self.values):
-            cols = index % ncols
-            opens = (cols == 0).astype(np.intp) + (index == 0)
-            closes = (cols == ncols - 1).astype(np.intp)
-            yield compose(_CELL_OPENS[opens], float_text(cells, json=True), _ROW_CLOSES[closes])
-        yield "\n  ]\n}\n"
+        yield head[: -len("null\n}")].encode()
+        buffer = _RowBlocks(
+            self.values.shape, head=len(_NEXT_ROW), before=len(_CELL_OPEN), after=0
+        )
+        buffer.cells[..., : len(_CELL_OPEN)] = _CELL_OPEN
+        for rows, cols, new_cols in buffer.blocks():
+            if new_cols:  # a slice of a longer row opens the row only at its start
+                opens_row = cols.start == 0
+                buffer.lines[:, : len(_NEXT_ROW)] = _NEXT_ROW if opens_row else 0
+                buffer.cells[:, 0, 0] = 0 if opens_row else _CELL_OPEN[0]
+            text = buffer.text(self.values[rows, cols], json=True)
+            # The table's first row closes no row before it: "[\n    [" opens it.
+            yield text if rows.start or cols.start else b"[" + text[len(_ROW_CLOSE) + 1 :]
+        yield _ROW_CLOSE + b"\n  ]\n}\n"
 
     def to_csv_text(self) -> str:
-        return "".join(self.csv_chunks())
+        return b"".join(self.csv_chunks()).decode()
 
     def to_json_dict(self) -> dict:
         return {**self._json_head(), "values": self.values.tolist()}
@@ -120,18 +139,63 @@ def _require_rising_axes(nmin_axis: np.ndarray, nexcess_axis: np.ndarray) -> Non
             raise ValueError(f"{name} must be strictly increasing, got {first} then {then}")
 
 
-# What opens a cell of the JSON values: another cell of the row, the first
-# of a row, the first of the table; and what closes a row's last cell.
-_CELL_OPENS = text_rows([",\n      ", ",\n    [\n      ", "[\n    [\n      "])
-_ROW_CLOSES = text_rows(["", "\n    ]"])
+# In the JSON values: what closes a row; what lies between two rows, the
+# close of one and the open of the next; and what opens each cell, bar the
+# comma for a row's first.
+_ROW_CLOSE = b"\n    ]"
+_NEXT_ROW = np.frombuffer(_ROW_CLOSE + b",\n    [", np.uint8)
+_CELL_OPEN = np.frombuffer(b",\n      ", np.uint8)
 
 
-def _chunks(values: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(flat indices, cells) of ``values`` in row-major order, :data:`CHUNK` cells at a time."""
-    flat = values.ravel()
-    for start in range(0, flat.size, CHUNK):
-        cells = flat[start : start + CHUNK]
-        yield np.arange(start, start + cells.size), cells
+class _RowBlocks:
+    """The text of a grid's cells in blocks of whole rows (⌊:data:`CHUNK`/ncols⌋
+    rows, or a :data:`CHUNK`-cell slice of a longer row), laid out in one
+    uint8 buffer that every block reuses, so that a writer writes its
+    constant bytes once.
+
+    Each line of the buffer holds one row: ``head`` bytes, then per cell
+    ``before`` bytes, the value's text (up to :data:`WIDTH` bytes, NUL
+    padded) and ``after`` bytes.  ``lines`` is the buffer and ``cells``
+    the same bytes as (line, cell, byte).
+    """
+
+    def __init__(self, shape: tuple[int, int], head: int, before: int, after: int) -> None:
+        self.shape = shape
+        nrows, ncols = shape
+        nlines, ncells = min(nrows, max(1, CHUNK // ncols)), min(ncols, CHUNK)
+        self.lines = np.zeros((nlines, head + ncells * (before + WIDTH + after)), np.uint8)
+        self.cells = self.lines[:, head:].reshape(nlines, ncells, -1)
+        self.head, self.before = head, before
+        self.width = 0  # of the values' text in the buffer, NUL beyond it
+
+    def blocks(self) -> Iterator[tuple[slice, slice, bool]]:
+        """(rows, cols, new_cols) per block of the grid in row-major order;
+        ``new_cols`` is true where ``cols`` differ from the last block's."""
+        nrows, ncols = self.shape
+        nlines, ncells = self.cells.shape[:2]
+        last = None
+        for row in range(0, nrows, nlines):
+            for col in range(0, ncols, ncells):  # once, unless a row is longer than CHUNK
+                cols = slice(col, min(col + ncells, ncols))
+                yield slice(row, min(row + nlines, nrows)), cols, cols != last
+                last = cols
+
+    def text(self, values: np.ndarray, json: bool) -> bytes:
+        """The block's bytes, once its other bytes are written: ``values``
+        (its rows and cols of the grid) formatted into the buffer, NUL
+        padding dropped."""
+        nlines, ncells = values.shape
+        text = float_text(values, json)
+        width = text.shape[1]
+        at = self.before
+        # In every cell of the buffer, not only the block's: a later block
+        # of more cells must find NUL past this block's width.
+        self.cells[..., at + width : at + self.width] = 0
+        self.width = width
+        cells = self.cells[:nlines, :ncells]
+        cells[..., at : at + width] = text.reshape(nlines, ncells, width)
+        lines = self.lines[:nlines, : self.head + ncells * self.cells.shape[2]].ravel()
+        return lines[lines != 0].tobytes()
 
 
 def teleport_fidelity(insep: float) -> float:

@@ -407,16 +407,16 @@ def _text_chunks(columns, json: bool) -> Iterator[tuple[int, list]]:
         yield start, [cells[:, j] for j in range(block.shape[1])]
 
 
-def _csv_chunks(columns) -> Iterator[str]:
+def _csv_chunks(columns) -> Iterator[bytes]:
     """CSV of the derived columns (float64 arrays in :data:`DERIVED_COLUMNS`
     order), one chunk per :data:`_CHUNK_ROWS` rows."""
-    yield ",".join(DERIVED_COLUMNS) + "\n"
+    yield (",".join(DERIVED_COLUMNS) + "\n").encode()
     for _, cells in _text_chunks(columns, json=False):
         pieces = [piece for cell in cells for piece in (",", cell)]
         yield compose(*pieces[1:], "\n")
 
 
-def _json_chunks(columns) -> Iterator[str]:
+def _json_chunks(columns) -> Iterator[bytes]:
     """JSON array of the derived columns (float64 arrays in
     :data:`DERIVED_COLUMNS` order), one chunk per :data:`_CHUNK_ROWS` rows:
     what ``json.dumps`` writes of the rows' dicts with ``indent=2``."""
@@ -424,8 +424,8 @@ def _json_chunks(columns) -> Iterator[str]:
     for start, cells in _text_chunks(columns, json=True):
         pieces = [piece for key, cell in zip(_JSON_KEYS, cells) for piece in (key, cell)]
         text = compose(",\n", *pieces, "\n  }")
-        yield text if start else "[\n" + text[2:]
-    yield "[]\n" if start is None else "\n]\n"
+        yield text if start else b"[\n" + text[2:]
+    yield b"[]\n" if start is None else b"\n]\n"
 
 
 def _columns(derived: list[DerivedRow]) -> np.ndarray:
@@ -435,17 +435,17 @@ def _columns(derived: list[DerivedRow]) -> np.ndarray:
 
 def derived_to_csv_text(derived: list[DerivedRow]) -> str:
     """CSV serialization of derived rows, header in DerivedRow field order."""
-    return "".join(_csv_chunks(_columns(derived)))
+    return b"".join(_csv_chunks(_columns(derived))).decode()
 
 
 def derived_to_json_text(derived: list[DerivedRow]) -> str:
     """JSON array of the derived rows, byte for byte what
     ``json.dumps([asdict(row) for row in derived], indent=2)`` writes."""
-    return "".join(_json_chunks(_columns(derived)))
+    return b"".join(_json_chunks(_columns(derived))).decode()
 
 
-def ingest_file(path: str, units: str = "linear", json: bool = False) -> Iterator[str]:
-    """The derived columns of the spectrum CSV at ``path`` as CSV or JSON text chunks;
+def ingest_file(path: str, units: str = "linear", json: bool = False) -> Iterator[bytes]:
+    """The derived columns of the spectrum CSV at ``path`` as chunks of CSV or JSON bytes;
     read and derived here, so a refused file raises before any chunk is written."""
     table = _read_table(read_text(path), units)
     return (_json_chunks if json else _csv_chunks)(_derive_table(table))

@@ -62,7 +62,7 @@ def assert_same_text(text: str, expected: str) -> None:
 
 def check_grid(grid: ContourGrid) -> None:
     assert_same_text(
-        "".join(grid.json_chunks()), json.dumps(grid.to_json_dict(), indent=2) + "\n"
+        b"".join(grid.json_chunks()).decode(), json.dumps(grid.to_json_dict(), indent=2) + "\n"
     )
     assert_same_text(grid.to_csv_text(), per_cell_csv(grid))
 
@@ -87,6 +87,40 @@ def test_a_single_column_longer_than_a_chunk():
     rng = np.random.default_rng(3)
     nrows = CHUNK + 45
     check_grid(ContourGrid("fidelity", axis(rng, nrows), [1.0], sprinkled(rng, (nrows, 1))))
+
+
+# Negative, exponent-form and 17-digit: texts of 24, 23 and 20 bytes; then of 3.
+WIDE = [-2.2250738585072014e-308, -1.2345678901234568e-05, -0.30000000000000004]
+NARROW = [0.5, 1.0, np.nan]
+
+
+def wide_then_narrow(rng, shape, wide_cells) -> np.ndarray:
+    """Narrow values, bar the first ``wide_cells`` in row-major order."""
+    values = rng.choice(NARROW, shape)
+    values.flat[:wide_cells] = rng.choice(WIDE, wide_cells)
+    return values
+
+
+def test_narrow_blocks_after_a_wide_one_leave_no_stale_text():
+    """The writers lay out every block in one buffer: a block whose text is
+    narrower than the block before it must not show that block's bytes."""
+    rng = np.random.default_rng(5)
+    ncols = 301
+    per_block = CHUNK // ncols  # whole rows per block
+    nrows = 3 * per_block + 7  # the last block short
+    assert CHUNK % ncols
+    values = wide_then_narrow(rng, (nrows, ncols), per_block * ncols)
+    check_grid(ContourGrid("dense_ratio", axis(rng, nrows), axis(rng, ncols), values,
+                           {"n_encoding": 2.0}))
+
+
+def test_narrow_slices_of_rows_longer_than_a_chunk_after_a_wide_one():
+    """Rows longer than a chunk are written a chunk-long slice at a time,
+    the last slice of each row short; only the first slice is wide."""
+    rng = np.random.default_rng(6)
+    ncols = CHUNK + 123
+    values = wide_then_narrow(rng, (3, ncols), CHUNK)
+    check_grid(ContourGrid("epr", [0.5, 1.0, 2.0], axis(rng, ncols), values))
 
 
 def test_a_derived_table_longer_than_a_chunk():

@@ -16,7 +16,7 @@ from conftest import MEASURED_65, run_measuring_peak_rss
 from oracles import analyze_cm_reference
 from gaussent import cli, spectra
 from gaussent.cli import analyze_cm, build_parser, main
-from gaussent.spectra import bundled_fixture_path
+from gaussent.spectra import SPECTRUM_COLUMNS, bundled_fixture_path, synthesize_spectra
 from gaussent.states import CorrelationMatrix4, SqueezedBeam, apply_loss, entangle_on_beamsplitter
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -693,6 +693,30 @@ class TestFixturesCommand:
 _NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
 
+# One argv per subcommand and output format; "{spectra}" names a spectrum file.
+_EVERY_OUTPUT = {
+    "contours csv": ["contours", "--metric", "epr", "--grid", "40"],
+    "contours json": ["contours", "--metric", "dense_ratio", "--n-encoding", "2", "--grid", "40",
+                      "--format", "json"],
+    "ingest csv": ["ingest", "{spectra}"],
+    "ingest json": ["ingest", "{spectra}", "--format", "json"],
+    "sweep-loss": ["sweep-loss", "--v", "0.5", "--steps", "5000"],  # more than one chunk
+    "model": ["model", "--v1", "0.5", "--v2", "0.3", "--eta", "0.8"],
+    "analyze": ["analyze", "--at", "6.5MHz"],
+    "fixtures": ["fixtures"],
+}
+
+
+def _output_argv(name, tmp_path):
+    """``_EVERY_OUTPUT[name]``, with a spectrum file written in ``tmp_path``."""
+    spectrum = tmp_path / "spectra.csv"
+    rows = [[getattr(row, column) for column in SPECTRUM_COLUMNS] for row in synthesize_spectra()]
+    spectrum.write_text(
+        ",".join(SPECTRUM_COLUMNS) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    )
+    return [arg.format(spectra=spectrum) for arg in _EVERY_OUTPUT[name]]
+
+
 class TestCliContract:
     @pytest.mark.parametrize("command", ["ingest", "analyze", "fixtures"])
     def test_file_not_in_utf8_is_named_with_the_whole_error(
@@ -761,6 +785,36 @@ class TestCliContract:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and err.startswith("gaussent: error:")
         assert out.read_text() == "kept"
+
+    @pytest.mark.parametrize("name", sorted(_EVERY_OUTPUT))
+    def test_stdout_holds_the_bytes_of_the_out_file(self, capsysbinary, tmp_path, name):
+        argv = _output_argv(name, tmp_path)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+    def test_stdout_of_a_fresh_interpreter_holds_the_bytes_of_the_out_file(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = tmp_path / "out"
+        for name in sorted(_EVERY_OUTPUT):
+            argv = _output_argv(name, tmp_path)
+            assert main(argv + ["--out", str(out)]) == 0
+            result = subprocess.run([sys.executable, "-m", "gaussent.cli", *argv],
+                                    env=env, capture_output=True, timeout=120)
+            assert (result.returncode, result.stdout) == (0, out.read_bytes()), name
+
+    def test_stdout_closed_after_one_line_exits_2_with_one_error_line(self):
+        # About 9 MB of CSV: far more than a pipe holds.
+        argv = [sys.executable, "-m", "gaussent.cli", "contours", "--metric", "epr",
+                "--grid", "400"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=str(SRC))) as proc:
+            assert proc.stdout.readline() == b"n_min,n_excess,value\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 2
+            assert proc.stderr.read() == b"gaussent: i/o error: [Errno 32] Broken pipe\n"
 
     def test_cli_reads_no_private_name_of_another_module(self):
         """Neither ``from .module import _name`` nor ``module._name``."""

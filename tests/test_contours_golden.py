@@ -110,5 +110,5 @@ def grids(draw):
 @settings(max_examples=300, deadline=None)
 @given(grids())
 def test_streamed_writers_match_the_whole_text_writers(grid):
-    assert "".join(grid.json_chunks()) == json.dumps(grid.to_json_dict(), indent=2) + "\n"
+    assert b"".join(grid.json_chunks()).decode() == json.dumps(grid.to_json_dict(), indent=2) + "\n"
     assert grid.to_csv_text() == per_cell_csv(grid)

@@ -75,10 +75,10 @@ def test_a_million_seeded_floats_match_repr():
     assert values.size == 10**6
     for json in (False, True):
         # A CHUNK at a time, as the writers call it.
-        written = "".join(
+        written = b"".join(
             compose(float_text(values[start : start + CHUNK], json), "\n")
             for start in range(0, values.size, CHUNK)
-        )
+        ).decode()
         assert written == "".join(text + "\n" for text in reference(values, json))
 
 
@@ -92,9 +92,14 @@ def test_width_is_the_longest_text():
     assert float_text([0.5, 0.25]).shape == (2, 4)
     assert float_text([-2.2250738585072014e-308]).shape == (1, WIDTH)
     assert float_text(np.array([])).shape == (0, 0)
+    # Chunks of nan, the infinities, zeros and subnormals, alone or mixed.
+    assert float_text([np.nan] * 3, json=True).shape == (3, 3)
+    assert float_text([-np.inf], json=True).shape == (1, 9)
+    assert float_text([-0.0]).shape == (1, 4)
+    assert float_text([np.nan, 5e-324]).shape == (2, 6)
 
 
 def test_compose_lays_pieces_side_by_side_and_drops_padding():
     left = text_rows(["a", "bcd"])
     right = text_rows(["xy", ""])
-    assert compose(left, "=", right, ";\n") == "a=xy;\nbcd=;\n"
+    assert compose(left, "=", right, ";\n") == b"a=xy;\nbcd=;\n"

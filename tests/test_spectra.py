@@ -785,8 +785,11 @@ class TestIngestFile:
         path = tmp_path / "spectra.csv"
         path.write_text(SAMPLE_CSV)
         derived = derive_spectra(parse_spectra(SAMPLE_CSV))
-        assert "".join(spectra.ingest_file(str(path))) == derived_to_csv_text(derived)
-        assert "".join(spectra.ingest_file(str(path), json=True)) == derived_to_json_text(derived)
+        assert b"".join(spectra.ingest_file(str(path))).decode() == derived_to_csv_text(derived)
+        assert (
+            b"".join(spectra.ingest_file(str(path), json=True)).decode()
+            == derived_to_json_text(derived)
+        )
 
     @pytest.mark.parametrize("label", ["nanMHz", "-1MHz", "0MHz", "infMHz", "abcMHz", "6.5"])
     def test_label_must_be_a_positive_frequency(self, tmp_path, label):
