@@ -3,12 +3,11 @@
 :func:`float_text` writes each float of an array as ``float.__repr__``
 does (``nan``/``inf``, or json's ``NaN``/``Infinity``), as the rows of a
 NUL-padded uint8 matrix as wide as the longest text, at most
-:data:`WIDTH` bytes; :func:`compose` lays such matrices and constant
-pieces side by side into lines and returns their bytes, padding dropped.
-The writers call :func:`float_text` on about :data:`CHUNK` cells at a
-time, about 1 MB of text: the derived spectra lay out each chunk with
-:func:`compose`, and the contour grids lay out blocks of whole rows in a
-buffer of their own (``protocols._RowBlocks``).
+:data:`WIDTH` bytes.  Every array writer, the contour grids' and the
+derived spectra's, CSV and JSON, lays out its text with :class:`_RowBlocks`:
+blocks of whole rows of about :data:`CHUNK` cells, about 1 MB of text,
+each block's values formatted by one :func:`float_text` call into one
+buffer whose constant bytes the writer writes once.
 
 The digits are Schubfach's (R. Giulietti, "The Schubfach way to render
 doubles", 2020, as in the JDK's ``DoubleToDecimal``): the shortest
@@ -32,6 +31,7 @@ The tables are built on the first call, not at import.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -172,25 +172,55 @@ def text_rows(words, width: int | None = None) -> np.ndarray:
     return np.frombuffer(padded, np.uint8).reshape(len(encoded), width)
 
 
-def compose(*pieces) -> bytes:
-    """Lines laid out from ``pieces``, side by side, NUL padding dropped.
+class _RowBlocks:
+    """The text of a table's cells in blocks of whole rows (⌊:data:`CHUNK`/ncols⌋
+    rows, or a :data:`CHUNK`-cell slice of a longer row), laid out in one
+    uint8 buffer that every block reuses, so that a writer writes its
+    constant bytes once.
 
-    Each piece is an (n, w) uint8 matrix, whose row i goes into line i, or
-    a str that every line repeats.  A line ends where its pieces do: a
-    newline, if wanted, is a piece of its own.
+    Each line of the buffer holds one row: ``head`` bytes, then per cell
+    ``before`` bytes, the value's text (up to :data:`WIDTH` bytes, NUL
+    padded) and ``after`` bytes.  ``lines`` is the buffer and ``cells``
+    the same bytes as (line, cell, byte).
     """
-    n = next(piece.shape[0] for piece in pieces if isinstance(piece, np.ndarray))
-    columns = [
-        piece if isinstance(piece, np.ndarray) else np.frombuffer(piece.encode("ascii"), np.uint8)
-        for piece in pieces
-    ]
-    lines = np.empty((n, sum(column.shape[-1] for column in columns)), np.uint8)
-    at = 0
-    for column in columns:
-        lines[:, at : at + column.shape[-1]] = column
-        at += column.shape[-1]
-    text = lines.ravel()
-    return text[text != 0].tobytes()
+
+    def __init__(self, shape: tuple[int, int], head: int, before: int, after: int) -> None:
+        self.shape = shape
+        nrows, ncols = shape
+        nlines, ncells = max(1, min(nrows, CHUNK // ncols)), min(ncols, CHUNK)
+        self.lines = np.zeros((nlines, head + ncells * (before + WIDTH + after)), np.uint8)
+        self.cells = self.lines[:, head:].reshape(nlines, ncells, -1)
+        self.head, self.before = head, before
+        self.width = 0  # of the values' text in the buffer, NUL beyond it
+
+    def blocks(self) -> Iterator[tuple[slice, slice, bool]]:
+        """(rows, cols, new_cols) per block of the table in row-major order;
+        ``new_cols`` is true where ``cols`` differ from the last block's."""
+        nrows, ncols = self.shape
+        nlines, ncells = self.cells.shape[:2]
+        last = None
+        for row in range(0, nrows, nlines):
+            for col in range(0, ncols, ncells):  # once, unless a row is longer than CHUNK
+                cols = slice(col, min(col + ncells, ncols))
+                yield slice(row, min(row + nlines, nrows)), cols, cols != last
+                last = cols
+
+    def text(self, values: np.ndarray, json: bool) -> bytes:
+        """The block's bytes, once its other bytes are written: ``values``
+        (its rows and cols of the table) formatted into the buffer, NUL
+        padding dropped."""
+        nlines, ncells = values.shape
+        text = float_text(values, json)
+        width = text.shape[1]
+        at = self.before
+        # In every cell of the buffer, not only the block's: a later block
+        # of more cells must find NUL past this block's width.
+        self.cells[..., at + width : at + self.width] = 0
+        self.width = width
+        cells = self.cells[:nlines, :ncells]
+        cells[..., at : at + width] = text.reshape(nlines, ncells, width)
+        lines = self.lines[:nlines, : self.head + ncells * self.cells.shape[2]].ravel()
+        return lines[lines != 0].tobytes()
 
 
 def float_text(values, json: bool = False) -> np.ndarray:

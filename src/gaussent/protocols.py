@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._floattext import CHUNK, WIDTH, float_text
+from ._floattext import _RowBlocks, float_text
 from .epr import epr_from_photons
 from .photons import _require_photon_numbers, insep_from_nmin
 from .states import _require_positive_finite
@@ -34,12 +34,11 @@ class ContourGrid:
     """Dense table of one efficacy metric over the (n_min, n_excess) plane.
 
     :meth:`csv_chunks` and :meth:`json_chunks` yield the text as bytes, one
-    chunk per block of whole rows of about :data:`CHUNK` cells (or a
-    :data:`CHUNK`-cell slice of a longer row), each block's values
-    formatted by one vectorized call of :func:`float_text` and laid out
-    in one buffer that the writer reuses, so a writer holds about one
-    chunk of text beside the float64 table rather than the whole text;
-    ``to_csv_text`` joins the chunks.
+    chunk per block of whole rows (or a slice of a longer row) laid out in
+    the reused buffer of ``_floattext._RowBlocks``, as the derived-spectrum
+    writers' are, so a writer holds about one chunk of text beside the
+    float64 table rather than the whole text; ``to_csv_text`` joins the
+    chunks.
     """
 
     metric: str
@@ -145,57 +144,6 @@ def _require_rising_axes(nmin_axis: np.ndarray, nexcess_axis: np.ndarray) -> Non
 _ROW_CLOSE = b"\n    ]"
 _NEXT_ROW = np.frombuffer(_ROW_CLOSE + b",\n    [", np.uint8)
 _CELL_OPEN = np.frombuffer(b",\n      ", np.uint8)
-
-
-class _RowBlocks:
-    """The text of a grid's cells in blocks of whole rows (⌊:data:`CHUNK`/ncols⌋
-    rows, or a :data:`CHUNK`-cell slice of a longer row), laid out in one
-    uint8 buffer that every block reuses, so that a writer writes its
-    constant bytes once.
-
-    Each line of the buffer holds one row: ``head`` bytes, then per cell
-    ``before`` bytes, the value's text (up to :data:`WIDTH` bytes, NUL
-    padded) and ``after`` bytes.  ``lines`` is the buffer and ``cells``
-    the same bytes as (line, cell, byte).
-    """
-
-    def __init__(self, shape: tuple[int, int], head: int, before: int, after: int) -> None:
-        self.shape = shape
-        nrows, ncols = shape
-        nlines, ncells = min(nrows, max(1, CHUNK // ncols)), min(ncols, CHUNK)
-        self.lines = np.zeros((nlines, head + ncells * (before + WIDTH + after)), np.uint8)
-        self.cells = self.lines[:, head:].reshape(nlines, ncells, -1)
-        self.head, self.before = head, before
-        self.width = 0  # of the values' text in the buffer, NUL beyond it
-
-    def blocks(self) -> Iterator[tuple[slice, slice, bool]]:
-        """(rows, cols, new_cols) per block of the grid in row-major order;
-        ``new_cols`` is true where ``cols`` differ from the last block's."""
-        nrows, ncols = self.shape
-        nlines, ncells = self.cells.shape[:2]
-        last = None
-        for row in range(0, nrows, nlines):
-            for col in range(0, ncols, ncells):  # once, unless a row is longer than CHUNK
-                cols = slice(col, min(col + ncells, ncols))
-                yield slice(row, min(row + nlines, nrows)), cols, cols != last
-                last = cols
-
-    def text(self, values: np.ndarray, json: bool) -> bytes:
-        """The block's bytes, once its other bytes are written: ``values``
-        (its rows and cols of the grid) formatted into the buffer, NUL
-        padding dropped."""
-        nlines, ncells = values.shape
-        text = float_text(values, json)
-        width = text.shape[1]
-        at = self.before
-        # In every cell of the buffer, not only the block's: a later block
-        # of more cells must find NUL past this block's width.
-        self.cells[..., at + width : at + self.width] = 0
-        self.width = width
-        cells = self.cells[:nlines, :ncells]
-        cells[..., at : at + width] = text.reshape(nlines, ncells, width)
-        lines = self.lines[:nlines, : self.head + ncells * self.cells.shape[2]].ravel()
-        return lines[lines != 0].tobytes()
 
 
 def teleport_fidelity(insep: float) -> float:
@@ -332,10 +280,17 @@ def dense_coding_capacity(n_encoding: float, n_min: float, n_excess: float) -> f
 
 def capacity_ratio(n_encoding: float, n_min: float, n_excess: float) -> float:
     """Dense-coding capacity over the optimal squeezed-state capacity."""
+    optimum = _ratio_denominator(n_encoding)
+    return dense_coding_capacity(n_encoding, n_min, n_excess) / optimum
+
+
+def _ratio_denominator(n_encoding: float) -> float:
+    """:func:`optimal_squeezed_capacity`; ValueError where it rounds to 0.0,
+    at budgets up to 2^-54 (about 5.6e-17), where no ratio is defined."""
     optimum = optimal_squeezed_capacity(n_encoding)
     if optimum == 0.0:
         raise ValueError("capacity ratio undefined at zero photon budget")
-    return dense_coding_capacity(n_encoding, n_min, n_excess) / optimum
+    return optimum
 
 
 def contour_grid(
@@ -359,8 +314,9 @@ def contour_grid(
     Raises:
         ValueError, before any n x n array is built: for an unknown metric
             token, a resolution outside [2, MAX_RESOLUTION], bad ranges,
-            missing or unused params, or an axis that does not strictly
-            increase (a range too narrow for its resolution).
+            missing or unused params, a budget at which
+            :func:`capacity_ratio` is undefined, or an axis that does not
+            strictly increase (a range too narrow for its resolution).
     """
     if metric not in GRID_METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {GRID_METRICS}")
@@ -379,6 +335,7 @@ def contour_grid(
             raise ValueError("dense_ratio grids need params={'n_encoding': ...}")
         n_encoding = float(params["n_encoding"])
         _require_positive_finite(n_encoding, "n_encoding")
+        optimum = _ratio_denominator(n_encoding)
         params = {"n_encoding": n_encoding}
     nmin_axis = np.linspace(nmin_range[0], nmin_range[1], resolution)
     nexcess_axis = np.linspace(nexcess_range[0], nexcess_range[1], resolution)
@@ -391,6 +348,6 @@ def contour_grid(
         # Constant along the excess axis: vertical efficacy contours.
         values = np.repeat(_fidelity(insep_from_nmin(nm)), resolution, axis=1)
     else:
-        values = _dense_capacity(n_encoding, nm, ne) / optimal_squeezed_capacity(n_encoding)
+        values = _dense_capacity(n_encoding, nm, ne) / optimum
 
     return ContourGrid(metric, nmin_axis, nexcess_axis, values, params)

@@ -7,8 +7,9 @@ measures and the photon-number budget follow.  ``gaussent ingest`` keeps
 a spectrum in one float64 table from the CSV to the output: numpy's C
 reader reads the CSV, the value gate runs column-wise, one kernel derives
 every row without building a matrix, and the writers stream the rows in
-chunks, each chunk's floats written by one vectorized ``float.__repr__``
-call (:mod:`gaussent._floattext`).  The fast path decides, the one-row
+blocks laid out in the row buffer the contour grids' writers use too,
+each block's floats written by one vectorized ``float.__repr__`` call
+(:mod:`gaussent._floattext`).  The fast path decides, the one-row
 path explains: the array code only decides whether a file or a row is
 good, and the one-row code (the csv reader, row by row, for a file;
 :func:`derive_row`'s kernel for a row) is the only code that says why one
@@ -48,7 +49,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._floattext import CHUNK, compose, float_text
+from ._floattext import _RowBlocks, text_rows
 from .epr import _epr, _residual_variance
 from .photons import _budget, _decomposition
 from .protocols import NO_CLONING_FIDELITY, teleport_fidelity
@@ -389,43 +390,46 @@ def synthesize_spectra(
 
 
 _derived_values = attrgetter(*DERIVED_COLUMNS)
-#: Rows of derived columns per chunk: one kernel call formats them all.
-_CHUNK_ROWS = CHUNK // len(DERIVED_COLUMNS)
-# What precedes each value of a row in json.dumps(..., indent=2) over the
-# row's dict.
-_JSON_KEYS = [
-    ("  {\n" if i == 0 else ",\n") + f'    "{name}": ' for i, name in enumerate(DERIVED_COLUMNS)
-]
+# In the JSON rows: what closes a row, and what precedes each value in
+# json.dumps(..., indent=2) over the row's dict.
+_ROW_CLOSE = b"\n  }"
+_JSON_KEYS = [("," if i else "") + f'\n    "{name}": ' for i, name in enumerate(DERIVED_COLUMNS)]
 
 
-def _text_chunks(columns, json: bool) -> Iterator[tuple[int, list]]:
-    """(first row, text of each column) of the derived columns,
-    :data:`_CHUNK_ROWS` rows at a time, each chunk in one kernel call."""
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        block = np.stack([column[start : start + _CHUNK_ROWS] for column in columns], axis=1)
-        cells = float_text(block, json).reshape(*block.shape, -1)
-        yield start, [cells[:, j] for j in range(block.shape[1])]
+def _row_chunks(columns, head: bytes, keys: list[str], json: bool) -> Iterator[bytes]:
+    """The rows of the derived columns (float64 arrays in :data:`DERIVED_COLUMNS`
+    order), one chunk per block of :class:`_RowBlocks`: each line ``head``,
+    then per cell its key and value.  The constant bytes are written once."""
+    keys = text_rows(keys)
+    buffer = _RowBlocks(
+        (len(columns[0]), len(columns)), head=len(head), before=keys.shape[1], after=0
+    )
+    buffer.lines[:, : len(head)] = np.frombuffer(head, np.uint8)
+    buffer.cells[..., : keys.shape[1]] = keys
+    for rows, _, _ in buffer.blocks():
+        yield buffer.text(np.stack([column[rows] for column in columns], axis=1), json)
 
 
 def _csv_chunks(columns) -> Iterator[bytes]:
-    """CSV of the derived columns (float64 arrays in :data:`DERIVED_COLUMNS`
-    order), one chunk per :data:`_CHUNK_ROWS` rows."""
-    yield (",".join(DERIVED_COLUMNS) + "\n").encode()
-    for _, cells in _text_chunks(columns, json=False):
-        pieces = [piece for cell in cells for piece in (",", cell)]
-        yield compose(*pieces[1:], "\n")
+    """CSV of the derived columns: each row opens with the newline that ends
+    the line before it."""
+    yield ",".join(DERIVED_COLUMNS).encode()
+    yield from _row_chunks(columns, b"\n", [""] + [","] * (len(DERIVED_COLUMNS) - 1), json=False)
+    yield b"\n"
 
 
 def _json_chunks(columns) -> Iterator[bytes]:
-    """JSON array of the derived columns (float64 arrays in
-    :data:`DERIVED_COLUMNS` order), one chunk per :data:`_CHUNK_ROWS` rows:
-    what ``json.dumps`` writes of the rows' dicts with ``indent=2``."""
-    start = None
-    for start, cells in _text_chunks(columns, json=True):
-        pieces = [piece for key, cell in zip(_JSON_KEYS, cells) for piece in (key, cell)]
-        text = compose(",\n", *pieces, "\n  }")
-        yield text if start else b"[\n" + text[2:]
-    yield b"[]\n" if start is None else b"\n]\n"
+    """JSON array of the derived columns: what ``json.dumps`` writes of the
+    rows' dicts with ``indent=2``.  Each row opens by closing the one before
+    it, and the first row's opening is cut to ``"[\\n  {"``."""
+    chunks = _row_chunks(columns, _ROW_CLOSE + b",\n  {", _JSON_KEYS, json=True)
+    first = next(chunks, None)
+    if first is None:
+        yield b"[]\n"
+        return
+    yield b"[" + first[len(_ROW_CLOSE) + 1 :]
+    yield from chunks
+    yield _ROW_CLOSE + b"\n]\n"
 
 
 def _columns(derived: list[DerivedRow]) -> np.ndarray:

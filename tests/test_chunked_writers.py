@@ -21,13 +21,7 @@ from test_contours_golden import per_cell_csv
 import gaussent
 from gaussent._floattext import CHUNK
 from gaussent.protocols import ContourGrid
-from gaussent.spectra import (
-    DERIVED_COLUMNS,
-    DerivedRow,
-    _CHUNK_ROWS,
-    derived_to_csv_text,
-    derived_to_json_text,
-)
+from gaussent.spectra import DERIVED_COLUMNS, DerivedRow, derived_to_csv_text, derived_to_json_text
 
 SRC = Path(gaussent.__file__).resolve().parents[1]
 ODD = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.225073858507201e-308, 1e-310]
@@ -124,15 +118,22 @@ def test_narrow_slices_of_rows_longer_than_a_chunk_after_a_wide_one():
 
 
 def test_a_derived_table_longer_than_a_chunk():
+    """Sprinkled values over three blocks; then a wide first block, narrow
+    later ones and a short last one, which must show no stale text."""
     rng = np.random.default_rng(4)
-    rows = 2 * _CHUNK_ROWS + 5
-    table = sprinkled(rng, (rows, len(DERIVED_COLUMNS)))
-    derived = [DerivedRow(*row) for row in table.tolist()]
-    csv_lines = [",".join(DERIVED_COLUMNS)]
-    csv_lines += [",".join("%r" % value for value in row) for row in table.tolist()]
-    assert_same_text(derived_to_csv_text(derived), "\n".join(csv_lines) + "\n")
-    expected = json.dumps([asdict(row) for row in derived], indent=2) + "\n"
-    assert_same_text(derived_to_json_text(derived), expected)
+    ncols = len(DERIVED_COLUMNS)
+    per_block = CHUNK // ncols  # whole rows per block
+    tables = [
+        sprinkled(rng, (2 * per_block + 5, ncols)),
+        wide_then_narrow(rng, (3 * per_block + 7, ncols), per_block * ncols),
+    ]
+    for table in tables:
+        derived = [DerivedRow(*row) for row in table.tolist()]
+        csv_lines = [",".join(DERIVED_COLUMNS)]
+        csv_lines += [",".join("%r" % value for value in row) for row in table.tolist()]
+        assert_same_text(derived_to_csv_text(derived), "\n".join(csv_lines) + "\n")
+        expected = json.dumps([asdict(row) for row in derived], indent=2) + "\n"
+        assert_same_text(derived_to_json_text(derived), expected)
 
 
 def test_a_1500_json_grid_is_written_in_bounded_memory(tmp_path):

@@ -528,6 +528,13 @@ class TestContours:
         values = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
         assert values == pytest.approx(expected, rel=1e-14, abs=0)
 
+    def test_a_budget_too_small_for_a_ratio_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "contours", "--metric", "dense_ratio", "--n-encoding", "1e-300", "--grid", "2"
+        )
+        assert (code, out) == (1, "")
+        assert err == "gaussent: error: capacity ratio undefined at zero photon budget\n"
+
     def test_rejects_non_finite_range(self, capsys):
         for value in ("inf", "nan"):
             code, out, err = run_cli(

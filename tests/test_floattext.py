@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaussent._floattext import CHUNK, WIDTH, compose, float_text, text_rows
+from gaussent._floattext import CHUNK, WIDTH, float_text
 
 JSON_SPELLINGS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -65,6 +65,13 @@ def test_arrays_of_bit_patterns_match_repr(patterns):
         assert kernel(values, json) == reference(values, json)
 
 
+def lines(matrix: np.ndarray) -> bytes:
+    """The rows of a NUL-padded text matrix, each ended by a newline, padding dropped."""
+    newlines = np.full((len(matrix), 1), ord("\n"), np.uint8)
+    text = np.concatenate([matrix, newlines], axis=1).ravel()
+    return text[text != 0].tobytes()
+
+
 def test_a_million_seeded_floats_match_repr():
     rng = np.random.default_rng(20261018)
     values = np.concatenate([
@@ -76,7 +83,7 @@ def test_a_million_seeded_floats_match_repr():
     for json in (False, True):
         # A CHUNK at a time, as the writers call it.
         written = b"".join(
-            compose(float_text(values[start : start + CHUNK], json), "\n")
+            lines(float_text(values[start : start + CHUNK], json))
             for start in range(0, values.size, CHUNK)
         ).decode()
         assert written == "".join(text + "\n" for text in reference(values, json))
@@ -98,8 +105,3 @@ def test_width_is_the_longest_text():
     assert float_text([-0.0]).shape == (1, 4)
     assert float_text([np.nan, 5e-324]).shape == (2, 6)
 
-
-def test_compose_lays_pieces_side_by_side_and_drops_padding():
-    left = text_rows(["a", "bcd"])
-    right = text_rows(["xy", ""])
-    assert compose(left, "=", right, ";\n") == b"a=xy;\nbcd=;\n"

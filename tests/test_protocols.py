@@ -226,6 +226,19 @@ class TestCapacityRatio:
                             for a in grid.nmin_axis]
                 np.testing.assert_allclose(grid.values, expected, rtol=1e-14)
 
+    def test_budgets_where_the_squeezed_optimum_rounds_to_zero_are_refused(self):
+        """log2(1 + 2 n) rounds to 0.0 up to n = 2^-54: no ratio is defined
+        there, for a float or a grid, and the grid refuses before it is built."""
+        message = "capacity ratio undefined at zero photon budget"
+        for budget in (5e-324, 1e-300, 2.0**-54):
+            with pytest.raises(ValueError, match=message):
+                capacity_ratio(budget, 0.0, 0.0)
+            with pytest.raises(ValueError, match=message):
+                contour_grid("dense_ratio", resolution=2, params={"n_encoding": budget})
+        smallest = float(np.nextafter(2.0**-54, 1.0))
+        grid = contour_grid("dense_ratio", resolution=2, params={"n_encoding": smallest})
+        assert grid.values[0, 0] == capacity_ratio(smallest, 0.0, 0.0)
+
     def test_large_budget_insensitive_to_excess(self):
         for n_min in (0.1, 0.356, 1.0):
             low = capacity_ratio(1e6, n_min, 0.0)
