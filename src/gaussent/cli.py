@@ -35,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _emit(output: str | Iterable[bytes], out: str | None) -> None:
+def _emit(output: str | Iterable[bytes | memoryview], out: str | None) -> None:
     """Write ``output``, one str (as UTF-8) or an iterable of byte chunks, to
     ``out`` or stdout."""
     chunks = [output.encode()] if isinstance(output, str) else output
@@ -173,7 +173,7 @@ def _cmd_sweep_loss(args) -> Iterable[bytes]:
     return chain([b"eta,inseparability,epr\n"], chunks)
 
 
-def _cmd_contours(args) -> Iterable[bytes]:
+def _cmd_contours(args) -> Iterable[bytes | memoryview]:
     params = {}
     if args.metric == "dense_ratio":
         if args.n_encoding is None:
@@ -191,7 +191,7 @@ def _cmd_contours(args) -> Iterable[bytes]:
     return grid.csv_chunks() if args.format == "csv" else grid.json_chunks()
 
 
-def _cmd_ingest(args) -> Iterable[bytes]:
+def _cmd_ingest(args) -> Iterable[bytes | memoryview]:
     return spectra.ingest_file(args.spectra, "dB" if args.db else "linear", args.format == "json")
 
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from ._floattext import _RowBlocks, float_text
+from ._floattext import CHUNK, _RowBlocks, float_text
 from .epr import epr_from_photons
 from .photons import _require_photon_numbers, insep_from_nmin
 from .states import _require_positive_finite
@@ -33,12 +33,13 @@ MAX_RESOLUTION = 4096
 class ContourGrid:
     """Dense table of one efficacy metric over the (n_min, n_excess) plane.
 
-    :meth:`csv_chunks` and :meth:`json_chunks` yield the text as bytes, one
-    chunk per block of whole rows (or a slice of a longer row) laid out in
-    the reused buffer of ``_floattext._RowBlocks``, as the derived-spectrum
-    writers' are, so a writer holds about one chunk of text beside the
-    float64 table rather than the whole text; ``to_csv_text`` joins the
-    chunks.
+    :meth:`csv_chunks` and :meth:`json_chunks` yield the text as bytes-like
+    chunks, one per block of whole rows (or a slice of a longer row) laid
+    out in the reused buffer of ``_floattext._RowBlocks``, as the
+    derived-spectrum writers' are: a block's chunk is a memoryview of the
+    one array the block allocates.  A writer holds about one chunk of text
+    and a fixed working set beside the float64 table rather than the whole
+    text; ``to_csv_text`` joins the chunks.
     """
 
     metric: str
@@ -46,12 +47,15 @@ class ContourGrid:
     nexcess_axis: np.ndarray
     values: np.ndarray
     params: dict = field(default_factory=dict)
+    # False for a float64 table that no one else holds, contour_grid's own:
+    # it is kept, frozen, rather than copied.
+    _copy_values: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _copy_values: bool) -> None:
         # Copies: freezing the caller's own arrays would make them read-only.
         nmin = np.array(self.nmin_axis, dtype=float)
         nexcess = np.array(self.nexcess_axis, dtype=float)
-        values = np.array(self.values, dtype=float)
+        values = np.array(self.values, dtype=float) if _copy_values else self.values
         if values.shape != (nmin.size, nexcess.size):
             raise ValueError(
                 f"values shape {values.shape} does not match axes "
@@ -64,7 +68,7 @@ class ContourGrid:
         object.__setattr__(self, "nexcess_axis", nexcess)
         object.__setattr__(self, "values", values)
 
-    def csv_chunks(self) -> Iterator[bytes]:
+    def csv_chunks(self) -> Iterator[bytes | memoryview]:
         """The CSV text: the header, then one chunk per block of rows.
 
         The axes are formatted once.  The lines of a block sit in one
@@ -87,7 +91,7 @@ class ContourGrid:
             cells[..., :a] = nmin[rows, None]
             yield buffer.text(self.values[rows, cols], json=False)
 
-    def json_chunks(self) -> Iterator[bytes]:
+    def json_chunks(self) -> Iterator[bytes | memoryview]:
         """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``: the head and
         the axes, then one chunk per block of rows.
 
@@ -289,7 +293,12 @@ def _ratio_denominator(n_encoding: float) -> float:
     at budgets up to 2^-54 (about 5.6e-17), where no ratio is defined."""
     optimum = optimal_squeezed_capacity(n_encoding)
     if optimum == 0.0:
-        raise ValueError("capacity ratio undefined at zero photon budget")
+        if not n_encoding:
+            raise ValueError("capacity ratio undefined at zero photon budget")
+        raise ValueError(
+            f"capacity ratio undefined at photon budget {n_encoding!r}: "
+            "log2(1 + 2n) rounds to 0 for budgets up to 2^-54"
+        )
     return optimum
 
 
@@ -307,8 +316,10 @@ def contour_grid(
     For ``dense_ratio``, ``params`` must carry ``n_encoding``; grid nodes
     whose state exceeds the photon budget evaluate to NaN.
 
-    The n_min axis is broadcast as a column against the n_excess axis as a
-    row, so only the value table is n x n; n_min-only terms such as
+    The table is filled in blocks of the rows that the writers format
+    together (⌊``CHUNK``/n⌋): each block's n_min points, as a column, are
+    broadcast against the n_excess axis as a row, so no n x n array is
+    built but the table itself; n_min-only terms such as
     ``insep_from_nmin`` are evaluated on n points.
 
     Raises:
@@ -341,13 +352,16 @@ def contour_grid(
     nexcess_axis = np.linspace(nexcess_range[0], nexcess_range[1], resolution)
     _require_rising_axes(nmin_axis, nexcess_axis)
 
-    nm, ne = nmin_axis[:, None], nexcess_axis[None, :]
-    if metric == "epr":
-        values = epr_from_photons(nm, ne)
-    elif metric == "fidelity":
-        # Constant along the excess axis: vertical efficacy contours.
-        values = np.repeat(_fidelity(insep_from_nmin(nm)), resolution, axis=1)
-    else:
-        values = _dense_capacity(n_encoding, nm, ne) / optimum
-
-    return ContourGrid(metric, nmin_axis, nexcess_axis, values, params)
+    values = np.empty((resolution, resolution))
+    step = max(1, CHUNK // resolution)
+    for start in range(0, resolution, step):
+        rows = slice(start, start + step)
+        nm = nmin_axis[rows, None]
+        if metric == "epr":
+            values[rows] = epr_from_photons(nm, nexcess_axis)
+        elif metric == "fidelity":
+            # Constant along the excess axis: vertical efficacy contours.
+            values[rows] = _fidelity(insep_from_nmin(nm))
+        else:
+            np.divide(_dense_capacity(n_encoding, nm, nexcess_axis), optimum, out=values[rows])
+    return ContourGrid(metric, nmin_axis, nexcess_axis, values, params, _copy_values=False)

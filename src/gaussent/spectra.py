@@ -396,7 +396,7 @@ _ROW_CLOSE = b"\n  }"
 _JSON_KEYS = [("," if i else "") + f'\n    "{name}": ' for i, name in enumerate(DERIVED_COLUMNS)]
 
 
-def _row_chunks(columns, head: bytes, keys: list[str], json: bool) -> Iterator[bytes]:
+def _row_chunks(columns, head: bytes, keys: list[str], json: bool) -> Iterator[bytes | memoryview]:
     """The rows of the derived columns (float64 arrays in :data:`DERIVED_COLUMNS`
     order), one chunk per block of :class:`_RowBlocks`: each line ``head``,
     then per cell its key and value.  The constant bytes are written once."""
@@ -407,10 +407,11 @@ def _row_chunks(columns, head: bytes, keys: list[str], json: bool) -> Iterator[b
     buffer.lines[:, : len(head)] = np.frombuffer(head, np.uint8)
     buffer.cells[..., : keys.shape[1]] = keys
     for rows, _, _ in buffer.blocks():
-        yield buffer.text(np.stack([column[rows] for column in columns], axis=1), json)
+        block = buffer.work("values", np.float64, rows.stop - rows.start, len(columns))
+        yield buffer.text(np.stack([column[rows] for column in columns], axis=1, out=block), json)
 
 
-def _csv_chunks(columns) -> Iterator[bytes]:
+def _csv_chunks(columns) -> Iterator[bytes | memoryview]:
     """CSV of the derived columns: each row opens with the newline that ends
     the line before it."""
     yield ",".join(DERIVED_COLUMNS).encode()
@@ -418,7 +419,7 @@ def _csv_chunks(columns) -> Iterator[bytes]:
     yield b"\n"
 
 
-def _json_chunks(columns) -> Iterator[bytes]:
+def _json_chunks(columns) -> Iterator[bytes | memoryview]:
     """JSON array of the derived columns: what ``json.dumps`` writes of the
     rows' dicts with ``indent=2``.  Each row opens by closing the one before
     it, and the first row's opening is cut to ``"[\\n  {"``."""
@@ -448,7 +449,9 @@ def derived_to_json_text(derived: list[DerivedRow]) -> str:
     return b"".join(_json_chunks(_columns(derived))).decode()
 
 
-def ingest_file(path: str, units: str = "linear", json: bool = False) -> Iterator[bytes]:
+def ingest_file(
+    path: str, units: str = "linear", json: bool = False
+) -> Iterator[bytes | memoryview]:
     """The derived columns of the spectrum CSV at ``path`` as chunks of CSV or JSON bytes;
     read and derived here, so a refused file raises before any chunk is written."""
     table = _read_table(read_text(path), units)

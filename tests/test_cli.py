@@ -533,7 +533,10 @@ class TestContours:
             capsys, "contours", "--metric", "dense_ratio", "--n-encoding", "1e-300", "--grid", "2"
         )
         assert (code, out) == (1, "")
-        assert err == "gaussent: error: capacity ratio undefined at zero photon budget\n"
+        assert err == (
+            "gaussent: error: capacity ratio undefined at photon budget 1e-300: "
+            "log2(1 + 2n) rounds to 0 for budgets up to 2^-54\n"
+        )
 
     def test_rejects_non_finite_range(self, capsys):
         for value in ("inf", "nan"):

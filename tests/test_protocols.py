@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from oracles import maximize_squeezed_capacity
+from gaussent._floattext import CHUNK
 from gaussent.epr import epr_from_photons
 from gaussent.photons import cross_corr_from_photons, insep_from_nmin
 from gaussent.protocols import (
+    GRID_METRICS,
     MAX_RESOLUTION,
     NO_CLONING_FIDELITY,
     ContourGrid,
@@ -22,6 +24,7 @@ from gaussent.protocols import (
     squeezing_photons,
     teleport_fidelity,
 )
+from gaussent.protocols import _dense_capacity, _fidelity
 
 
 class TestTeleportFidelity:
@@ -229,11 +232,14 @@ class TestCapacityRatio:
     def test_budgets_where_the_squeezed_optimum_rounds_to_zero_are_refused(self):
         """log2(1 + 2 n) rounds to 0.0 up to n = 2^-54: no ratio is defined
         there, for a float or a grid, and the grid refuses before it is built."""
-        message = "capacity ratio undefined at zero photon budget"
         for budget in (5e-324, 1e-300, 2.0**-54):
-            with pytest.raises(ValueError, match=message):
+            message = (
+                f"capacity ratio undefined at photon budget {budget!r}: "
+                "log2(1 + 2n) rounds to 0 for budgets up to 2^-54"
+            )
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 capacity_ratio(budget, 0.0, 0.0)
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 contour_grid("dense_ratio", resolution=2, params={"n_encoding": budget})
         smallest = float(np.nextafter(2.0**-54, 1.0))
         grid = contour_grid("dense_ratio", resolution=2, params={"n_encoding": smallest})
@@ -421,6 +427,79 @@ class TestContourGrid:
         assert np.allclose(np.array(data["values"]), grid.values)
 
 
+def whole_grid(metric, nmin_axis, nexcess_axis, params):
+    """The metric's formula broadcast over the whole (n_min, n_excess) grid at once."""
+    nm, ne = nmin_axis[:, None], nexcess_axis[None, :]
+    if metric == "epr":
+        return epr_from_photons(nm, ne)
+    if metric == "fidelity":
+        return np.repeat(_fidelity(insep_from_nmin(nm)), ne.size, axis=1)
+    n_encoding = params["n_encoding"]
+    return _dense_capacity(n_encoding, nm, ne) / optimal_squeezed_capacity(n_encoding)
+
+
+def assert_same_bits(values, expected):
+    assert values.shape == expected.shape
+    assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+
+
+def blocks_where(rows_flagged: np.ndarray, resolution: int) -> list[bool]:
+    """Per block of rows that contour_grid fills at once, whether any row is flagged."""
+    step = max(1, CHUNK // resolution)
+    return [bool(rows_flagged[start : start + step].any()) for start in range(0, resolution, step)]
+
+
+class TestBlockedTable:
+    """contour_grid fills its table ⌊CHUNK/n⌋ rows at a time; every cell
+    keeps the bits of the metric's formula over the whole grid."""
+
+    PARAMS = {"epr": {}, "fidelity": {}, "dense_ratio": {"n_encoding": 2.0}}
+
+    @pytest.mark.parametrize("resolution", [3, 999, 1000])
+    @pytest.mark.parametrize("metric", GRID_METRICS)
+    def test_matches_the_whole_grid_formula(self, metric, resolution):
+        assert resolution == 3 or CHUNK % resolution  # blocks that end mid-table
+        grid = contour_grid(metric, (0.0, 3.0), (0.0, 4.0), resolution, self.PARAMS[metric])
+        expected = whole_grid(metric, grid.nmin_axis, grid.nexcess_axis, self.PARAMS[metric])
+        assert_same_bits(grid.values, expected)
+
+    @pytest.mark.parametrize("metric", GRID_METRICS)
+    def test_matches_the_whole_grid_formula_at_the_largest_resolution(self, metric):
+        """The formula runs over strips of 250 rows, across the blocks' ends,
+        so that its temporaries stay small."""
+        grid = contour_grid(metric, (0.0, 3.0), (0.0, 4.0), MAX_RESOLUTION, self.PARAMS[metric])
+        for start in range(0, MAX_RESOLUTION, 250):
+            rows = slice(start, start + 250)
+            expected = whole_grid(metric, grid.nmin_axis[rows], grid.nexcess_axis,
+                                  self.PARAMS[metric])
+            assert_same_bits(grid.values[rows], expected)
+
+    @pytest.mark.parametrize(
+        "metric, nmin_range, nexcess_range, params, fires",
+        [
+            # m^2 overflows in epr_from_photons from n_min of about 1.34e154.
+            ("epr", (0.0, 2e154), (0.0, 4.0), {},
+             lambda nm, ne: np.isinf(np.square(nm + 1.0))),
+            # n_min + n_excess overflows in _half_photons.
+            ("dense_ratio", (0.0, 1.7e308), (0.0, 1.7e308), {"n_encoding": 1.7e308},
+             lambda nm, ne: np.isinf(nm[:, None] + ne).any(axis=1)),
+            # s / I overflows in _dense_capacity, where I is small.
+            ("dense_ratio", (0.0, 1e9), (0.0, 1e299), {"n_encoding": 1e300},
+             lambda nm, ne: np.isinf(
+                 (1e300 - 0.5 * (nm[:, None] + ne)) / insep_from_nmin(nm)[:, None]).any(axis=1)),
+        ],
+    )
+    def test_overflow_branches_that_fire_in_some_blocks_only(
+        self, metric, nmin_range, nexcess_range, params, fires
+    ):
+        grid = contour_grid(metric, nmin_range, nexcess_range, 999, params)
+        with np.errstate(over="ignore"):
+            fired = blocks_where(fires(grid.nmin_axis, grid.nexcess_axis), 999)
+        assert any(fired) and not all(fired)
+        expected = whole_grid(metric, grid.nmin_axis, grid.nexcess_axis, params)
+        assert_same_bits(grid.values, expected)
+
+
 @pytest.mark.parametrize(
     "function, args",
     [
@@ -473,6 +552,8 @@ def test_closed_forms_reject_nan(function, args):
          "photon numbers must be non-negative"),
         (optimal_squeezed_capacity, (-1.0,), "photon budget must be non-negative, got -1.0"),
         (capacity_ratio, (0.0, 0.0, 0.0), "capacity ratio undefined at zero photon budget"),
+        (capacity_ratio, (1e-300, 0.0, 0.0), "capacity ratio undefined at photon budget 1e-300: "
+         "log2(1 + 2n) rounds to 0 for budgets up to 2^-54"),
     ],
 )
 def test_closed_forms_reject_infinity(function, args, message):
