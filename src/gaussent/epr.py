@@ -11,7 +11,6 @@ photon-number variables make explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,11 +28,6 @@ class EprReport:
     g_plus: float
     g_minus: float
     degree: float
-
-
-class EprAsymptotes(NamedTuple):
-    pure_limit: float
-    impure_limit: float
 
 
 def _residual_variance(c_xx, c_yy, c_xy):
@@ -108,18 +102,3 @@ def epr_from_photons(n_min, n_excess):
     result = ratio * ratio
     return result if result.ndim else float(result)
 
-
-def epr_asymptotes(insep: float) -> EprAsymptotes:
-    """Limits of the degree of EPR paradox at fixed entanglement strength.
-
-    ``pure_limit`` is the value as the excess-photon number vanishes,
-    4 I^2 / (I^2 + 1)^2, the form consistent with the closed form on the
-    photon variables; ``impure_limit`` is the value as it diverges, 4 I^2,
-    so extremely impure states show the paradox only for I < 0.5.
-    """
-    if not 0.0 < insep <= 1.0:
-        raise ValueError(f"degree of inseparability must lie in (0, 1], got {insep}")
-    i_sq = insep * insep
-    pure = 4.0 * i_sq / ((i_sq + 1.0) * (i_sq + 1.0))
-    impure = 4.0 * i_sq
-    return EprAsymptotes(pure_limit=pure, impure_limit=impure)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .separability import _symmetric_degree
-from .states import CorrelationMatrix4, SqueezedBeam, _quadratures, check_symmetric_form
+from .states import CorrelationMatrix4, _quadratures, check_symmetric_form
 
 
 @dataclass(frozen=True)
@@ -33,15 +33,6 @@ class PhotonDecomposition:
     n_bias: float
     n_excess: float
     g_bias_sq: float
-
-
-def mean_photon_number(beam: SqueezedBeam) -> float:
-    """Mean photons per bandwidth per time in one sideband mode.
-
-    n = (V+ + V- - 2)/4; zero for vacuum and positive for any squeezed
-    physical state.
-    """
-    return 0.25 * (beam.v_plus + beam.v_minus - 2.0)
 
 
 def decompose(cm: CorrelationMatrix4) -> PhotonDecomposition:
@@ -131,10 +122,8 @@ def nmin_from_insep(insep):
     n_min = (I + 1/I)/2 - 1, the inverse of :func:`insep_from_nmin` on
     (0, 1].  Accepts scalars (returning a float) or numpy arrays.
 
-    An infinite degree is accepted and gives inf: a spectrum row whose
-    sum/difference variances overflow has I = inf, n_min = 0 and
-    n_bias = -inf on both the one-row and the array path.  Refusing it
-    would skip that row on the one and refuse the whole table on the other.
+    An infinite degree is accepted and gives inf: a matrix whose
+    sum/difference variance itself overflows has I = inf.
 
     Raises:
         ValueError: if any degree is not positive (NaN included).

@@ -1,9 +1,9 @@
 """Protocol efficacy predictions on the photon-number diagram.
 
-Unity-gain coherent-state teleportation fidelity, Shannon capacities of
-squeezed-state and entanglement-based dense-coding channels at a fixed
-photon budget, and dense efficacy grids over the (n_min, n_excess) plane
-of the photon-number diagram.
+Unity-gain coherent-state teleportation fidelity, the Shannon capacities
+of the optimal squeezed-state and of the entanglement-based dense-coding
+channel at a fixed photon budget, and dense efficacy grids over the
+(n_min, n_excess) plane of the photon-number diagram.
 """
 
 from __future__ import annotations
@@ -165,55 +165,6 @@ def teleport_fidelity(insep: float) -> float:
 def _fidelity(insep):
     """F = 1/(1 + I), elementwise over arrays."""
     return 1.0 / (1.0 + insep)
-
-
-def shannon_capacity(snr: float) -> float:
-    """Shannon capacity of one Gaussian channel, log2(1 + R)/2 bits per symbol.
-
-    Raises:
-        ValueError: if ``snr`` is negative (NaN included) or infinite.
-    """
-    if not snr >= 0.0:
-        raise ValueError(f"signal-to-noise ratio must be non-negative, got {snr}")
-    if snr == math.inf:
-        raise ValueError(f"signal-to-noise ratio must be finite, got {snr}")
-    return 0.5 * math.log2(1.0 + snr)
-
-
-def squeezing_photons(v_sqz: float) -> float:
-    """Photons spent to hold a pure squeezed state at variance ``v_sqz``.
-
-    Raises:
-        ValueError: if ``v_sqz`` is not positive (NaN included) or is infinite.
-    """
-    if not v_sqz > 0.0:
-        raise ValueError(f"squeezed variance must be positive, got {v_sqz}")
-    if v_sqz == math.inf:
-        raise ValueError(f"squeezed variance must be finite, got {v_sqz}")
-    return 0.25 * (v_sqz + 1.0 / v_sqz - 2.0)
-
-
-def squeezed_channel_capacity(n_encoding: float, v_sqz: float) -> float:
-    """Capacity of a squeezed-state channel at a fixed photon budget.
-
-    ``n_encoding`` photons are split between holding the squeezing and
-    encoding signal on the squeezed quadrature; the signal variance is
-    4 (n_encoding - n_sqz) against noise ``v_sqz``.
-
-    Raises:
-        ValueError: if the budget is not finite or does not cover the
-            squeezing photons, if ``v_sqz`` lies outside (0, 1], or if the
-            signal-to-noise ratio overflows to infinity.
-    """
-    if not 0.0 < v_sqz <= 1.0:
-        raise ValueError(f"squeezed variance must lie in (0, 1], got {v_sqz}")
-    n_sqz = squeezing_photons(v_sqz)
-    if not n_encoding >= n_sqz:
-        raise ValueError(
-            f"photon budget {n_encoding} is below the {n_sqz:.6g} needed for squeezing"
-        )
-    _require_finite_budget(n_encoding)
-    return shannon_capacity(4.0 * (n_encoding - n_sqz) / v_sqz)
 
 
 def optimal_squeezed_capacity(n_encoding: float) -> float:

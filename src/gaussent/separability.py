@@ -1,8 +1,8 @@
 """Inseparability analysis for two-mode Gaussian states.
 
-Implements the sum and product forms of the Duan-style inseparability
-criterion: the bias-compensation parameter k, the applicability
-restrictions each form puts on the correlation matrix, the degree of
+Implements the product form of the Duan-style inseparability criterion:
+the bias-compensation parameter k, the applicability restrictions the sum
+and product forms put on the correlation matrix, the degree of
 inseparability (entangled iff below 1), and its closed-form dependence on
 detection efficiency.
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .states import (
     CorrelationMatrix4, _form, _min_sum_diff, _quadratures,
-    _require_fraction, _require_positive_finite,
+    _require_fraction, _require_positive_finite, _sqrt_product,
 )
 
 #: Quoted statistical error of the anchor measurements; absolute tolerance
@@ -30,18 +30,6 @@ RATIO_REL_TOL = 1e-3
 #: Relative tolerance on the agreement of the amplitude- and phase-quadrature
 #: bias parameters.
 K_REL_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class SumCriterionResult:
-    """Outcome of the sum-form criterion for one correlation matrix."""
-
-    k: float
-    lhs: float
-    rhs: float
-    satisfied: bool
-    applicable: bool
-    sign_defaulted: bool
 
 
 @dataclass(frozen=True)
@@ -129,49 +117,6 @@ def _inference_variance(c_xx: float, c_yy: float, c_xy: float, k: float) -> floa
     return k * k * c_xx + c_yy / (k * k) - 2.0 * abs(c_xy)
 
 
-def duan_sum_criterion(
-    cm: CorrelationMatrix4, k: float | None = None
-) -> SumCriterionResult:
-    """Evaluate the sum-form inseparability criterion.
-
-    The left-hand side is the sum of the amplitude and phase inference
-    variances; the right-hand side is 2(k^2 + 1/k^2).  Satisfaction for any
-    k is sufficient for entanglement, so the result is reported whether or
-    not the standard-form restrictions make the criterion strictly
-    applicable; ``applicable`` records that separately.
-
-    Args:
-        cm: correlation matrix in block form (no cross-quadrature terms).
-        k: bias parameter; computed from the matrix when omitted.
-
-    Raises:
-        ValueError: if the matrix couples the quadratures, if a given ``k``
-            is not positive or not finite, or for the errors of
-            :func:`k_parameter` when ``k`` is omitted.
-    """
-    # First, so that a matrix coupling the quadratures is refused before k is checked.
-    _, plus, minus = _gate(cm._flat)
-    excesses = _excesses(plus, minus)
-    if k is None:
-        k = _k(excesses)
-    elif k <= 0.0:
-        raise ValueError(f"k must be positive, got {k}")
-    elif not k < math.inf:
-        raise ValueError(f"k must be finite, got {k}")
-
-    ratio_ok, balance_ok, _ = _restrictions(excesses, plus[2], minus[2])
-    lhs = _inference_variance(*plus, k) + _inference_variance(*minus, k)
-    rhs = 2.0 * (k * k + 1.0 / (k * k))
-    return SumCriterionResult(
-        k=k,
-        lhs=lhs,
-        rhs=rhs,
-        satisfied=lhs < rhs,
-        applicable=ratio_ok and balance_ok,
-        sign_defaulted=plus[2] == 0.0 or minus[2] == 0.0,
-    )
-
-
 def standard_form_restrictions(cm: CorrelationMatrix4) -> StandardFormCheck:
     """Check the two restrictions required by the sum-form criterion.
 
@@ -198,8 +143,8 @@ def _restrictions(
 
     if min(excesses) < 0.0:
         return ratio_ok, False, "restriction undefined: variance below shot noise"
-    margin_plus = math.sqrt(ex_p * ey_p) - abs(cxy_plus)
-    margin_minus = math.sqrt(ex_m * ey_m) - abs(cxy_minus)
+    margin_plus = _sqrt_product(ex_p, ey_p) - abs(cxy_plus)
+    margin_minus = _sqrt_product(ex_m, ey_m) - abs(cxy_minus)
     return ratio_ok, abs(margin_plus - margin_minus) <= RESTRICTION_TOL, None
 
 
@@ -271,7 +216,7 @@ def _biased_degree(plus: tuple, minus: tuple, k: float) -> float:
         raise ValueError(
             f"non-positive inference variance ({d_plus:.6g}, {d_minus:.6g})"
         )
-    return math.sqrt(d_plus * d_minus) / (k * k + 1.0 / (k * k))
+    return _sqrt_product(d_plus, d_minus) / (k * k + 1.0 / (k * k))
 
 
 def _symmetric_degree(plus: tuple, minus: tuple) -> tuple[float, float, float]:
@@ -290,7 +235,7 @@ def _symmetric_degree(plus: tuple, minus: tuple) -> tuple[float, float, float]:
         raise ValueError(
             f"non-positive sum/difference variance ({v_plus:.6g}, {v_minus:.6g})"
         )
-    return v_plus, v_minus, math.sqrt(v_plus * v_minus)
+    return v_plus, v_minus, _sqrt_product(v_plus, v_minus)
 
 
 def inseparability_vs_loss(v_ave: float, eta: float) -> float:

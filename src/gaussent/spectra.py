@@ -65,6 +65,7 @@ from .states import (
     _min_sum_diff,
     _require_fraction,
     _require_positive_finite,
+    _sqrt_product,
     sum_diff_variance,
 )
 
@@ -324,7 +325,7 @@ def _derive_table(table: np.ndarray) -> tuple[np.ndarray, ...]:
         v_plus, v_minus, c_plus, c_minus = _reconstruct(*table.T[1:])
         sum_plus = _min_sum_diff(v_plus, v_plus, c_plus)
         diff_minus = _min_sum_diff(v_minus, v_minus, c_minus)
-        insep = np.sqrt(sum_plus * diff_minus)
+        insep = _sqrt_product(sum_plus, diff_minus)
         # An infinite mode variance makes its cross-correlation infinite and
         # its sum/difference variance NaN, and a finite one leaves the
         # cross-correlation finite: so these comparisons refuse exactly the
@@ -647,7 +648,7 @@ def analyze_cm(
         r_plus, r_minus, c_plus, c_minus, *degree = _symmetric_row(*modes, v_sum, v_diff)
         budget = _decomposition((r_plus, r_plus, c_plus), (r_minus, r_minus, c_minus), *degree)
         source = "measured"
-        result["inseparability_measured"] = math.sqrt(v_sum * v_diff)
+        result["inseparability_measured"] = _sqrt_product(v_sum, v_diff)
     elif interchangeable:
         budget, source = _decomposition(plus, minus, v_plus, v_minus, insep), "matrix"
     else:

@@ -81,10 +81,6 @@ class SqueezedBeam:
             raise ValueError(f"squeezed variance must be positive, got {v_plus}")
         return cls(v_plus, 1.0 / v_plus)
 
-    @classmethod
-    def vacuum(cls) -> "SqueezedBeam":
-        return cls(1.0, 1.0)
-
 
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix4:
@@ -132,10 +128,6 @@ class CorrelationMatrix4:
         if not isinstance(other, CorrelationMatrix4):
             return NotImplemented
         return np.array_equal(self.entries, other.entries)
-
-    @classmethod
-    def identity(cls) -> "CorrelationMatrix4":
-        return cls(np.eye(4))
 
     @classmethod
     def symmetric_form(
@@ -367,9 +359,20 @@ def _min_sum_diff(c_xx, c_yy, c_xy):
     return 0.5 * (c_xx + c_yy) - abs(c_xy)
 
 
-def is_block_form(cm: CorrelationMatrix4) -> bool:
-    """Whether all cross-quadrature entries vanish (amplitude and phase decouple)."""
-    return _form(cm._flat)[0]
+def _sqrt_product(a, b):
+    """sqrt(a b), elementwise over floats or numpy arrays: ``math.sqrt(a * b)``,
+    bit for bit, wherever a b is finite.  Where a b overflows it is taken on the
+    operands scaled by 2^-600 and scaled back, which is exact, as in
+    ``epr._residual_variance``; floats make no numpy call."""
+    product = a * b
+    if isinstance(product, float):
+        if product < math.inf:
+            return math.sqrt(product)
+        return math.sqrt(a * 2.0**-600 * (b * 2.0**-600)) * 2.0**600
+    if not (over := np.isinf(product)).any():
+        return np.sqrt(product)
+    scaled = np.sqrt(a * 2.0**-600 * (b * 2.0**-600)) * 2.0**600
+    return np.where(over, scaled, np.sqrt(product))
 
 
 def check_symmetric_form(cm: CorrelationMatrix4) -> bool:
@@ -382,8 +385,9 @@ def check_symmetric_form(cm: CorrelationMatrix4) -> bool:
 
 
 def _form(f) -> tuple[bool, bool]:
-    """(:func:`is_block_form`, :func:`check_symmetric_form`) of a matrix's 16
-    row-major entries ``f``."""
+    """(block form: every cross-quadrature entry vanishes, so amplitude and
+    phase decouple; :func:`check_symmetric_form`) of a matrix's 16 row-major
+    entries ``f``."""
     # Entries (0, 1), (0, 3), (1, 2) and (2, 3).
     block = max(abs(f[1]), abs(f[3]), abs(f[6]), abs(f[11])) <= FORM_TOL
     return block, block and abs(f[0] - f[10]) <= FORM_TOL and abs(f[5] - f[15]) <= FORM_TOL

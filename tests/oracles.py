@@ -14,6 +14,7 @@ of ``gaussent analyze``.
 import csv
 import io
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -21,27 +22,22 @@ from scipy.optimize import minimize_scalar
 from gaussent import spectra
 from gaussent.epr import degree_of_epr
 from gaussent.photons import decompose
-from gaussent.protocols import (
-    NO_CLONING_FIDELITY,
-    squeezed_channel_capacity,
-    teleport_fidelity,
-)
+from gaussent.protocols import NO_CLONING_FIDELITY, teleport_fidelity
 from gaussent.separability import (
     K_REL_TOL,
     RATIO_REL_TOL,
     RESTRICTION_TOL,
     StandardFormCheck,
-    SumCriterionResult,
     degree_of_inseparability,
     product_restriction,
 )
 from gaussent.spectra import SPECTRUM_COLUMNS, SpectrumRow
 from gaussent.states import (
+    FORM_TOL,
     SYMMETRY_TOL,
     CorrelationMatrix4,
     _require_positive_finite,
     check_symmetric_form,
-    is_block_form,
 )
 
 # Symplectic form for the order (X+_x, X-_x, X+_y, X-_y) with shot noise 1,
@@ -151,6 +147,32 @@ def numeric_conditional_variance(cm: CorrelationMatrix4, quadrature: str) -> flo
     return float(result.fun)
 
 
+def _shannon_capacity(snr: float) -> float:
+    """Shannon capacity of one Gaussian channel, log2(1 + R)/2 bits per symbol."""
+    return 0.5 * math.log2(1.0 + snr)
+
+
+def _squeezing_photons(v_sqz: float) -> float:
+    """Photons spent to hold a pure squeezed state at variance ``v_sqz``."""
+    return 0.25 * (v_sqz + 1.0 / v_sqz - 2.0)
+
+
+def _squeezed_channel_capacity(n_encoding: float, v_sqz: float) -> float:
+    """Capacity of a squeezed-state channel at a fixed photon budget.
+
+    ``n_encoding`` photons are split between holding the squeezing and
+    encoding signal on the squeezed quadrature; the signal variance is
+    4 (n_encoding - n_sqz) against noise ``v_sqz``.  ValueError where the
+    budget does not cover the squeezing photons.
+    """
+    n_sqz = _squeezing_photons(v_sqz)
+    if not n_encoding >= n_sqz:
+        raise ValueError(
+            f"photon budget {n_encoding} is below the {n_sqz:.6g} needed for squeezing"
+        )
+    return _shannon_capacity(4.0 * (n_encoding - n_sqz) / v_sqz)
+
+
 def maximize_squeezed_capacity(n_encoding: float) -> tuple[float, float]:
     """Numerically maximize the squeezed-state capacity over the squeezing level.
 
@@ -166,7 +188,7 @@ def maximize_squeezed_capacity(n_encoding: float) -> tuple[float, float]:
 
     def negated(v: float) -> float:
         try:
-            return -squeezed_channel_capacity(n_encoding, v)
+            return -_squeezed_channel_capacity(n_encoding, v)
         except ValueError:
             # Rounding can push the boundary a hair past the budget.
             return 0.0
@@ -184,7 +206,8 @@ def maximize_squeezed_capacity(n_encoding: float) -> tuple[float, float]:
 
 
 def _require_block_form(cm: CorrelationMatrix4) -> None:
-    if not is_block_form(cm):
+    e = cm.entries
+    if max(abs(e[0, 1]), abs(e[0, 3]), abs(e[1, 2]), abs(e[2, 3])) > FORM_TOL:
         raise ValueError(
             "correlation matrix couples the amplitude and phase quadratures; "
             "reduce it to the decoupled form before analysis"
@@ -229,9 +252,20 @@ def _self_biased_inference_variance(cm: CorrelationMatrix4, quadrature: str) -> 
     return math.sqrt(ey / ex) * c_xx + math.sqrt(ex / ey) * c_yy - 2.0 * abs(c_xy)
 
 
+class SumCriterion(NamedTuple):
+    """Outcome of the sum-form criterion for one correlation matrix."""
+
+    k: float
+    lhs: float
+    rhs: float
+    satisfied: bool
+    applicable: bool
+    sign_defaulted: bool
+
+
 def duan_sum_criterion_reference(
     cm: CorrelationMatrix4, k: float | None = None
-) -> SumCriterionResult:
+) -> SumCriterion:
     _require_block_form(cm)
     if k is None:
         k = k_parameter_reference(cm)
@@ -243,7 +277,7 @@ def duan_sum_criterion_reference(
     lhs = lhs_plus + lhs_minus
     rhs = 2.0 * (k * k + 1.0 / (k * k))
     restrictions = standard_form_restrictions_reference(cm)
-    return SumCriterionResult(
+    return SumCriterion(
         k=k,
         lhs=lhs,
         rhs=rhs,

@@ -187,6 +187,39 @@ class TestAnalyze:
         assert (code, out) == (1, "")
         assert err == "gaussent: error: correlation matrix entries must be finite\n"
 
+    @pytest.mark.parametrize("measured", [None, {"v_sum_plus": 1e200, "v_diff_minus": 1e200}])
+    def test_a_hot_thermal_state_keeps_its_finite_measures(self, capsys, tmp_path, measured):
+        # V+ V- = 1e400 overflows, but I = sqrt(V+ V-) = 1e200 does not, nor
+        # do the correlation margins; E = cv+ cv- = 1e400 truly overflows.
+        data = CorrelationMatrix4(np.diag([1e200] * 4)).to_json_dict()
+        if measured:
+            data["measured"] = measured
+        path = tmp_path / "hot.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "analyze", "--cm", str(path))
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["inseparability"] == 1e200
+        assert payload["fidelity"] == 1e-200
+        assert payload["restrictions"] == {"ratio_ok": True, "balance_ok": True, "product_ok": True}
+        assert (payload["n_min"], payload["n_bias"], payload["n_excess"]) == (0.0, 0.0, 1e200)
+        assert payload["epr"] == math.inf
+        if measured:
+            assert payload["inseparability_measured"] == 1e200
+
+    def test_a_hot_biased_state_keeps_a_finite_degree(self, capsys, tmp_path):
+        # Excess ratio 4 in both quadratures; the inference variances' product
+        # D+ D- (about 1.2e401) overflows, the degree (about 1.39e200) does not.
+        rows = [[1e200, 0.0, -1e200, 0.0], [0.0, 2e200, 0.0, 1e200],
+                [-1e200, 0.0, 4e200, 0.0], [0.0, 1e200, 0.0, 8e200]]
+        path = tmp_path / "hot.json"
+        path.write_text(json.dumps(CorrelationMatrix4(rows).to_json_dict()))
+        code, out, err = run_cli(capsys, "analyze", "--cm", str(path))
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["inseparability"] == pytest.approx(math.sqrt(12.0) / 2.5 * 1e200, rel=1e-14)
+        assert payload["decomposition_source"] == "unavailable"
+
     @pytest.mark.parametrize("where", ["matrix cell [0][0]", "'v_sum_plus'", "'statistical_error'"])
     def test_integer_too_large_for_a_float_exits_1_naming_it(self, capsys, tmp_path, where):
         with open(bundled_fixture_path(), encoding="utf-8") as handle:
@@ -625,6 +658,22 @@ class TestIngest:
         values = dict(zip(lines[0].split(","), (float(c) for c in lines[1].split(","))))
         assert values["inseparability"] == pytest.approx(0.44, abs=1e-12)
         assert values["n_min"] == pytest.approx(0.356, abs=1e-3)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_hot_thermal_row_keeps_its_finite_measures(self, capsys, tmp_path, fmt):
+        # As the analyze case: only E = 1e400 lies past the float range.
+        source = tmp_path / "hot.csv"
+        source.write_text(",".join(SPECTRUM_COLUMNS) + "\n1" + ",1e200" * 6 + "\n")
+        code, out, err = run_cli(capsys, "ingest", str(source), "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "csv":
+            header, line = out.strip().split("\n")
+            row = dict(zip(header.split(","), map(float, line.split(","))))
+        else:
+            (row,) = json.loads(out)
+        assert row["inseparability"] == 1e200
+        assert (row["n_min"], row["n_bias"], row["n_excess"]) == (0.0, 0.0, 1e200)
+        assert row["epr"] == math.inf
 
     def test_db_flag(self, capsys, tmp_path):
         source = tmp_path / "spectra_db.csv"

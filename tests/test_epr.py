@@ -11,7 +11,6 @@ from oracles import numeric_conditional_variance
 from gaussent.cli import analyze_cm
 from gaussent.epr import (
     degree_of_epr,
-    epr_asymptotes,
     epr_from_photons,
     epr_vs_loss,
 )
@@ -119,7 +118,7 @@ class TestDegreeOfEpr:
         assert 0.77 * 0.76 == pytest.approx(0.5852, abs=1e-4)
 
     def test_vacuum_boundary(self):
-        assert degree_of_epr(CorrelationMatrix4.identity()).degree == 1.0
+        assert degree_of_epr(CorrelationMatrix4(np.eye(4))).degree == 1.0
 
     def test_json_fields(self, cm_65mhz):
         data = asdict(degree_of_epr(cm_65mhz))
@@ -257,36 +256,28 @@ class TestEprFromPhotons:
 
 
 class TestAsymptotes:
+    """E at a fixed degree I as the excess photons vanish, 4 I^2 / (I^2 + 1)^2,
+    and as they diverge, 4 I^2: extremely impure states show the paradox
+    only for I < 0.5."""
+
     def test_anchor_strength(self):
-        limits = epr_asymptotes(0.44)
-        assert limits.pure_limit == pytest.approx(0.5435, abs=1e-4)
-        assert limits.impure_limit == pytest.approx(0.7744, abs=1e-12)
-
-    def test_separable_boundary(self):
-        limits = epr_asymptotes(1.0)
-        assert limits.pure_limit == pytest.approx(1.0, abs=1e-12)
-        assert limits.impure_limit == pytest.approx(4.0, abs=1e-12)
-
-    def test_impure_paradox_threshold(self):
-        assert epr_asymptotes(0.5).impure_limit == pytest.approx(1.0, abs=1e-12)
+        n_min = nmin_from_insep(0.44)
+        assert epr_from_photons(n_min, 1e-12) == pytest.approx(0.5435, abs=1e-4)
+        assert epr_from_photons(n_min, 1e9) == pytest.approx(0.7744, abs=1e-6)
 
     def test_pure_limit_matches_vanishing_excess(self):
         for insep in (0.05, 0.2, 0.44, 0.7, 0.9, 1.0):
             n_min = nmin_from_insep(insep)
             at_tiny_excess = epr_from_photons(n_min, 1e-12)
-            assert abs(at_tiny_excess - epr_asymptotes(insep).pure_limit) <= 1e-10
+            i_sq = insep * insep
+            assert abs(at_tiny_excess - 4.0 * i_sq / ((i_sq + 1.0) * (i_sq + 1.0))) <= 1e-10
 
     def test_impure_limit_matches_large_excess(self):
-        for insep in (0.2, 0.44, 0.9):
+        # 0.5: 4 I^2 = 1, the paradox threshold; 1.0: the separable boundary.
+        for insep in (0.2, 0.44, 0.5, 0.9, 1.0):
             n_min = nmin_from_insep(insep)
             at_large_excess = epr_from_photons(n_min, 1e9)
-            assert abs(at_large_excess - epr_asymptotes(insep).impure_limit) <= 1e-6
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            epr_asymptotes(0.0)
-        with pytest.raises(ValueError):
-            epr_asymptotes(1.2)
+            assert abs(at_large_excess - 4.0 * insep * insep) <= 1e-6
 
 
 def test_photon_route_matches_decomposition_route(rng):

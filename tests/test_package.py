@@ -1,5 +1,6 @@
 """Package-level checks: what importing gaussent pulls in, and the README."""
 
+import ast
 import os
 import re
 import subprocess
@@ -7,12 +8,28 @@ import sys
 from math import log10
 from pathlib import Path
 
+import pytest
+
 import gaussent
 from gaussent import cli
 from gaussent.spectra import SPECTRUM_COLUMNS, bundled_fixture_path, synthesize_spectra
 
 SRC = Path(gaussent.__file__).resolve().parents[1]
 README = Path(__file__).resolve().parents[1] / "README.md"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+
+#: Public names that neither the CLI nor perfbench/ reaches, each kept for the
+#: reason given: an acceptance criterion that calls it, or README, which names it.
+#: Every other public name must be reached, or it goes.
+UNREACHED_BUT_KEPT = {
+    "capacity_ratio": "acceptance criterion 8; the scalar form of a dense_ratio cell",
+    "cm_from_photons": "acceptance criterion 10",
+    "apply_local_squeezing": "acceptance criterion 11",
+    "synthesize_spectra": "README: the spectra its CLI examples run on",
+    "derive_spectra": "README: the list form of the ingest kernel",
+    "k_parameter": "README: the bias parameter k, whose disagreement analyze refuses",
+}
 
 
 def test_cli_import_does_not_load_scipy():
@@ -73,3 +90,99 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
         assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
     assert capsys.readouterr().err == ""
     assert (tmp_path / "derived.csv").read_text().count("\n") == len(rows) + 1
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of each public top-level function or class of a
+    module, and of each public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield f"{node.name}.{sub.name}", sub
+
+
+def _references(tree, outside):
+    """The names a module refers to as code (a Name, an Attribute or an
+    import), skipping the subtree ``outside``; docstrings are not code."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is outside:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_public_name_is_reached():
+    """Every public function, class and method of src/gaussent is referred to
+    by the package or by perfbench/ outside its own definition, or is kept,
+    with its reason, in UNREACHED_BUT_KEPT."""
+    modules = sorted((SRC / "gaussent").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in modules}
+    callers = list(trees.values())
+    callers += [ast.parse(path.read_text(encoding="utf-8")) for path in PERFBENCH.glob("*.py")]
+    unreached = [
+        f"{path.stem}.{qualified}"
+        for path, tree in trees.items()
+        for qualified, node in _public_definitions(tree)
+        if not any(node.name in set(_references(caller, node)) for caller in callers)
+    ]
+    assert sorted(name.rpartition(".")[2] for name in unreached) == sorted(UNREACHED_BUT_KEPT), (
+        unreached
+    )
+
+
+def test_only_code_outside_a_definition_reaches_it():
+    module = ast.parse(
+        "def used():\n    return used()\n\n"
+        "def documented():\n    \"\"\"See used() and unused().\"\"\"\n    return used\n\n"
+        "def unused():\n    return 'unused'\n"
+    )
+    definitions = dict(_public_definitions(module))
+    reached = {
+        name for name, node in definitions.items()
+        if name in set(_references(module, node))
+    }
+    # A recursive call, a docstring and a string do not count; a bare Name does.
+    assert reached == {"used"}
+    assert "documented" not in set(_references(module, None))
+    imports = ast.parse("from gaussent.spectra import derive_row\nimport gaussent.cli\nx.pure")
+    assert {"derive_row", "cli", "pure"} <= set(_references(imports, None))
+
+
+@pytest.mark.parametrize("name, reason", sorted(UNREACHED_BUT_KEPT.items()))
+def test_each_kept_name_has_the_use_its_reason_states(name, reason):
+    if reason.startswith("acceptance criterion "):
+        number = int(reason.split()[2].rstrip(";"))
+        tree = ast.parse(ACCEPTANCE.read_text(encoding="utf-8"))
+        (criterion,) = [
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith(f"test_criterion_{number:02d}_")
+        ]
+        assert name in set(_references(criterion, None))
+    else:
+        assert reason.startswith("README: ")
+        assert f"`{name}`" in README.read_text(encoding="utf-8")
+
+
+def test_package_exports_its_eight_names():
+    assert sorted(gaussent.__all__) == [
+        "CorrelationMatrix4",
+        "SqueezedBeam",
+        "apply_loss",
+        "decompose",
+        "degree_of_epr",
+        "degree_of_inseparability",
+        "entangle_on_beamsplitter",
+        "teleport_fidelity",
+    ]
+    assert all(hasattr(gaussent, name) for name in gaussent.__all__)

@@ -17,7 +17,6 @@ from gaussent.photons import (
     cross_corr_from_photons,
     decompose,
     insep_from_nmin,
-    mean_photon_number,
     nmin_from_insep,
 )
 from gaussent.spectra import SpectrumRow, cm_at_frequency
@@ -30,32 +29,17 @@ from gaussent.states import (
 )
 
 
-class TestMeanPhotonNumber:
-    def test_vacuum_is_empty(self):
-        assert mean_photon_number(SqueezedBeam.vacuum()) == 0.0
-
-    def test_pure_squeezed_beam(self):
-        beam = SqueezedBeam(0.5, 2.0)
-        assert mean_photon_number(beam) == pytest.approx(0.125, abs=1e-15)
-
-    def test_nonnegative_for_physical_beams(self, rng):
-        for _ in range(200):
-            v_plus = rng.uniform(0.05, 2.0)
-            v_minus = rng.uniform(1.0, 4.0) / v_plus
-            beam = SqueezedBeam(v_plus, v_minus)
-            assert mean_photon_number(beam) >= 0.0
-
+class TestDecompose:
     def test_beamsplitter_keeps_the_beams_photons(self, rng):
-        # The splitter is passive: the state's photons are the two beams'.
+        # The splitter is passive: the state's photons are the two beams',
+        # (V+ + V- - 2)/4 each.
         for _ in range(200):
             beams = [SqueezedBeam.pure(rng.uniform(0.05, 1.0)) for _ in range(2)]
             state = entangle_on_beamsplitter(*beams)
             assert decompose(state.cm).n_total == pytest.approx(
-                sum(map(mean_photon_number, beams)), rel=1e-12
+                sum(0.25 * (beam.v_plus + beam.v_minus - 2.0) for beam in beams), rel=1e-12
             )
 
-
-class TestDecompose:
     def test_anchor_65_matrix(self, cm_65mhz):
         # Oracle arithmetic on the rounded matrix entries: the minimum
         # combinations are 3.3 - 2.9 = 0.4 in both quadratures.
@@ -114,7 +98,7 @@ class TestDecompose:
             decompose(CorrelationMatrix4(entries))
 
     def test_vacuum(self):
-        budget = decompose(CorrelationMatrix4.identity())
+        budget = decompose(CorrelationMatrix4(np.eye(4)))
         assert budget.n_total == 0.0
         assert budget.n_min == 0.0
         assert budget.n_bias == 0.0

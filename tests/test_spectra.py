@@ -285,7 +285,7 @@ class TestCmAtFrequency:
 
     def test_vacuum_row_gives_identity(self):
         row = SpectrumRow(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-        assert cm_at_frequency(row) == CorrelationMatrix4.identity()
+        assert cm_at_frequency(row) == CorrelationMatrix4(np.eye(4))
 
     def test_round_trips_measured_combinations(self, rng):
         for _ in range(200):
@@ -375,16 +375,28 @@ class TestDeriveSpectra:
             with pytest.raises(ValueError, match=re.escape(reason)):
                 derive_row(row)
 
-    def test_overflowing_degree_is_derived_on_both_paths(self):
-        # V+ V- overflows: I = inf, n_min = 0 and n_bias = -inf.  Refusing an
-        # infinite degree in nmin_from_insep would skip this row on one path
-        # and refuse the whole table on the other.
+    def test_overflowing_variance_product_is_derived_on_both_paths(self):
+        # V+ V- = 1e400 overflows, but I = sqrt(V+ V-) = 1e200 does not:
+        # n_min = 0, n_bias = 0 and n_excess = 1e200 on both paths.
         row = SpectrumRow(1.0, *[1e200] * 6)
         derived = derive_row(row)
-        assert derived.inseparability == math.inf
-        assert derived.n_min == 0.0
-        assert derived.n_bias == -math.inf
+        assert derived.inseparability == 1e200
+        assert (derived.n_min, derived.n_bias, derived.n_excess) == (0.0, 0.0, 1e200)
         assert _hex(derived) == _hex(derive_spectra([row])[0])
+
+    def test_paths_agree_where_some_variance_products_overflow(self):
+        rng = np.random.default_rng(27)
+        rows = []
+        for freq in range(1, 201):
+            v_plus, v_minus = (10.0 ** rng.uniform(100.0, 300.0, 2)).tolist()
+            v_sum, v_diff = (np.array([v_plus, v_minus]) * rng.uniform(0.01, 1.99, 2)).tolist()
+            rows.append(SpectrumRow(float(freq), v_plus, v_minus, v_plus, v_minus, v_sum, v_diff))
+        derived = derive_spectra(rows)
+        assert len(derived) == len(rows)
+        overflows = [row.v_sum_plus * row.v_diff_minus == math.inf for row in rows]
+        assert any(overflows) and not all(overflows)
+        assert all(math.isfinite(row.inseparability) for row in derived)
+        assert [_hex(derive_row(row)) for row in rows] == [_hex(row) for row in derived]
 
     def test_bad_row_skipped_with_warning(self, caplog):
         good = SpectrumRow(6.5, 3.3, 3.3, 3.3, 3.3, 0.4, 0.4)

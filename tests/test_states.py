@@ -14,7 +14,7 @@ from gaussent import spectra
 from gaussent.cli import analyze_cm
 from gaussent.epr import epr_vs_loss
 from gaussent.protocols import contour_grid
-from gaussent.separability import inseparability_vs_loss
+from gaussent.separability import inseparability_vs_loss, standard_form_restrictions
 from gaussent.states import (
     FORM_TOL,
     SYMMETRY_TOL,
@@ -24,8 +24,8 @@ from gaussent.states import (
     apply_local_squeezing,
     apply_loss,
     check_symmetric_form,
+    _sqrt_product,
     entangle_on_beamsplitter,
-    is_block_form,
     sum_diff_variance,
 )
 
@@ -100,12 +100,12 @@ class TestCorrelationMatrix4:
             CorrelationMatrix4(entries)
 
     def test_entries_read_only(self):
-        cm = CorrelationMatrix4.identity()
+        cm = CorrelationMatrix4(np.eye(4))
         with pytest.raises(ValueError):
             cm.entries[0, 0] = 2.0
 
     def test_vacuum_on_physicality_boundary(self):
-        cm = CorrelationMatrix4.identity()
+        cm = CorrelationMatrix4(np.eye(4))
         assert cm.is_physical()
         assert abs(cm.uncertainty_violation()) < 1e-12
 
@@ -155,15 +155,15 @@ class TestBeamsplitter:
         assert e[0, 1] == e[0, 3] == e[1, 2] == e[2, 3] == 0.0
 
     def test_vacuum_inputs_give_identity(self):
-        state = entangle_on_beamsplitter(SqueezedBeam.vacuum(), SqueezedBeam.vacuum())
+        state = entangle_on_beamsplitter(SqueezedBeam(1.0, 1.0), SqueezedBeam(1.0, 1.0))
         assert np.array_equal(state.cm.entries, np.eye(4))
 
     def test_rejects_unphysical_input(self):
         bad = SqueezedBeam(0.5, 0.5)
         with pytest.raises(ValueError, match="^first input beam is unphysical"):
-            entangle_on_beamsplitter(bad, SqueezedBeam.vacuum())
+            entangle_on_beamsplitter(bad, SqueezedBeam(1.0, 1.0))
         with pytest.raises(ValueError, match="^second input beam is unphysical"):
-            entangle_on_beamsplitter(SqueezedBeam.vacuum(), bad)
+            entangle_on_beamsplitter(SqueezedBeam(1.0, 1.0), bad)
 
     def test_near_perfect_squeezing_limit(self):
         beam = SqueezedBeam(1e-8, 1e8)
@@ -296,7 +296,7 @@ class TestSumDiffVariance:
         assert sum_diff_variance(cm_35mhz, "+", "sum") == pytest.approx(6.2 - 5.3)
 
     def test_vacuum_is_unity_for_all_tokens(self):
-        cm = CorrelationMatrix4.identity()
+        cm = CorrelationMatrix4(np.eye(4))
         for quadrature in ("+", "-"):
             for sign in ("sum", "diff"):
                 assert sum_diff_variance(cm, quadrature, sign) == 1.0
@@ -362,7 +362,7 @@ def test_two_mode_state_is_its_matrix(cm_65mhz):
     assert [field.name for field in dataclasses.fields(state)] == ["cm"]
     assert state.cm is cm_65mhz
     with pytest.raises(dataclasses.FrozenInstanceError):
-        state.cm = CorrelationMatrix4.identity()
+        state.cm = CorrelationMatrix4(np.eye(4))
 
 
 # Off-diagonal pairs (i < j) of a 4x4 matrix, and gaps between a pair's
@@ -426,6 +426,38 @@ def _bits(value) -> bytes:
     return np.float64(value).tobytes()
 
 
+class TestSqrtProduct:
+    """sqrt(a b) of the degree of inseparability, the correlation margins and
+    the measured degree: math.sqrt(a * b) where the product is finite, and
+    the root the product would give without an exponent limit where it is not."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(1e150, 1e300), st.floats(1e150, 1e300))
+    def test_matches_mpmath_at_53_bits(self, a, b):
+        mpmath = pytest.importorskip("mpmath")
+        # At 53 bits each operation rounds as a double's does, with no exponent limit.
+        with mpmath.workprec(53):
+            expected = float(mpmath.sqrt(mpmath.mpf(a) * mpmath.mpf(b)))
+        assert _bits(_sqrt_product(a, b)) == _bits(expected)
+        with np.errstate(over="ignore"):  # the array path's callers silence numpy
+            root = _sqrt_product(np.array([a]), np.array([b]))[0]
+        assert _bits(root) == _bits(expected)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(0.0, allow_infinity=False), st.floats(0.0, allow_infinity=False))
+    def test_a_finite_product_gives_math_sqrt_bit_for_bit(self, a, b):
+        if a * b < math.inf:
+            assert _bits(_sqrt_product(a, b)) == _bits(math.sqrt(a * b))
+
+    def test_arrays_take_each_branch_elementwise(self):
+        a = np.array([4.0, 1e200, 1e308, 0.0, math.inf])
+        b = np.array([9.0, 1e200, 1e308, 1e308, 1.0])
+        with np.errstate(over="ignore"):
+            roots = _sqrt_product(a, b)
+        assert roots.tolist() == [6.0, 1e200, 1e308, 0.0, math.inf]
+        assert [_sqrt_product(*pair) for pair in zip(a.tolist(), b.tolist())] == roots.tolist()
+
+
 class TestFloatEntries:
     """The constructor and apply_loss against their numpy forms in
     tests/oracles.py, from before the matrix kept its entries as Python floats."""
@@ -451,7 +483,9 @@ class TestFloatEntries:
             assert _bits(value) == _bits(reference[i, j]), name
         cross = max(abs(reference[0, 1]), abs(reference[0, 3]),
                     abs(reference[1, 2]), abs(reference[2, 3]))
-        assert is_block_form(cm) == (cross <= FORM_TOL)
+        # The block-form gate: the analysis refuses a matrix coupling the quadratures.
+        refused = _outcome(standard_form_restrictions, cm)[0] == "error"
+        assert refused == (cross > FORM_TOL)
         assert check_symmetric_form(cm) == (
             cross <= FORM_TOL
             and abs(reference[0, 0] - reference[2, 2]) <= FORM_TOL
@@ -573,15 +607,15 @@ _PAIR = entangle_on_beamsplitter(SqueezedBeam.pure(0.5), SqueezedBeam.pure(0.5))
         # -4000 dB converts to 0.0, which the gate refuses.
         (lambda: spectra.parse_spectra(_SPECTRUM_HEADER + "\n6.5,1,1,1,1,1,-4000\n", "dB"),
          "row 2, column 'v_diff_minus': must be positive and finite, got 0.0"),
-        (lambda: analyze_cm(CorrelationMatrix4.identity(), {"v_sum_plus": 0.0, "v_diff_minus": 1.0}),
+        (lambda: analyze_cm(CorrelationMatrix4(np.eye(4)), {"v_sum_plus": 0.0, "v_diff_minus": 1.0}),
          "column 'v_sum_plus': must be positive and finite, got 0.0"),
-        (lambda: analyze_cm(CorrelationMatrix4.identity(), {"v_sum_plus": 1, "v_diff_minus": -1}),
+        (lambda: analyze_cm(CorrelationMatrix4(np.eye(4)), {"v_sum_plus": 1, "v_diff_minus": -1}),
          "column 'v_diff_minus': must be positive and finite, got -1.0"),
-        (lambda: analyze_cm(CorrelationMatrix4.identity(), {"cv_plus": -1.0, "cv_minus": 1.0}),
+        (lambda: analyze_cm(CorrelationMatrix4(np.eye(4)), {"cv_plus": -1.0, "cv_minus": 1.0}),
          "column 'cv_plus': must be positive and finite, got -1.0"),
-        (lambda: analyze_cm(CorrelationMatrix4.identity(), {"cv_plus": 1.0, "cv_minus": math.inf}),
+        (lambda: analyze_cm(CorrelationMatrix4(np.eye(4)), {"cv_plus": 1.0, "cv_minus": math.inf}),
          "column 'cv_minus': must be positive and finite, got inf"),
-        (lambda: analyze_cm(CorrelationMatrix4.identity(), {"cv_plus": 1e200, "cv_minus": 1e200}),
+        (lambda: analyze_cm(CorrelationMatrix4(np.eye(4)), {"cv_plus": 1e200, "cv_minus": 1e200}),
          "column 'epr_from_measured_cv': must be positive and finite, got inf"),
     ],
 )
