@@ -4,12 +4,13 @@
 does (``nan``/``inf``, or json's ``NaN``/``Infinity``), as the rows of a
 NUL-padded uint8 matrix as wide as the longest text, at most
 :data:`WIDTH` bytes.  Every array writer, the contour grids' and the
-derived spectra's, CSV and JSON, lays out its text with :class:`_RowBlocks`:
-blocks of whole rows of about :data:`CHUNK` cells, about 1 MB of text,
-each block's values formatted by one :func:`float_text` call into one
-buffer whose constant bytes the writer writes once.  Every array a block
-needs lives in the writer's :class:`_Workspace`, allocated on its first
-block: from then on a block allocates only the text it yields.
+derived spectra's, CSV and JSON, lays out its text with :class:`_RowBlocks`,
+one line per table row, a head and then a key and a value per cell:
+blocks of whole rows of about :data:`CHUNK` cells, about 1 MB of text, or
+one longer row, each block's values formatted by one :func:`float_text`
+call into one buffer whose head and keys the writer writes once.  Every
+array a block needs lives in the writer's :class:`_Workspace`, allocated
+on its first block: from then on a block allocates only the text it yields.
 
 The digits are Schubfach's (R. Giulietti, "The Schubfach way to render
 doubles", 2020, as in the JDK's ``DoubleToDecimal``): the shortest
@@ -217,56 +218,55 @@ class _Workspace(dict):
 
 
 class _RowBlocks:
-    """The text of a table's cells in blocks of whole rows (⌊:data:`CHUNK`/ncols⌋
-    rows, or a :data:`CHUNK`-cell slice of a longer row), laid out in one
-    uint8 buffer that every block reuses, so that a writer writes its
-    constant bytes once.
+    """The text of a table's rows in blocks of whole rows, ⌊:data:`CHUNK`/ncols⌋
+    of them or one longer row, laid out in one uint8 buffer that every block
+    reuses, so that a writer writes its constant bytes once.
 
-    Each line of the buffer holds one row: ``head`` bytes, then per cell
-    ``before`` bytes, the value's text (up to :data:`WIDTH` bytes, NUL
-    padded) and ``after`` bytes.  ``lines`` is the buffer and ``cells``
-    the same bytes as (line, cell, byte).  ``work`` holds every other
-    array a block needs, from the first block on.
+    Each line of the buffer holds one row: the ``head`` bytes, then per
+    cell its key, the NUL-padded row of ``keys``, and the value's text (up
+    to :data:`WIDTH` bytes, NUL padded).  ``lines`` is the buffer and
+    ``cells`` the same bytes as (line, cell, byte).  ``work`` holds every
+    other array a block needs, from the first block on.
     """
 
-    def __init__(self, shape: tuple[int, int], head: int, before: int, after: int) -> None:
-        self.shape = shape
-        nrows, ncols = shape
-        nlines, ncells = max(1, min(nrows, CHUNK // ncols)), min(ncols, CHUNK)
-        self.lines = np.zeros((nlines, head + ncells * (before + WIDTH + after)), np.uint8)
-        self.cells = self.lines[:, head:].reshape(nlines, ncells, -1)
-        self.head, self.before = head, before
+    def __init__(self, nrows: int, head: bytes, keys: np.ndarray) -> None:
+        ncols, self.key = keys.shape
+        self.nrows = nrows
+        nlines = max(1, min(nrows, CHUNK // ncols))
+        self.lines = np.zeros((nlines, len(head) + ncols * (self.key + WIDTH)), np.uint8)
+        self.lines[:, : len(head)] = np.frombuffer(head, np.uint8)
+        self.cells = self.lines[:, len(head) :].reshape(nlines, ncols, -1)
+        self.cells[..., : self.key] = keys
         self.width = 0  # of the values' text in the buffer, NUL beyond it
         self.work = _Workspace()
 
-    def blocks(self) -> Iterator[tuple[slice, slice, bool]]:
-        """(rows, cols, new_cols) per block of the table in row-major order;
-        ``new_cols`` is true where ``cols`` differ from the last block's."""
-        nrows, ncols = self.shape
-        nlines, ncells = self.cells.shape[:2]
-        last = None
-        for row in range(0, nrows, nlines):
-            for col in range(0, ncols, ncells):  # once, unless a row is longer than CHUNK
-                cols = slice(col, min(col + ncells, ncols))
-                yield slice(row, min(row + nlines, nrows)), cols, cols != last
-                last = cols
+    def blocks(self) -> Iterator[slice]:
+        """The rows of each block of the table, in order."""
+        step = len(self.lines)
+        return (slice(row, min(row + step, self.nrows)) for row in range(0, self.nrows, step))
 
     def text(self, values: np.ndarray, json: bool) -> memoryview:
         """The block's bytes, once its other bytes are written: ``values``
-        (its rows and cols of the table) formatted into the buffer, NUL
-        padding dropped.  They are the one array the block allocates."""
-        nlines, ncells = values.shape
+        (its rows of the table) formatted into the buffer, NUL padding
+        dropped.  They are the one array the block allocates."""
         text = float_text(values, json, self.work)
-        width = text.shape[1]
-        at = self.before
-        # In every cell of the buffer, not only the block's: a later block
-        # of more cells must find NUL past this block's width.
+        at, width = self.key, text.shape[1]
+        # NUL past this block's width, where a block before wrote wider text.
         self.cells[..., at + width : at + self.width] = 0
         self.width = width
-        cells = self.cells[:nlines, :ncells]
-        cells[..., at : at + width] = text.reshape(nlines, ncells, width)
-        lines = self.lines[:nlines, : self.head + ncells * self.cells.shape[2]]
+        lines = self.lines[: len(values)]
+        self.cells[: len(values), :, at : at + width] = text.reshape(len(values), -1, width)
         return lines[np.not_equal(lines, 0, out=self.work("kept", bool, *lines.shape))].data
+
+
+def _json_rows(chunks: Iterator, close: bytes) -> Iterator:
+    """The chunks of a JSON array's rows, each row opening with ``close`` and
+    a comma, which close the row before it: the first row, which closes
+    none, opens the array with ``"["`` in their place."""
+    first = next(chunks, None)
+    if first is not None:
+        yield b"[" + first[len(close) + 1 :]
+        yield from chunks
 
 
 def float_text(values, json: bool = False, work: _Workspace | None = None) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .separability import _symmetric_degree
-from .states import CorrelationMatrix4, _quadratures, check_symmetric_form
+from .states import CorrelationMatrix4, _mean, _quadratures, check_symmetric_form
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,10 @@ def _budget(cxx_plus, cxx_minus, cyy_plus, cyy_minus, v_plus, v_minus, insep):
     the matrix, its minimum sum/difference variances V+/V- and its (positive)
     degree of inseparability.
     """
-    n_total = (cxx_plus + cxx_minus + cyy_plus + cyy_minus) / 4.0 - 1.0
+    n_total = _mean(cxx_plus, cxx_minus, cyy_plus, cyy_minus) - 1.0
     # Photons in a pair of pure single-quadrature-squeezed beams with the
     # observed sum/difference variances, before and after removing bias.
-    paired = 0.25 * (v_plus + 1.0 / v_plus + v_minus + 1.0 / v_minus) - 1.0
+    paired = _mean(v_plus, 1.0 / v_plus, v_minus, 1.0 / v_minus) - 1.0
     debiased = nmin_from_insep(insep)
     n_bias = paired - debiased
     # Without entanglement to maintain (I >= 1) the debiased photons count
@@ -128,17 +128,20 @@ def nmin_from_insep(insep):
     Raises:
         ValueError: if any degree is not positive (NaN included).
     """
-    if type(insep) is float:  # spares the scalar measures numpy's per-call cost
-        first_bad = insep
-    else:
+    if type(insep) is not float:  # a float spares the scalar measures numpy's per-call cost
         insep = np.asarray(insep, dtype=float)
-        bad = insep[~(insep > 0.0)]
-        first_bad = float(bad[0]) if bad.size else 1.0  # 1.0: a stand-in that passes
-        if insep.ndim == 0:
-            insep = float(insep)
-    if not first_bad > 0.0:
-        raise ValueError(f"degree of inseparability must be positive, got {first_bad}")
+        insep = insep if insep.ndim else float(insep)
+    _require_positive_degree(insep)
     return 0.5 * (insep + 1.0 / insep) - 1.0
+
+
+def _require_positive_degree(insep) -> None:
+    """ValueError unless the degree of inseparability ``insep``, or each element
+    of an array of them, is positive (not NaN), naming the first that is not."""
+    if isinstance(insep, np.ndarray):
+        insep = next(iter(insep[~(insep > 0.0)].tolist()), 1.0)  # 1.0: a stand-in that passes
+    if not insep > 0.0:
+        raise ValueError(f"degree of inseparability must be positive, got {insep}")
 
 
 def cross_corr_from_photons(n_min: float, n_excess: float) -> float:

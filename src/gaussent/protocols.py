@@ -15,10 +15,10 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from ._floattext import CHUNK, _RowBlocks, float_text
+from ._floattext import CHUNK, _json_rows, _RowBlocks, float_text, text_rows
 from .epr import epr_from_photons
-from .photons import _require_photon_numbers, insep_from_nmin
-from .states import _require_positive_finite
+from .photons import _require_photon_numbers, _require_positive_degree, insep_from_nmin
+from .states import _mean, _require_positive_finite
 
 #: Fidelity above which a teleporter beats the no-cloning bound.
 NO_CLONING_FIDELITY = 2.0 / 3.0
@@ -34,12 +34,12 @@ class ContourGrid:
     """Dense table of one efficacy metric over the (n_min, n_excess) plane.
 
     :meth:`csv_chunks` and :meth:`json_chunks` yield the text as bytes-like
-    chunks, one per block of whole rows (or a slice of a longer row) laid
-    out in the reused buffer of ``_floattext._RowBlocks``, as the
-    derived-spectrum writers' are: a block's chunk is a memoryview of the
-    one array the block allocates.  A writer holds about one chunk of text
-    and a fixed working set beside the float64 table rather than the whole
-    text; ``to_csv_text`` joins the chunks.
+    chunks, one per block of whole rows laid out in the reused buffer of
+    ``_floattext._RowBlocks``, as the derived-spectrum writers' are: a
+    block's chunk is a memoryview of the one array the block allocates.
+    A writer holds about one chunk of text and a fixed working set beside
+    the float64 table, for rows of at most ``CHUNK`` cells, as every grid
+    of :func:`contour_grid` has; ``to_csv_text`` joins the chunks.
     """
 
     metric: str
@@ -71,25 +71,23 @@ class ContourGrid:
     def csv_chunks(self) -> Iterator[bytes | memoryview]:
         """The CSV text: the header, then one chunk per block of rows.
 
-        The axes are formatted once.  The lines of a block sit in one
-        buffer whose commas, newlines and n_excess text are written once;
-        each block writes its n_min text and its values' text, formatted
-        in one :func:`float_text` call.
+        The axes are formatted once.  Each cell's key, written once, opens
+        its line with the newline that ends the one before: n_min's slot
+        and the n_excess text follow it.  Each block writes its n_min text
+        and its values' text, formatted in one :func:`float_text` call.
         """
-        yield b"n_min,n_excess,value\n"
-        if not self.values.size:
-            return
-        nmin, nexcess = float_text(self.nmin_axis), float_text(self.nexcess_axis)
-        a, b = nmin.shape[1], nexcess.shape[1]
-        buffer = _RowBlocks(self.values.shape, head=0, before=a + b + 2, after=1)
-        buffer.cells[..., [a, a + b + 1]] = ord(",")
-        buffer.cells[..., -1] = ord("\n")
-        for rows, cols, new_cols in buffer.blocks():
-            cells = buffer.cells[: rows.stop - rows.start, : cols.stop - cols.start]
-            if new_cols:
-                cells[..., a + 1 : a + b + 1] = nexcess[cols]
-            cells[..., :a] = nmin[rows, None]
-            yield buffer.text(self.values[rows, cols], json=False)
+        yield b"n_min,n_excess,value"
+        if self.values.size:
+            nmin, nexcess = float_text(self.nmin_axis), float_text(self.nexcess_axis)
+            a = nmin.shape[1]
+            keys = np.zeros((len(nexcess), a + nexcess.shape[1] + 3), np.uint8)
+            keys[:, [0, a + 1, -1]] = np.frombuffer(b"\n,,", np.uint8)
+            keys[:, a + 2 : -1] = nexcess
+            buffer = _RowBlocks(len(nmin), b"", keys)
+            for rows in buffer.blocks():
+                buffer.cells[: rows.stop - rows.start, :, 1 : a + 1] = nmin[rows, None]
+                yield buffer.text(self.values[rows], json=False)
+        yield b"\n"
 
     def json_chunks(self) -> Iterator[bytes | memoryview]:
         """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``: the head and
@@ -97,26 +95,20 @@ class ContourGrid:
 
         ``json.dumps`` writes the head and the axes, up to a ``null`` that
         holds the values' place; :func:`float_text` writes the values with
-        json's NaN/Infinity spellings.  Each row's line opens with
-        :data:`_NEXT_ROW`, and the first row's is cut to ``"[\\n    ["``.
+        json's NaN/Infinity spellings.  Each row's line opens by closing
+        the row before it, bar the first's.
         """
         if not self.values.size:  # no cells: json.dumps writes the whole grid
             yield (json.dumps(self.to_json_dict(), indent=2) + "\n").encode()
             return
         head = json.dumps({**self._json_head(), "values": None}, indent=2)
         yield head[: -len("null\n}")].encode()
-        buffer = _RowBlocks(
-            self.values.shape, head=len(_NEXT_ROW), before=len(_CELL_OPEN), after=0
+        # A row's first cell follows no comma.
+        keys = text_rows(["\n      "] + [",\n      "] * (len(self.nexcess_axis) - 1))
+        buffer = _RowBlocks(len(self.nmin_axis), _ROW_CLOSE + b",\n    [", keys)
+        yield from _json_rows(
+            (buffer.text(self.values[rows], json=True) for rows in buffer.blocks()), _ROW_CLOSE
         )
-        buffer.cells[..., : len(_CELL_OPEN)] = _CELL_OPEN
-        for rows, cols, new_cols in buffer.blocks():
-            if new_cols:  # a slice of a longer row opens the row only at its start
-                opens_row = cols.start == 0
-                buffer.lines[:, : len(_NEXT_ROW)] = _NEXT_ROW if opens_row else 0
-                buffer.cells[:, 0, 0] = 0 if opens_row else _CELL_OPEN[0]
-            text = buffer.text(self.values[rows, cols], json=True)
-            # The table's first row closes no row before it: "[\n    [" opens it.
-            yield text if rows.start or cols.start else b"[" + text[len(_ROW_CLOSE) + 1 :]
         yield _ROW_CLOSE + b"\n  ]\n}\n"
 
     def to_csv_text(self) -> str:
@@ -142,12 +134,8 @@ def _require_rising_axes(nmin_axis: np.ndarray, nexcess_axis: np.ndarray) -> Non
             raise ValueError(f"{name} must be strictly increasing, got {first} then {then}")
 
 
-# In the JSON values: what closes a row; what lies between two rows, the
-# close of one and the open of the next; and what opens each cell, bar the
-# comma for a row's first.
+# What closes a row of the JSON values.
 _ROW_CLOSE = b"\n    ]"
-_NEXT_ROW = np.frombuffer(_ROW_CLOSE + b",\n    [", np.uint8)
-_CELL_OPEN = np.frombuffer(b",\n      ", np.uint8)
 
 
 def teleport_fidelity(insep: float) -> float:
@@ -157,8 +145,7 @@ def teleport_fidelity(insep: float) -> float:
     the photon-number diagram are vertical.  F = 0.5 without entanglement;
     values above :data:`NO_CLONING_FIDELITY` beat the no-cloning bound.
     """
-    if not insep > 0.0:
-        raise ValueError(f"degree of inseparability must be positive, got {insep}")
+    _require_positive_degree(insep)
     return _fidelity(insep)
 
 
@@ -188,9 +175,9 @@ def _require_finite_budget(n_encoding: float) -> None:
 def _dense_capacity(n_encoding, n_min, n_excess):
     """log2(1 + s / I(n_min)) with signal s = n_encoding - (n_min + n_excess)/2,
     elementwise over floats or arrays; NaN where s < 0, a state over the budget."""
-    signal = n_encoding - _half_photons(n_min, n_excess)
     insep = insep_from_nmin(n_min)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # in the sum of _mean, and in s / I
+        signal = n_encoding - _mean(n_min, n_excess)
         capacity = np.log2(1.0 + np.where(signal >= 0.0, signal, np.nan) / insep)
     if np.fmax.reduce(capacity, axis=None) == np.inf:  # s / I overflowed: log2 s - log2 I
         over = np.isinf(capacity)
@@ -198,16 +185,6 @@ def _dense_capacity(n_encoding, n_min, n_excess):
         capacity = np.array(capacity)
         capacity[over] = np.log2(signal) - np.log2(insep)
     return capacity
-
-
-def _half_photons(n_min, n_excess):
-    """(n_min + n_excess)/2, the state's photons in the encoded beam, elementwise;
-    n_min/2 + n_excess/2 on the cells where the sum overflows."""
-    with np.errstate(over="ignore"):
-        half = 0.5 * (n_min + n_excess)
-    if np.fmax.reduce(half, axis=None) == np.inf:
-        half = np.where(np.isinf(half), 0.5 * n_min + 0.5 * n_excess, half)
-    return half
 
 
 def dense_coding_capacity(n_encoding: float, n_min: float, n_excess: float) -> float:
@@ -226,7 +203,7 @@ def dense_coding_capacity(n_encoding: float, n_min: float, n_excess: float) -> f
     capacity = float(_dense_capacity(n_encoding, n_min, n_excess))
     if math.isnan(capacity):
         raise ValueError(
-            f"photon budget {n_encoding} is below the {_half_photons(n_min, n_excess):.6g} needed "
+            f"photon budget {n_encoding} is below the {_mean(n_min, n_excess):.6g} needed "
             "for the entangled state"
         )
     _require_finite_budget(n_encoding)

@@ -70,8 +70,10 @@ def _excesses(plus: tuple, minus: tuple) -> tuple[float, float, float, float]:
 
 
 def _bias_weight(ex: float, ey: float) -> float:
-    """A quadrature's bias weight ((C_yy - 1)/(C_xx - 1))^(1/4) from its excesses."""
-    return (ey / ex) ** 0.25
+    """A quadrature's bias weight ((C_yy - 1)/(C_xx - 1))^(1/4) from its excesses;
+    the ratio of their fourth roots where their own ratio leaves the normal floats."""
+    ratio = ey / ex
+    return ratio**0.25 if 2.0**-1022 <= ratio < math.inf else ey**0.25 / ex**0.25
 
 
 def k_parameter(cm: CorrelationMatrix4) -> float:

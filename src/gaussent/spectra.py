@@ -49,7 +49,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._floattext import _RowBlocks, text_rows
+from ._floattext import _json_rows, _RowBlocks, text_rows
 from .epr import _epr, _residual_variance
 from .photons import _budget, _decomposition
 from .protocols import NO_CLONING_FIDELITY, teleport_fidelity
@@ -62,6 +62,7 @@ from .states import (
     apply_loss,
     entangle_on_beamsplitter,
     _json_number,
+    _mean,
     _min_sum_diff,
     _require_fraction,
     _require_positive_finite,
@@ -245,8 +246,8 @@ def cm_at_frequency(row: SpectrumRow) -> CorrelationMatrix4:
 def _reconstruct(vx_plus, vx_minus, vy_plus, vy_minus, v_sum_plus, v_diff_minus):
     """(V+, V-, C+, C-) of the interchangeable-beams matrix of a row,
     elementwise over floats or numpy arrays."""
-    v_plus = 0.5 * (vx_plus + vy_plus)
-    v_minus = 0.5 * (vx_minus + vy_minus)
+    v_plus = _mean(vx_plus, vy_plus)
+    v_minus = _mean(vx_minus, vy_minus)
     return v_plus, v_minus, v_sum_plus - v_plus, v_minus - v_diff_minus
 
 
@@ -256,22 +257,17 @@ def _symmetric_row(vx_plus, vx_minus, vy_plus, vy_minus, v_sum_plus, v_diff_minu
     :func:`cm_at_frequency` builds, its minimum sum/difference variances and
     its degree of inseparability.
 
+    The entries of a row of positive finite variances are finite.
+
     Raises:
         ValueError: with the message the scalar analysis of that matrix
-            raises first: for an entry that is not finite, then for a
-            non-positive sum/difference variance.  A degree that underflows
-            to 0 is refused later, by ``nmin_from_insep`` in the budget.
+            raises first, for a non-positive sum/difference variance.  A
+            degree that underflows to 0 is refused later, by
+            ``nmin_from_insep`` in the budget.
     """
     v_plus, v_minus, c_plus, c_minus = _reconstruct(
         vx_plus, vx_minus, vy_plus, vy_minus, v_sum_plus, v_diff_minus
     )
-    if not (
-        math.isfinite(v_plus)
-        and math.isfinite(v_minus)
-        and math.isfinite(c_plus)
-        and math.isfinite(c_minus)
-    ):
-        raise ValueError("correlation matrix entries must be finite")
     degree = _symmetric_degree((v_plus, v_plus, c_plus), (v_minus, v_minus, c_minus))
     return v_plus, v_minus, c_plus, c_minus, *degree
 
@@ -326,9 +322,7 @@ def _derive_table(table: np.ndarray) -> tuple[np.ndarray, ...]:
         sum_plus = _min_sum_diff(v_plus, v_plus, c_plus)
         diff_minus = _min_sum_diff(v_minus, v_minus, c_minus)
         insep = _sqrt_product(sum_plus, diff_minus)
-        # An infinite mode variance makes its cross-correlation infinite and
-        # its sum/difference variance NaN, and a finite one leaves the
-        # cross-correlation finite: so these comparisons refuse exactly the
+        # Every entry is finite, so these comparisons refuse exactly the
         # rows that the one-row path refuses.
         valid = (sum_plus > 0.0) & (diff_minus > 0.0) & (insep > 0.0)
         columns = (table[:, 0], v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, insep)
@@ -401,13 +395,8 @@ def _row_chunks(columns, head: bytes, keys: list[str], json: bool) -> Iterator[b
     """The rows of the derived columns (float64 arrays in :data:`DERIVED_COLUMNS`
     order), one chunk per block of :class:`_RowBlocks`: each line ``head``,
     then per cell its key and value.  The constant bytes are written once."""
-    keys = text_rows(keys)
-    buffer = _RowBlocks(
-        (len(columns[0]), len(columns)), head=len(head), before=keys.shape[1], after=0
-    )
-    buffer.lines[:, : len(head)] = np.frombuffer(head, np.uint8)
-    buffer.cells[..., : keys.shape[1]] = keys
-    for rows, _, _ in buffer.blocks():
+    buffer = _RowBlocks(len(columns[0]), head, text_rows(keys))
+    for rows in buffer.blocks():
         block = buffer.work("values", np.float64, rows.stop - rows.start, len(columns))
         yield buffer.text(np.stack([column[rows] for column in columns], axis=1, out=block), json)
 
@@ -423,15 +412,10 @@ def _csv_chunks(columns) -> Iterator[bytes | memoryview]:
 def _json_chunks(columns) -> Iterator[bytes | memoryview]:
     """JSON array of the derived columns: what ``json.dumps`` writes of the
     rows' dicts with ``indent=2``.  Each row opens by closing the one before
-    it, and the first row's opening is cut to ``"[\\n  {"``."""
-    chunks = _row_chunks(columns, _ROW_CLOSE + b",\n  {", _JSON_KEYS, json=True)
-    first = next(chunks, None)
-    if first is None:
-        yield b"[]\n"
-        return
-    yield b"[" + first[len(_ROW_CLOSE) + 1 :]
-    yield from chunks
-    yield _ROW_CLOSE + b"\n]\n"
+    it, bar the first."""
+    rows = _row_chunks(columns, _ROW_CLOSE + b",\n  {", _JSON_KEYS, json=True)
+    yield from _json_rows(rows, _ROW_CLOSE)
+    yield _ROW_CLOSE + b"\n]\n" if len(columns[0]) else b"[]\n"
 
 
 def _columns(derived: list[DerivedRow]) -> np.ndarray:

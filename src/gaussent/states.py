@@ -267,8 +267,8 @@ def entangle_on_beamsplitter(sqz1: SqueezedBeam, sqz2: SqueezedBeam) -> TwoModeS
     v1p, v1m = sqz1.v_plus, sqz1.v_minus
     v2p, v2m = sqz2.v_plus, sqz2.v_minus
 
-    var_plus = 0.5 * (v1p + v2m)
-    var_minus = 0.5 * (v1m + v2p)
+    var_plus = _mean(v1p, v2m)
+    var_minus = _mean(v1m, v2p)
     c_plus = 0.5 * (v1p - v2m)
     c_minus = 0.5 * (v1m - v2p)
     return TwoModeState(CorrelationMatrix4.symmetric_form(var_plus, var_minus, c_plus, c_minus))
@@ -346,17 +346,33 @@ def sum_diff_variance(
     if sign not in ("sum", "diff"):
         raise ValueError(f"sign must be 'sum' or 'diff', got {sign!r}")
     s = 1.0 if sign == "sum" else -1.0
-    return 0.5 * (c_xx + c_yy) + s * c_xy
+    return _mean(c_xx, c_yy) + s * c_xy
 
 
 def _min_sum_diff(c_xx, c_yy, c_xy):
-    """(C_xx + C_yy)/2 - |C_xy|, elementwise over floats or numpy arrays.
+    """(C_xx + C_yy)/2 - |C_xy|, elementwise over floats or numpy arrays; the
+    mean is :func:`_mean`'s.
 
     The smaller of the sum and difference variances of
     :func:`sum_diff_variance`, bit for bit: rounding is monotone, so
     subtracting |C_xy| picks the same value as taking the minimum.
     """
-    return 0.5 * (c_xx + c_yy) - abs(c_xy)
+    return _mean(c_xx, c_yy) - abs(c_xy)
+
+
+def _mean(a, b, c=None, d=None):
+    """The mean of two or four non-negative terms, elementwise over floats or
+    numpy arrays (under the caller's ``np.errstate``): their sum, left to
+    right, over their count, bit for bit wherever the sum is finite, and the
+    sum of the scaled terms where it overflows.  Floats make no numpy call."""
+    mean = (a + b) / 2.0 if c is None else (a + b + c + d) / 4.0
+    if type(mean) is float:
+        if mean < math.inf:
+            return mean
+    elif np.fmax.reduce(mean, axis=None, initial=0.0) < math.inf:  # one pass on the common path
+        return mean
+    scaled = a / 2.0 + b / 2.0 if c is None else a / 4.0 + b / 4.0 + c / 4.0 + d / 4.0
+    return scaled if type(mean) is float else np.where(np.isinf(mean), scaled, mean)
 
 
 def _sqrt_product(a, b):

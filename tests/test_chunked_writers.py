@@ -72,6 +72,7 @@ def test_a_grid_of_more_cells_than_a_chunk():
 
 
 def test_a_single_row_wider_than_a_chunk():
+    """A row longer than a chunk is written whole, as one block."""
     rng = np.random.default_rng(2)
     ncols = CHUNK + 123
     check_grid(ContourGrid("epr", [0.5], axis(rng, ncols), sprinkled(rng, (1, ncols))))
@@ -109,8 +110,9 @@ def test_narrow_blocks_after_a_wide_one_leave_no_stale_text():
 
 
 def test_narrow_slices_of_rows_longer_than_a_chunk_after_a_wide_one():
-    """Rows longer than a chunk are written a chunk-long slice at a time,
-    the last slice of each row short; only the first slice is wide."""
+    """Rows longer than a chunk are written a whole row at a time: the first
+    CHUNK cells of the first row are wide, and the narrow rows after it must
+    show none of its text."""
     rng = np.random.default_rng(6)
     ncols = CHUNK + 123
     values = wide_then_narrow(rng, (3, ncols), CHUNK)

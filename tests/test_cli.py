@@ -176,16 +176,17 @@ class TestAnalyze:
             assert out == ""
             assert err.startswith("gaussent: error:") and named in err, err
 
-    def test_measured_variances_overflowing_the_rebuilt_matrix_exit_1(self, capsys, tmp_path):
-        # The mode variances average to inf in the interchangeable-beams
-        # matrix rebuilt from the measured sum/difference variances.
+    def test_measured_variances_cancelled_in_the_rebuilt_matrix_exit_1(self, capsys, tmp_path):
+        # The mode variances average to 1e308 in the interchangeable-beams
+        # matrix rebuilt from the measured sum/difference variances, whose
+        # C+ = 0.5 - 1e308 rounds to -1e308: its sum variance V+ - |C+| is 0.
         data = CorrelationMatrix4(np.diag([1e308, 1.0, 1e308, 1.0])).to_json_dict()
         data["measured"] = {"v_sum_plus": 0.5, "v_diff_minus": 0.5}
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "analyze", "--cm", str(path))
         assert (code, out) == (1, "")
-        assert err == "gaussent: error: correlation matrix entries must be finite\n"
+        assert err == "gaussent: error: non-positive sum/difference variance (0, 0.5)\n"
 
     @pytest.mark.parametrize("measured", [None, {"v_sum_plus": 1e200, "v_diff_minus": 1e200}])
     def test_a_hot_thermal_state_keeps_its_finite_measures(self, capsys, tmp_path, measured):

@@ -478,7 +478,7 @@ class TestBlockedTable:
             # m^2 overflows in epr_from_photons from n_min of about 1.34e154.
             ("epr", (0.0, 2e154), (0.0, 4.0), {},
              lambda nm, ne: np.isinf(np.square(nm + 1.0))),
-            # n_min + n_excess overflows in _half_photons.
+            # n_min + n_excess overflows in _mean.
             ("dense_ratio", (0.0, 1.7e308), (0.0, 1.7e308), {"n_encoding": 1.7e308},
              lambda nm, ne: np.isinf(nm[:, None] + ne).any(axis=1)),
             # s / I overflows in _dense_capacity, where I is small.
@@ -496,6 +496,25 @@ class TestBlockedTable:
         assert any(fired) and not all(fired)
         expected = whole_grid(metric, grid.nmin_axis, grid.nexcess_axis, params)
         assert_same_bits(grid.values, expected)
+
+
+class TestWriterBlocks:
+    """The grid writers yield one chunk per block of whole rows: no row is
+    split, so a row wider than CHUNK is a block of its own."""
+
+    def test_every_grid_row_fits_in_a_chunk(self):
+        # So every grid contour_grid builds is written in a bounded working set.
+        assert MAX_RESOLUTION <= CHUNK
+
+    def test_rows_wider_than_a_chunk_are_one_chunk_each(self):
+        ncols = CHUNK + 5
+        values = np.linspace(0.0, 1.0, 3 * ncols).reshape(3, ncols)
+        grid = ContourGrid("epr", [0.5, 1.0, 2.0], np.arange(ncols, dtype=float), values)
+        csv_chunks, json_chunks = list(grid.csv_chunks()), list(grid.json_chunks())
+        # The head, a chunk per row, and the tail.
+        assert len(csv_chunks) == len(json_chunks) == 1 + 3 + 1
+        assert [bytes(chunk).count(b"\n") for chunk in csv_chunks[1:-1]] == [ncols] * 3
+        assert b"".join(json_chunks).decode() == json.dumps(grid.to_json_dict(), indent=2) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -136,7 +136,8 @@ class TestSumCriterionOracle:
 
 class TestPastTheFloatLimit:
     """sqrt(a b) in the degree and the correlation margins where a b overflows
-    but its root does not."""
+    but its root does not; the means of variances whose sums overflow; and
+    the bias weight where the excesses' ratio leaves the normal floats."""
 
     def test_symmetric_degree(self):
         # V+ V- = 1e400.
@@ -155,6 +156,32 @@ class TestPastTheFloatLimit:
             d_minus = k_sq * cxx_m + cyy_m / k_sq - 2 * abs(cxy_m)
             exact = mpmath.sqrt(d_plus * d_minus) / (k_sq + 1 / k_sq)
         assert abs(degree - exact) <= 1e-14 * exact
+
+    def test_variances_whose_sums_overflow_keep_the_analysis_finite(self):
+        mpmath = pytest.importorskip("mpmath")
+        result = analyze_cm(CorrelationMatrix4(np.diag([1.7e308] * 4)))
+        with mpmath.workdps(60):
+            fidelity = 1 / (1 + mpmath.mpf(1.7e308))
+        assert result["inseparability"] == result["n_total"] == result["n_excess"] == 1.7e308
+        assert (result["n_min"], result["n_bias"], result["g_bias_sq"]) == (0.0, 0.0, 1.0)
+        assert result["fidelity"] == pytest.approx(float(fidelity), rel=1e-15)
+
+    @pytest.mark.parametrize("near_vacuum_first", [True, False])
+    def test_bias_weights_past_the_float_range_match_mpmath(self, near_vacuum_first):
+        mpmath = pytest.importorskip("mpmath")
+        # Excess ratios of 1.7e308 / 2^-52 and its inverse: past the largest
+        # float, and below the smallest subnormal.
+        x, y = 1.0 + 2.0**-52, 1.7e308
+        if not near_vacuum_first:
+            x, y = y, x
+        cm = CorrelationMatrix4(np.diag([x, x, y, y]))
+        with mpmath.workdps(60):
+            ex, ey = mpmath.mpf(x) - 1, mpmath.mpf(y) - 1
+            k_sq = mpmath.sqrt(ey / ex)
+            exact = (k_sq * x + y / k_sq) / (k_sq + 1 / k_sq)
+        assert k_parameter(cm) == pytest.approx(float(mpmath.sqrt(k_sq)), rel=1e-15)
+        assert degree_of_inseparability(cm) == pytest.approx(float(exact), rel=1e-15)
+        assert analyze_cm(cm)["inseparability"] == degree_of_inseparability(cm)
 
     def test_correlation_margins_balance(self):
         # Both margins are sqrt((C_xx - 1)(C_yy - 1)) = 1e200, as the

@@ -350,9 +350,10 @@ class TestDeriveSpectra:
     def test_derive_row_makes_no_numpy_call(self, monkeypatch):
         rows = synthesize_spectra()
         expected = [_hex(row) for row in derive_spectra(rows)]
-        # Rows that fail the finite, positive and I > 0 checks, in that order.
+        # Rows that fail the positive and I > 0 checks: in the first, C+ =
+        # 1 - 1e308 rounds to -1e308, and V+ - |C+| is 0.
         bad = [
-            (SpectrumRow(3.0, 1e308, 1.0, 1e308, 1.0, 1.0, 1.0), "must be finite"),
+            (SpectrumRow(3.0, 1e308, 1.0, 1e308, 1.0, 1.0, 1.0), "non-positive"),
             (SpectrumRow(5.0, 1.0, 1.0, 1.0, 1.0, 3.0, 1.0), "non-positive"),
             (SpectrumRow(4.0, *[1e-200] * 6), "must be positive, got 0.0"),
         ]
@@ -383,6 +384,31 @@ class TestDeriveSpectra:
         assert derived.inseparability == 1e200
         assert (derived.n_min, derived.n_bias, derived.n_excess) == (0.0, 0.0, 1e200)
         assert _hex(derived) == _hex(derive_spectra([row])[0])
+
+    @pytest.mark.parametrize("values", [
+        (1.7e308, 1.7e308, 1e300, 1e300, 1.7e308, 1e300),  # n_total's four-term sum overflows
+        (1.7e308, 2.0, 1.7e308, 2.0, 1.7e308, 0.5),  # vx+ + vy+ overflows
+    ])
+    def test_mode_variances_that_sum_past_the_float_limit_match_mpmath(self, values):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            vx_p, vx_m, vy_p, vy_m, v_sum, v_diff = map(mpmath.mpf, values)
+            v_plus, v_minus = (vx_p + vy_p) / 2, (vx_m + vy_m) / 2
+            c_plus, c_minus = v_sum - v_plus, v_minus - v_diff
+            s, d = v_plus - abs(c_plus), v_minus - abs(c_minus)
+            insep = mpmath.sqrt(s * d)
+            n_total = (v_plus + v_minus) / 2 - 1
+            n_bias = (s + 1 / s + d + 1 / d) / 4 - (insep + 1 / insep) / 2  # n_min = 0: I > 1
+        row = SpectrumRow(1.0, *values)
+        derived = derive_row(row)
+        assert _hex(derived) == _hex(derive_spectra([row])[0])
+        assert derived.n_total == pytest.approx(float(n_total), rel=1e-15)
+        assert derived.n_excess == pytest.approx(float(n_total - n_bias), rel=1e-15)
+        # S+ = V+ - |C+| cancels in the first row: I keeps 11 digits there.
+        assert derived.inseparability == pytest.approx(float(insep), rel=1e-11)
+        assert (derived.c_xy_plus, derived.c_xy_minus) == pytest.approx(
+            (float(c_plus), float(c_minus)), rel=1e-15, abs=1e-300
+        )
 
     def test_paths_agree_where_some_variance_products_overflow(self):
         rng = np.random.default_rng(27)
@@ -484,7 +510,7 @@ class TestColumnWiseDerivation:
     @given(st.lists(_ROW, max_size=12), st.integers(0, 2**32 - 1))
     @example([SpectrumRow(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)], 0)  # vacuum, I = 1
     @example([SpectrumRow(2.0, 1.0, 1.0, 1.0, 1.0, 1.8, 1.2)], 0)  # I > 1
-    @example([SpectrumRow(3.0, 1e308, 1.0, 1e308, 1.0, 1.0, 1.0)], 0)  # V+ overflows
+    @example([SpectrumRow(3.0, 1e308, 1.0, 1e308, 1.0, 1.0, 1.0)], 0)  # vx+ + vy+ overflows
     @example([SpectrumRow(4.0, *[1e-200] * 6)], 0)  # V+ V- underflows to 0
     @example([SpectrumRow(5.0, 1.0, 1.0, 1.0, 1.0, 3.0, 1.0)], 0)  # V+ < 0
     @example([SpectrumRow(6.0, 2e-310, 1.0, 2e-310, 1.0, 1e-310, 1.0)], 0)  # 1 / V+ overflows

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import math
 import re
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from gaussent.states import (
     apply_local_squeezing,
     apply_loss,
     check_symmetric_form,
+    _mean,
     _sqrt_product,
     entangle_on_beamsplitter,
     sum_diff_variance,
@@ -456,6 +459,66 @@ class TestSqrtProduct:
             roots = _sqrt_product(a, b)
         assert roots.tolist() == [6.0, 1e200, 1e308, 0.0, math.inf]
         assert [_sqrt_product(*pair) for pair in zip(a.tolist(), b.tolist())] == roots.tolist()
+
+
+def two_or_four(floats):
+    """Lists of two or four of ``floats``: the means the package takes."""
+    return st.one_of(*(st.lists(floats, min_size=n, max_size=n) for n in (2, 4)))
+
+
+class TestMean:
+    """The means of variances: the left-to-right sum over the count where the
+    sum is finite, and the mean the sum would give without an exponent
+    limit where it is not, on floats and on arrays alike."""
+
+    @staticmethod
+    def means(terms) -> list[bytes]:
+        """The bits of ``_mean`` of ``terms`` as floats and as 1-element arrays."""
+        with np.errstate(over="ignore"):  # the array path's callers silence numpy
+            array = _mean(*(np.array([term]) for term in terms))[0]
+        return [_bits(_mean(*terms)), _bits(array)]
+
+    @settings(max_examples=500, deadline=None)
+    @given(two_or_four(st.floats(0.0, 1.7e308)))
+    def test_a_finite_sum_gives_the_left_to_right_mean_bit_for_bit(self, terms):
+        total = reduce(add, terms)
+        if total < math.inf:
+            assert self.means(terms) == [_bits(total / len(terms))] * 2
+
+    @settings(max_examples=500, deadline=None)
+    @given(two_or_four(st.floats(1e300, 1.7e308)))
+    def test_an_overflowing_sum_matches_mpmath_at_53_bits(self, terms):
+        mpmath = pytest.importorskip("mpmath")
+        # At 53 bits each sum rounds as a double's does, with no exponent limit.
+        with mpmath.workprec(53):
+            expected = float(reduce(add, map(mpmath.mpf, terms)) / len(terms))
+        assert self.means(terms) == [_bits(expected)] * 2
+
+    def test_arrays_take_each_branch_elementwise(self):
+        a = np.array([1.0, 1.7e308, 1e308, math.nan, math.inf, 5e-324])
+        b = np.array([2.0, 1.7e308, 1e308, 1.0, 1.0, 5e-324])
+        with np.errstate(over="ignore"):
+            means = _mean(a, b)
+        assert means.tolist()[:3] == [1.5, 1.7e308, 1e308]
+        assert np.isnan(means[3]) and means[4] == math.inf and means[5] == 5e-324
+        assert [_bits(_mean(*pair)) for pair in zip(a.tolist(), b.tolist())] == list(
+            map(_bits, means)
+        )
+        assert _mean(np.empty(0), np.empty(0)).shape == (0,)
+
+    def test_beamsplitter_and_sum_variances_past_the_float_limit_match_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        # 1/5.9e-309 + 1e308 overflows; its half does not.
+        cm = entangle_on_beamsplitter(SqueezedBeam.pure(5.9e-309), SqueezedBeam.pure(1e308)).cm
+        cm_big = CorrelationMatrix4.symmetric_form(1.7e308, 1.0, -1e308, 0.0)
+        with mpmath.workdps(60):
+            v1m = 1 / mpmath.mpf(5.9e-309)
+            var_minus = (v1m + mpmath.mpf(1e308)) / 2
+            c_minus = (v1m - mpmath.mpf(1e308)) / 2
+            sum_plus = mpmath.mpf(1.7e308) - mpmath.mpf(1e308)
+        assert cm.cxx_minus == cm.cyy_minus == pytest.approx(float(var_minus), rel=1e-15)
+        assert cm.cxy_minus == pytest.approx(float(c_minus), rel=1e-15)
+        assert sum_diff_variance(cm_big, "+", "sum") == pytest.approx(float(sum_plus), rel=1e-15)
 
 
 class TestFloatEntries:
