@@ -218,6 +218,11 @@ def _biased_degree(plus: tuple, minus: tuple, k: float) -> float:
         raise ValueError(
             f"non-positive inference variance ({d_plus:.6g}, {d_minus:.6g})"
         )
+    if not (d_plus < math.inf and d_minus < math.inf):  # inf, or NaN from inf - inf
+        # At fixed k the degree is homogeneous of degree one in the entries:
+        # take it on the entries scaled by 2^-600 and scale it back, exactly.
+        scaled = ([entry * 2.0**-600 for entry in quadrature] for quadrature in (plus, minus))
+        return _biased_degree(*scaled, k) * 2.0**600
     return _sqrt_product(d_plus, d_minus) / (k * k + 1.0 / (k * k))
 
 
@@ -233,11 +238,14 @@ def _symmetric_degree(plus: tuple, minus: tuple) -> tuple[float, float, float]:
     """
     v_plus = _min_sum_diff(*plus)
     v_minus = _min_sum_diff(*minus)
-    if v_plus <= 0.0 or v_minus <= 0.0:
-        raise ValueError(
-            f"non-positive sum/difference variance ({v_plus:.6g}, {v_minus:.6g})"
-        )
+    _require_positive_sum_diff(v_plus, v_minus)
     return v_plus, v_minus, _sqrt_product(v_plus, v_minus)
+
+
+def _require_positive_sum_diff(v_plus: float, v_minus: float) -> None:
+    """ValueError unless both minimum sum/difference variances V+/V- are positive."""
+    if v_plus <= 0.0 or v_minus <= 0.0:
+        raise ValueError(f"non-positive sum/difference variance ({v_plus:.6g}, {v_minus:.6g})")
 
 
 def inseparability_vs_loss(v_ave: float, eta: float) -> float:

@@ -50,11 +50,12 @@ from operator import attrgetter
 import numpy as np
 
 from ._floattext import _json_rows, _RowBlocks, text_rows
-from .epr import _epr, _residual_variance
+from .epr import _epr
 from .photons import _budget, _decomposition
 from .protocols import NO_CLONING_FIDELITY, teleport_fidelity
 from .separability import (
-    _biased_degree, _biased_product_ok, _excesses, _gate, _k, _restrictions, _symmetric_degree
+    _biased_degree, _biased_product_ok, _excesses, _gate, _k, _require_positive_sum_diff,
+    _restrictions, _symmetric_degree,
 )
 from .states import (
     CorrelationMatrix4,
@@ -240,44 +241,28 @@ def cm_at_frequency(row: SpectrumRow) -> CorrelationMatrix4:
     The reconstruction round-trips: the sum/difference variances of the
     result reproduce the row's inputs exactly.
     """
-    return CorrelationMatrix4.symmetric_form(*_reconstruct(*_spectrum_values(row)[1:]))
+    return CorrelationMatrix4.symmetric_form(*_row(*_spectrum_values(row)[1:])[:4])
 
 
-def _reconstruct(vx_plus, vx_minus, vy_plus, vy_minus, v_sum_plus, v_diff_minus):
-    """(V+, V-, C+, C-) of the interchangeable-beams matrix of a row,
-    elementwise over floats or numpy arrays."""
+def _row(vx_plus, vx_minus, vy_plus, vy_minus, v_sum_plus, v_diff_minus):
+    """(V+, V-, C+, C-, S+, S-) of a row, elementwise over floats or numpy
+    arrays, unchecked: the entries of the interchangeable-beams matrix
+    :func:`cm_at_frequency` builds, and its minimum sum/difference variances.
+    The entries of a row of positive finite variances are finite."""
     v_plus = _mean(vx_plus, vy_plus)
     v_minus = _mean(vx_minus, vy_minus)
-    return v_plus, v_minus, v_sum_plus - v_plus, v_minus - v_diff_minus
-
-
-def _symmetric_row(vx_plus, vx_minus, vy_plus, vy_minus, v_sum_plus, v_diff_minus):
-    """(v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, insep) of one
-    row, in floats: the entries of the interchangeable-beams matrix
-    :func:`cm_at_frequency` builds, its minimum sum/difference variances and
-    its degree of inseparability.
-
-    The entries of a row of positive finite variances are finite.
-
-    Raises:
-        ValueError: with the message the scalar analysis of that matrix
-            raises first, for a non-positive sum/difference variance.  A
-            degree that underflows to 0 is refused later, by
-            ``nmin_from_insep`` in the budget.
-    """
-    v_plus, v_minus, c_plus, c_minus = _reconstruct(
-        vx_plus, vx_minus, vy_plus, vy_minus, v_sum_plus, v_diff_minus
+    c_plus, c_minus = v_sum_plus - v_plus, v_minus - v_diff_minus
+    return (
+        v_plus, v_minus, c_plus, c_minus,
+        _min_sum_diff(v_plus, v_plus, c_plus), _min_sum_diff(v_minus, v_minus, c_minus),
     )
-    degree = _symmetric_degree((v_plus, v_plus, c_plus), (v_minus, v_minus, c_minus))
-    return v_plus, v_minus, c_plus, c_minus, *degree
 
 
-def _measures(freq, v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, insep) -> tuple:
-    """The nine :data:`DERIVED_COLUMNS` of rows that can be derived, elementwise;
+def _measures(freq, v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus) -> tuple:
+    """The nine :data:`DERIVED_COLUMNS` of rows with positive S+/S-, elementwise;
     ValueError, from the budget, for a degree that is not positive."""
-    epr = _residual_variance(v_plus, v_plus, c_plus) * _residual_variance(
-        v_minus, v_minus, c_minus
-    )
+    insep = _sqrt_product(sum_plus, diff_minus)
+    epr = _epr((v_plus, v_plus, c_plus), (v_minus, v_minus, c_minus))[4]
     n_total, n_min, n_bias, n_excess = _budget(
         v_plus, v_minus, v_plus, v_minus, sum_plus, diff_minus, insep
     )
@@ -285,24 +270,19 @@ def _measures(freq, v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, inse
 
 
 def derive_row(row: SpectrumRow) -> DerivedRow:
-    """Derive the entanglement metrics and photon budget of one row: the
-    one-row case of :func:`derive_spectra`, raising ValueError with the
-    reason it logs for a row that cannot be derived.
+    """Derive the entanglement metrics and photon budget of one row, or raise
+    ValueError with the message the scalar analysis of its correlation matrix
+    raises first: the reason :func:`_derive_table` logs for a skipped row.
 
     The row's values are taken as Python floats, whose ``+``, ``*`` and
     ``/`` overflow to inf as numpy's do, so the shared helpers give the
-    array path's bits without numpy's fixed cost per call.
+    array path's bits without numpy's fixed cost per call.  A degree that
+    underflows to 0 is refused by ``nmin_from_insep`` in the budget.
     """
     freq, *columns = map(float, _spectrum_values(row))
-    return DerivedRow(*_measures(freq, *_symmetric_row(*columns)))
-
-
-def derive_spectra(rows: list[SpectrumRow]) -> list[DerivedRow]:
-    """Derive metrics for every row, column by column; rows that cannot be
-    derived are logged, in row order, and skipped."""
-    # reshape: an empty list gives a 1-D array.
-    table = np.array(list(map(_spectrum_values, rows)), float).reshape(-1, len(SPECTRUM_COLUMNS))
-    return list(map(DerivedRow, *(column.tolist() for column in _derive_table(table))))
+    values = _row(*columns)
+    _require_positive_sum_diff(*values[4:])  # before the root: math.sqrt refuses S+ S- < 0
+    return DerivedRow(*_measures(freq, *values))
 
 
 def _derive_table(table: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -310,28 +290,23 @@ def _derive_table(table: np.ndarray) -> tuple[np.ndarray, ...]:
     rows at once; rows that cannot be derived are logged, in row order, and
     skipped.
 
-    The array path decides which rows can be derived; for each one that
-    cannot, the one-row path of :func:`derive_row` gives the reason, the
-    message the scalar analysis of its correlation matrix raises.  Every
-    value equals, bit for bit, what :func:`cm_at_frequency` and the scalar
-    measures give for the row, and what :func:`derive_row` gives: all call
-    the same elementwise helpers, and no correlation matrix is built here.
+    The array path decides which rows can be derived: those whose S+, S-
+    and S+ S- are positive.  For each one that cannot, :func:`derive_row`
+    of the row gives the reason.  Every value equals, bit for bit, what
+    :func:`cm_at_frequency` and the scalar measures give for the row, and
+    what :func:`derive_row` gives: all call :func:`_row` and the same
+    elementwise helpers, and no correlation matrix is built here.
     """
     with np.errstate(all="ignore"):
-        v_plus, v_minus, c_plus, c_minus = _reconstruct(*table.T[1:])
-        sum_plus = _min_sum_diff(v_plus, v_plus, c_plus)
-        diff_minus = _min_sum_diff(v_minus, v_minus, c_minus)
-        insep = _sqrt_product(sum_plus, diff_minus)
-        # Every entry is finite, so these comparisons refuse exactly the
-        # rows that the one-row path refuses.
-        valid = (sum_plus > 0.0) & (diff_minus > 0.0) & (insep > 0.0)
-        columns = (table[:, 0], v_plus, v_minus, c_plus, c_minus, sum_plus, diff_minus, insep)
+        columns = (table[:, 0], *_row(*table.T[1:]))
+        sum_plus, diff_minus = columns[5:]
+        valid = (sum_plus > 0.0) & (diff_minus > 0.0) & (sum_plus * diff_minus > 0.0)
         if not valid.all():
-            for freq, *values in table[~valid].tolist():
+            for values in table[~valid].tolist():
                 try:
-                    _measures(freq, *_symmetric_row(*values))
+                    derive_row(SpectrumRow(*values))
                 except ValueError as exc:
-                    logger.warning("skipping row at %.6g MHz: %s", freq, exc)
+                    logger.warning("skipping row at %.6g MHz: %s", values[0], exc)
             columns = (column[valid] for column in columns)
         return _measures(*columns)
 
@@ -629,8 +604,10 @@ def analyze_cm(
         _require_positive_finite(v_diff, "column 'v_diff_minus':")
         # The matrix cm_at_frequency rebuilds from the same variances.
         modes = (plus[0], minus[0], plus[1], minus[1])
-        r_plus, r_minus, c_plus, c_minus, *degree = _symmetric_row(*modes, v_sum, v_diff)
-        budget = _decomposition((r_plus, r_plus, c_plus), (r_minus, r_minus, c_minus), *degree)
+        r_plus, r_minus, c_plus, c_minus, s_plus, s_minus = _row(*modes, v_sum, v_diff)
+        _require_positive_sum_diff(s_plus, s_minus)
+        rebuilt = (r_plus, r_plus, c_plus), (r_minus, r_minus, c_minus)
+        budget = _decomposition(*rebuilt, s_plus, s_minus, _sqrt_product(s_plus, s_minus))
         source = "measured"
         result["inseparability_measured"] = _sqrt_product(v_sum, v_diff)
     elif interchangeable:
@@ -647,10 +624,8 @@ def analyze_cm(
     result["n_total"] = n_total
     result["g_bias_sq"] = g_bias_sq
     if "cv_plus" in measured and "cv_minus" in measured:
-        cv_plus, cv_minus = measured["cv_plus"], measured["cv_minus"]
-        _require_positive_finite(float(cv_plus), "column 'cv_plus':")
-        _require_positive_finite(float(cv_minus), "column 'cv_minus':")
-        # Checked as floats, reported as given: integers give an integer product.
-        _require_positive_finite(float(cv_plus) * float(cv_minus), "column 'epr_from_measured_cv':")
+        cv_plus, cv_minus = float(measured["cv_plus"]), float(measured["cv_minus"])
+        _require_positive_finite(cv_plus, "column 'cv_plus':")
+        _require_positive_finite(cv_minus, "column 'cv_minus':")
         result["epr_from_measured_cv"] = cv_plus * cv_minus
     return result

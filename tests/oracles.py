@@ -19,7 +19,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from gaussent import spectra
 from gaussent.epr import degree_of_epr
 from gaussent.photons import decompose
 from gaussent.protocols import NO_CLONING_FIDELITY, teleport_fidelity
@@ -31,7 +30,7 @@ from gaussent.separability import (
     degree_of_inseparability,
     product_restriction,
 )
-from gaussent.spectra import SPECTRUM_COLUMNS, SpectrumRow
+from gaussent.spectra import SPECTRUM_COLUMNS, SpectrumRow, cm_at_frequency
 from gaussent.states import (
     FORM_TOL,
     SYMMETRY_TOL,
@@ -427,9 +426,8 @@ def analyze_cm_reference(
         _require_positive_finite(v_sum, "column 'v_sum_plus':")
         _require_positive_finite(v_diff, "column 'v_diff_minus':")
         modes = (cm.cxx_plus, cm.cxx_minus, cm.cyy_plus, cm.cyy_minus)
-        budget = decompose(
-            CorrelationMatrix4.symmetric_form(*spectra._reconstruct(*modes, v_sum, v_diff))
-        )
+        # The frequency does not enter the rebuilt matrix.
+        budget = decompose(cm_at_frequency(SpectrumRow(1.0, *modes, v_sum, v_diff)))
         source = "measured"
         result["inseparability_measured"] = math.sqrt(v_sum * v_diff)
     elif check_symmetric_form(cm):
@@ -440,9 +438,8 @@ def analyze_cm_reference(
     for key in ("n_min", "n_bias", "n_excess", "n_total", "g_bias_sq"):
         result[key] = getattr(budget, key, None)
     if "cv_plus" in measured and "cv_minus" in measured:
-        cv_plus, cv_minus = measured["cv_plus"], measured["cv_minus"]
-        _require_positive_finite(float(cv_plus), "column 'cv_plus':")
-        _require_positive_finite(float(cv_minus), "column 'cv_minus':")
-        _require_positive_finite(float(cv_plus) * float(cv_minus), "column 'epr_from_measured_cv':")
+        cv_plus, cv_minus = float(measured["cv_plus"]), float(measured["cv_minus"])
+        _require_positive_finite(cv_plus, "column 'cv_plus':")
+        _require_positive_finite(cv_minus, "column 'cv_minus':")
         result["epr_from_measured_cv"] = cv_plus * cv_minus
     return result

@@ -4,8 +4,8 @@ The digests were recorded from the analysis that rebuilt the measured
 matrix through a spectrum row; rebuilding it straight from the matrix's
 mode variances and the measured sums must reproduce them exactly.  The
 bare files cover a full ``measured`` block whose conditional variances are
-JSON integers (they are multiplied as given, so the product prints as an
-integer), a biased matrix with no photon decomposition, and a ``measured``
+JSON integers (they are multiplied as floats, so the product prints as a
+float), a biased matrix with no photon decomposition, and a ``measured``
 block of ``null``, which reads as absent.
 """
 
@@ -55,7 +55,7 @@ BARE_FILES = {
 SHA256 = {
     "6.5MHz": "7296ef3302487b04c95f3198a0d6d829f3f193968f96675f1065972c985a5ee8",
     "3.5MHz": "0ae0671bda265d743fb1f1dca0a28faf5ddaa90e829b3bc4dffb1ccee5dee80b",
-    "integer_cv": "63dc2fef6653da29762485e96f463ae80ed5419125e1a6dc39706d9d0f97ec01",
+    "integer_cv": "a39127edddc966377af4f1f33847e4556a4002754389b8c8d50359828d7ef4bb",
     "biased": "d052db589f77335572be3a04484c060149eff890f328098df4bcd78fabea4e40",
     "measured_null": "e89352b861cc5d139a1ca80c12b272af706d7b01d1674be586ddfe1a685313e8",
 }

@@ -27,7 +27,6 @@ UNREACHED_BUT_KEPT = {
     "cm_from_photons": "acceptance criterion 10",
     "apply_local_squeezing": "acceptance criterion 11",
     "synthesize_spectra": "README: the spectra its CLI examples run on",
-    "derive_spectra": "README: the list form of the ingest kernel",
     "k_parameter": "README: the bias parameter k, whose disagreement analyze refuses",
 }
 
@@ -138,6 +137,24 @@ def test_every_public_name_is_reached():
     assert sorted(name.rpartition(".")[2] for name in unreached) == sorted(UNREACHED_BUT_KEPT), (
         unreached
     )
+
+
+def test_no_private_helper_outlives_its_callers():
+    """Every private top-level function and class of src/gaussent is referred
+    to by the package outside its own definition: none is kept for tests alone."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in (SRC / "gaussent").glob("*.py")]
+    everywhere = [set(_references(tree, None)) for tree in trees]
+    unreached = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        if not any(
+            node.name in (set(_references(tree, node)) if caller is tree else names)
+            for caller, names in zip(trees, everywhere)
+        )
+    ]
+    assert unreached == []
 
 
 def test_only_code_outside_a_definition_reaches_it():

@@ -36,6 +36,17 @@ from gaussent.states import (
 )
 
 
+def biased_degree_exact(entries):
+    """The degree of ``biased_cm(*entries)`` in mpmath at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        cxx_p, cyy_p, cxx_m, cyy_m, cxy_p, cxy_m = map(mpmath.mpf, entries)
+        k_sq = mpmath.sqrt((cyy_p - 1) / (cxx_p - 1))
+        d_plus = k_sq * cxx_p + cyy_p / k_sq - 2 * abs(cxy_p)
+        d_minus = k_sq * cxx_m + cyy_m / k_sq - 2 * abs(cxy_m)
+        return mpmath.sqrt(d_plus * d_minus) / (k_sq + 1 / k_sq)
+
+
 def biased_cm(cxx_p, cyy_p, cxx_m, cyy_m, cxy_p, cxy_m):
     return CorrelationMatrix4(
         [
@@ -145,17 +156,40 @@ class TestPastTheFloatLimit:
         assert degree_of_inseparability(cm) == 1e200
 
     def test_biased_degree_matches_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
         # Excess ratio 4 in both quadratures (k = sqrt 2); D+ D- is about 1.2e401.
         entries = (1e200, 4e200, 2e200, 8e200, -1e200, 1e200)
         degree = degree_of_inseparability(biased_cm(*entries))
-        with mpmath.workdps(40):
-            cxx_p, cyy_p, cxx_m, cyy_m, cxy_p, cxy_m = map(mpmath.mpf, entries)
-            k_sq = mpmath.sqrt((cyy_p - 1) / (cxx_p - 1))
-            d_plus = k_sq * cxx_p + cyy_p / k_sq - 2 * abs(cxy_p)
-            d_minus = k_sq * cxx_m + cyy_m / k_sq - 2 * abs(cxy_m)
-            exact = mpmath.sqrt(d_plus * d_minus) / (k_sq + 1 / k_sq)
+        exact = biased_degree_exact(entries)
         assert abs(degree - exact) <= 1e-14 * exact
+
+    def test_an_overflowing_inference_variance_keeps_the_biased_degree_finite(self):
+        # k^2 C_xx + C_yy / k^2 is about 2.6e308 in both quadratures.
+        exact = biased_degree_exact((1.7e308, 1e308, 1.7e308, 1e308, 0.0, 0.0))
+        cm = CorrelationMatrix4(np.diag([1.7e308, 1.7e308, 1e308, 1e308]))
+        result = analyze_cm(cm)
+        assert result["inseparability"] == degree_of_inseparability(cm) == float(exact)
+        assert result["fidelity"] == pytest.approx(float(1 / (1 + exact)), rel=0.0, abs=1e-323)
+
+    def test_biased_degrees_past_the_inference_variance_overflow_match_mpmath(self):
+        # Entries near the float limit with equal excess ratios; the cross
+        # correlations keep each inference variance positive.
+        rng = np.random.default_rng(29)
+        overflowed = 0
+        for _ in range(300):
+            cxx_p, cyy_p, cxx_m = rng.uniform(5e307, 1.79e308, 3).tolist()
+            ratio = (cyy_p - 1.0) / (cxx_p - 1.0)
+            cxx_m /= max(ratio, 1.0)
+            cyy_m = 1.0 + (cxx_m - 1.0) * ratio
+            u_p, u_m = rng.uniform(-0.9, 0.9, 2).tolist()
+            cxy_p = u_p * math.sqrt(cxx_p) * math.sqrt(cyy_p)
+            cxy_m = u_m * math.sqrt(cxx_m) * math.sqrt(cyy_m)
+            entries = (cxx_p, cyy_p, cxx_m, cyy_m, cxy_p, cxy_m)
+            degree = degree_of_inseparability(biased_cm(*entries))
+            exact = biased_degree_exact(entries)
+            assert abs(degree - exact) <= 1e-15 * exact
+            k_sq = math.sqrt(ratio)  # the unscaled sums, in floats
+            overflowed += math.inf in (k_sq * cxx_p + cyy_p / k_sq, k_sq * cxx_m + cyy_m / k_sq)
+        assert 50 < overflowed < 300  # most, not all, overflow
 
     def test_variances_whose_sums_overflow_keep_the_analysis_finite(self):
         mpmath = pytest.importorskip("mpmath")

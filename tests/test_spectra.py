@@ -26,7 +26,6 @@ from gaussent.spectra import (
     SpectrumRow,
     cm_at_frequency,
     derive_row,
-    derive_spectra,
     derived_to_csv_text,
     derived_to_json_text,
     load_paper_anchors,
@@ -306,7 +305,7 @@ class TestCmAtFrequency:
 class TestDeriveSpectra:
     def test_matrix_rounded_row(self):
         row = SpectrumRow(6.5, 3.3, 3.3, 3.3, 3.3, 0.4, 0.4)
-        derived = derive_spectra([row])[0]
+        derived = _derive([row])[0]
         assert derived.inseparability == pytest.approx(0.40, abs=1e-12)
         assert derived.epr == pytest.approx((3.3 - 2.9**2 / 3.3) ** 2, abs=1e-12)
         assert derived.n_min == pytest.approx(0.45, abs=1e-12)
@@ -315,7 +314,7 @@ class TestDeriveSpectra:
 
     def test_measured_row(self):
         row = SpectrumRow(6.5, 3.3, 3.3, 3.3, 3.3, 0.44, 0.44)
-        derived = derive_spectra([row])[0]
+        derived = _derive([row])[0]
         assert derived.inseparability == pytest.approx(0.44, abs=1e-12)
         assert derived.n_min == pytest.approx(0.356, abs=1e-3)
         assert derived.n_bias == pytest.approx(0.0, abs=1e-12)
@@ -323,19 +322,19 @@ class TestDeriveSpectra:
 
     def test_35mhz_row(self):
         row = SpectrumRow(3.5, 6.2, 6.1, 6.2, 6.1, 0.9, 0.4)
-        derived = derive_spectra([row])[0]
+        derived = _derive([row])[0]
         assert derived.inseparability == pytest.approx(0.60, abs=1e-12)
         assert derived.n_bias == pytest.approx(0.094, abs=1e-3)
 
     def test_vacuum_row(self):
         row = SpectrumRow(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-        derived = derive_spectra([row])[0]
+        derived = _derive([row])[0]
         assert derived.inseparability == 1.0
         assert derived.epr == 1.0
         assert derived.n_min == derived.n_bias == derived.n_excess == 0.0
 
     def test_empty_list(self):
-        assert derive_spectra([]) == []
+        assert _derive([]) == []
 
     def test_builds_no_correlation_matrix(self, monkeypatch):
         rows = synthesize_spectra()
@@ -344,12 +343,12 @@ class TestDeriveSpectra:
             raise AssertionError("a correlation matrix was built")
 
         monkeypatch.setattr(CorrelationMatrix4, "__post_init__", refuse)
-        assert len(derive_spectra(rows)) == len(rows)
+        assert len(_derive(rows)) == len(rows)
         assert derive_row(rows[0]).frequency_mhz == rows[0].frequency_mhz
 
     def test_derive_row_makes_no_numpy_call(self, monkeypatch):
         rows = synthesize_spectra()
-        expected = [_hex(row) for row in derive_spectra(rows)]
+        expected = [_hex(row) for row in _derive(rows)]
         # Rows that fail the positive and I > 0 checks: in the first, C+ =
         # 1 - 1e308 rounds to -1e308, and V+ - |C+| is 0.
         bad = [
@@ -383,7 +382,7 @@ class TestDeriveSpectra:
         derived = derive_row(row)
         assert derived.inseparability == 1e200
         assert (derived.n_min, derived.n_bias, derived.n_excess) == (0.0, 0.0, 1e200)
-        assert _hex(derived) == _hex(derive_spectra([row])[0])
+        assert _hex(derived) == _hex(_derive([row])[0])
 
     @pytest.mark.parametrize("values", [
         (1.7e308, 1.7e308, 1e300, 1e300, 1.7e308, 1e300),  # n_total's four-term sum overflows
@@ -401,7 +400,7 @@ class TestDeriveSpectra:
             n_bias = (s + 1 / s + d + 1 / d) / 4 - (insep + 1 / insep) / 2  # n_min = 0: I > 1
         row = SpectrumRow(1.0, *values)
         derived = derive_row(row)
-        assert _hex(derived) == _hex(derive_spectra([row])[0])
+        assert _hex(derived) == _hex(_derive([row])[0])
         assert derived.n_total == pytest.approx(float(n_total), rel=1e-15)
         assert derived.n_excess == pytest.approx(float(n_total - n_bias), rel=1e-15)
         # S+ = V+ - |C+| cancels in the first row: I keeps 11 digits there.
@@ -417,7 +416,7 @@ class TestDeriveSpectra:
             v_plus, v_minus = (10.0 ** rng.uniform(100.0, 300.0, 2)).tolist()
             v_sum, v_diff = (np.array([v_plus, v_minus]) * rng.uniform(0.01, 1.99, 2)).tolist()
             rows.append(SpectrumRow(float(freq), v_plus, v_minus, v_plus, v_minus, v_sum, v_diff))
-        derived = derive_spectra(rows)
+        derived = _derive(rows)
         assert len(derived) == len(rows)
         overflows = [row.v_sum_plus * row.v_diff_minus == math.inf for row in rows]
         assert any(overflows) and not all(overflows)
@@ -430,7 +429,7 @@ class TestDeriveSpectra:
         # variances allow, leaving a negative difference variance.
         bad = SpectrumRow(5.0, 1.0, 1.0, 1.0, 1.0, 3.0, 1.0)
         with caplog.at_level("WARNING", logger="gaussent.spectra"):
-            derived = derive_spectra([bad, good])
+            derived = _derive([bad, good])
         assert len(derived) == 1
         assert derived[0].frequency_mhz == 6.5
         assert "skipping row" in caplog.text
@@ -470,6 +469,13 @@ class _Messages(logging.Handler):
         self.messages.append(record.getMessage())
 
 
+def _derive(rows: list[SpectrumRow]) -> list[DerivedRow]:
+    """The rows' derived rows from the table kernel that ``gaussent ingest`` runs."""
+    # reshape: an empty list gives a 1-D array.
+    table = np.array(list(map(spectra._spectrum_values, rows)), float).reshape(-1, 7)
+    return list(map(DerivedRow, *(column.tolist() for column in spectra._derive_table(table))))
+
+
 def _hex(row: DerivedRow) -> list[str]:
     return [float.hex(getattr(row, name)) for name in DERIVED_COLUMNS]
 
@@ -504,7 +510,7 @@ def _seeded_rows(seed: int, count: int = 16) -> list[SpectrumRow]:
 
 
 class TestColumnWiseDerivation:
-    """derive_spectra against the scalar measures on each row's matrix."""
+    """The table kernel against the scalar measures on each row's matrix."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_ROW, max_size=12), st.integers(0, 2**32 - 1))
@@ -520,7 +526,7 @@ class TestColumnWiseDerivation:
         logger = logging.getLogger("gaussent.spectra")
         logger.addHandler(messages)
         try:
-            derived = derive_spectra(rows)
+            derived = _derive(rows)
         finally:
             logger.removeHandler(messages)
 
@@ -540,7 +546,7 @@ class TestColumnWiseDerivation:
 
         for row, (_, reason) in zip(rows, references):
             if reason is None:
-                assert _hex(derive_row(row)) == _hex(derive_spectra([row])[0])
+                assert _hex(derive_row(row)) == _hex(_derive([row])[0])
             else:
                 with pytest.raises(ValueError) as raised:
                     derive_row(row)
@@ -605,18 +611,18 @@ class TestSynthesize:
         assert near.v_sum_plus > near.v_diff_minus
 
     def test_interior_inseparability_optimum(self):
-        derived = derive_spectra(synthesize_spectra())
+        derived = _derive(synthesize_spectra())
         values = [row.inseparability for row in derived]
         best = int(np.argmin(values))
         assert 0 < best < len(values) - 1
 
     def test_entangled_across_default_grid(self):
-        derived = derive_spectra(synthesize_spectra())
+        derived = _derive(synthesize_spectra())
         assert len(derived) == 31
         assert all(row.inseparability < 1.0 for row in derived)
 
     def test_no_squeezing_no_noise_is_separability_boundary(self):
-        derived = derive_spectra(
+        derived = _derive(
             synthesize_spectra(v_floor=1.0, relax_amplitude=0.0, freq_grid=[3.0, 6.0])
         )
         for row in derived:
@@ -655,7 +661,7 @@ class TestWriteOutputs:
     """Derived rows as serialized and written by ``gaussent ingest``."""
 
     def test_csv_round_trip(self):
-        derived = derive_spectra(parse_spectra(SAMPLE_CSV))
+        derived = _derive(parse_spectra(SAMPLE_CSV))
         lines = derived_to_csv_text(derived).strip().split("\n")
         assert lines[0] == ",".join(DERIVED_COLUMNS)
         assert len(lines) == 1 + len(derived)
@@ -664,7 +670,7 @@ class TestWriteOutputs:
         assert reparsed[1] == derived[0].inseparability  # repr round-trips exactly
 
     def test_json_round_trip(self):
-        derived = derive_spectra(parse_spectra(SAMPLE_CSV))
+        derived = _derive(parse_spectra(SAMPLE_CSV))
         data = json.loads(derived_to_json_text(derived))
         assert len(data) == len(derived)
         assert data[0]["inseparability"] == derived[0].inseparability
@@ -673,7 +679,7 @@ class TestWriteOutputs:
         assert derived_to_csv_text([]) == ",".join(DERIVED_COLUMNS) + "\n"
 
     def test_json_matches_json_dumps(self):
-        row = derive_spectra(parse_spectra(SAMPLE_CSV))[0]
+        row = _derive(parse_spectra(SAMPLE_CSV))[0]
         odd = [
             replace(row, epr=math.nan),
             replace(row, n_bias=math.inf, n_excess=-math.inf),
@@ -686,7 +692,7 @@ class TestWriteOutputs:
             assert derived_to_json_text(derived) == expected
 
     def test_csv_writes_a_numpy_float_as_its_number(self):
-        row = derive_spectra(parse_spectra(SAMPLE_CSV))[0]
+        row = _derive(parse_spectra(SAMPLE_CSV))[0]
         as_numpy = replace(row, **{name: np.float64(getattr(row, name)) for name in DERIVED_COLUMNS})
         assert derived_to_csv_text([as_numpy]) == derived_to_csv_text([row])
 
@@ -695,7 +701,7 @@ class TestWriteOutputs:
         source.write_text(SAMPLE_CSV)
         expected = {}
         for units in ("linear", "dB"):
-            derived = derive_spectra(parse_spectra(SAMPLE_CSV, units))
+            derived = _derive(parse_spectra(SAMPLE_CSV, units))
             expected[units, "csv"] = derived_to_csv_text(derived)
             expected[units, "json"] = derived_to_json_text(derived)
 
@@ -822,7 +828,7 @@ class TestIngestFile:
     def test_chunks_are_the_writers_text(self, tmp_path):
         path = tmp_path / "spectra.csv"
         path.write_text(SAMPLE_CSV)
-        derived = derive_spectra(parse_spectra(SAMPLE_CSV))
+        derived = _derive(parse_spectra(SAMPLE_CSV))
         assert b"".join(spectra.ingest_file(str(path))).decode() == derived_to_csv_text(derived)
         assert (
             b"".join(spectra.ingest_file(str(path), json=True)).decode()
