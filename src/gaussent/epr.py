@@ -10,9 +10,8 @@ photon-number variables make explicit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .photons import _require_photon_numbers
 from .separability import _require_loss_inputs
@@ -35,9 +34,14 @@ def _residual_variance(c_xx, c_yy, c_xy):
     overflows (|C_xy| above about 1.34e154) it is taken on the entries scaled by
     2^-600 and scaled back, which is exact; floats make no numpy call."""
     square = c_xy * c_xy
-    floats = isinstance(square, float)
-    if square < np.inf if floats else not (over := np.isinf(square)).any():
-        return c_xx - square / c_yy
+    if floats := isinstance(square, float):
+        if square < math.inf:
+            return c_xx - square / c_yy
+    else:
+        import numpy as np
+
+        if not (over := np.isinf(square)).any():
+            return c_xx - square / c_yy
     scaled = _residual_variance(c_xx * 2.0**-600, c_yy * 2.0**-600, c_xy * 2.0**-600) * 2.0**600
     return scaled if floats else np.where(over, scaled, c_xx - square / c_yy)
 
@@ -89,6 +93,8 @@ def epr_from_photons(n_min, n_excess):
     Raises:
         ValueError: on negative or non-finite inputs.
     """
+    import numpy as np
+
     n_min = np.asarray(n_min, dtype=float)
     n_excess = np.asarray(n_excess, dtype=float)
     _require_photon_numbers(n_min, n_excess)

@@ -12,13 +12,14 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import InitVar, dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ._floattext import CHUNK, _json_rows, _RowBlocks, float_text, text_rows
 from .epr import epr_from_photons
 from .photons import _require_photon_numbers, _require_positive_degree, insep_from_nmin
 from .states import _mean, _require_positive_finite
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Fidelity above which a teleporter beats the no-cloning bound.
 NO_CLONING_FIDELITY = 2.0 / 3.0
@@ -52,6 +53,8 @@ class ContourGrid:
     _copy_values: InitVar[bool] = True
 
     def __post_init__(self, _copy_values: bool) -> None:
+        import numpy as np
+
         # Copies: freezing the caller's own arrays would make them read-only.
         nmin = np.array(self.nmin_axis, dtype=float)
         nexcess = np.array(self.nexcess_axis, dtype=float)
@@ -76,6 +79,10 @@ class ContourGrid:
         and the n_excess text follow it.  Each block writes its n_min text
         and its values' text, formatted in one :func:`float_text` call.
         """
+        import numpy as np
+
+        from ._floattext import _RowBlocks, float_text
+
         yield b"n_min,n_excess,value"
         if self.values.size:
             nmin, nexcess = float_text(self.nmin_axis), float_text(self.nexcess_axis)
@@ -98,6 +105,8 @@ class ContourGrid:
         json's NaN/Infinity spellings.  Each row's line opens by closing
         the row before it, bar the first's.
         """
+        from ._floattext import _json_rows, _RowBlocks, text_rows
+
         if not self.values.size:  # no cells: json.dumps writes the whole grid
             yield (json.dumps(self.to_json_dict(), indent=2) + "\n").encode()
             return
@@ -128,6 +137,8 @@ class ContourGrid:
 
 def _require_rising_axes(nmin_axis: np.ndarray, nexcess_axis: np.ndarray) -> None:
     """ValueError naming the first axis, and its step, that does not strictly increase."""
+    import numpy as np
+
     for name, axis in (("nmin_axis", nmin_axis), ("nexcess_axis", nexcess_axis)):
         if not (rises := np.diff(axis) > 0.0).all():
             first, then = axis[np.argmin(rises) :][:2].tolist()  # where it first fails to rise
@@ -175,6 +186,8 @@ def _require_finite_budget(n_encoding: float) -> None:
 def _dense_capacity(n_encoding, n_min, n_excess):
     """log2(1 + s / I(n_min)) with signal s = n_encoding - (n_min + n_excess)/2,
     elementwise over floats or arrays; NaN where s < 0, a state over the budget."""
+    import numpy as np
+
     insep = insep_from_nmin(n_min)
     with np.errstate(over="ignore"):  # in the sum of _mean, and in s / I
         signal = n_encoding - _mean(n_min, n_excess)
@@ -257,6 +270,10 @@ def contour_grid(
             :func:`capacity_ratio` is undefined, or an axis that does not
             strictly increase (a range too narrow for its resolution).
     """
+    import numpy as np
+
+    from ._floattext import CHUNK
+
     if metric not in GRID_METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {GRID_METRICS}")
     if not 2 <= resolution <= MAX_RESOLUTION:

@@ -46,10 +46,8 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import chain
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ._floattext import _json_rows, _RowBlocks, text_rows
 from .epr import _epr
 from .photons import _budget, _decomposition
 from .protocols import NO_CLONING_FIDELITY, teleport_fidelity
@@ -70,6 +68,9 @@ from .states import (
     _sqrt_product,
     sum_diff_variance,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -149,6 +150,8 @@ def _read_table(text: str, units: str) -> np.ndarray:
     the file, is the csv reader's.  The C reader accepts no file that the
     csv reader refuses, and gives the same table bit for bit.
     """
+    import numpy as np
+
     if units not in ("linear", "dB"):
         raise ValueError(f"units must be 'linear' or 'dB', got {units!r}")
     width = len(SPECTRUM_COLUMNS)
@@ -297,6 +300,8 @@ def _derive_table(table: np.ndarray) -> tuple[np.ndarray, ...]:
     what :func:`derive_row` gives: all call :func:`_row` and the same
     elementwise helpers, and no correlation matrix is built here.
     """
+    import numpy as np
+
     with np.errstate(all="ignore"):
         columns = (table[:, 0], *_row(*table.T[1:]))
         sum_plus, diff_minus = columns[5:]
@@ -341,6 +346,8 @@ def synthesize_spectra(
         raise ValueError(f"relax_amplitude must be non-negative and finite, got {relax_amplitude}")
     _require_fraction(eta, "eta")
     if freq_grid is None:
+        import numpy as np
+
         freq_grid = np.linspace(2.5, 10.0, 31)
     freq_grid = [float(f) for f in freq_grid]
 
@@ -370,6 +377,10 @@ def _row_chunks(columns, head: bytes, keys: list[str], json: bool) -> Iterator[b
     """The rows of the derived columns (float64 arrays in :data:`DERIVED_COLUMNS`
     order), one chunk per block of :class:`_RowBlocks`: each line ``head``,
     then per cell its key and value.  The constant bytes are written once."""
+    import numpy as np
+
+    from ._floattext import _RowBlocks, text_rows
+
     buffer = _RowBlocks(len(columns[0]), head, text_rows(keys))
     for rows in buffer.blocks():
         block = buffer.work("values", np.float64, rows.stop - rows.start, len(columns))
@@ -388,6 +399,8 @@ def _json_chunks(columns) -> Iterator[bytes | memoryview]:
     """JSON array of the derived columns: what ``json.dumps`` writes of the
     rows' dicts with ``indent=2``.  Each row opens by closing the one before
     it, bar the first."""
+    from ._floattext import _json_rows
+
     rows = _row_chunks(columns, _ROW_CLOSE + b",\n  {", _JSON_KEYS, json=True)
     yield from _json_rows(rows, _ROW_CLOSE)
     yield _ROW_CLOSE + b"\n]\n" if len(columns[0]) else b"[]\n"
@@ -395,6 +408,8 @@ def _json_chunks(columns) -> Iterator[bytes | memoryview]:
 
 def _columns(derived: list[DerivedRow]) -> np.ndarray:
     """The rows' values as float64 columns in :data:`DERIVED_COLUMNS` order."""
+    import numpy as np
+
     return np.array(list(map(_derived_values, derived)), float).reshape(-1, len(DERIVED_COLUMNS)).T
 
 

@@ -10,22 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Row/column labels of :class:`CorrelationMatrix4`, in fixed order.
 QUADRATURE_ORDER = ("xp", "xm", "yp", "ym")
-
-#: Block-diagonal symplectic form encoding [X+, X-] = 2i per mode.  A
-#: correlation matrix describes a physical state iff CM + i*OMEGA >= 0.
-OMEGA = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
 
 SYMMETRY_TOL = 1e-12
 #: Slack allowed on the uncertainty relation by the physicality checks.
@@ -82,7 +73,6 @@ class SqueezedBeam:
         return cls(v_plus, 1.0 / v_plus)
 
 
-@dataclass(frozen=True, eq=False)
 class CorrelationMatrix4:
     """Symmetrized second-moment matrix of two beams' quadrature fluctuations.
 
@@ -92,19 +82,24 @@ class CorrelationMatrix4:
     measured matrices that barely violate it through rounding can still
     be analyzed.
 
-    The matrix is validated once, when it is built.  ``entries`` is a
-    read-only float64 array; the named accessors and the scalar measures
-    read the same 16 entries as Python floats, taken from it at that time.
+    The matrix is validated once, when it is built, and keeps its 16
+    entries as Python floats, which the named accessors and the scalar
+    measures read with no numpy call.  ``entries``, the same entries as a
+    read-only float64 (4, 4) array, is built on its first read and kept.
     """
 
-    entries: np.ndarray
+    __slots__ = ("_flat", "_entries")
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=float)
-        if arr.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {arr.shape}")
+    def __init__(self, entries) -> None:
         # Row-major: entry (i, j) is flat[4 * i + j].
-        flat = tuple(arr.ravel().tolist())
+        flat = _sixteen(entries)
+        if flat is None:  # not 4 lists of 4 numbers: numpy reads it, or names its shape
+            import numpy as np
+
+            arr = np.array(entries, dtype=float)
+            if arr.shape != (4, 4):
+                raise ValueError(f"expected a 4x4 matrix, got shape {arr.shape}")
+            flat = tuple(arr.ravel().tolist())
         if not all(map(math.isfinite, flat)):
             raise ValueError("correlation matrix entries must be finite")
         # Entries (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3) against their mirrors.
@@ -119,15 +114,34 @@ class CorrelationMatrix4:
         if asym > SYMMETRY_TOL:
             raise ValueError(f"correlation matrix is not symmetric (max asymmetry {asym:g})")
         if not (flat[0] > 0.0 and flat[5] > 0.0 and flat[10] > 0.0 and flat[15] > 0.0):
-            raise ValueError(f"diagonal variances must be positive, got {np.diag(arr)}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "_flat", flat)
+            import numpy as np  # the message prints the diagonal as numpy does
+
+            raise ValueError(f"diagonal variances must be positive, got {np.array(flat[::5])}")
+        self._flat = flat
+        self._entries = None
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The read-only float64 (4, 4) array of the entries, built on the first read."""
+        if self._entries is None:
+            import numpy as np
+
+            flat = np.array(self._flat)
+            flat.setflags(write=False)  # and so its (4, 4) view
+            self._entries = flat.reshape(4, 4)
+        return self._entries
+
+    def _rows(self) -> list[list[float]]:
+        f = self._flat
+        return [list(f[0:4]), list(f[4:8]), list(f[8:12]), list(f[12:16])]
+
+    def __repr__(self) -> str:
+        return f"CorrelationMatrix4({self._rows()!r})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CorrelationMatrix4):
             return NotImplemented
-        return np.array_equal(self.entries, other.entries)
+        return self._flat == other._flat
 
     @classmethod
     def symmetric_form(
@@ -176,15 +190,29 @@ class CorrelationMatrix4:
         return self._flat[7]
 
     def uncertainty_violation(self) -> float:
-        """Minimum eigenvalue of CM + i*OMEGA (negative means unphysical)."""
-        herm = self.entries + 1j * OMEGA
-        return float(np.linalg.eigvalsh(herm)[0])
+        """Minimum eigenvalue of CM + i*OMEGA (negative means unphysical).
+
+        OMEGA, the block-diagonal symplectic form, encodes [X+, X-] = 2i per
+        mode: a correlation matrix describes a physical state iff
+        CM + i*OMEGA >= 0.
+        """
+        import numpy as np
+
+        omega = np.array(
+            [
+                [0.0, 1.0, 0.0, 0.0],
+                [-1.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0],
+                [0.0, 0.0, -1.0, 0.0],
+            ]
+        )
+        return float(np.linalg.eigvalsh(self.entries + 1j * omega)[0])
 
     def is_physical(self) -> bool:
         return self.uncertainty_violation() >= -PHYSICALITY_TOL
 
     def to_json_dict(self) -> dict:
-        return {"order": list(QUADRATURE_ORDER), "matrix": self.entries.tolist()}
+        return {"order": list(QUADRATURE_ORDER), "matrix": self._rows()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationMatrix4":
@@ -202,12 +230,35 @@ class CorrelationMatrix4:
             raise ValueError(f"correlation-matrix JSON needs 'order' and 'matrix' keys: {exc}")
         if order != QUADRATURE_ORDER:
             raise ValueError(f"unsupported quadrature order {order}; expected {QUADRATURE_ORDER}")
-        cells = np.array(matrix, dtype=object)
-        if cells.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {cells.shape}")
-        for (i, j), cell in np.ndenumerate(cells):
-            _json_number(cell, f"matrix cell [{i}][{j}]")
-        return cls(cells.astype(float))
+        try:
+            if len(matrix) != 4 or any(len(row) != 4 for row in matrix):
+                raise ValueError  # named below, by its shape
+            for i, row in enumerate(matrix):
+                for j, cell in enumerate(row):
+                    _json_number(cell, f"matrix cell [{i}][{j}]")
+        except (TypeError, ValueError):
+            # Refused: by its shape as numpy reads it, as the message has always
+            # named it, unless numpy reads 4x4, when the cell's message stands.
+            import numpy as np
+
+            shape = np.array(matrix, dtype=object).shape
+            if shape != (4, 4):
+                raise ValueError(f"expected a 4x4 matrix, got shape {shape}") from None
+            raise
+        return cls(matrix)
+
+
+def _sixteen(entries) -> tuple[float, ...] | None:
+    """The 16 entries, row-major, as Python floats, of 4 lists (or tuples) of
+    4 numbers that ``float`` takes; None for anything else."""
+    if type(entries) in (list, tuple) and len(entries) == 4:
+        r0, r1, r2, r3 = entries
+        if all(type(row) in (list, tuple) and len(row) == 4 for row in entries):
+            try:
+                return tuple(map(float, (*r0, *r1, *r2, *r3)))
+            except (TypeError, ValueError, OverflowError):
+                pass
+    return None
 
 
 def _json_number(value, name: str):
@@ -307,6 +358,8 @@ def apply_local_squeezing(
     cm: CorrelationMatrix4, gain: float
 ) -> CorrelationMatrix4:
     """Apply equal local squeezing (X+ -> g X+, X- -> X-/g) to both beams."""
+    import numpy as np
+
     _require_positive_finite(gain, "squeezing gain")
     s = np.diag([gain, 1.0 / gain, gain, 1.0 / gain])
     return CorrelationMatrix4(s @ cm.entries @ s)
@@ -369,8 +422,11 @@ def _mean(a, b, c=None, d=None):
     if type(mean) is float:
         if mean < math.inf:
             return mean
-    elif np.fmax.reduce(mean, axis=None, initial=0.0) < math.inf:  # one pass on the common path
-        return mean
+    else:
+        import numpy as np
+
+        if np.fmax.reduce(mean, axis=None, initial=0.0) < math.inf:  # one pass on the common path
+            return mean
     scaled = a / 2.0 + b / 2.0 if c is None else a / 4.0 + b / 4.0 + c / 4.0 + d / 4.0
     return scaled if type(mean) is float else np.where(np.isinf(mean), scaled, mean)
 
@@ -385,6 +441,8 @@ def _sqrt_product(a, b):
         if product < math.inf:
             return math.sqrt(product)
         return math.sqrt(a * 2.0**-600 * (b * 2.0**-600)) * 2.0**600
+    import numpy as np
+
     if not (over := np.isinf(product)).any():
         return np.sqrt(product)
     scaled = np.sqrt(a * 2.0**-600 * (b * 2.0**-600)) * 2.0**600

@@ -597,7 +597,7 @@ class TestContours:
         def refuse(*args, **kwargs):
             raise AssertionError("a grid axis was allocated")
 
-        monkeypatch.setattr("gaussent.protocols.np.linspace", refuse)
+        monkeypatch.setattr("numpy.linspace", refuse)
         code, out, err = run_cli(capsys, "contours", "--metric", "epr", "--grid", "4097")
         assert code == 1
         assert out == ""

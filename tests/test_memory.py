@@ -81,11 +81,14 @@ def test_after_the_first_block_a_block_allocates_only_its_text(writer):
     assert blocks >= 4
 
 
+# numpy and the float-to-text kernel are imported before the first reading:
+# gaussent.cli does not import them, and the contours handler would.
 PEAK_SCRIPT = """
 import sys
 def high_water_mark():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+import numpy, gaussent._floattext
 from gaussent import cli
 before = high_water_mark()
 code = cli.main(sys.argv[1:])

@@ -1,6 +1,7 @@
 """Package-level checks: what importing gaussent pulls in, and the README."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -31,17 +32,59 @@ UNREACHED_BUT_KEPT = {
 }
 
 
-def test_cli_import_does_not_load_scipy():
+#: What a fresh interpreter loads of numpy and scipy: after a statement, or
+#: after ``python -m gaussent.cli`` runs an argv ("{tmp}" is the test's
+#: directory).  Only the subcommands that build a table load numpy; the two
+#: that do show that the probe sees it.
+LOADS = {
+    "import gaussent": ("import gaussent", []),
+    "import gaussent.cli": ("import gaussent.cli", []),
+    "--help": (["--help"], []),
+    "analyze --at": (["analyze", "--at", "6.5MHz"], []),
+    "analyze --cm biased": (["analyze", "--cm", "{tmp}/biased.json"], []),
+    "model": (["model", "--v1", "0.5", "--v2", "0.5", "--eta", "0.86"], []),
+    "sweep-loss": (["sweep-loss", "--v", "0.5", "--steps", "5"], []),
+    "fixtures": (["fixtures"], []),
+    "ingest": (["ingest", "{tmp}/spectra.csv"], ["numpy"]),
+    "contours": (["contours", "--metric", "epr", "--grid", "3"], ["numpy"]),
+}
+#: A bare matrix whose beam y is noisier than beam x, so biased, with a measured block.
+BIASED = {
+    "order": ["xp", "xm", "yp", "ym"],
+    "matrix": [
+        [1.1, 0.0, -0.8, 0.0],
+        [0.0, 1.1, 0.0, 0.8],
+        [-0.8, 0.0, 1.4, 0.0],
+        [0.0, 0.8, 0.0, 1.4],
+    ],
+    "measured": {"v_sum_plus": 0.45, "v_diff_minus": 0.45, "cv_plus": 0.6, "cv_minus": 0.6},
+}
+
+
+@pytest.mark.parametrize("case", LOADS)
+def test_only_the_table_subcommands_load_numpy(case, tmp_path):
+    """The numpy and scipy packages in ``sys.modules`` as the interpreter exits,
+    after each statement or command line has run and exited 0."""
+    (tmp_path / "biased.json").write_text(json.dumps(BIASED))
+    (tmp_path / "spectra.csv").write_text(
+        ",".join(SPECTRUM_COLUMNS) + "\n6.5,1.2,1.3,1.2,1.3,0.6,0.7\n"
+    )
+    run, expected = LOADS[case]
+    if isinstance(run, list):  # as `python -m gaussent.cli` runs it
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in run]
+        run = (
+            f"import runpy; sys.argv[1:] = {argv!r}; "
+            "runpy.run_module('gaussent.cli', run_name='__main__', alter_sys=True)"
+        )
     probe = (
-        "import sys, gaussent.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import atexit, sys; atexit.register(lambda: print(sorted("
+        "{m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}), file=sys.stderr))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
+    result = subprocess.run([sys.executable, "-c", probe + run], env=env,
+                            capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stderr.splitlines() == [repr(expected)]
 
 
 def test_cli_import_builds_no_float_text_table():

@@ -351,7 +351,7 @@ class TestContourGrid:
         def allocating(*args, **kwargs):
             raise Allocating
 
-        monkeypatch.setattr("gaussent.protocols.np.linspace", allocating)
+        monkeypatch.setattr("numpy.linspace", allocating)
         assert MAX_RESOLUTION >= 2000
         with pytest.raises(Allocating):
             contour_grid("epr", resolution=MAX_RESOLUTION)

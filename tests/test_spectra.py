@@ -339,10 +339,10 @@ class TestDeriveSpectra:
     def test_builds_no_correlation_matrix(self, monkeypatch):
         rows = synthesize_spectra()
 
-        def refuse(self):
+        def refuse(self, entries):
             raise AssertionError("a correlation matrix was built")
 
-        monkeypatch.setattr(CorrelationMatrix4, "__post_init__", refuse)
+        monkeypatch.setattr(CorrelationMatrix4, "__init__", refuse)
         assert len(_derive(rows)) == len(rows)
         assert derive_row(rows[0]).frequency_mhz == rows[0].frequency_mhz
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import sys
 from functools import reduce
 from operator import add
 
@@ -602,9 +603,10 @@ def test_analysis_of_seeded_states_is_unchanged(seed):
 
 def test_scalar_chain_makes_one_array_per_matrix(monkeypatch):
     """Beams to analysis record, for interchangeable beams and for biased
-    ones, with numpy's asarray, sqrt and where patched to raise and its array
-    counted: each matrix makes its entries array, once, and the beams, the
-    loss and the analysis make no other numpy call."""
+    ones, with numpy's array, asarray, sqrt and where patched to raise and an
+    import of numpy failing: the beams, the loss and the analysis make no
+    numpy call.  Then each matrix's first ``entries`` read makes its array,
+    with one ``np.array`` call, and a second read returns the same array."""
     cases = [(0.3, 0.4, 0.8, 0.8), (0.3, 0.4, 0.9, 0.5)]
     arrays = []
     np_array = np.array
@@ -617,15 +619,22 @@ def test_scalar_chain_makes_one_array_per_matrix(monkeypatch):
         return np_array(*args, **kwargs)
 
     with monkeypatch.context() as patched:
-        for name in ("asarray", "sqrt", "where"):
+        for name in ("array", "asarray", "sqrt", "where"):
             patched.setattr(np, name, refuse)
-        patched.setattr(np, "array", count)
+        patched.setitem(sys.modules, "numpy", None)
         chains = []
         for v1, v2, eta_x, eta_y in cases:
             state = entangle_on_beamsplitter(SqueezedBeam.pure(v1), SqueezedBeam.pure(v2))
             lossy = apply_loss(state, eta_x, eta_y)
             chains.append((state.cm, lossy.cm, eta_x, eta_y, analyze_cm(lossy.cm)))
-    assert len(arrays) == 2 * len(cases)
+
+    matrices = [matrix for chain in chains for matrix in chain[:2]]
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "array", count)
+        first = [matrix.entries for matrix in matrices]
+        assert len(arrays) == len(matrices)
+        assert all(matrix.entries is entries for matrix, entries in zip(matrices, first))
+    assert len(arrays) == len(matrices)
 
     for (cm, lossy, eta_x, eta_y, record), source in zip(chains, ("matrix", "unavailable")):
         assert record["decomposition_source"] == source
