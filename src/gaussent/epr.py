@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .photons import _require_photon_numbers
 from .separability import _require_loss_inputs
-from .states import CorrelationMatrix4, _quadratures
+from .states import CorrelationMatrix4, _quadratures, np
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,8 @@ def _residual_variance(c_xx, c_yy, c_xy):
     if floats := isinstance(square, float):
         if square < math.inf:
             return c_xx - square / c_yy
-    else:
-        import numpy as np
-
-        if not (over := np.isinf(square)).any():
-            return c_xx - square / c_yy
+    elif not (over := np.isinf(square)).any():
+        return c_xx - square / c_yy
     scaled = _residual_variance(c_xx * 2.0**-600, c_yy * 2.0**-600, c_xy * 2.0**-600) * 2.0**600
     return scaled if floats else np.where(over, scaled, c_xx - square / c_yy)
 
@@ -93,8 +90,6 @@ def epr_from_photons(n_min, n_excess):
     Raises:
         ValueError: on negative or non-finite inputs.
     """
-    import numpy as np
-
     n_min = np.asarray(n_min, dtype=float)
     n_excess = np.asarray(n_excess, dtype=float)
     _require_photon_numbers(n_min, n_excess)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .separability import _symmetric_degree
-from .states import CorrelationMatrix4, _mean, _quadratures, check_symmetric_form
+from .states import CorrelationMatrix4, _mean, _quadratures, check_symmetric_form, np
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,8 @@ def _budget(cxx_plus, cxx_minus, cyy_plus, cyy_minus, v_plus, v_minus, insep):
 def _select(condition, if_true, if_false):
     """``np.where`` that keeps scalars scalars: the scalar measures pay no
     array overhead and see no numpy overflow warnings."""
-    if type(condition) is not bool:
-        import numpy as np
-
-        if not isinstance(condition, np.bool_):
-            return np.where(condition, if_true, if_false)
+    if type(condition) is not bool and not isinstance(condition, np.bool_):
+        return np.where(condition, if_true, if_false)
     return if_true if condition else if_false
 
 
@@ -104,8 +101,6 @@ def insep_from_nmin(n_min):
     Raises:
         ValueError: if any n_min is negative (NaN included) or infinite.
     """
-    import numpy as np
-
     n_min = np.asarray(n_min, dtype=float)
     # One reduction on the common path; the message is picked on failure.
     if not np.all((n_min >= 0.0) & (n_min < math.inf)):
@@ -132,8 +127,6 @@ def nmin_from_insep(insep):
         ValueError: if any degree is not positive (NaN included).
     """
     if type(insep) is not float:  # a float spares the scalar measures numpy's per-call cost
-        import numpy as np
-
         insep = np.asarray(insep, dtype=float)
         insep = insep if insep.ndim else float(insep)
     _require_positive_degree(insep)
@@ -143,11 +136,8 @@ def nmin_from_insep(insep):
 def _require_positive_degree(insep) -> None:
     """ValueError unless the degree of inseparability ``insep``, or each element
     of an array of them, is positive (not NaN), naming the first that is not."""
-    if type(insep) is not float:
-        import numpy as np
-
-        if isinstance(insep, np.ndarray):
-            insep = next(iter(insep[~(insep > 0.0)].tolist()), 1.0)  # 1.0: a stand-in that passes
+    if type(insep) is not float and isinstance(insep, np.ndarray):
+        insep = next(iter(insep[~(insep > 0.0)].tolist()), 1.0)  # 1.0: a stand-in that passes
     if not insep > 0.0:
         raise ValueError(f"degree of inseparability must be positive, got {insep}")
 
@@ -172,8 +162,6 @@ def _require_photon_numbers(n_min, n_excess) -> None:
     if isinstance(n_min, (int, float)) and isinstance(n_excess, (int, float)):
         every = bool  # a comparison of numbers is already one bool
     else:
-        import numpy as np
-
         every = np.all
     if not (every(n_min >= 0.0) and every(n_excess >= 0.0)):
         raise ValueError("photon numbers must be non-negative")

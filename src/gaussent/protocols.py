@@ -12,14 +12,10 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import InitVar, dataclass, field
-from typing import TYPE_CHECKING
 
 from .epr import epr_from_photons
 from .photons import _require_photon_numbers, _require_positive_degree, insep_from_nmin
-from .states import _mean, _require_positive_finite
-
-if TYPE_CHECKING:
-    import numpy as np
+from .states import _mean, _require_positive_finite, np
 
 #: Fidelity above which a teleporter beats the no-cloning bound.
 NO_CLONING_FIDELITY = 2.0 / 3.0
@@ -53,8 +49,6 @@ class ContourGrid:
     _copy_values: InitVar[bool] = True
 
     def __post_init__(self, _copy_values: bool) -> None:
-        import numpy as np
-
         # Copies: freezing the caller's own arrays would make them read-only.
         nmin = np.array(self.nmin_axis, dtype=float)
         nexcess = np.array(self.nexcess_axis, dtype=float)
@@ -79,8 +73,6 @@ class ContourGrid:
         and the n_excess text follow it.  Each block writes its n_min text
         and its values' text, formatted in one :func:`float_text` call.
         """
-        import numpy as np
-
         from ._floattext import _RowBlocks, float_text
 
         yield b"n_min,n_excess,value"
@@ -137,8 +129,6 @@ class ContourGrid:
 
 def _require_rising_axes(nmin_axis: np.ndarray, nexcess_axis: np.ndarray) -> None:
     """ValueError naming the first axis, and its step, that does not strictly increase."""
-    import numpy as np
-
     for name, axis in (("nmin_axis", nmin_axis), ("nexcess_axis", nexcess_axis)):
         if not (rises := np.diff(axis) > 0.0).all():
             first, then = axis[np.argmin(rises) :][:2].tolist()  # where it first fails to rise
@@ -186,8 +176,6 @@ def _require_finite_budget(n_encoding: float) -> None:
 def _dense_capacity(n_encoding, n_min, n_excess):
     """log2(1 + s / I(n_min)) with signal s = n_encoding - (n_min + n_excess)/2,
     elementwise over floats or arrays; NaN where s < 0, a state over the budget."""
-    import numpy as np
-
     insep = insep_from_nmin(n_min)
     with np.errstate(over="ignore"):  # in the sum of _mean, and in s / I
         signal = n_encoding - _mean(n_min, n_excess)
@@ -270,8 +258,6 @@ def contour_grid(
             :func:`capacity_ratio` is undefined, or an axis that does not
             strictly increase (a range too narrow for its resolution).
     """
-    import numpy as np
-
     from ._floattext import CHUNK
 
     if metric not in GRID_METRICS:

@@ -43,10 +43,8 @@ import os
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from importlib import resources
 from itertools import chain
 from operator import attrgetter
-from typing import TYPE_CHECKING
 
 from .epr import _epr
 from .photons import _budget, _decomposition
@@ -66,11 +64,9 @@ from .states import (
     _require_fraction,
     _require_positive_finite,
     _sqrt_product,
+    np,
     sum_diff_variance,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -150,8 +146,6 @@ def _read_table(text: str, units: str) -> np.ndarray:
     the file, is the csv reader's.  The C reader accepts no file that the
     csv reader refuses, and gives the same table bit for bit.
     """
-    import numpy as np
-
     if units not in ("linear", "dB"):
         raise ValueError(f"units must be 'linear' or 'dB', got {units!r}")
     width = len(SPECTRUM_COLUMNS)
@@ -300,8 +294,6 @@ def _derive_table(table: np.ndarray) -> tuple[np.ndarray, ...]:
     what :func:`derive_row` gives: all call :func:`_row` and the same
     elementwise helpers, and no correlation matrix is built here.
     """
-    import numpy as np
-
     with np.errstate(all="ignore"):
         columns = (table[:, 0], *_row(*table.T[1:]))
         sum_plus, diff_minus = columns[5:]
@@ -346,8 +338,6 @@ def synthesize_spectra(
         raise ValueError(f"relax_amplitude must be non-negative and finite, got {relax_amplitude}")
     _require_fraction(eta, "eta")
     if freq_grid is None:
-        import numpy as np
-
         freq_grid = np.linspace(2.5, 10.0, 31)
     freq_grid = [float(f) for f in freq_grid]
 
@@ -377,8 +367,6 @@ def _row_chunks(columns, head: bytes, keys: list[str], json: bool) -> Iterator[b
     """The rows of the derived columns (float64 arrays in :data:`DERIVED_COLUMNS`
     order), one chunk per block of :class:`_RowBlocks`: each line ``head``,
     then per cell its key and value.  The constant bytes are written once."""
-    import numpy as np
-
     from ._floattext import _RowBlocks, text_rows
 
     buffer = _RowBlocks(len(columns[0]), head, text_rows(keys))
@@ -408,8 +396,6 @@ def _json_chunks(columns) -> Iterator[bytes | memoryview]:
 
 def _columns(derived: list[DerivedRow]) -> np.ndarray:
     """The rows' values as float64 columns in :data:`DERIVED_COLUMNS` order."""
-    import numpy as np
-
     return np.array(list(map(_derived_values, derived)), float).reshape(-1, len(DERIVED_COLUMNS)).T
 
 
@@ -474,25 +460,37 @@ def _parse_frequency_label(label: str) -> float:
     return frequency
 
 
+#: The keys a ``measured`` block may hold, in pairs: both of a pair, or neither.
+_MEASURED_PAIRS = (("v_sum_plus", "v_diff_minus"), ("cv_plus", "cv_minus"))
+
+
 def _read_matrix_json(payload) -> tuple[CorrelationMatrix4, dict]:
     """(matrix, measured) of a correlation-matrix JSON object, a bare file or
-    an anchor entry; ``measured`` must be an object of numbers, and null or
-    absent reads as {}.  ValueError names the offending cell or key."""
+    an anchor entry; ``measured`` must be an object of numbers under the keys
+    of :data:`_MEASURED_PAIRS`, each pair whole, and null or absent reads as
+    {}.  ValueError names the offending cell or key."""
     cm = CorrelationMatrix4.from_json_dict(payload)
     measured = payload.get("measured")
     if measured is None:
         return cm, {}
     if not isinstance(measured, dict):
         raise ValueError(f"'measured' must be a JSON object, got {measured!r}")
+    keys = list(chain(*_MEASURED_PAIRS))
     for key, value in measured.items():
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in 'measured'; expected one of {keys}")
         _json_number(value, f"'{key}'")
+    for first, second in _MEASURED_PAIRS:
+        if (first in measured) != (second in measured):
+            given, missing = (first, second) if first in measured else (second, first)
+            raise ValueError(f"'measured' has '{given}' without '{missing}'")
     return cm, measured
 
 
 def bundled_fixture_path() -> str:
     """Path of the anchor file: the env override if set, else the bundled copy."""
-    bundled = resources.files("gaussent").joinpath("fixtures/paper_anchors.json")
-    return os.environ.get(FIXTURES_ENV_VAR) or str(bundled)
+    bundled = os.path.join(os.path.dirname(__file__), "fixtures", "paper_anchors.json")
+    return os.environ.get(FIXTURES_ENV_VAR) or bundled
 
 
 def load_paper_anchors(path: str | None = None) -> PaperAnchors:

@@ -12,8 +12,27 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+
+class _Numpy:
+    """numpy, imported on the first attribute read: ``np.array`` is
+    ``numpy.array``, read from the module on every read.  Only the code
+    that builds an array reads it, so a caller that needs none never loads
+    numpy."""
+
+    __slots__ = ()
+
+    # Not __getattr__, which runs only after the normal lookup has failed:
+    # that doubles the cost of a read.
+    def __getattribute__(self, name: str):
+        import numpy
+
+        return getattr(numpy, name)
+
+
 if TYPE_CHECKING:
     import numpy as np
+else:
+    np = _Numpy()
 
 #: Row/column labels of :class:`CorrelationMatrix4`, in fixed order.
 QUADRATURE_ORDER = ("xp", "xm", "yp", "ym")
@@ -94,8 +113,6 @@ class CorrelationMatrix4:
         # Row-major: entry (i, j) is flat[4 * i + j].
         flat = _sixteen(entries)
         if flat is None:  # not 4 lists of 4 numbers: numpy reads it, or names its shape
-            import numpy as np
-
             arr = np.array(entries, dtype=float)
             if arr.shape != (4, 4):
                 raise ValueError(f"expected a 4x4 matrix, got shape {arr.shape}")
@@ -114,8 +131,7 @@ class CorrelationMatrix4:
         if asym > SYMMETRY_TOL:
             raise ValueError(f"correlation matrix is not symmetric (max asymmetry {asym:g})")
         if not (flat[0] > 0.0 and flat[5] > 0.0 and flat[10] > 0.0 and flat[15] > 0.0):
-            import numpy as np  # the message prints the diagonal as numpy does
-
+            # The message prints the diagonal as numpy does.
             raise ValueError(f"diagonal variances must be positive, got {np.array(flat[::5])}")
         self._flat = flat
         self._entries = None
@@ -124,8 +140,6 @@ class CorrelationMatrix4:
     def entries(self) -> np.ndarray:
         """The read-only float64 (4, 4) array of the entries, built on the first read."""
         if self._entries is None:
-            import numpy as np
-
             flat = np.array(self._flat)
             flat.setflags(write=False)  # and so its (4, 4) view
             self._entries = flat.reshape(4, 4)
@@ -196,8 +210,6 @@ class CorrelationMatrix4:
         mode: a correlation matrix describes a physical state iff
         CM + i*OMEGA >= 0.
         """
-        import numpy as np
-
         omega = np.array(
             [
                 [0.0, 1.0, 0.0, 0.0],
@@ -239,8 +251,6 @@ class CorrelationMatrix4:
         except (TypeError, ValueError):
             # Refused: by its shape as numpy reads it, as the message has always
             # named it, unless numpy reads 4x4, when the cell's message stands.
-            import numpy as np
-
             shape = np.array(matrix, dtype=object).shape
             if shape != (4, 4):
                 raise ValueError(f"expected a 4x4 matrix, got shape {shape}") from None
@@ -357,12 +367,12 @@ def apply_loss(state: TwoModeState, eta_x: float, eta_y: float) -> TwoModeState:
 def apply_local_squeezing(
     cm: CorrelationMatrix4, gain: float
 ) -> CorrelationMatrix4:
-    """Apply equal local squeezing (X+ -> g X+, X- -> X-/g) to both beams."""
-    import numpy as np
-
+    """Apply equal local squeezing (X+ -> g X+, X- -> X-/g) to both beams:
+    entry (i, j) becomes g_i C_ij g_j, with g = (g, 1/g, g, 1/g)."""
     _require_positive_finite(gain, "squeezing gain")
-    s = np.diag([gain, 1.0 / gain, gain, 1.0 / gain])
-    return CorrelationMatrix4(s @ cm.entries @ s)
+    g = (gain, 1.0 / gain) * 2
+    f = cm._flat
+    return CorrelationMatrix4([[g[i] * f[4 * i + j] * g[j] for j in range(4)] for i in range(4)])
 
 
 def _as_cm(state_or_cm: TwoModeState | CorrelationMatrix4) -> CorrelationMatrix4:
@@ -422,11 +432,8 @@ def _mean(a, b, c=None, d=None):
     if type(mean) is float:
         if mean < math.inf:
             return mean
-    else:
-        import numpy as np
-
-        if np.fmax.reduce(mean, axis=None, initial=0.0) < math.inf:  # one pass on the common path
-            return mean
+    elif np.fmax.reduce(mean, axis=None, initial=0.0) < math.inf:  # one pass on the common path
+        return mean
     scaled = a / 2.0 + b / 2.0 if c is None else a / 4.0 + b / 4.0 + c / 4.0 + d / 4.0
     return scaled if type(mean) is float else np.where(np.isinf(mean), scaled, mean)
 
@@ -441,8 +448,6 @@ def _sqrt_product(a, b):
         if product < math.inf:
             return math.sqrt(product)
         return math.sqrt(a * 2.0**-600 * (b * 2.0**-600)) * 2.0**600
-    import numpy as np
-
     if not (over := np.isinf(product)).any():
         return np.sqrt(product)
     scaled = np.sqrt(a * 2.0**-600 * (b * 2.0**-600)) * 2.0**600

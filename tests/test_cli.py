@@ -157,6 +157,17 @@ class TestAnalyze:
              "'v_sum_plus'"),
             ({**bare, "measured": {"cv_plus": -1.0, "cv_minus": 2.0}}, (), "'cv_plus'"),
             ({**bare, "measured": {"cv_plus": 0.5, "cv_minus": math.nan}}, (), "'cv_minus'"),
+            # A measured block takes four keys, in pairs given whole.
+            ({**bare, "measured": {"v_sum_plus": 0.44, "cv_plus": 0.77, "v_dif_minus": 0.44}},
+             (), "unknown key 'v_dif_minus' in 'measured'"),
+            ({**bare, "measured": {"v_sum_plus": 0.44}}, (),
+             "'measured' has 'v_sum_plus' without 'v_diff_minus'"),
+            ({**bare, "measured": {"cv_minus": 0.76}}, (),
+             "'measured' has 'cv_minus' without 'cv_plus'"),
+            ({**bare, "measured": {"v_sum_plus": 0.44, "v_diff_minus": 0.44, "cv_plus": 0.77}},
+             (), "'measured' has 'cv_plus' without 'cv_minus'"),
+            ({**anchors, "3.5MHz": {**anchors["3.5MHz"], "measured": {"eta": 0.9}}}, at_65,
+             "anchor '3.5MHz': unknown key 'eta' in 'measured'"),
             ({"matrix": bare["matrix"]}, (),
              "correlation-matrix JSON needs 'order' and 'matrix' keys: 'order'"),
             ({"cm": {"order": bare["order"]}}, (),

@@ -101,6 +101,68 @@ def test_cli_import_builds_no_float_text_table():
     assert result.stdout.strip() == "0"
 
 
+def test_cli_import_leaves_importlib_resources_unloaded():
+    """``import gaussent.cli`` finds the bundled anchors without importlib.resources.
+    ``-S``: a site-packages ``.pth`` file may import it before the package does."""
+    probe = "import sys, gaussent.cli; print('importlib.resources' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def _numpy_imports(tree):
+    """(enclosing nodes, outermost first; node) of each ``import numpy...`` or
+    ``from numpy... import`` in a module, at any depth."""
+    stack = [((), tree)]
+    while stack:
+        outer, node = stack.pop()
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        if any(module.split(".")[0] == "numpy" for module in modules):
+            yield outer, node
+        stack.extend((outer + (node,), child) for child in ast.iter_child_nodes(node))
+
+
+def _numpy_home(module: str, outer: tuple, node: ast.stmt) -> str | None:
+    """Which of the three places numpy may be imported holds this import, or None."""
+    parent = outer[-1]
+    if module == "_floattext" and isinstance(parent, ast.Module):
+        return "_floattext, at module level"
+    if module == "states" and any(
+        isinstance(n, ast.ClassDef) and n.name == "_Numpy" for n in outer
+    ):
+        return "states._Numpy"
+    if (
+        isinstance(parent, ast.If)
+        and isinstance(parent.test, ast.Name)
+        and parent.test.id == "TYPE_CHECKING"
+        and node in parent.body
+    ):
+        return f"{module}, under TYPE_CHECKING"
+    return None
+
+
+def test_numpy_is_imported_in_its_one_home():
+    """Every import of numpy in src/gaussent, at any depth, is ``_floattext``'s
+    module-level one, the one in ``states._Numpy`` that every other module
+    reaches as ``states.np``, or one for type checkers only."""
+    homes, strays = [], []
+    for path in sorted((SRC / "gaussent").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for outer, node in _numpy_imports(tree):
+            home = _numpy_home(path.stem, outer, node)
+            (homes if home else strays).append(home or f"{path.name}:{node.lineno}")
+    assert strays == []
+    assert sorted(homes) == [
+        "_floattext, at module level", "states, under TYPE_CHECKING", "states._Numpy",
+    ]
+
+
 def test_readme_quick_start_runs(capsys):
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## Quick start"):]
