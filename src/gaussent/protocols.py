@@ -8,10 +8,11 @@ channel at a fixed photon budget, and dense efficacy grids over the
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from collections.abc import Iterator
-from dataclasses import InitVar, dataclass, field
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field
 
 from .epr import epr_from_photons
 from .photons import _require_photon_numbers, _require_positive_degree, insep_from_nmin
@@ -22,48 +23,94 @@ NO_CLONING_FIDELITY = 2.0 / 3.0
 
 GRID_METRICS = ("epr", "fidelity", "dense_ratio")
 
-#: Largest points per axis of a contour grid (4096^2 cells: 134 MB per table).
+#: Largest points per axis of a contour grid (4096^2 cells: 134 MB in a
+#: ``values`` table, which exists only once it is read).
 MAX_RESOLUTION = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ContourGrid:
-    """Dense table of one efficacy metric over the (n_min, n_excess) plane.
+    """One efficacy metric over the (n_min, n_excess) plane: its axes, its
+    params and :attr:`values`, its table.
+
+    A grid of :func:`contour_grid` holds no table, but the one kernel of
+    its metric: the writers compute each block of rows as they write it,
+    and :attr:`values` is built on its first read, by the same kernel over
+    the same blocks, then kept, frozen.  A grid built from a given table
+    keeps a frozen copy of it, and the writers slice it.
 
     :meth:`csv_chunks` and :meth:`json_chunks` yield the text as bytes-like
     chunks, one per block of whole rows laid out in the reused buffer of
     ``_floattext._RowBlocks``, as the derived-spectrum writers' are: a
     block's chunk is a memoryview of the one array the block allocates.
-    A writer holds about one chunk of text and a fixed working set beside
-    the float64 table, for rows of at most ``CHUNK`` cells, as every grid
-    of :func:`contour_grid` has; ``to_csv_text`` joins the chunks.
+    A writer holds about one chunk of text and a fixed working set, for
+    rows of at most ``CHUNK`` cells, as every grid of :func:`contour_grid`
+    has; ``to_csv_text`` joins the chunks.
     """
 
     metric: str
     nmin_axis: np.ndarray
     nexcess_axis: np.ndarray
-    values: np.ndarray
-    params: dict = field(default_factory=dict)
-    # False for a float64 table that no one else holds, contour_grid's own:
-    # it is kept, frozen, rather than copied.
-    _copy_values: InitVar[bool] = True
+    params: dict
+    # contour_grid's kernel(rows, out): the metric over a slice of rows, written
+    # into out; None where the grid was given its table.
+    _kernel: Callable[[slice, np.ndarray], None] | None = field(default=None, repr=False)
 
-    def __post_init__(self, _copy_values: bool) -> None:
+    def __init__(
+        self, metric: str, nmin_axis, nexcess_axis, values, params: dict | None = None
+    ) -> None:
         # Copies: freezing the caller's own arrays would make them read-only.
-        nmin = np.array(self.nmin_axis, dtype=float)
-        nexcess = np.array(self.nexcess_axis, dtype=float)
-        values = np.array(self.values, dtype=float) if _copy_values else self.values
-        if values.shape != (nmin.size, nexcess.size):
+        nmin = np.array(nmin_axis, dtype=float)
+        nexcess = np.array(nexcess_axis, dtype=float)
+        table = np.array(values, dtype=float)
+        if table.shape != (nmin.size, nexcess.size):
             raise ValueError(
-                f"values shape {values.shape} does not match axes "
+                f"values shape {table.shape} does not match axes "
                 f"({nmin.size}, {nexcess.size})"
             )
-        _require_rising_axes(nmin, nexcess)
-        for arr in (nmin, nexcess, values):
-            arr.setflags(write=False)
-        object.__setattr__(self, "nmin_axis", nmin)
-        object.__setattr__(self, "nexcess_axis", nexcess)
-        object.__setattr__(self, "values", values)
+        table.setflags(write=False)
+        self._hold(metric, nmin, nexcess, params, values=table)
+
+    @classmethod
+    def _of_kernel(cls, metric: str, nmin_axis, nexcess_axis, params: dict, kernel) -> ContourGrid:
+        """A grid with no table, whose values ``kernel`` writes block by block."""
+        grid = cls.__new__(cls)
+        grid._hold(metric, nmin_axis, nexcess_axis, params, _kernel=kernel)
+        return grid
+
+    def _hold(self, metric, nmin_axis, nexcess_axis, params, **source) -> None:
+        """Keep the fields, the axes frozen and ``params`` as a dict of its own;
+        ``source`` is the table, as ``values``, or the kernel, as ``_kernel``."""
+        _require_rising_axes(nmin_axis, nexcess_axis)
+        for axis in (nmin_axis, nexcess_axis):
+            axis.setflags(write=False)
+        vars(self).update(metric=metric, nmin_axis=nmin_axis, nexcess_axis=nexcess_axis,
+                          params=dict(params or {}), **source)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The table: ``values[i, j]`` is the metric at (nmin_axis[i],
+        nexcess_axis[j]).  Built on the first read, by the kernel over the
+        writers' blocks of ⌊``CHUNK``/n⌋ rows, and kept, frozen."""
+        from ._floattext import CHUNK
+
+        table = np.empty((self.nmin_axis.size, self.nexcess_axis.size))
+        step = max(1, CHUNK // self.nexcess_axis.size)
+        for start in range(0, len(table), step):
+            rows = slice(start, start + step)
+            self._kernel(rows, table[rows])
+        table.setflags(write=False)
+        return table
+
+    def _rows(self, rows: slice, work) -> np.ndarray:
+        """The values of a block of rows: the table's, once there is one, else
+        the kernel's, written into the writer's workspace."""
+        table = vars(self).get("values")
+        if table is not None:
+            return table[rows]
+        block = work("values", np.float64, rows.stop - rows.start, self.nexcess_axis.size)
+        self._kernel(rows, block)
+        return block
 
     def csv_chunks(self) -> Iterator[bytes | memoryview]:
         """The CSV text: the header, then one chunk per block of rows.
@@ -76,7 +123,7 @@ class ContourGrid:
         from ._floattext import _RowBlocks, float_text
 
         yield b"n_min,n_excess,value"
-        if self.values.size:
+        if self.nmin_axis.size and self.nexcess_axis.size:
             nmin, nexcess = float_text(self.nmin_axis), float_text(self.nexcess_axis)
             a = nmin.shape[1]
             keys = np.zeros((len(nexcess), a + nexcess.shape[1] + 3), np.uint8)
@@ -85,7 +132,7 @@ class ContourGrid:
             buffer = _RowBlocks(len(nmin), b"", keys)
             for rows in buffer.blocks():
                 buffer.cells[: rows.stop - rows.start, :, 1 : a + 1] = nmin[rows, None]
-                yield buffer.text(self.values[rows], json=False)
+                yield buffer.text(self._rows(rows, buffer.work), json=False)
         yield b"\n"
 
     def json_chunks(self) -> Iterator[bytes | memoryview]:
@@ -99,7 +146,8 @@ class ContourGrid:
         """
         from ._floattext import _json_rows, _RowBlocks, text_rows
 
-        if not self.values.size:  # no cells: json.dumps writes the whole grid
+        if not (self.nmin_axis.size and self.nexcess_axis.size):
+            # No cells: json.dumps writes the whole grid.
             yield (json.dumps(self.to_json_dict(), indent=2) + "\n").encode()
             return
         head = json.dumps({**self._json_head(), "values": None}, indent=2)
@@ -108,7 +156,8 @@ class ContourGrid:
         keys = text_rows(["\n      "] + [",\n      "] * (len(self.nexcess_axis) - 1))
         buffer = _RowBlocks(len(self.nmin_axis), _ROW_CLOSE + b",\n    [", keys)
         yield from _json_rows(
-            (buffer.text(self.values[rows], json=True) for rows in buffer.blocks()), _ROW_CLOSE
+            (buffer.text(self._rows(rows, buffer.work), json=True) for rows in buffer.blocks()),
+            _ROW_CLOSE,
         )
         yield _ROW_CLOSE + b"\n  ]\n}\n"
 
@@ -245,21 +294,21 @@ def contour_grid(
     For ``dense_ratio``, ``params`` must carry ``n_encoding``; grid nodes
     whose state exceeds the photon budget evaluate to NaN.
 
-    The table is filled in blocks of the rows that the writers format
-    together (⌊``CHUNK``/n⌋): each block's n_min points, as a column, are
-    broadcast against the n_excess axis as a row, so no n x n array is
-    built but the table itself; n_min-only terms such as
-    ``insep_from_nmin`` are evaluated on n points.
+    The grid holds no table.  Its metric is computed in blocks of the rows
+    that the writers format together (⌊``CHUNK``/n⌋), each block as it is
+    written, and ``values`` is built from the same blocks on its first
+    read.  Each block's n_min points, as a column, are broadcast against
+    the n_excess axis as a row, so no n x n array is built but that table,
+    and only if it is read; n_min-only terms such as ``insep_from_nmin``
+    are evaluated on n points.
 
     Raises:
-        ValueError, before any n x n array is built: for an unknown metric
+        ValueError, before the grid is returned: for an unknown metric
             token, a resolution outside [2, MAX_RESOLUTION], bad ranges,
             missing or unused params, a budget at which
             :func:`capacity_ratio` is undefined, or an axis that does not
             strictly increase (a range too narrow for its resolution).
     """
-    from ._floattext import CHUNK
-
     if metric not in GRID_METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {GRID_METRICS}")
     if not 2 <= resolution <= MAX_RESOLUTION:
@@ -281,18 +330,15 @@ def contour_grid(
         params = {"n_encoding": n_encoding}
     nmin_axis = np.linspace(nmin_range[0], nmin_range[1], resolution)
     nexcess_axis = np.linspace(nexcess_range[0], nexcess_range[1], resolution)
-    _require_rising_axes(nmin_axis, nexcess_axis)
 
-    values = np.empty((resolution, resolution))
-    step = max(1, CHUNK // resolution)
-    for start in range(0, resolution, step):
-        rows = slice(start, start + step)
+    def kernel(rows: slice, out: np.ndarray) -> None:
         nm = nmin_axis[rows, None]
         if metric == "epr":
-            values[rows] = epr_from_photons(nm, nexcess_axis)
+            out[...] = epr_from_photons(nm, nexcess_axis)
         elif metric == "fidelity":
             # Constant along the excess axis: vertical efficacy contours.
-            values[rows] = _fidelity(insep_from_nmin(nm))
+            out[...] = _fidelity(insep_from_nmin(nm))
         else:
-            np.divide(_dense_capacity(n_encoding, nm, nexcess_axis), optimum, out=values[rows])
-    return ContourGrid(metric, nmin_axis, nexcess_axis, values, params, _copy_values=False)
+            np.divide(_dense_capacity(n_encoding, nm, nexcess_axis), optimum, out=out)
+
+    return ContourGrid._of_kernel(metric, nmin_axis, nexcess_axis, params, kernel)

@@ -473,6 +473,13 @@ def _read_matrix_json(payload) -> tuple[CorrelationMatrix4, dict]:
     measured = payload.get("measured")
     if measured is None:
         return cm, {}
+    _require_measured(measured)
+    return cm, measured
+
+
+def _require_measured(measured) -> None:
+    """ValueError, naming the key, unless ``measured`` is an object of
+    numbers under the keys of :data:`_MEASURED_PAIRS`, each pair whole."""
     if not isinstance(measured, dict):
         raise ValueError(f"'measured' must be a JSON object, got {measured!r}")
     keys = list(chain(*_MEASURED_PAIRS))
@@ -484,7 +491,6 @@ def _read_matrix_json(payload) -> tuple[CorrelationMatrix4, dict]:
         if (first in measured) != (second in measured):
             given, missing = (first, second) if first in measured else (second, first)
             raise ValueError(f"'measured' has '{given}' without '{missing}'")
-    return cm, measured
 
 
 def bundled_fixture_path() -> str:
@@ -580,9 +586,12 @@ def analyze_cm(
     When the anchor carries directly measured sum/difference variances,
     the photon budget is computed from those (they are the unrounded data
     the matrix entries were derived from) and the measured-value metrics
-    are reported alongside the matrix-derived ones.
+    are reported alongside the matrix-derived ones.  ``measured`` is
+    checked as a matrix file's block is, with the same messages.
     """
     measured = measured or {}
+    if measured:  # an empty block has nothing to check
+        _require_measured(measured)
     # The kernels of degree_of_inseparability, degree_of_epr,
     # standard_form_restrictions, product_restriction and decompose, on
     # entries read and a form decided once; the errors come in the same order.

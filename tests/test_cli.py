@@ -183,6 +183,25 @@ class TestAnalyze:
             assert out == ""
             assert err.startswith("gaussent: error:") and named in err, err
 
+    @pytest.mark.parametrize("measured", [
+        {"v_sum_plus": 0.44, "v_dif_minus": 0.44},
+        {"v_sum_plus": 0.44},
+        {"cv_minus": 0.76},
+        {"v_sum_plus": 0.44, "v_diff_minus": 0.44, "cv_plus": 0.77},
+        {"v_sum_plus": "0.44", "v_diff_minus": 0.44},
+        [1, 2],
+    ])
+    def test_a_library_measured_block_is_refused_as_a_files_is(
+        self, capsys, tmp_path, cm_65mhz, measured
+    ):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({**cm_65mhz.to_json_dict(), "measured": measured}))
+        code, _, err = run_cli(capsys, "analyze", "--cm", str(path))
+        assert code == 1
+        with pytest.raises(ValueError) as refused:
+            analyze_cm(cm_65mhz, measured)
+        assert err == f"gaussent: error: {refused.value}\n"
+
     @pytest.mark.parametrize("cv_plus, cv_minus, text", [
         (10**300, 10**300, "Infinity"),
         (1e200, 1e200, "Infinity"),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -370,8 +371,8 @@ class TestContourGrid:
         monkeypatch.setattr("gaussent.protocols._dense_capacity", evaluated)
         budget = {"n_encoding": 2.0}
         for metric, params in (("epr", None), ("dense_ratio", budget)):
-            with pytest.raises(Evaluated):
-                contour_grid(metric, resolution=3, params=params)
+            with pytest.raises(Evaluated):  # the accepted grid, once its table is read
+                contour_grid(metric, resolution=3, params=params).values
             with pytest.raises(ValueError, match="^nmin_axis must be strictly increasing"):
                 contour_grid(metric, (0.0, 1e-320), resolution=MAX_RESOLUTION, params=params)
             with pytest.raises(ValueError, match="^nexcess_axis must be strictly increasing"):
@@ -442,14 +443,14 @@ def assert_same_bits(values, expected):
 
 
 def blocks_where(rows_flagged: np.ndarray, resolution: int) -> list[bool]:
-    """Per block of rows that contour_grid fills at once, whether any row is flagged."""
+    """Per block of rows that a grid's kernel computes at once, whether any row is flagged."""
     step = max(1, CHUNK // resolution)
     return [bool(rows_flagged[start : start + step].any()) for start in range(0, resolution, step)]
 
 
 class TestBlockedTable:
-    """contour_grid fills its table ⌊CHUNK/n⌋ rows at a time; every cell
-    keeps the bits of the metric's formula over the whole grid."""
+    """A grid's kernel computes its values ⌊CHUNK/n⌋ rows at a time; every
+    cell keeps the bits of the metric's formula over the whole grid."""
 
     PARAMS = {"epr": {}, "fidelity": {}, "dense_ratio": {"n_encoding": 2.0}}
 
@@ -515,6 +516,69 @@ class TestWriterBlocks:
         assert len(csv_chunks) == len(json_chunks) == 1 + 3 + 1
         assert [bytes(chunk).count(b"\n") for chunk in csv_chunks[1:-1]] == [ncols] * 3
         assert b"".join(json_chunks).decode() == json.dumps(grid.to_json_dict(), indent=2) + "\n"
+
+
+def written(grid: ContourGrid) -> tuple[str, str]:
+    """SHA-256 of the grid's CSV chunks and of its JSON chunks."""
+    digests = []
+    for chunks in (grid.csv_chunks(), grid.json_chunks()):
+        digest = hashlib.sha256()
+        for chunk in chunks:
+            digest.update(chunk)
+        digests.append(digest.hexdigest())
+    return tuple(digests)
+
+
+class TestStreamedGrid:
+    """A grid of contour_grid computes each block as it is written; its bytes
+    are those of the grid given its table, before and after ``values`` is read."""
+
+    def check(self, metric, nmin_range, nexcess_range, resolution, params):
+        grid = contour_grid(metric, nmin_range, nexcess_range, resolution, params)
+        streamed = written(grid)
+        given = ContourGrid(metric, grid.nmin_axis, grid.nexcess_axis, grid.values, grid.params)
+        assert written(grid) == streamed  # now from the table built by that read
+        assert written(given) == streamed
+        return grid
+
+    def test_seeded_grids(self):
+        rng = np.random.default_rng(0)
+        for case in range(30):
+            metric = GRID_METRICS[case % 3]
+            resolution = int(rng.integers(2, 301))
+            # Ranges from a thousandth to 1e8 wide, some starting away from 0.
+            nmin_range, nexcess_range = (
+                (lo, lo + 10.0 ** rng.uniform(-3.0, 8.0))
+                for lo in rng.choice([0.0, 10.0 ** rng.uniform(-3.0, 3.0)], 2)
+            )
+            params = {}
+            if metric == "dense_ratio":  # a budget that leaves the far corner NaN
+                total = nmin_range[1] + nexcess_range[1]
+                params["n_encoding"] = rng.uniform(0.1, 0.9) * total / 2
+            grid = self.check(metric, nmin_range, nexcess_range, resolution, params)
+            if metric == "dense_ratio":
+                assert np.isnan(grid.values[-1, -1]), case
+
+    def test_a_grid_whose_last_block_is_short(self):
+        assert 1000 % (CHUNK // 1000) == 8  # 62 blocks of 16 rows, then one of 8
+        grid = self.check("dense_ratio", (0.0, 3.0), (0.0, 4.0), 1000, {"n_encoding": 2.0})
+        assert np.isnan(grid.values).any() and not np.isnan(grid.values).all()
+
+    def test_no_params_read_as_empty(self):
+        grid = ContourGrid("epr", [0, 1], [0, 1], [[1, 2], [3, 4]], None)
+        assert grid.params == {}
+        text = b"".join(grid.json_chunks()).decode()
+        assert text == json.dumps(grid.to_json_dict(), indent=2) + "\n"
+        assert json.loads(text)["params"] == {}
+
+    def test_the_callers_params_are_copied(self):
+        params = {"n_encoding": 2.0}
+        grid = ContourGrid("dense_ratio", [0, 1], [0, 1], [[1, 2], [3, 4]], params)
+        before = b"".join(grid.json_chunks())
+        params["n_encoding"] = 3.0
+        params["eta"] = 0.5
+        assert b"".join(grid.json_chunks()) == before
+        assert grid.params == {"n_encoding": 2.0}
 
 
 @pytest.mark.parametrize(
