@@ -4,13 +4,14 @@
 does (``nan``/``inf``, or json's ``NaN``/``Infinity``), as the rows of a
 NUL-padded uint8 matrix as wide as the longest text, at most
 :data:`WIDTH` bytes.  Every array writer, the contour grids' and the
-derived spectra's, CSV and JSON, lays out its text with :class:`_RowBlocks`,
-one line per table row, a head and then a key and a value per cell:
-blocks of whole rows of about :data:`CHUNK` cells, about 1 MB of text, or
-one longer row, each block's values formatted by one :func:`float_text`
-call into one buffer whose head and keys the writer writes once.  Every
-array a block needs lives in the writer's :class:`_Workspace`, allocated
-on its first block: from then on a block allocates only the text it yields.
+derived spectra's, CSV and JSON, lays out its text, one line per table
+row (a head, then a key and a value per cell), in the one block loop of
+:meth:`_RowBlocks.chunks`.  Its blocks, those of :func:`row_blocks`, are
+whole rows of about :data:`CHUNK` cells, about 1 MB of text, or one longer
+row: the writer's fill writes a block's values, and one :func:`float_text`
+call formats them into one buffer whose head and keys are written once.
+Every array a block needs lives in the writer's :class:`_Workspace`,
+allocated on its first block: from then on a block allocates only its text.
 
 The digits are Schubfach's (R. Giulietti, "The Schubfach way to render
 doubles", 2020, as in the JDK's ``DoubleToDecimal``): the shortest
@@ -217,46 +218,54 @@ class _Workspace(dict):
         return array[:size].reshape(shape)
 
 
+def row_blocks(nrows: int, ncols: int) -> Iterator[slice]:
+    """The rows of each block of an ``nrows`` x ``ncols`` table, in order:
+    ⌊:data:`CHUNK`/ncols⌋ whole rows, the last block maybe fewer, or one row."""
+    step = max(1, CHUNK // ncols)
+    return (slice(row, min(row + step, nrows)) for row in range(0, nrows, step))
+
+
 class _RowBlocks:
-    """The text of a table's rows in blocks of whole rows, ⌊:data:`CHUNK`/ncols⌋
-    of them or one longer row, laid out in one uint8 buffer that every block
-    reuses, so that a writer writes its constant bytes once.
+    """The text of a table's rows, block by block of :func:`row_blocks`, laid
+    out in one uint8 buffer that every block reuses, so that a writer
+    writes its constant bytes once.
 
     Each line of the buffer holds one row: the ``head`` bytes, then per
     cell its key, the NUL-padded row of ``keys``, and the value's text (up
-    to :data:`WIDTH` bytes, NUL padded).  ``lines`` is the buffer and
-    ``cells`` the same bytes as (line, cell, byte).  ``work`` holds every
-    other array a block needs, from the first block on.
+    to :data:`WIDTH` bytes, NUL padded).  ``cells`` is the buffer as
+    (line, cell, byte).  ``work`` holds every other array a block needs,
+    from the first block on.
     """
 
     def __init__(self, nrows: int, head: bytes, keys: np.ndarray) -> None:
         ncols, self.key = keys.shape
         self.nrows = nrows
-        nlines = max(1, min(nrows, CHUNK // ncols))
-        self.lines = np.zeros((nlines, len(head) + ncols * (self.key + WIDTH)), np.uint8)
+        first = next(row_blocks(nrows, ncols), slice(0, 0))  # the longest block
+        self.lines = np.zeros((first.stop, len(head) + ncols * (self.key + WIDTH)), np.uint8)
         self.lines[:, : len(head)] = np.frombuffer(head, np.uint8)
-        self.cells = self.lines[:, len(head) :].reshape(nlines, ncols, -1)
+        self.cells = self.lines[:, len(head) :].reshape(first.stop, ncols, self.key + WIDTH)
         self.cells[..., : self.key] = keys
-        self.width = 0  # of the values' text in the buffer, NUL beyond it
         self.work = _Workspace()
 
-    def blocks(self) -> Iterator[slice]:
-        """The rows of each block of the table, in order."""
-        step = len(self.lines)
-        return (slice(row, min(row + step, self.nrows)) for row in range(0, self.nrows, step))
-
-    def text(self, values: np.ndarray, json: bool) -> memoryview:
-        """The block's bytes, once its other bytes are written: ``values``
-        (its rows of the table) formatted into the buffer, NUL padding
-        dropped.  They are the one array the block allocates."""
-        text = float_text(values, json, self.work)
-        at, width = self.key, text.shape[1]
-        # NUL past this block's width, where a block before wrote wider text.
-        self.cells[..., at + width : at + self.width] = 0
-        self.width = width
-        lines = self.lines[: len(values)]
-        self.cells[: len(values), :, at : at + width] = text.reshape(len(values), -1, width)
-        return lines[np.not_equal(lines, 0, out=self.work("kept", bool, *lines.shape))].data
+    def chunks(self, fill, json: bool) -> Iterator[memoryview]:
+        """The bytes of each block, once ``fill(rows, out)`` has written the
+        block's values into ``out`` (and any other bytes of its own into
+        :attr:`cells`): the values formatted into the buffer, NUL padding
+        dropped.  Each is a memoryview of the one array the block allocates."""
+        ncols, at = self.cells.shape[1], self.key
+        before = 0  # the width of the values' text in the buffer, NUL beyond it
+        for rows in row_blocks(self.nrows, ncols):
+            n = rows.stop - rows.start
+            values = self.work("values", np.float64, n, ncols)
+            fill(rows, values)
+            text = float_text(values, json, self.work)
+            width = text.shape[1]
+            # NUL past this block's width, where a block before wrote wider text.
+            self.cells[..., at + width : at + before] = 0
+            before = width
+            self.cells[:n, :, at : at + width] = text.reshape(n, ncols, width)
+            lines = self.lines[:n]
+            yield lines[np.not_equal(lines, 0, out=self.work("kept", bool, *lines.shape))].data
 
 
 def _json_rows(chunks: Iterator, close: bytes) -> Iterator:

@@ -28,16 +28,16 @@ GRID_METRICS = ("epr", "fidelity", "dense_ratio")
 MAX_RESOLUTION = 4096
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class ContourGrid:
     """One efficacy metric over the (n_min, n_excess) plane: its axes, its
-    params and :attr:`values`, its table.
+    params and its kernel, the one source of its values.
 
-    A grid of :func:`contour_grid` holds no table, but the one kernel of
-    its metric: the writers compute each block of rows as they write it,
-    and :attr:`values` is built on its first read, by the same kernel over
-    the same blocks, then kept, frozen.  A grid built from a given table
-    keeps a frozen copy of it, and the writers slice it.
+    ``kernel(rows, out)`` writes the metric over a slice of n_min rows into
+    ``out``.  The writers compute each block of :func:`row_blocks
+    <gaussent._floattext.row_blocks>` as they write it, and :attr:`values`
+    is built on its first read, by the kernel over the same blocks, then
+    kept, frozen.  Each axis must be non-empty and strictly increase.
 
     :meth:`csv_chunks` and :meth:`json_chunks` yield the text as bytes-like
     chunks, one per block of whole rows laid out in the reused buffer of
@@ -52,65 +52,30 @@ class ContourGrid:
     nmin_axis: np.ndarray
     nexcess_axis: np.ndarray
     params: dict
-    # contour_grid's kernel(rows, out): the metric over a slice of rows, written
-    # into out; None where the grid was given its table.
-    _kernel: Callable[[slice, np.ndarray], None] | None = field(default=None, repr=False)
+    kernel: Callable[[slice, np.ndarray], None] = field(repr=False)
 
-    def __init__(
-        self, metric: str, nmin_axis, nexcess_axis, values, params: dict | None = None
-    ) -> None:
-        # Copies: freezing the caller's own arrays would make them read-only.
-        nmin = np.array(nmin_axis, dtype=float)
-        nexcess = np.array(nexcess_axis, dtype=float)
-        table = np.array(values, dtype=float)
-        if table.shape != (nmin.size, nexcess.size):
-            raise ValueError(
-                f"values shape {table.shape} does not match axes "
-                f"({nmin.size}, {nexcess.size})"
-            )
-        table.setflags(write=False)
-        self._hold(metric, nmin, nexcess, params, values=table)
-
-    @classmethod
-    def _of_kernel(cls, metric: str, nmin_axis, nexcess_axis, params: dict, kernel) -> ContourGrid:
-        """A grid with no table, whose values ``kernel`` writes block by block."""
-        grid = cls.__new__(cls)
-        grid._hold(metric, nmin_axis, nexcess_axis, params, _kernel=kernel)
-        return grid
-
-    def _hold(self, metric, nmin_axis, nexcess_axis, params, **source) -> None:
-        """Keep the fields, the axes frozen and ``params`` as a dict of its own;
-        ``source`` is the table, as ``values``, or the kernel, as ``_kernel``."""
-        _require_rising_axes(nmin_axis, nexcess_axis)
-        for axis in (nmin_axis, nexcess_axis):
-            axis.setflags(write=False)
-        vars(self).update(metric=metric, nmin_axis=nmin_axis, nexcess_axis=nexcess_axis,
-                          params=dict(params or {}), **source)
+    def __post_init__(self) -> None:
+        """ValueError naming the first axis that is empty or does not strictly increase."""
+        for name in ("nmin_axis", "nexcess_axis"):
+            axis = getattr(self, name)
+            if not axis.size:
+                raise ValueError(f"{name} must not be empty")
+            if not (rises := np.diff(axis) > 0.0).all():
+                first, then = axis[np.argmin(rises) :][:2].tolist()  # where it first fails to rise
+                raise ValueError(f"{name} must be strictly increasing, got {first} then {then}")
 
     @functools.cached_property
     def values(self) -> np.ndarray:
         """The table: ``values[i, j]`` is the metric at (nmin_axis[i],
         nexcess_axis[j]).  Built on the first read, by the kernel over the
-        writers' blocks of ⌊``CHUNK``/n⌋ rows, and kept, frozen."""
-        from ._floattext import CHUNK
+        writers' blocks, and kept, frozen."""
+        from ._floattext import row_blocks
 
         table = np.empty((self.nmin_axis.size, self.nexcess_axis.size))
-        step = max(1, CHUNK // self.nexcess_axis.size)
-        for start in range(0, len(table), step):
-            rows = slice(start, start + step)
-            self._kernel(rows, table[rows])
+        for rows in row_blocks(*table.shape):
+            self.kernel(rows, table[rows])
         table.setflags(write=False)
         return table
-
-    def _rows(self, rows: slice, work) -> np.ndarray:
-        """The values of a block of rows: the table's, once there is one, else
-        the kernel's, written into the writer's workspace."""
-        table = vars(self).get("values")
-        if table is not None:
-            return table[rows]
-        block = work("values", np.float64, rows.stop - rows.start, self.nexcess_axis.size)
-        self._kernel(rows, block)
-        return block
 
     def csv_chunks(self) -> Iterator[bytes | memoryview]:
         """The CSV text: the header, then one chunk per block of rows.
@@ -123,16 +88,18 @@ class ContourGrid:
         from ._floattext import _RowBlocks, float_text
 
         yield b"n_min,n_excess,value"
-        if self.nmin_axis.size and self.nexcess_axis.size:
-            nmin, nexcess = float_text(self.nmin_axis), float_text(self.nexcess_axis)
-            a = nmin.shape[1]
-            keys = np.zeros((len(nexcess), a + nexcess.shape[1] + 3), np.uint8)
-            keys[:, [0, a + 1, -1]] = np.frombuffer(b"\n,,", np.uint8)
-            keys[:, a + 2 : -1] = nexcess
-            buffer = _RowBlocks(len(nmin), b"", keys)
-            for rows in buffer.blocks():
-                buffer.cells[: rows.stop - rows.start, :, 1 : a + 1] = nmin[rows, None]
-                yield buffer.text(self._rows(rows, buffer.work), json=False)
+        nmin, nexcess = float_text(self.nmin_axis), float_text(self.nexcess_axis)
+        a = nmin.shape[1]
+        keys = np.zeros((len(nexcess), a + nexcess.shape[1] + 3), np.uint8)
+        keys[:, [0, a + 1, -1]] = np.frombuffer(b"\n,,", np.uint8)
+        keys[:, a + 2 : -1] = nexcess
+        buffer = _RowBlocks(len(nmin), b"", keys)
+
+        def fill(rows: slice, out: np.ndarray) -> None:
+            buffer.cells[: len(out), :, 1 : a + 1] = nmin[rows, None]
+            self.kernel(rows, out)
+
+        yield from buffer.chunks(fill, json=False)
         yield b"\n"
 
     def json_chunks(self) -> Iterator[bytes | memoryview]:
@@ -146,19 +113,12 @@ class ContourGrid:
         """
         from ._floattext import _json_rows, _RowBlocks, text_rows
 
-        if not (self.nmin_axis.size and self.nexcess_axis.size):
-            # No cells: json.dumps writes the whole grid.
-            yield (json.dumps(self.to_json_dict(), indent=2) + "\n").encode()
-            return
         head = json.dumps({**self._json_head(), "values": None}, indent=2)
         yield head[: -len("null\n}")].encode()
         # A row's first cell follows no comma.
         keys = text_rows(["\n      "] + [",\n      "] * (len(self.nexcess_axis) - 1))
         buffer = _RowBlocks(len(self.nmin_axis), _ROW_CLOSE + b",\n    [", keys)
-        yield from _json_rows(
-            (buffer.text(self._rows(rows, buffer.work), json=True) for rows in buffer.blocks()),
-            _ROW_CLOSE,
-        )
+        yield from _json_rows(buffer.chunks(self.kernel, json=True), _ROW_CLOSE)
         yield _ROW_CLOSE + b"\n  ]\n}\n"
 
     def to_csv_text(self) -> str:
@@ -174,14 +134,6 @@ class ContourGrid:
             "nmin_axis": self.nmin_axis.tolist(),
             "nexcess_axis": self.nexcess_axis.tolist(),
         }
-
-
-def _require_rising_axes(nmin_axis: np.ndarray, nexcess_axis: np.ndarray) -> None:
-    """ValueError naming the first axis, and its step, that does not strictly increase."""
-    for name, axis in (("nmin_axis", nmin_axis), ("nexcess_axis", nexcess_axis)):
-        if not (rises := np.diff(axis) > 0.0).all():
-            first, then = axis[np.argmin(rises) :][:2].tolist()  # where it first fails to rise
-            raise ValueError(f"{name} must be strictly increasing, got {first} then {then}")
 
 
 # What closes a row of the JSON values.
@@ -294,23 +246,29 @@ def contour_grid(
     For ``dense_ratio``, ``params`` must carry ``n_encoding``; grid nodes
     whose state exceeds the photon budget evaluate to NaN.
 
-    The grid holds no table.  Its metric is computed in blocks of the rows
-    that the writers format together (⌊``CHUNK``/n⌋), each block as it is
-    written, and ``values`` is built from the same blocks on its first
-    read.  Each block's n_min points, as a column, are broadcast against
-    the n_excess axis as a row, so no n x n array is built but that table,
+    The grid is its frozen axes, its params and the kernel of its metric,
+    which computes a block of rows (a slice of n_min points, as a column,
+    broadcast against the n_excess axis as a row): the writers call it on
+    each block as they write it, and ``values`` is built from the same
+    blocks on its first read.  So no n x n array is built but that table,
     and only if it is read; n_min-only terms such as ``insep_from_nmin``
     are evaluated on n points.
 
     Raises:
         ValueError, before the grid is returned: for an unknown metric
-            token, a resolution outside [2, MAX_RESOLUTION], bad ranges,
-            missing or unused params, a budget at which
-            :func:`capacity_ratio` is undefined, or an axis that does not
-            strictly increase (a range too narrow for its resolution).
+            token, a resolution that is not an integer in [2,
+            MAX_RESOLUTION], bad ranges, missing or unused params, a budget
+            that is not a real number or at which :func:`capacity_ratio` is
+            undefined, or an axis that does not strictly increase (a range
+            too narrow for its resolution).  Each but the last is raised
+            before an axis is allocated.
     """
+    from numbers import Integral, Real  # loaded with numpy, which a grid needs
+
     if metric not in GRID_METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {GRID_METRICS}")
+    if not isinstance(resolution, Integral):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
     for name, (lo, hi) in (("nmin_range", nmin_range), ("nexcess_range", nexcess_range)):
@@ -324,12 +282,16 @@ def contour_grid(
     if metric == "dense_ratio":
         if "n_encoding" not in params:
             raise ValueError("dense_ratio grids need params={'n_encoding': ...}")
-        n_encoding = float(params["n_encoding"])
+        if isinstance(budget := params["n_encoding"], bool) or not isinstance(budget, Real):
+            raise ValueError(f"n_encoding must be a real number, got {budget!r}")
+        n_encoding = float(budget)
         _require_positive_finite(n_encoding, "n_encoding")
         optimum = _ratio_denominator(n_encoding)
         params = {"n_encoding": n_encoding}
     nmin_axis = np.linspace(nmin_range[0], nmin_range[1], resolution)
     nexcess_axis = np.linspace(nexcess_range[0], nexcess_range[1], resolution)
+    for axis in (nmin_axis, nexcess_axis):
+        axis.setflags(write=False)
 
     def kernel(rows: slice, out: np.ndarray) -> None:
         nm = nmin_axis[rows, None]
@@ -341,4 +303,4 @@ def contour_grid(
         else:
             np.divide(_dense_capacity(n_encoding, nm, nexcess_axis), optimum, out=out)
 
-    return ContourGrid._of_kernel(metric, nmin_axis, nexcess_axis, params, kernel)
+    return ContourGrid(metric, nmin_axis, nexcess_axis, params, kernel)

@@ -369,10 +369,10 @@ def _row_chunks(columns, head: bytes, keys: list[str], json: bool) -> Iterator[b
     then per cell its key and value.  The constant bytes are written once."""
     from ._floattext import _RowBlocks, text_rows
 
-    buffer = _RowBlocks(len(columns[0]), head, text_rows(keys))
-    for rows in buffer.blocks():
-        block = buffer.work("values", np.float64, rows.stop - rows.start, len(columns))
-        yield buffer.text(np.stack([column[rows] for column in columns], axis=1, out=block), json)
+    def fill(rows: slice, out: np.ndarray) -> None:
+        np.stack([column[rows] for column in columns], axis=1, out=out)
+
+    return _RowBlocks(len(columns[0]), head, text_rows(keys)).chunks(fill, json)
 
 
 def _csv_chunks(columns) -> Iterator[bytes | memoryview]:

@@ -8,7 +8,8 @@ column-wise table reader replaced, kept as the reference for its results
 and for the order of its errors; the ``*_reference`` functions play the same
 part for the inseparability criteria and restrictions, for the
 correlation-matrix checks and the loss channel, and for the analysis record
-of ``gaussent analyze``.
+of ``gaussent analyze``.  :func:`grid_of_table` is a contour grid whose
+values are a given table, for the grid writers' tests.
 """
 
 import csv
@@ -21,7 +22,7 @@ from scipy.optimize import minimize_scalar
 
 from gaussent.epr import degree_of_epr
 from gaussent.photons import decompose
-from gaussent.protocols import NO_CLONING_FIDELITY, teleport_fidelity
+from gaussent.protocols import NO_CLONING_FIDELITY, ContourGrid, teleport_fidelity
 from gaussent.separability import (
     K_REL_TOL,
     RATIO_REL_TOL,
@@ -443,3 +444,15 @@ def analyze_cm_reference(
         _require_positive_finite(cv_minus, "column 'cv_minus':")
         result["epr_from_measured_cv"] = cv_plus * cv_minus
     return result
+
+
+def grid_of_table(metric: str, nmin, nexcess, values, params: dict | None = None) -> ContourGrid:
+    """A grid over the axes ``nmin`` and ``nexcess`` whose kernel copies its
+    rows of ``values``, a table of their shape, into the writers' blocks."""
+    table = np.array(values, dtype=float)
+
+    def kernel(rows: slice, out: np.ndarray) -> None:
+        out[...] = table[rows]
+
+    axes = (np.array(nmin, dtype=float), np.array(nexcess, dtype=float))
+    return ContourGrid(metric, *axes, dict(params or {}), kernel)

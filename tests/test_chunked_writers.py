@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from conftest import run_measuring_peak_rss
+from oracles import grid_of_table
 from test_contours_golden import per_cell_csv
 import gaussent
 from gaussent._floattext import CHUNK
@@ -67,21 +68,21 @@ def test_a_grid_of_more_cells_than_a_chunk():
     nrows = 2 * CHUNK // ncols + 7  # the chunks end mid-row, the last one short
     assert (nrows * ncols) % CHUNK and nrows * ncols > 2 * CHUNK
     values = sprinkled(rng, (nrows, ncols))
-    check_grid(ContourGrid("dense_ratio", axis(rng, nrows), axis(rng, ncols), values,
-                           {"n_encoding": 2.0}))
+    check_grid(grid_of_table("dense_ratio", axis(rng, nrows), axis(rng, ncols), values,
+                             {"n_encoding": 2.0}))
 
 
 def test_a_single_row_wider_than_a_chunk():
     """A row longer than a chunk is written whole, as one block."""
     rng = np.random.default_rng(2)
     ncols = CHUNK + 123
-    check_grid(ContourGrid("epr", [0.5], axis(rng, ncols), sprinkled(rng, (1, ncols))))
+    check_grid(grid_of_table("epr", [0.5], axis(rng, ncols), sprinkled(rng, (1, ncols))))
 
 
 def test_a_single_column_longer_than_a_chunk():
     rng = np.random.default_rng(3)
     nrows = CHUNK + 45
-    check_grid(ContourGrid("fidelity", axis(rng, nrows), [1.0], sprinkled(rng, (nrows, 1))))
+    check_grid(grid_of_table("fidelity", axis(rng, nrows), [1.0], sprinkled(rng, (nrows, 1))))
 
 
 # Negative, exponent-form and 17-digit: texts of 24, 23 and 20 bytes; then of 3.
@@ -105,8 +106,8 @@ def test_narrow_blocks_after_a_wide_one_leave_no_stale_text():
     nrows = 3 * per_block + 7  # the last block short
     assert CHUNK % ncols
     values = wide_then_narrow(rng, (nrows, ncols), per_block * ncols)
-    check_grid(ContourGrid("dense_ratio", axis(rng, nrows), axis(rng, ncols), values,
-                           {"n_encoding": 2.0}))
+    check_grid(grid_of_table("dense_ratio", axis(rng, nrows), axis(rng, ncols), values,
+                             {"n_encoding": 2.0}))
 
 
 def test_narrow_slices_of_rows_longer_than_a_chunk_after_a_wide_one():
@@ -116,7 +117,7 @@ def test_narrow_slices_of_rows_longer_than_a_chunk_after_a_wide_one():
     rng = np.random.default_rng(6)
     ncols = CHUNK + 123
     values = wide_then_narrow(rng, (3, ncols), CHUNK)
-    check_grid(ContourGrid("epr", [0.5, 1.0, 2.0], axis(rng, ncols), values))
+    check_grid(grid_of_table("epr", [0.5, 1.0, 2.0], axis(rng, ncols), values))
 
 
 def test_a_derived_table_longer_than_a_chunk():

@@ -16,13 +16,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import run_measuring_peak_rss
+from oracles import grid_of_table
 import gaussent
 from gaussent.protocols import ContourGrid
 
@@ -98,13 +98,13 @@ axis_float = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
 @st.composite
 def grids(draw):
     axes = [
-        sorted(draw(st.lists(axis_float, min_size=0, max_size=6, unique=True)))
+        sorted(draw(st.lists(axis_float, min_size=1, max_size=6, unique=True)))
         for _ in range(2)
     ]
     values = draw(hnp.arrays(float, (len(axes[0]), len(axes[1])), elements=any_float))
     params = draw(st.dictionaries(st.sampled_from(["n_encoding", "x"]), any_float, max_size=2))
     metric = draw(st.sampled_from(["epr", "fidelity", "dense_ratio"]))
-    return ContourGrid(metric, np.array(axes[0]), np.array(axes[1]), values, params)
+    return grid_of_table(metric, axes[0], axes[1], values, params)
 
 
 @settings(max_examples=300, deadline=None)

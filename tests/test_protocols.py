@@ -11,9 +11,10 @@ from oracles import (
     _shannon_capacity,
     _squeezed_channel_capacity,
     _squeezing_photons,
+    grid_of_table,
     maximize_squeezed_capacity,
 )
-from gaussent._floattext import CHUNK
+from gaussent._floattext import CHUNK, row_blocks
 from gaussent.epr import epr_from_photons
 from gaussent.photons import cross_corr_from_photons, insep_from_nmin
 from gaussent.protocols import (
@@ -322,28 +323,18 @@ class TestContourGrid:
     def test_axes_must_increase(self):
         for axis in ([0.0, 0.0], [0.0, np.nan], [np.nan, 1.0]):
             with pytest.raises(ValueError, match="increasing"):
-                ContourGrid(
-                    metric="epr",
-                    nmin_axis=np.array(axis),
-                    nexcess_axis=np.array([0.0, 1.0]),
-                    values=np.zeros((2, 2)),
-                )
+                grid_of_table("epr", axis, [0.0, 1.0], np.zeros((2, 2)))
 
-    def test_values_must_match_the_axes(self):
-        for values in (np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(6)):
-            message = f"values shape {values.shape} does not match axes (3, 2)"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                ContourGrid("epr", [0.0, 1.0, 2.0], [0.0, 1.0], values)
+    @pytest.mark.parametrize("name", ["nmin_axis", "nexcess_axis"])
+    def test_empty_axes_are_refused_by_name(self, name):
+        axes = {"nmin_axis": [0.0, 1.0], "nexcess_axis": [0.0, 1.0], name: []}
+        with pytest.raises(ValueError, match=f"^{name} must not be empty$"):
+            grid_of_table("epr", axes["nmin_axis"], axes["nexcess_axis"], np.zeros((2, 2)))
 
-    def test_callers_arrays_stay_writeable(self):
-        nmin, nexcess, values = np.array([0.0, 1.0]), np.array([0.0, 2.0]), np.zeros((2, 2))
-        grid = ContourGrid("epr", nmin, nexcess, values)
-        for given, kept in ((nmin, grid.nmin_axis), (nexcess, grid.nexcess_axis),
-                            (values, grid.values)):
-            assert given.flags.writeable
+    def test_axes_and_values_are_read_only(self):
+        grid = contour_grid("epr", resolution=3)
+        for kept in (grid.nmin_axis, grid.nexcess_axis, grid.values):
             assert not kept.flags.writeable
-        values[0, 0] = 1.0
-        assert grid.values[0, 0] == 0.0
 
     def test_resolution_capped_before_allocation(self, monkeypatch):
         class Allocating(Exception):
@@ -359,6 +350,27 @@ class TestContourGrid:
         for resolution in (1, MAX_RESOLUTION + 1, 10**5):
             with pytest.raises(ValueError, match=rf"\[2, {MAX_RESOLUTION}\], got {resolution}"):
                 contour_grid("epr", resolution=resolution)
+
+    @pytest.mark.parametrize(
+        "resolution, params, message",
+        [
+            (200.0, None, "resolution must be an integer, got 200.0"),
+            (np.float64(3), None, f"resolution must be an integer, got {np.float64(3)!r}"),
+            (3.5, None, "resolution must be an integer, got 3.5"),
+            (3, {"n_encoding": "2"}, "n_encoding must be a real number, got '2'"),
+            (3, {"n_encoding": b"2"}, "n_encoding must be a real number, got b'2'"),
+            (3, {"n_encoding": True}, "n_encoding must be a real number, got True"),
+            (3, {"n_encoding": None}, "n_encoding must be a real number, got None"),
+            (3, {"n_encoding": [2.0]}, "n_encoding must be a real number, got [2.0]"),
+        ],
+    )
+    def test_bad_types_refused_before_allocation(self, monkeypatch, resolution, params, message):
+        def allocating(*args, **kwargs):
+            raise AssertionError("an axis was allocated")
+
+        monkeypatch.setattr("numpy.linspace", allocating)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            contour_grid("dense_ratio", resolution=resolution, params=params or {"n_encoding": 2})
 
     def test_refused_grid_never_evaluates_its_metric(self, monkeypatch):
         class Evaluated(Exception):
@@ -444,8 +456,7 @@ def assert_same_bits(values, expected):
 
 def blocks_where(rows_flagged: np.ndarray, resolution: int) -> list[bool]:
     """Per block of rows that a grid's kernel computes at once, whether any row is flagged."""
-    step = max(1, CHUNK // resolution)
-    return [bool(rows_flagged[start : start + step].any()) for start in range(0, resolution, step)]
+    return [bool(rows_flagged[rows].any()) for rows in row_blocks(resolution, resolution)]
 
 
 class TestBlockedTable:
@@ -510,12 +521,45 @@ class TestWriterBlocks:
     def test_rows_wider_than_a_chunk_are_one_chunk_each(self):
         ncols = CHUNK + 5
         values = np.linspace(0.0, 1.0, 3 * ncols).reshape(3, ncols)
-        grid = ContourGrid("epr", [0.5, 1.0, 2.0], np.arange(ncols, dtype=float), values)
+        grid = grid_of_table("epr", [0.5, 1.0, 2.0], np.arange(ncols, dtype=float), values)
         csv_chunks, json_chunks = list(grid.csv_chunks()), list(grid.json_chunks())
         # The head, a chunk per row, and the tail.
         assert len(csv_chunks) == len(json_chunks) == 1 + 3 + 1
         assert [bytes(chunk).count(b"\n") for chunk in csv_chunks[1:-1]] == [ncols] * 3
         assert b"".join(json_chunks).decode() == json.dumps(grid.to_json_dict(), indent=2) + "\n"
+
+
+class TestOneBlockPartition:
+    """The CSV writer, the JSON writer and the first read of ``values`` ask the
+    kernel for the blocks of ``row_blocks``, in order; a write after that
+    read asks again, and writes the same bytes."""
+
+    # A row wider than CHUNK; 62 blocks of 16 rows, then a short one of 8; one block.
+    @pytest.mark.parametrize(
+        "nrows, ncols, nblocks", [(1, CHUNK + 5, 1), (1000, 1000, 63), (3, 2, 1)]
+    )
+    def test_every_reader_asks_for_the_blocks_of_row_blocks(self, nrows, ncols, nblocks):
+        asked = []
+
+        def kernel(rows: slice, out: np.ndarray) -> None:
+            asked.append(rows)
+            out[...] = np.add.outer(np.arange(rows.start, rows.stop), np.arange(ncols) / ncols)
+
+        grid = ContourGrid("epr", np.arange(float(nrows)), np.arange(float(ncols)), {}, kernel)
+        blocks = list(row_blocks(nrows, ncols))
+        assert len(blocks) == nblocks and blocks[-1].stop == nrows
+        writers = (grid.csv_chunks, grid.json_chunks)
+        texts = []
+        for write in writers:
+            asked.clear()
+            texts.append(b"".join(write()))
+            assert asked == blocks
+        asked.clear()
+        assert grid.values.shape == (nrows, ncols)
+        assert asked == blocks
+        asked.clear()
+        assert [b"".join(write()) for write in writers] == texts
+        assert asked == blocks * 2
 
 
 def written(grid: ContourGrid) -> tuple[str, str]:
@@ -536,7 +580,7 @@ class TestStreamedGrid:
     def check(self, metric, nmin_range, nexcess_range, resolution, params):
         grid = contour_grid(metric, nmin_range, nexcess_range, resolution, params)
         streamed = written(grid)
-        given = ContourGrid(metric, grid.nmin_axis, grid.nexcess_axis, grid.values, grid.params)
+        given = grid_of_table(metric, grid.nmin_axis, grid.nexcess_axis, grid.values, grid.params)
         assert written(grid) == streamed  # now from the table built by that read
         assert written(given) == streamed
         return grid
@@ -565,7 +609,7 @@ class TestStreamedGrid:
         assert np.isnan(grid.values).any() and not np.isnan(grid.values).all()
 
     def test_no_params_read_as_empty(self):
-        grid = ContourGrid("epr", [0, 1], [0, 1], [[1, 2], [3, 4]], None)
+        grid = contour_grid("epr", resolution=2, params=None)
         assert grid.params == {}
         text = b"".join(grid.json_chunks()).decode()
         assert text == json.dumps(grid.to_json_dict(), indent=2) + "\n"
@@ -573,7 +617,7 @@ class TestStreamedGrid:
 
     def test_the_callers_params_are_copied(self):
         params = {"n_encoding": 2.0}
-        grid = ContourGrid("dense_ratio", [0, 1], [0, 1], [[1, 2], [3, 4]], params)
+        grid = contour_grid("dense_ratio", resolution=2, params=params)
         before = b"".join(grid.json_chunks())
         params["n_encoding"] = 3.0
         params["eta"] = 0.5
