@@ -8,10 +8,11 @@ derived spectra's, CSV and JSON, lays out its text, one line per table
 row (a head, then a key and a value per cell), in the one block loop of
 :meth:`_RowBlocks.chunks`.  Its blocks, those of :func:`row_blocks`, are
 whole rows of about :data:`CHUNK` cells, about 1 MB of text, or one longer
-row: the writer's fill writes a block's values, and one :func:`float_text`
-call formats them into one buffer whose head and keys are written once.
-Every array a block needs lives in the writer's :class:`_Workspace`,
-allocated on its first block: from then on a block allocates only its text.
+row: the writer's fill writes a block's values, and one :func:`_words`
+call formats them into the words that three uint64 stores write into one
+buffer whose head and keys are written once.  Every array a block needs
+lives in the writer's :class:`_Workspace`, allocated on its first block:
+from then on a block allocates only its text.
 
 The digits are Schubfach's (R. Giulietti, "The Schubfach way to render
 doubles", 2020, as in the JDK's ``DoubleToDecimal``): the shortest
@@ -21,12 +22,22 @@ is built from 32-bit limbs in uint64 arrays; ``int64`` and ``uint64``
 arrays are never mixed, which numpy would promote to float64.  Java's
 fast path for integers is left out: the general path gives integers the
 same digits, and one path keeps every significand at 16 or 17 digits.
-The text is laid out by one gather through a template per shape: sign,
-digit count, and the decimal point's slot or the exponent form, or a
-plain text read as it stands.  Zeros, nan and the infinities are such
-plain texts, constant rows of the gather's source.  Subnormals alone go
-to ``float.__repr__``: there Schubfach, as Java, keeps two digits where
-Python keeps one (``4.9E-324`` against ``5e-324``).
+
+A text is three little-endian uint64 words, its 24 bytes NUL past the
+text, kept word by word: word w of every float before word w + 1.  The
+17 digits, left-aligned with trailing zeros, are ASCII words from byte 0,
+four digits per table read.  The text's shape (sign, digit count, and
+the decimal point's place or the exponent form) indexes tables of one
+variable byte shift and three masks per word.  The digits shifted by that
+many bytes, F, give the digits after the decimal point, and F one byte
+back, G, those before it; the third mask holds the constant bytes, the
+sign, the ``0.`` and zeros before a leading point, and the point.  The
+masks end with the text, so its length cuts it.  Exponent forms then OR
+their suffix in after the digits, in blocks that hold one.  Zeros, nan
+and the infinities are constant words, and a subnormal's words its
+``float.__repr__``: there Schubfach, as Java, keeps two digits where
+Python keeps one (``4.9E-324`` against ``5e-324``).  Every shift count
+lies in 0..63.
 
 The tables are built on the first call, not at import.
 """
@@ -46,65 +57,50 @@ WIDTH = 24
 #: many, and a larger call is worked through in passes of this many, which
 #: bounds the kernel's working set to a few MB.
 CHUNK = 1 << 14
-# Floats per pass of the layout's gather, whose index takes 8 bytes per
-# byte of text.
-_LAYOUT_PASS = 1 << 10
 
 _U64 = np.uint64
+_WORDS = WIDTH // 8
 _M32 = _U64(0xFFFFFFFF)
 _M63 = _U64(0x7FFFFFFFFFFFFFFF)
 _T_MASK = _U64((1 << 52) - 1)
 _C_MIN = _U64(1 << 52)
 _INFINITY = _U64(0x7FF << 52)
+# A magnitude less _C_MIN, which wraps below 0, is at or above this for
+# zeros, subnormals, the infinities and nan: Schubfach writes the others.
+_NOT_NORMAL = _INFINITY - _C_MIN
 #: Digits of the Schubfach significand once left-aligned: 10^16 <= d17 < 10^17.
 _H = 17
 #: Fixed notation for decimal-point positions -3..16, as ``float.__repr__``.
 _FIXED = range(-3, 17)
 _FORMS = len(_FIXED) + 2  # then exponents of two and of three digits
-# Shapes from _PLAIN on: a text of 0..WIDTH bytes read as it stands from
-# the start of its source row.
-_PLAIN = 2 * _H * _FORMS
 # The decimal point's positions, -324..309, index the form and suffix
 # tables from 0.
 _DECPT_AT = 324
-# The bytes of one row of the layout's source, of _SOURCE_WIDTH bytes.
-# Bytes 0..2 hold the constants "-.0", 3..19 the digits (byte 3 the
-# leading one), 20..24 the exponent suffix and 27 a NUL: as uint32, word 0
-# holds the constants and the leading digit, words 1..4 the other digits
-# and words 5..6 the suffix.  A plain text fills the row from byte 0.  The
-# source is stored word by word, word w of every row before word w + 1, so
-# that each word of the rows is written as one contiguous array.
-_MINUS, _DOT, _ZERO = range(3)
-_DIGITS_AT = 3
-_SUFFIX_AT = 20
-_NUL = 27
-_SOURCE_WIDTH = 28
-# Word 0 less the leading digit's value: "-.0", and "0" in byte 3.
-_SOURCE_CONSTANTS = _U64(int.from_bytes(b"-.00", "little"))
-# Where each of the four slots of 4-digit groups starts in last_digit.
-_SLOT_OFFSETS = (np.arange(4, dtype=_U64) * _U64(10000))[:, None]
-# Of +0, -0, nan, +inf and -inf, the one at 2 (inf or nan) + 2 (nan) + the sign.
-_CONSTANT_ROWS = np.array([0, 1, 3, 4, 2, 2], np.intp)
+_FIXED_AT = range(_DECPT_AT + _FIXED[0], _DECPT_AT + _FIXED[-1] + 1)
+# The texts of +0, -0, +inf, -inf and nan, by sign + 2 (inf or nan) + 2 (nan).
+_SPECIALS = ("0.0", "-0.0", "inf", "-inf", "nan", "nan")
+_JSON_SPECIALS = _SPECIALS[:2] + ("Infinity", "-Infinity", "NaN", "NaN")
 
 
 class _Tables(NamedTuple):
     # By biased exponent, + 2048 where the spacing below 2^q is irregular:
-    k: np.ndarray  # the decimal exponent
+    point: np.ndarray  # the decimal point's index, were d 16 digits long
     h: np.ndarray  # the shift of Schubfach's cb << h
     g: np.ndarray  # 32-bit limbs of g0 and g1, g = g1 2^63 + g0 ~ 10^-k 2^-r
-    quads: np.ndarray  # "0000".."9999" as little-endian uint32
-    last_digit: np.ndarray  # position of a 4-digit group's last nonzero digit, per slot
+    quads: np.ndarray  # "0000".."9999" as little-endian uint64, and the same << 32
+    last_digit: np.ndarray  # per group of the 17 digits, (its last nonzero digit - 1) * _FORMS
     forms: np.ndarray  # by decimal point, the form: its fixed slot or an exponent's
-    suffixes: np.ndarray  # words 5 and 6 by decimal point: "e-325".."e+308"
-    templates: np.ndarray  # per shape, the source column of each output byte
-    lengths: np.ndarray  # per shape, the length of the text
-    specials: dict  # per spelling, the source rows and shapes of +0, -0, nan, +inf and -inf
+    suffixes: np.ndarray  # by decimal point, "e-325".."e+308" << 24, 0 for the fixed forms
+    shifts: np.ndarray  # per shape, 8 times the bytes F shifts the digits by
+    masks: np.ndarray  # per word, per shape: the bytes of G, those of F, and the constants
+    suffix_shifts: np.ndarray  # per word, per shape: the suffix's left and right shifts
+    specials: dict  # per spelling, the words of _SPECIALS
 
 
 @functools.cache
 def _tables() -> _Tables:
-    """Schubfach's g table, the digit and exponent tables and the layout
-    templates: a few ms of work, done on the first call."""
+    """Schubfach's g table, the digit and exponent tables and those of the
+    shapes: a few ms of work, done on the first call."""
     # Rows 0..2047 by biased exponent bq, then the same for irregular
     # spacing (c = 2^52, bq > 1), where k = floor(log10(3/4 2^q)), not
     # floor(log10(2^q)); q = bq - 1075.
@@ -121,26 +117,30 @@ def _tables() -> _Tables:
     )
     h = (q + np.array(r)[at] + 127).astype(_U64)
     digits = np.indices((10,) * 4, np.uint8).reshape(4, 10000)  # of 0000..9999
-    quads = np.ascontiguousarray(digits.T + np.uint8(ord("0")))
-    # Position (1-based, in the 17 digits) of the last nonzero digit of a
-    # 4-digit group in slot j, which follows 1 + 4 j digits; for "0000", 0,
-    # or in slot 0 the position of the leading digit, which is never 0.
-    significant = ((digits != 0) * np.arange(1, 5, dtype=np.uint8)[:, None]).max(axis=0)
-    slots = np.arange(1, 17, 4, dtype=np.uint8)[:, None]
-    last = np.where(significant > 0, significant + slots, np.uint8(0))
-    last[0, 0] = 1
+    quads = np.ascontiguousarray(digits.T + np.uint8(ord("0"))).view("<u4").ravel().astype(_U64)
+    # Position (1-based, in the 17 digits) of the last nonzero digit of the
+    # group in slot j, 4 digits that follow 4 j, or in slot 4 the 17th
+    # digit alone, less 1, times _FORMS; 0 if all are 0, which slot 0,
+    # whose first digit is the leading one, never is.
+    significant = ((digits != 0) * np.arange(1, 5, dtype=np.uint16)[:, None]).max(axis=0)
+    last = np.zeros((5, 10000), np.uint16)
+    last[:4] = np.where(significant > 0, significant - 1 + np.arange(0, 16, 4, dtype=np.uint16)[:, None], 0)
+    last[4, 1:10] = _H - 1
+    last *= _FORMS
     decpt = np.arange(-_DECPT_AT, 310)
     forms = np.where(
         (decpt >= _FIXED[0]) & (decpt <= _FIXED[-1]),
         decpt - _FIXED[0],
         len(_FIXED) + (np.abs(decpt - 1) >= 100),
     )
-    suffixes = text_rows([f"e{e:+03d}" for e in decpt - 1], 8).view("<u4").T.copy()
-    templates = _templates()
-    lengths = (templates != _NUL).sum(axis=1)
+    suffixes = text_rows([f"e{e:+03d}" for e in decpt - 1], 8).view("<u8").ravel() << _U64(24)
+    suffixes[_FIXED_AT] = 0
     return _Tables(
-        k, h, np.ascontiguousarray(limbs[:, at]), quads.view("<u4").ravel(), last.ravel(),
-        forms, suffixes, templates, lengths, _specials(),
+        k + _H - 1 + _DECPT_AT, h, np.ascontiguousarray(limbs[:, at]),
+        np.array([quads, quads << _U64(32)]), last,
+        forms, suffixes, *_shapes(),
+        {json: text_rows(words, WIDTH).view("<u8").T.copy()
+         for json, words in ((False, _SPECIALS), (True, _JSON_SPECIALS))},
     )
 
 
@@ -155,43 +155,36 @@ def _g(k: int) -> tuple[int, int]:
     return (1 << s) // p + 1, -s
 
 
-def _templates() -> np.ndarray:
-    """Per shape ((sign * 17 + digits - 1) * _FORMS + form, then _PLAIN +
-    length), the source column of each of the WIDTH output bytes, NUL after
-    the text."""
-    rows = []
-    for sign in (0, 1):
-        for nd in range(1, _H + 1):
-            digits = list(range(_DIGITS_AT, _DIGITS_AT + nd))
-            for form in range(_FORMS):
-                if form < len(_FIXED):
-                    decpt = _FIXED[form]
-                    if decpt <= 0:
-                        cols = [_ZERO, _DOT] + [_ZERO] * -decpt + digits
-                    elif decpt < nd:
-                        cols = digits[:decpt] + [_DOT] + digits[decpt:]
-                    else:
-                        cols = digits + [_ZERO] * (decpt - nd) + [_DOT, _ZERO]
-                else:
-                    suffix = list(range(_SUFFIX_AT, _SUFFIX_AT + 4 + form - len(_FIXED)))
-                    cols = digits[:1] + ([_DOT] + digits[1:] if nd > 1 else []) + suffix
-                rows.append([_MINUS] * sign + cols)
-    rows += [list(range(length)) for length in range(WIDTH + 1)]
-    return np.array([cols + [_NUL] * (WIDTH - len(cols)) for cols in rows], np.intp)
-
-
-def _specials() -> dict:
-    """Per spelling (json or not), the source rows of the texts of +0, -0,
-    nan, +inf and -inf, word by word, and their plain shapes."""
-    words = ["0.0", "-0.0", "nan", "inf", "-inf"]
-    json_words = words[:2] + ["NaN", "Infinity", "-Infinity"]
-    return {
-        json: (
-            text_rows(spelled, _SOURCE_WIDTH).view("<u4").T.copy(),
-            np.array([_PLAIN + len(word) for word in spelled]),
-        )
-        for json, spelled in ((False, words), (True, json_words))
-    }
+def _shapes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per shape, (sign * 17 + digits - 1) * _FORMS + form: the bit shift of
+    F, and per word the masks of G, F and the constants, and the left and
+    right shifts that place the suffix, held in the top five bytes of a
+    word, after the text's other bytes."""
+    sign, nd, form = (axis.ravel()[:, None] for axis in np.indices((2, _H, _FORMS)))
+    nd += 1
+    point = form + _FIXED[0]
+    exponent = form >= len(_FIXED)  # d.ddd, then the suffix
+    leading = ~exponent & (point <= 0)  # 0.000ddd
+    # Else ddd.ddd, with at least one digit after the point.
+    shift = np.where(leading, sign + 2 - point, sign + 1)
+    before = np.where(exponent, 1, np.where(leading, 0, point))  # digits of G
+    after = np.where(exponent, nd - 1, np.where(leading, nd, np.maximum(nd, point + 1) - point))
+    dot = np.where(leading, sign + 1, sign + before)
+    end = np.where(exponent & (nd == 1), sign + 1, shift + before + after)  # where F's digits end
+    at = np.arange(WIDTH)
+    g = (at >= sign) & (at < sign + before)
+    f = (at >= end - after) & (at < end)
+    point_at = (at == dot) & (~exponent | (nd > 1))
+    constants = (((at == 0) & (sign == 1)) * np.uint8(ord("-"))
+                 + point_at * np.uint8(ord("."))
+                 + (leading & (at >= sign) & (at < shift) & ~point_at) * np.uint8(ord("0")))
+    lanes = np.stack([g * np.uint8(0xFF), f * np.uint8(0xFF), constants], axis=1)
+    rel = 8 * end - 24 - 64 * np.arange(_WORDS)
+    return (
+        (8 * shift.ravel()).astype(_U64),
+        np.ascontiguousarray(lanes.view("<u8").transpose(2, 1, 0), _U64),
+        np.array([np.clip(rel, 0, 63).T, np.clip(-rel, 0, 63).T], _U64).transpose(1, 0, 2).copy(),
+    )
 
 
 def text_rows(words, width: int | None = None) -> np.ndarray:
@@ -231,10 +224,11 @@ class _RowBlocks:
     writes its constant bytes once.
 
     Each line of the buffer holds one row: the ``head`` bytes, then per
-    cell its key, the NUL-padded row of ``keys``, and the value's text (up
-    to :data:`WIDTH` bytes, NUL padded).  ``cells`` is the buffer as
-    (line, cell, byte).  ``work`` holds every other array a block needs,
-    from the first block on.
+    cell its key, the NUL-padded row of ``keys``, and the value's text
+    (:data:`WIDTH` bytes, NUL padded).  ``cells`` is the buffer as
+    (line, cell, byte), and ``slots`` the values' text as three unaligned
+    uint64 views (line, cell), one per word.  ``work`` holds every other
+    array a block needs, from the first block on.
     """
 
     def __init__(self, nrows: int, head: bytes, keys: np.ndarray) -> None:
@@ -245,25 +239,25 @@ class _RowBlocks:
         self.lines[:, : len(head)] = np.frombuffer(head, np.uint8)
         self.cells = self.lines[:, len(head) :].reshape(first.stop, ncols, self.key + WIDTH)
         self.cells[..., : self.key] = keys
+        strides = (self.lines.strides[0], self.key + WIDTH)
+        self.slots = [
+            np.ndarray((first.stop, ncols), _U64, self.lines, len(head) + self.key + 8 * w, strides)
+            for w in range(_WORDS if first.stop else 0)
+        ]
         self.work = _Workspace()
 
     def chunks(self, fill, json: bool) -> Iterator[memoryview]:
         """The bytes of each block, once ``fill(rows, out)`` has written the
         block's values into ``out`` (and any other bytes of its own into
-        :attr:`cells`): the values formatted into the buffer, NUL padding
+        :attr:`cells`): the values' words stored into the buffer, NUL padding
         dropped.  Each is a memoryview of the one array the block allocates."""
-        ncols, at = self.cells.shape[1], self.key
-        before = 0  # the width of the values' text in the buffer, NUL beyond it
+        ncols = self.cells.shape[1]
         for rows in row_blocks(self.nrows, ncols):
             n = rows.stop - rows.start
             values = self.work("values", np.float64, n, ncols)
             fill(rows, values)
-            text = float_text(values, json, self.work)
-            width = text.shape[1]
-            # NUL past this block's width, where a block before wrote wider text.
-            self.cells[..., at + width : at + before] = 0
-            before = width
-            self.cells[:n, :, at : at + width] = text.reshape(n, ncols, width)
+            for slot, word in zip(self.slots, _words(values, json, self.work)):
+                np.copyto(slot[:n], word.reshape(n, ncols))
             lines = self.lines[:n]
             yield lines[np.not_equal(lines, 0, out=self.work("kept", bool, *lines.shape))].data
 
@@ -278,102 +272,86 @@ def _json_rows(chunks: Iterator, close: bytes) -> Iterator:
         yield from chunks
 
 
-def float_text(values, json: bool = False, work: _Workspace | None = None) -> np.ndarray:
+def float_text(values, json: bool = False) -> np.ndarray:
     """``float.__repr__`` of each float64 of ``values``, as the rows of a
     NUL-padded uint8 matrix as wide as the longest text (at most WIDTH);
     ``json`` spells nan and the infinities ``NaN``, ``Infinity`` and
-    ``-Infinity``, as ``json`` does.
-
-    ``work`` holds the call's arrays, the matrix among them, for the next
-    call to reuse: the matrix holds until then.  Without it the call
-    allocates its own.  Callers pass about one :data:`CHUNK` of floats: a
-    larger array gets the same text, with a working set that grows with it.
+    ``-Infinity``, as ``json`` does: the words of :func:`_words`, float by
+    float.  Callers pass about one :data:`CHUNK` of floats: a larger array
+    gets the same text, with a working set that grows with it.
     """
-    work = _Workspace() if work is None else work
+    words = _words(values, json, _Workspace())
+    # The text runs from byte 0: the highest byte set in any float's word
+    # ends the longest.
+    ors = np.bitwise_or.reduce(words, axis=1).tolist()
+    width = max((8 * w + (o.bit_length() + 7) // 8 for w, o in enumerate(ors) if o), default=0)
+    return np.ascontiguousarray(words.T).view(np.uint8)[:, :width]
+
+
+def _words(values, json: bool, work: _Workspace) -> np.ndarray:
+    """The text of each float64 of ``values``, as :func:`float_text` writes
+    it, in three uint64 words: a (3, n) array of ``work``, word by word."""
     floats = np.ascontiguousarray(values, np.float64).ravel()
     n = floats.size
     bits = floats.view(_U64)
+    words = work("words", _U64, _WORDS, n)
     magnitude = np.bitwise_and(bits, _M63, out=work("magnitude", _U64, n))
-    # Schubfach writes the finite nonzero floats.
-    digits = np.less(magnitude, _INFINITY, out=work("digits", bool, n))
-    flag = work("flag", bool, n)
-    digits &= np.not_equal(magnitude, _U64(0), out=flag)
-    m = np.count_nonzero(digits)
-    # Each float's row of the layout's source, and of its shapes: the
-    # finite nonzero floats' rows in order, then the constant rows of +0,
-    # -0, nan, +inf and -inf.
+    magnitude -= _C_MIN
+    if not n or magnitude.max() < _NOT_NORMAL:
+        _digit_words(bits, words, work, n)
+        return words
+    # Schubfach writes the normal floats, packed in order, and rows of
+    # constant words follow them: each float's text is the row ``row`` of
+    # the packed words.
+    normal = np.less(magnitude, _NOT_NORMAL, out=work("normal", bool, n))
+    m = np.count_nonzero(normal)
     row = work("row", np.intp, n)
-    np.copyto(row, digits)
+    np.copyto(row, normal)
     np.add.accumulate(row, out=row)
     row -= 1
-    source = work("source", np.uint32, _SOURCE_WIDTH // 4, n + 5)
-    shapes = work("shapes", np.intp, n + 5)
-    if m < n:
-        key = np.right_shift(bits, _U64(63), out=work("key", _U64, n))  # the sign
-        step = work("step", _U64, n)
-        for test in (np.greater_equal, np.greater):  # inf or nan, then nan
-            np.copyto(step, test(magnitude, _INFINITY, out=flag))
-            step <<= _U64(1)
-            key += step
-        constant = np.take(_CONSTANT_ROWS, key.view(np.intp),
-                           out=work("constant", np.intp, n), mode="clip")
-        constant += m
-        constant -= row
-        np.copyto(step, np.logical_not(digits, out=flag))
-        constant *= step.view(np.intp)
-        row += constant
-        compact = work("compact", _U64, n + 5)
-        np.put(compact, row, bits, mode="clip")
-        bits = compact[:m]
-        source[:, m : m + 5], shapes[m : m + 5] = _tables().specials[json]
-    for start in range(0, m, CHUNK):
-        part = slice(start, min(start + CHUNK, m))
-        _schubfach(bits[part], source[:, part], shapes[part], work, min(n, CHUNK))
-    subnormal = np.less(magnitude, _C_MIN, out=flag)
-    subnormal &= digits
-    if subnormal.any():
-        words = source.view(np.uint8).reshape(len(source), -1, 4)
-        for at, value in zip(row[subnormal].tolist(), floats[subnormal].tolist()):
-            text = repr(value).encode()
-            words[:, at] = np.frombuffer(text.ljust(_SOURCE_WIDTH, b"\0"), np.uint8).reshape(-1, 4)
-            shapes[at] = _PLAIN + len(text)
-    if m < n:
-        shapes = np.take(shapes, row, out=work("shape", np.intp, n), mode="clip")
-    return _layout(source, shapes[:n], row, work)
+    magnitude += _C_MIN
+    key = np.right_shift(bits, _U64(63), out=work("key", _U64, n))  # the sign
+    step = work("step", _U64, n)
+    flag = work("flag", bool, n)
+    for test in (np.greater_equal, np.greater):  # inf or nan, then nan
+        np.copyto(step, test(magnitude, _INFINITY, out=flag))
+        step <<= _U64(1)
+        key += step
+    constant = key.view(np.intp)
+    constant += m
+    constant -= row
+    np.copyto(step, np.logical_not(normal, out=flag))
+    constant *= step.view(np.intp)
+    row += constant
+    packed = work("packed", _U64, m + len(_SPECIALS), capacity=n + len(_SPECIALS))
+    np.put(packed, row, bits, mode="clip")
+    packed_words = work("packed words", _U64, _WORDS, m + len(_SPECIALS),
+                        capacity=_WORDS * (n + len(_SPECIALS)))
+    _digit_words(packed[:m], packed_words[:, :m], work, n)
+    packed_words[:, m:] = _tables().specials[json]
+    for word, source in zip(words, packed_words):
+        np.take(source, row, out=word, mode="clip")
+    # Subnormals: below _C_MIN, less 1 so that zero wraps above it.
+    magnitude -= _U64(1)
+    for at in np.flatnonzero(np.less(magnitude, _C_MIN - _U64(1), out=flag)).tolist():
+        text = repr(floats[at].item()).encode().ljust(WIDTH, b"\0")
+        words[:, at] = np.frombuffer(text, "<u8")
+    return words
 
 
-def _layout(source: np.ndarray, shapes: np.ndarray, row: np.ndarray, work) -> np.ndarray:
-    """The text of each float, as wide as the longest: byte j of float i is
-    column ``templates[shapes[i], j]`` of source row ``row[i]``."""
-    tables = _tables()
-    n = shapes.size
-    lengths = np.take(tables.lengths, shapes, out=work("lengths", np.intp, n), mode="clip")
-    width = int(lengths.max(initial=0))
-    # Each array is sized for WIDTH, so that no later call of a wider text allocates.
-    text = work("text", np.uint8, n, width, capacity=n * WIDTH)
-    # Column b of source row r is byte 4 r + b + (b // 4) (4 R - 4) of the R
-    # rows' words.
-    templates = work("templates", np.intp, len(tables.templates), width,
-                     capacity=tables.templates.size)
-    np.right_shift(tables.templates[:, :width], 2, out=templates)
-    templates *= 4 * (source.shape[1] - 1)
-    templates += tables.templates[:, :width]
-    row *= 4
-    flat = source.view(np.uint8).ravel()
-    for start in range(0, n, _LAYOUT_PASS):
-        stop = min(start + _LAYOUT_PASS, n)
-        part = work("at", np.intp, stop - start, width, capacity=min(n, _LAYOUT_PASS) * WIDTH)
-        np.take(templates, shapes[start:stop], axis=0, out=part, mode="clip")
-        part += row[start:stop, None]
-        np.take(flat, part, out=text[start:stop], mode="clip")
-    return text
+def _digit_words(bits, words, work, size: int) -> None:
+    """Schubfach's words of each normal float of ``bits``, into ``words``, in
+    passes of :data:`CHUNK` floats, with arrays for a call of ``size`` floats."""
+    n = bits.size
+    for start in range(0, n, CHUNK):
+        part = slice(start, min(start + CHUNK, n))
+        _schubfach(bits[part], words[:, part], work, min(size, CHUNK))
 
 
-def _schubfach(bits, source, shapes, work, size: int) -> None:
-    """Each finite nonzero float's shape and source row: its Schubfach digits,
-    exponent suffix and the constants.  Subnormals get rows, rewritten by
-    :func:`float_text`.  The arrays are ``size`` long, whatever the number
-    of floats.  A flag enters the arithmetic as a uint64 0 or 1: a ufunc
+def _schubfach(bits, words, work, size: int) -> None:
+    """The words of each normal float's text: its Schubfach digits, laid
+    out by its shape.  The arrays are ``size`` long, whatever the number of
+    floats.  A flag enters the arithmetic as a uint64 0 or 1: a ufunc
     masked by ``where=`` runs about ten times slower."""
     tables = _tables()
     n = bits.size
@@ -397,7 +375,7 @@ def _schubfach(bits, source, shapes, work, size: int) -> None:
     for limb, table in zip(g, tables.g):
         np.take(table, at, out=limb, mode="clip")
     h = np.take(tables.h, at, out=reg("h"), mode="clip")
-    decpt = np.take(tables.k, at, out=reg("decpt", np.intp), mode="clip")
+    decpt = np.take(tables.point, at, out=reg("decpt", np.intp), mode="clip")
     cb = np.left_shift(c, _U64(2), out=reg("cb"))
     odd = np.bitwise_and(c, _U64(1), out=t)
     cp = reg("cp")
@@ -450,43 +428,61 @@ def _schubfach(bits, source, shapes, work, size: int) -> None:
     long = flag
     np.copyto(long, np.greater_equal(d, _U64(10**16), out=test))
     decpt += long.view(np.intp)
-    decpt += 16
     long *= _U64(9)
     d17 = np.multiply(d, np.subtract(_U64(10), long, out=long), out=vb)
 
-    lead = np.floor_divide(d17, _U64(10**16), out=vbl)
-    rest = np.subtract(d17, np.multiply(lead, _U64(10**16), out=vbr), out=vbr)
-    high = np.floor_divide(rest, _U64(10**8), out=vb)
-    low = np.subtract(rest, np.multiply(high, _U64(10**8), out=c), out=c)
-    groups = g  # the limbs are spent
-    for pair, value in ((groups[:2], high), (groups[2:], low)):
+    # The digits in groups: 1..4, 5..8, 9..12 and 13..16 in g (the limbs
+    # are spent), the 17th alone; as ASCII, 1..8 in word 0, 9..16 in word 1.
+    top = np.floor_divide(d17, _U64(10**9), out=vbl)
+    last = np.subtract(d17, np.multiply(top, _U64(10**9), out=vbr), out=vbr)
+    middle = np.floor_divide(last, _U64(10), out=c)
+    last -= np.multiply(middle, _U64(10), out=cb)
+    for pair, value in ((g[:2], top), (g[2:], middle)):
         np.floor_divide(value, _U64(10**4), out=pair[0])
         np.subtract(value, np.multiply(pair[0], _U64(10**4), out=pair[1]), out=pair[1])
-    for word, group in zip(source[1:5], groups.view(np.intp)):
-        np.take(tables.quads, group, out=word, mode="clip")
-    groups += _SLOT_OFFSETS
-    last = work("last", np.uint8, 4, n, capacity=4 * size)
-    np.take(tables.last_digit, groups.view(np.intp), out=last, mode="clip")
-    nd = np.maximum.reduce(last, axis=0, out=work("nd", np.uint8, n, capacity=size))
-
-    # The layout's source: the constants and the leading digit, the other
-    # digits and the exponent suffix, which only the exponent forms read.
-    lead <<= _U64(24)
-    lead += _SOURCE_CONSTANTS
-    np.copyto(source[0], lead, casting="unsafe")
-    decpt += _DECPT_AT
-    for word, suffix in zip(source[5:7], tables.suffixes):
-        np.take(suffix, decpt, out=word, mode="clip")
-    # The shape: (sign * 17 + nd - 1) * _FORMS + form.
-    np.take(tables.forms, decpt, out=shapes, mode="clip")
+    groups = [*g.view(np.intp), last.view(np.intp)]
+    # The shape: (sign * 17 + digits - 1) * _FORMS + form.
+    shape = np.take(tables.forms, decpt, out=reg("shape", np.intp), mode="clip")
+    nd = work("nd", np.uint16, n, capacity=size)
+    group_nd = work("group nd", np.uint16, n, capacity=size)
+    np.take(tables.last_digit[0], groups[0], out=nd, mode="clip")
+    for table, group in zip(tables.last_digit[1:], groups[1:]):
+        np.maximum(nd, np.take(table, group, out=group_nd, mode="clip"), out=nd)
+    shape += nd
+    digits = (d, long, last)  # d and the flag are spent
+    for word, first, second in zip(digits, groups[::2], groups[1::2]):
+        np.take(tables.quads[0], first, out=word, mode="clip")
+        word |= np.take(tables.quads[1], second, out=cp, mode="clip")
+    last += _U64(ord("0"))
     sign = np.right_shift(bits, _U64(63), out=t).view(np.intp)
     sign *= _H * _FORMS
-    shapes += sign
-    digit_count = h.view(np.intp)
-    np.copyto(digit_count, nd)
-    digit_count -= 1
-    digit_count *= _FORMS
-    shapes += digit_count
+    shape += sign
+
+    # F, the digits shifted by the shape's bytes, into the words; then word
+    # by word G, F one byte back, and the text: G's bytes, F's bytes and
+    # the constants.
+    shift = np.take(tables.shifts, shape, out=h, mode="clip")
+    back = np.subtract(_U64(64), shift, out=cb)
+    np.left_shift(digits[0], shift, out=words[0])
+    for w in (1, 2):
+        np.left_shift(digits[w], shift, out=words[w])
+        words[w] |= np.right_shift(digits[w - 1], back, out=cp)
+    before = c
+    mask = cp
+    for w, (word, masks) in enumerate(zip(words, tables.masks)):
+        np.right_shift(word, _U64(8), out=before)
+        if w + 1 < _WORDS:
+            before |= np.left_shift(words[w + 1], _U64(56), out=mask)
+        before &= np.take(masks[0], shape, out=mask, mode="clip")
+        word &= np.take(masks[1], shape, out=mask, mode="clip")
+        word |= before
+        word |= np.take(masks[2], shape, out=mask, mode="clip")
+    if decpt.min() < _FIXED_AT[0] or decpt.max() > _FIXED_AT[-1]:
+        suffix = np.take(tables.suffixes, decpt, out=vbl, mode="clip")
+        for word, (left, right) in zip(words, tables.suffix_shifts):
+            placed = np.left_shift(suffix, np.take(left, shape, out=h, mode="clip"), out=c)
+            placed >>= np.take(right, shape, out=h, mode="clip")
+            word |= placed
 
 
 def _rop(g, cp, out, reg):

@@ -37,7 +37,8 @@ class ContourGrid:
     ``out``.  The writers compute each block of :func:`row_blocks
     <gaussent._floattext.row_blocks>` as they write it, and :attr:`values`
     is built on its first read, by the kernel over the same blocks, then
-    kept, frozen.  Each axis must be non-empty and strictly increase.
+    kept, frozen.  Each axis must be a non-empty 1-D float64 array that
+    strictly increases, or the constructor raises a ValueError naming it.
 
     :meth:`csv_chunks` and :meth:`json_chunks` yield the text as bytes-like
     chunks, one per block of whole rows laid out in the reused buffer of
@@ -55,9 +56,16 @@ class ContourGrid:
     kernel: Callable[[slice, np.ndarray], None] = field(repr=False)
 
     def __post_init__(self) -> None:
-        """ValueError naming the first axis that is empty or does not strictly increase."""
+        """ValueError naming the first axis that is not a 1-D float64 array,
+        is empty or does not strictly increase."""
         for name in ("nmin_axis", "nexcess_axis"):
             axis = getattr(self, name)
+            if not isinstance(axis, np.ndarray):
+                raise ValueError(f"{name} must be a 1-D float64 array, got {type(axis).__name__}")
+            if axis.ndim != 1 or axis.dtype != np.float64:
+                raise ValueError(
+                    f"{name} must be a 1-D float64 array, got a {axis.ndim}-D {axis.dtype} array"
+                )
             if not axis.size:
                 raise ValueError(f"{name} must not be empty")
             if not (rises := np.diff(axis) > 0.0).all():
@@ -257,11 +265,12 @@ def contour_grid(
     Raises:
         ValueError, before the grid is returned: for an unknown metric
             token, a resolution that is not an integer in [2,
-            MAX_RESOLUTION], bad ranges, missing or unused params, a budget
-            that is not a real number or at which :func:`capacity_ratio` is
-            undefined, or an axis that does not strictly increase (a range
-            too narrow for its resolution).  Each but the last is raised
-            before an axis is allocated.
+            MAX_RESOLUTION], a range that is not a pair of real numbers or
+            not finite, non-negative and increasing, missing or unused
+            params, a budget that is not a real number or at which
+            :func:`capacity_ratio` is undefined, or an axis that does not
+            strictly increase (a range too narrow for its resolution).
+            Each but the last is raised before an axis is allocated.
     """
     from numbers import Integral, Real  # loaded with numpy, which a grid needs
 
@@ -271,7 +280,13 @@ def contour_grid(
         raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
-    for name, (lo, hi) in (("nmin_range", nmin_range), ("nexcess_range", nexcess_range)):
+    for name, pair in (("nmin_range", nmin_range), ("nexcess_range", nexcess_range)):
+        try:
+            lo, hi = pair
+        except (TypeError, ValueError):
+            lo = hi = None
+        if not all(isinstance(end, Real) and not isinstance(end, bool) for end in (lo, hi)):
+            raise ValueError(f"{name} must be a pair of real numbers, got {pair!r}")
         if not 0.0 <= lo < hi < math.inf:
             raise ValueError(
                 f"{name} must be finite, non-negative and increasing, got ({lo}, {hi})"

@@ -43,7 +43,7 @@ import os
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 
 from .epr import _epr
@@ -177,8 +177,10 @@ def _read_table(text: str, units: str) -> np.ndarray:
                     body = lines[reader.line_num :]
                     table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
                 if units == "dB" and table.shape[1] == width:
-                    for column in table.T[1:]:
-                        column[:] = [10.0 ** (x / 10.0) for x in column.tolist()]
+                    # pow(10.0, x) is 10.0 ** x, and numpy's / is Python's: the same bits.
+                    cells = (table[:, 1:] / 10.0).ravel().tolist()
+                    table[:, 1:] = np.fromiter(map(pow, repeat(10.0), cells), float,
+                                               len(cells)).reshape(-1, width - 1)
             except (ValueError, UserWarning, OverflowError):
                 pass
             else:

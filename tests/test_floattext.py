@@ -1,8 +1,16 @@
 """The vectorized ``float.__repr__`` of ``gaussent._floattext`` against the
-one-float-at-a-time loop it replaces, which stays here as the reference."""
+one-float-at-a-time loop it replaces, which stays here as the reference.
 
+Run as a script it sweeps more seeded floats, at another seed, in both
+spellings, and exits 1 on a mismatch:
+
+    PYTHONPATH=src python tests/test_floattext.py
+"""
+
+import decimal
 import math
 import struct
+import sys
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -105,3 +113,62 @@ def test_width_is_the_longest_text():
     assert float_text([-0.0]).shape == (1, 4)
     assert float_text([np.nan, 5e-324]).shape == (2, 6)
 
+
+
+def shape_of(value: float) -> tuple[int, int]:
+    """(significant digits, decimal point) of ``repr(value)``: the value is
+    0.d1d2... times 10 to the point."""
+    digits, exponent = decimal.Decimal(repr(value)).normalize().as_tuple()[1:]
+    return len(digits), len(digits) + exponent
+
+
+def of_shape(negative: bool, digits: int, point: int) -> float:
+    """A float whose ``repr`` has ``digits`` significant digits and its
+    decimal point at ``point``: the decimal with those digits itself, up to
+    15 digits; for 16 or 17, the first float up from it whose ``repr`` has
+    as many."""
+    value = float(f"{'-' * negative}0.{('123456789' * 2)[:digits]}e{point}")
+    while shape_of(value) != (digits, point):
+        value = math.nextafter(value, math.inf)
+    return value
+
+
+def test_every_text_shape_matches_repr():
+    """Each sign, digit count 1..17 and decimal point -3..16 of the fixed
+    notation, and two- and three-digit exponents of both signs."""
+    points = [*range(-3, 17), -4, 17, -99, 101]
+    values = [of_shape(negative, digits, point)
+              for negative in (False, True) for digits in range(1, 18) for point in points]
+    assert len(set(map(repr, values))) == 2 * 17 * len(points)
+    for json in (False, True):
+        assert kernel(values, json) == reference(values, json)
+
+
+def sweep(seed: int, count: int, piece: int = 1 << 18) -> list[str]:
+    """``count`` seeded floats, a third random bit patterns, a third on
+    [0, 4), a third 10^U(-6, 20), written a CHUNK at a time as the writers
+    call it, in both spellings: each float whose text is not its ``repr``."""
+    rng = np.random.default_rng(seed)
+    found = []
+    for start in range(0, count, piece):
+        size = min(piece, count - start)
+        values = np.concatenate([
+            rng.integers(0, 2**64, size - 2 * (size // 3), dtype=np.uint64).view(np.float64),
+            rng.uniform(0.0, 4.0, size // 3),
+            10.0 ** rng.uniform(-6.0, 20.0, size // 3),
+        ])
+        for json in (False, True):
+            texts = reference(values, json)
+            for at in range(0, size, CHUNK):
+                part = values[at : at + CHUNK]
+                written = kernel(part, json)
+                if written != texts[at : at + CHUNK]:
+                    found += [f"{value!r}: {text!r}" for value, text, want
+                              in zip(part.tolist(), written, texts[at : at + CHUNK]) if text != want]
+    return found
+
+
+if __name__ == "__main__":
+    found = sweep(seed=1, count=10**7)
+    print(f"{len(found)} mismatches in 10000000 floats at seed 1", *found[:20], sep="\n")
+    sys.exit(1 if found else 0)

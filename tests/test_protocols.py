@@ -419,6 +419,24 @@ class TestContourGrid:
             with pytest.raises(ValueError, match="finite"):
                 contour_grid("dense_ratio", resolution=3, params={"n_encoding": n_encoding})
 
+    @pytest.mark.parametrize("bad", [("0", "1"), (0, 1, 2), None], ids=["strings", "triple", "none"])
+    def test_a_range_that_is_not_a_pair_of_reals_is_named(self, bad, monkeypatch):
+        monkeypatch.setattr(np, "linspace", None)  # refused before an axis is allocated
+        for name in ("nmin_range", "nexcess_range"):
+            message = f"{name} must be a pair of real numbers, got {bad!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                contour_grid("epr", resolution=3, **{name: bad})
+
+    def test_axes_that_are_not_float_arrays_are_named(self):
+        def kernel(rows, out):
+            out[...] = 0.0
+
+        with pytest.raises(ValueError, match=r"^nmin_axis must be a 1-D float64 array, got list$"):
+            ContourGrid("epr", [0.0, 1.0], [0.0, 1.0], {}, kernel)
+        with pytest.raises(ValueError, match=r"^nexcess_axis must be a 1-D float64 array, got a "
+                                             r"2-D float64 array$"):
+            ContourGrid("epr", np.arange(2.0), np.zeros((2, 2)), {}, kernel)
+
     def test_csv_round_trip(self):
         grid = contour_grid("epr", (0.0, 1.0), (0.0, 1.0), resolution=3)
         lines = grid.to_csv_text().strip().split("\n")

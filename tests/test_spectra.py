@@ -111,6 +111,23 @@ class TestParse:
         for odd in (text + "   \n", header + "\n,,,,,,\n" + body):
             assert spectra._read_table(odd, units).tobytes() == clean
 
+    def test_db_cells_convert_to_the_bits_of_the_scalar_formula(self):
+        """The C reader's one-pass conversion gives each variance cell the bits
+        of ``10.0 ** (x / 10.0)``, the formula the csv reader applies per cell."""
+        rng = np.random.default_rng(35)
+        table = rng.uniform(-30.0, 30.0, (3000, 7))
+        table[:, 0] = np.arange(1, 3001)
+        text = HEADER + "\n" + "\n".join(",".join(map(repr, row)) for row in table.tolist())
+        converted = spectra._read_table(text, "dB")
+        expected = [[10.0 ** (x / 10.0) for x in row] for row in table[:, 1:].tolist()]
+        assert converted[:, 1:].tobytes() == np.array(expected).tobytes()
+        assert converted[:, 0].tobytes() == table[:, 0].tobytes()
+
+    def test_a_db_cell_out_of_range_is_named(self):
+        text = HEADER + "\n5.0,0.0,0.0,0.0,0.0,0.0,0.0\n6.0,0.0,0.0,4000.0,0.0,0.0,0.0\n"
+        with pytest.raises(ValueError, match=r"^row 3, column 'vy_plus': '4000.0' dB is out of range$"):
+            parse_spectra(text, units="dB")
+
     def test_rejects_non_positive_frequency_naming_column(self):
         for cell in ("0", "-1"):
             with pytest.raises(
