@@ -17,9 +17,9 @@ is not.  :class:`SpectrumRow` and :func:`derive_row` are the one-row case
 of the gate and the kernel.  The kernel's elementwise formulas are the
 scalar measures' own; :func:`derive_row` runs them on Python floats, which
 overflow to inf as numpy's do, so it gives the kernel's bits without
-numpy's per-call cost.  The dB conversion stays a scalar
-``10.0 ** (x / 10.0)`` per cell: ``np.power`` differs from it in the last
-bit on some inputs.
+numpy's per-call cost.  The dB conversion is one ``np.float_power`` pass,
+which calls the C library's ``pow`` as ``10.0 ** (x / 10.0)`` does and so
+gives its bits; ``np.power`` differs from it in the last bit on some inputs.
 
 :func:`analyze_cm` builds the record ``gaussent analyze`` writes.  The CLI's
 files are read here, by :func:`load_matrix` (a matrix, state or anchor
@@ -43,7 +43,7 @@ import os
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
+from itertools import chain
 from operator import attrgetter
 
 from .epr import _epr
@@ -177,11 +177,13 @@ def _read_table(text: str, units: str) -> np.ndarray:
                     body = lines[reader.line_num :]
                     table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
                 if units == "dB" and table.shape[1] == width:
-                    # pow(10.0, x) is 10.0 ** x, and numpy's / is Python's: the same bits.
-                    cells = (table[:, 1:] / 10.0).ravel().tolist()
-                    table[:, 1:] = np.fromiter(map(pow, repeat(10.0), cells), float,
-                                               len(cells)).reshape(-1, width - 1)
-            except (ValueError, UserWarning, OverflowError):
+                    # float_power calls libm's pow, as Python's ** does, and numpy's /
+                    # is Python's: the bits of 10.0 ** (x / 10.0).  A cell that
+                    # overflows to inf, or underflows to 0, fails the gate below,
+                    # so numpy need not warn of it.
+                    with np.errstate(over="ignore", under="ignore"):
+                        np.float_power(10.0, table[:, 1:] / 10.0, out=table[:, 1:])
+            except (ValueError, UserWarning):
                 pass
             else:
                 order = np.argsort(table[:, 0], kind="stable")

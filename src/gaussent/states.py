@@ -105,6 +105,10 @@ class CorrelationMatrix4:
     entries as Python floats, which the named accessors and the scalar
     measures read with no numpy call.  ``entries``, the same entries as a
     read-only float64 (4, 4) array, is built on its first read and kept.
+    The constructor parses the rows it is given; the state builders
+    (:meth:`symmetric_form`, :func:`apply_loss`,
+    :func:`apply_local_squeezing`) compute the 16 floats themselves and hand
+    them to the same check with no parse.
     """
 
     __slots__ = ("_flat", "_entries")
@@ -117,6 +121,19 @@ class CorrelationMatrix4:
             if arr.shape != (4, 4):
                 raise ValueError(f"expected a 4x4 matrix, got shape {arr.shape}")
             flat = tuple(arr.ravel().tolist())
+        self._hold(flat)
+
+    @classmethod
+    def _of(cls, flat: tuple[float, ...]) -> "CorrelationMatrix4":
+        """The matrix of 16 row-major Python floats, checked as the
+        constructor checks what it parses."""
+        cm = object.__new__(cls)
+        cm._hold(flat)
+        return cm
+
+    def _hold(self, flat: tuple[float, ...]) -> None:
+        """Keep 16 row-major Python floats, or ValueError unless they are
+        finite, symmetric to :data:`SYMMETRY_TOL` and of positive diagonal."""
         if not all(map(math.isfinite, flat)):
             raise ValueError("correlation matrix entries must be finite")
         # Entries (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3) against their mirrors.
@@ -169,13 +186,25 @@ class CorrelationMatrix4:
             c_plus: amplitude cross-correlation between the beams.
             c_minus: phase cross-correlation between the beams.
         """
-        return cls(
-            [
-                [v_plus, 0.0, c_plus, 0.0],
-                [0.0, v_minus, 0.0, c_minus],
-                [c_plus, 0.0, v_plus, 0.0],
-                [0.0, c_minus, 0.0, v_minus],
-            ]
+        try:
+            v_p, v_m, c_p, c_m = float(v_plus), float(v_minus), float(c_plus), float(c_minus)
+        except (TypeError, ValueError, OverflowError):
+            # What float refuses, the constructor reads or refuses with numpy.
+            return cls(
+                [
+                    [v_plus, 0.0, c_plus, 0.0],
+                    [0.0, v_minus, 0.0, c_minus],
+                    [c_plus, 0.0, v_plus, 0.0],
+                    [0.0, c_minus, 0.0, v_minus],
+                ]
+            )
+        return cls._of(
+            (
+                v_p, 0.0, c_p, 0.0,
+                0.0, v_m, 0.0, c_m,
+                c_p, 0.0, v_p, 0.0,
+                0.0, c_m, 0.0, v_m,
+            )
         )
 
     # Named accessors for the entries every analysis touches.
@@ -347,6 +376,7 @@ def apply_loss(state: TwoModeState, eta_x: float, eta_y: float) -> TwoModeState:
     """
     _require_fraction(eta_x, "eta_x")
     _require_fraction(eta_y, "eta_y")
+    eta_x, eta_y = float(eta_x), float(eta_y)  # numpy scalars would make numpy entries
 
     # Entry by entry: eta*C + (1 - eta)*delta within a beam's block (the
     # (1 - eta)*0.0 term turns a -0.0 product into 0.0), C*cross across them.
@@ -355,13 +385,16 @@ def apply_loss(state: TwoModeState, eta_x: float, eta_y: float) -> TwoModeState:
     c00, c01, c02, c03, c10, c11, c12, c13, c20, c21, c22, c23, c30, c31, c32, c33 = (
         state.cm._flat
     )
-    e = [
-        [eta_x * c00 + gx, eta_x * c01 + gx * 0.0, c02 * cross, c03 * cross],
-        [eta_x * c10 + gx * 0.0, eta_x * c11 + gx, c12 * cross, c13 * cross],
-        [c20 * cross, c21 * cross, eta_y * c22 + gy, eta_y * c23 + gy * 0.0],
-        [c30 * cross, c31 * cross, eta_y * c32 + gy * 0.0, eta_y * c33 + gy],
-    ]
-    return TwoModeState(CorrelationMatrix4(e))
+    return TwoModeState(
+        CorrelationMatrix4._of(
+            (
+                eta_x * c00 + gx, eta_x * c01 + gx * 0.0, c02 * cross, c03 * cross,
+                eta_x * c10 + gx * 0.0, eta_x * c11 + gx, c12 * cross, c13 * cross,
+                c20 * cross, c21 * cross, eta_y * c22 + gy, eta_y * c23 + gy * 0.0,
+                c30 * cross, c31 * cross, eta_y * c32 + gy * 0.0, eta_y * c33 + gy,
+            )
+        )
+    )
 
 
 def apply_local_squeezing(
@@ -370,9 +403,11 @@ def apply_local_squeezing(
     """Apply equal local squeezing (X+ -> g X+, X- -> X-/g) to both beams:
     entry (i, j) becomes g_i C_ij g_j, with g = (g, 1/g, g, 1/g)."""
     _require_positive_finite(gain, "squeezing gain")
+    gain = float(gain)  # numpy scalars would make numpy entries
     g = (gain, 1.0 / gain) * 2
     f = cm._flat
-    return CorrelationMatrix4([[g[i] * f[4 * i + j] * g[j] for j in range(4)] for i in range(4)])
+    # Entry k is (i, j) = (k // 4, k % 4).
+    return CorrelationMatrix4._of(tuple([g[k // 4] * f[k] * g[k % 4] for k in range(16)]))
 
 
 def _as_cm(state_or_cm: TwoModeState | CorrelationMatrix4) -> CorrelationMatrix4:

@@ -1,9 +1,21 @@
+"""Spectra: the CSV reader, the row and table derivations, the writers and
+the anchor files.
+
+Run as a script it sweeps 10^7 seeded dB cells at seed 1 through the reader,
+beside the 10^6 at another seed that the tier-1 run checks, and exits 1 on a
+cell whose value is not the bits of ``10.0 ** (x / 10.0)``:
+
+    PYTHONPATH=src python tests/test_spectra.py
+"""
+
 import csv
 import importlib.util
 import json
 import logging
 import math
 import re
+import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -113,15 +125,11 @@ class TestParse:
 
     def test_db_cells_convert_to_the_bits_of_the_scalar_formula(self):
         """The C reader's one-pass conversion gives each variance cell the bits
-        of ``10.0 ** (x / 10.0)``, the formula the csv reader applies per cell."""
-        rng = np.random.default_rng(35)
-        table = rng.uniform(-30.0, 30.0, (3000, 7))
-        table[:, 0] = np.arange(1, 3001)
-        text = HEADER + "\n" + "\n".join(",".join(map(repr, row)) for row in table.tolist())
-        converted = spectra._read_table(text, "dB")
-        expected = [[10.0 ** (x / 10.0) for x in row] for row in table[:, 1:].tolist()]
-        assert converted[:, 1:].tobytes() == np.array(expected).tobytes()
-        assert converted[:, 0].tobytes() == table[:, 0].tobytes()
+        of ``10.0 ** (x / 10.0)``, the formula the csv reader applies per cell,
+        and refuses, with the csv reader's message, each cell that overflows or
+        converts to 0."""
+        found = db_sweep(seed=35, count=10**6)
+        assert not found, found[:20]
 
     def test_a_db_cell_out_of_range_is_named(self):
         text = HEADER + "\n5.0,0.0,0.0,0.0,0.0,0.0,0.0\n6.0,0.0,0.0,4000.0,0.0,0.0,0.0\n"
@@ -859,3 +867,73 @@ class TestIngestFile:
         path.write_text(json.dumps({"statistical_error": 0.1, label: payload}))
         with pytest.raises(ValueError, match=f"anchor '{re.escape(label)}': "):
             load_paper_anchors(str(path))
+
+
+def _db_formula(x: float) -> float:
+    """``10.0 ** (x / 10.0)``, the csv reader's conversion, or inf where it overflows."""
+    try:
+        return 10.0 ** (x / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def db_sweep(seed: int, count: int, piece: int = 6 << 16) -> list[str]:
+    """``count`` seeded dB cells, a third on [-3300, 3100], a third on [-30, 30]
+    and a third on [-0.01, 0.01], drawn ``piece`` at a time, then every 0.1 dB
+    step from -3300 to 3100, through :func:`spectra._read_table`: each cell
+    the reader does not convert to the bits of ``10.0 ** (x / 10.0)``, or whose
+    refusal (of a value that overflows, or converts to 0) is not the csv
+    reader's message.  A warning, such as numpy's of an overflow, raises."""
+    rng = np.random.default_rng(seed)
+    found = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for start in range(0, count, piece):
+            size = min(piece, count - start)
+            third = size // 3
+            found += _db_cells(np.concatenate([
+                rng.uniform(-3300.0, 3100.0, size - 2 * third),
+                rng.uniform(-30.0, 30.0, third),
+                rng.uniform(-0.01, 0.01, third),
+            ]).tolist())
+        found += _db_cells((np.arange(-33000, 31001) / 10.0).tolist())
+    return found
+
+
+def _db_cells(cells: list[float]) -> list[str]:
+    """:func:`db_sweep`'s check of ``cells``: those the formula takes to a
+    positive finite value are read in one file, six to a row; every other
+    cell is read alone, in a row of 0 dB cells, which the reader must refuse."""
+    expected = list(map(_db_formula, cells))
+    kept = [(x, want) for x, want in zip(cells, expected) if 0.0 < want < math.inf]
+    kept += [(0.0, 1.0)] * (-len(kept) % 6)  # whole rows
+    lines = [
+        f"{row + 1},{','.join(repr(x) for x, _ in kept[6 * row : 6 * row + 6])}"
+        for row in range(len(kept) // 6)
+    ]
+    table = spectra._read_table(HEADER + "\n" + "\n".join(lines) + "\n", "dB")
+    assert table[:, 0].tolist() == list(range(1, len(lines) + 1))
+    found = [
+        f"{x!r} dB: {got!r}, not {want!r}"
+        for (x, want), got in zip(kept, table[:, 1:].ravel().tolist())
+        if got.hex() != want.hex()
+    ]
+    for x, want in zip(cells, expected):
+        if 0.0 < want < math.inf:
+            continue
+        message = (f"'{x!r}' dB is out of range" if want == math.inf
+                   else "must be positive and finite, got 0.0")
+        try:
+            spectra._read_table(f"{HEADER}\n1.0,0.0,0.0,0.0,0.0,0.0,{x!r}\n", "dB")
+        except ValueError as exc:
+            if not str(exc).endswith(message):
+                found.append(f"{x!r} dB: refused with {exc}")
+        else:
+            found.append(f"{x!r} dB: read, though 10.0 ** (x / 10.0) is {want!r}")
+    return found
+
+
+if __name__ == "__main__":
+    found = db_sweep(seed=1, count=10**7)
+    print(f"{len(found)} mismatches in 10000000 dB cells at seed 1", *found[:20], sep="\n")
+    sys.exit(1 if found else 0)

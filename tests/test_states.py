@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from conftest import MEASURED_65, random_squeezed_beam
 from oracles import analyze_cm_reference, apply_loss_reference, correlation_matrix_reference
-from gaussent import spectra
+from gaussent import spectra, states
 from gaussent.cli import analyze_cm
 from gaussent.epr import epr_vs_loss
+from gaussent.photons import cm_from_photons, cross_corr_from_photons
 from gaussent.protocols import contour_grid
 from gaussent.separability import inseparability_vs_loss, standard_form_restrictions
 from gaussent.states import (
@@ -648,6 +649,115 @@ def test_scalar_chain_makes_one_array_per_matrix(monkeypatch):
             assert repr(built.to_json_dict()) == repr(
                 {"order": ["xp", "xm", "yp", "ym"], "matrix": reference.tolist()}
             )
+
+
+def _builds(seed: int, count: int = 64):
+    """(name, built matrix, the nested rows it was built from before the builders
+    computed the 16 floats themselves) on seeded inputs, for each state builder."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        v1, v2, eta_x, eta_y, gain, n_min, n_excess = rng.uniform(0.05, 1.0, 7).tolist()
+        beam1, beam2 = SqueezedBeam.pure(v1), SqueezedBeam.pure(v2 * 3.0)
+        state = entangle_on_beamsplitter(beam1, beam2)
+        cxy = (0.5 * (beam1.v_plus - beam2.v_minus), 0.5 * (beam1.v_minus - beam2.v_plus))
+        symmetric = [_mean(beam1.v_plus, beam2.v_minus), _mean(beam1.v_minus, beam2.v_plus), *cxy]
+        yield "entangle_on_beamsplitter", state.cm, _symmetric_rows(*symmetric)
+        f = state.cm._flat
+        for ex, ey in ((eta_x, eta_y), (np.float64(eta_x), np.float64(eta_y)), (1, 0), (0, 1)):
+            cross = math.sqrt(ex * ey)
+            gx, gy = 1.0 - ex, 1.0 - ey
+            rows = [
+                [ex * f[0] + gx, ex * f[1] + gx * 0.0, f[2] * cross, f[3] * cross],
+                [ex * f[4] + gx * 0.0, ex * f[5] + gx, f[6] * cross, f[7] * cross],
+                [f[8] * cross, f[9] * cross, ey * f[10] + gy, ey * f[11] + gy * 0.0],
+                [f[12] * cross, f[13] * cross, ey * f[14] + gy * 0.0, ey * f[15] + gy],
+            ]
+            yield f"apply_loss({type(ex).__name__})", apply_loss(state, ex, ey).cm, rows
+        for g in (3.0 * gain, np.float64(gain), 2):
+            gs = (g, 1.0 / g) * 2
+            rows = [[gs[i] * f[4 * i + j] * gs[j] for j in range(4)] for i in range(4)]
+            squeezed = apply_local_squeezing(state.cm, g)
+            yield f"apply_local_squeezing({type(g).__name__})", squeezed, rows
+        for args in (symmetric, [np.float64(x) for x in symmetric], [3, 2, -1, 1]):
+            built = CorrelationMatrix4.symmetric_form(*args)
+            yield "symmetric_form", built, _symmetric_rows(*args)
+        row = spectra.SpectrumRow(1.0 + n_min, *(3.0 * rng.uniform(0.2, 1.0, 4)), v1, v2)
+        rows = _symmetric_rows(*spectra._row(*spectra._spectrum_values(row)[1:])[:4])
+        yield "cm_at_frequency", spectra.cm_at_frequency(row), rows
+        corr, variance = cross_corr_from_photons(n_min, n_excess), n_min + n_excess + 1.0
+        yield "cm_from_photons", cm_from_photons(n_min, n_excess), _symmetric_rows(
+            variance, variance, -corr, +corr
+        )
+
+
+def _symmetric_rows(v_plus, v_minus, c_plus, c_minus) -> list[list]:
+    return [
+        [v_plus, 0.0, c_plus, 0.0],
+        [0.0, v_minus, 0.0, c_minus],
+        [c_plus, 0.0, v_plus, 0.0],
+        [0.0, c_minus, 0.0, v_minus],
+    ]
+
+
+class TestBuildersHandOverTheirFloats:
+    """The state builders compute a matrix's 16 floats and hand them to the
+    constructor's check, with no parse of nested rows."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_each_builder_keeps_the_floats_the_constructor_parses(self, seed):
+        names = set()
+        for name, built, rows in _builds(seed):
+            names.add(name)
+            parsed = CorrelationMatrix4(rows)._flat
+            assert all(type(value) is float for value in built._flat), name
+            assert [v.hex() for v in built._flat] == [v.hex() for v in parsed], name
+        assert len(names) == 10
+
+    def test_no_builder_parses(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(states, "_sixteen", lambda entries: calls.append(entries))
+        built = list(_builds(2, count=4))
+        assert not calls, [name for name, _, _ in built]
+
+    @pytest.mark.parametrize(
+        "refused, error, message",
+        [
+            (lambda: apply_local_squeezing(CorrelationMatrix4(np.eye(4)), 1e200),
+             ValueError, "correlation matrix entries must be finite"),
+            (lambda: apply_local_squeezing(CorrelationMatrix4(np.eye(4)), 1e-320),
+             ValueError, "correlation matrix entries must be finite"),
+            (lambda: apply_local_squeezing(CorrelationMatrix4(np.eye(4)), 10**400),
+             OverflowError, "int too large to convert to float"),
+            (lambda: apply_loss(_PAIR, np.float64(1.5), 0.5),
+             ValueError, "eta_x must lie in [0, 1], got 1.5"),
+            (lambda: apply_loss(_PAIR, 0.5, -1), ValueError, "eta_y must lie in [0, 1], got -1"),
+            (lambda: CorrelationMatrix4.symmetric_form("x", 1.0, 0.0, 0.0),
+             ValueError, "could not convert string to float: 'x'"),
+            (lambda: CorrelationMatrix4.symmetric_form(1.0, None, 0.0, 0.0),
+             ValueError, "correlation matrix entries must be finite"),
+            (lambda: CorrelationMatrix4.symmetric_form(1.0, 1.0, 10**400, 0.0),
+             OverflowError, "int too large to convert to float"),
+            (lambda: CorrelationMatrix4.symmetric_form(1.0, 1.0, 0.0, "inf"),
+             ValueError, "correlation matrix entries must be finite"),
+            (lambda: CorrelationMatrix4.symmetric_form(1.0, -1.0, 0.0, 0.0),
+             ValueError, "diagonal variances must be positive, got [ 1. -1.  1. -1.]"),
+        ],
+    )
+    def test_refusals_keep_their_type_and_message(self, refused, error, message):
+        """As the constructor refused the nested rows; a value float refuses
+        goes to the constructor, which reads it as numpy does."""
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            refused()
+
+    def test_a_loss_keeps_the_entries_within_the_float_range(self):
+        """|eta C + (1 - eta) delta| <= max(|C|, 1) and cross <= 1: a loss cannot
+        overflow, at the float limit or next to it."""
+        big = sys.float_info.max
+        cm = CorrelationMatrix4.symmetric_form(big, big, -big, big)
+        for eta in (1.0, math.nextafter(1.0, 0.0), 0.5, 0.0):
+            lossy = apply_loss(TwoModeState(cm), eta, eta).cm
+            assert all(map(math.isfinite, lossy._flat))
+            assert lossy.entries.tobytes() == apply_loss_reference(cm.entries, eta, eta).tobytes()
 
 
 _SPECTRUM_HEADER = ",".join(spectra.SPECTRUM_COLUMNS)
