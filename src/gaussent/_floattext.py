@@ -33,11 +33,12 @@ many bytes, F, give the digits after the decimal point, and F one byte
 back, G, those before it; the third mask holds the constant bytes, the
 sign, the ``0.`` and zeros before a leading point, and the point.  The
 masks end with the text, so its length cuts it.  Exponent forms then OR
-their suffix in after the digits, in blocks that hold one.  Zeros, nan
-and the infinities are constant words, and a subnormal's words its
-``float.__repr__``: there Schubfach, as Java, keeps two digits where
-Python keeps one (``4.9E-324`` against ``5e-324``).  Every shift count
-lies in 0..63.
+their suffix in after the digits, in blocks that hold one.  In a block
+with zeros, nan, infinities or subnormals, every float takes the constant
+words of its key, and Schubfach's words of the normal floats, compressed
+out, are placed back; a subnormal's words are then its ``float.__repr__``:
+there Schubfach, as Java, keeps two digits where Python keeps one
+(``4.9E-324`` against ``5e-324``).  Every shift count lies in 0..63.
 
 The tables are built on the first call, not at import.
 """
@@ -290,7 +291,9 @@ def float_text(values, json: bool = False) -> np.ndarray:
 
 def _words(values, json: bool, work: _Workspace) -> np.ndarray:
     """The text of each float64 of ``values``, as :func:`float_text` writes
-    it, in three uint64 words: a (3, n) array of ``work``, word by word."""
+    it, in three uint64 words: a (3, n) array of ``work``, word by word.
+    Unless all are normal: compress for Schubfach, take the constant words
+    by key, place Schubfach's back where ``normal`` holds."""
     floats = np.ascontiguousarray(values, np.float64).ravel()
     n = floats.size
     bits = floats.view(_U64)
@@ -300,15 +303,12 @@ def _words(values, json: bool, work: _Workspace) -> np.ndarray:
     if not n or magnitude.max() < _NOT_NORMAL:
         _digit_words(bits, words, work, n)
         return words
-    # Schubfach writes the normal floats, packed in order, and rows of
-    # constant words follow them: each float's text is the row ``row`` of
-    # the packed words.
     normal = np.less(magnitude, _NOT_NORMAL, out=work("normal", bool, n))
     m = np.count_nonzero(normal)
-    row = work("row", np.intp, n)
-    np.copyto(row, normal)
-    np.add.accumulate(row, out=row)
-    row -= 1
+    packed = np.compress(normal, bits, out=work("packed", _U64, m, capacity=n))
+    packed_words = work("packed words", _U64, _WORDS, m, capacity=_WORDS * n)
+    _digit_words(packed, packed_words, work, n)
+    # The key of the constant words: sign + 2 (inf or nan) + 2 (nan).
     magnitude += _C_MIN
     key = np.right_shift(bits, _U64(63), out=work("key", _U64, n))  # the sign
     step = work("step", _U64, n)
@@ -317,20 +317,9 @@ def _words(values, json: bool, work: _Workspace) -> np.ndarray:
         np.copyto(step, test(magnitude, _INFINITY, out=flag))
         step <<= _U64(1)
         key += step
-    constant = key.view(np.intp)
-    constant += m
-    constant -= row
-    np.copyto(step, np.logical_not(normal, out=flag))
-    constant *= step.view(np.intp)
-    row += constant
-    packed = work("packed", _U64, m + len(_SPECIALS), capacity=n + len(_SPECIALS))
-    np.put(packed, row, bits, mode="clip")
-    packed_words = work("packed words", _U64, _WORDS, m + len(_SPECIALS),
-                        capacity=_WORDS * (n + len(_SPECIALS)))
-    _digit_words(packed[:m], packed_words[:, :m], work, n)
-    packed_words[:, m:] = _tables().specials[json]
-    for word, source in zip(words, packed_words):
-        np.take(source, row, out=word, mode="clip")
+    for word, special, digits in zip(words, _tables().specials[json], packed_words):
+        np.take(special, key.view(np.intp), out=word, mode="clip")
+        np.place(word, normal, digits)
     # Subnormals: below _C_MIN, less 1 so that zero wraps above it.
     magnitude -= _U64(1)
     for at in np.flatnonzero(np.less(magnitude, _C_MIN - _U64(1), out=flag)).tolist():

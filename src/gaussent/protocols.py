@@ -68,7 +68,7 @@ class ContourGrid:
                 )
             if not axis.size:
                 raise ValueError(f"{name} must not be empty")
-            if not (rises := np.diff(axis) > 0.0).all():
+            if not (rises := axis[1:] > axis[:-1]).all():
                 first, then = axis[np.argmin(rises) :][:2].tolist()  # where it first fails to rise
                 raise ValueError(f"{name} must be strictly increasing, got {first} then {then}")
 

@@ -289,14 +289,19 @@ class CorrelationMatrix4:
 
 def _sixteen(entries) -> tuple[float, ...] | None:
     """The 16 entries, row-major, as Python floats, of 4 lists (or tuples) of
-    4 numbers that ``float`` takes; None for anything else."""
+    4 numbers that ``float`` takes; None for anything else, but ValueError
+    naming the first ``None`` cell of 4 rows of 4, which numpy reads as nan."""
     if type(entries) in (list, tuple) and len(entries) == 4:
         r0, r1, r2, r3 = entries
         if all(type(row) in (list, tuple) and len(row) == 4 for row in entries):
             try:
                 return tuple(map(float, (*r0, *r1, *r2, *r3)))
             except (TypeError, ValueError, OverflowError):
-                pass
+                for i, row in enumerate(entries):
+                    for j, cell in enumerate(row):
+                        if cell is None:
+                            message = f"matrix cell [{i}][{j}] must be a number, got None"
+                            raise ValueError(message) from None
     return None
 
 

@@ -2,7 +2,8 @@
 one-float-at-a-time loop it replaces, which stays here as the reference.
 
 Run as a script it sweeps more seeded floats, at another seed, in both
-spellings, and exits 1 on a mismatch:
+spellings, with as many again in chunks of nan, infinities, zeros and
+subnormals among normal floats, and exits 1 on a mismatch:
 
     PYTHONPATH=src python tests/test_floattext.py
 """
@@ -13,9 +14,11 @@ import struct
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gaussent import _floattext
 from gaussent._floattext import CHUNK, WIDTH, float_text
 
 JSON_SPELLINGS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -80,6 +83,24 @@ def lines(matrix: np.ndarray) -> bytes:
     return text[text != 0].tobytes()
 
 
+def mixed(rng, chunks: int, edges: bool = False) -> np.ndarray:
+    """``chunks`` CHUNKs of seeded floats, about 40% of them nan (of any sign
+    and payload), infinities, zeros or subnormals, the others normal floats
+    of random bits; with ``edges``, the first CHUNK holds no normal float
+    and the second exactly one."""
+    size = chunks * CHUNK
+    not_normal = rng.random(size) < 0.4
+    if edges:
+        not_normal[: 2 * CHUNK] = True
+        not_normal[CHUNK + rng.integers(CHUNK)] = False
+    sign_payload = rng.integers(0, 2**64, size, dtype=np.uint64) & np.uint64(0x800F_FFFF_FFFF_FFFF)
+    exponent = np.where(not_normal, rng.choice(np.array([0, 0x7FF], np.uint64), size),
+                        rng.integers(1, 0x7FF, size, dtype=np.uint64))
+    cleared = not_normal & (rng.random(size) < 0.5)  # zeros and infinities
+    sign_payload[cleared] &= np.uint64(1 << 63)
+    return (sign_payload | exponent << np.uint64(52)).view(np.float64)
+
+
 def test_a_million_seeded_floats_match_repr():
     rng = np.random.default_rng(20261018)
     values = np.concatenate([
@@ -88,13 +109,37 @@ def test_a_million_seeded_floats_match_repr():
         10.0 ** rng.uniform(-6.0, 20.0, 333_333),
     ])
     assert values.size == 10**6
-    for json in (False, True):
-        # A CHUNK at a time, as the writers call it.
-        written = b"".join(
-            lines(float_text(values[start : start + CHUNK], json))
-            for start in range(0, values.size, CHUNK)
-        ).decode()
-        assert written == "".join(text + "\n" for text in reference(values, json))
+    chunks = mixed(rng, 16, edges=True)
+    normal = (np.isfinite(chunks) & (np.abs(chunks) >= sys.float_info.min)).reshape(16, CHUNK)
+    assert normal.sum(axis=1)[:2].tolist() == [0, 1] and 0.35 < 1.0 - normal[2:].mean() < 0.45
+    for stream in (values, chunks):
+        for json in (False, True):
+            # A CHUNK at a time, as the writers call it.
+            written = b"".join(
+                lines(float_text(stream[start : start + CHUNK], json))
+                for start in range(0, stream.size, CHUNK)
+            ).decode()
+            assert written == "".join(text + "\n" for text in reference(stream, json))
+
+
+@pytest.mark.parametrize("k", [0, 1, 6144, CHUNK])
+def test_schubfach_writes_only_the_normal_floats(k, monkeypatch):
+    """One call on a CHUNK with k floats that are not normal hands Schubfach
+    the other CHUNK - k, and writes every text as repr does."""
+    handed = []
+    schubfach = _floattext._schubfach
+
+    def spy(bits, *args):
+        handed.append(bits.size)
+        schubfach(bits, *args)
+
+    monkeypatch.setattr(_floattext, "_schubfach", spy)
+    rng = np.random.default_rng(k)
+    values = 10.0 ** rng.uniform(-6.0, 20.0, CHUNK)
+    at = rng.choice(CHUNK, k, replace=False)
+    values[at] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310], k)
+    assert kernel(values, False) == reference(values, False)  # one _words call
+    assert sum(handed) == CHUNK - k
 
 
 def test_every_power_of_two_matches_repr():
@@ -146,9 +191,11 @@ def test_every_text_shape_matches_repr():
 
 def sweep(seed: int, count: int, piece: int = 1 << 18) -> list[str]:
     """``count`` seeded floats, a third random bit patterns, a third on
-    [0, 4), a third 10^U(-6, 20), written a CHUNK at a time as the writers
-    call it, in both spellings: each float whose text is not its ``repr``."""
-    rng = np.random.default_rng(seed)
+    [0, 4), a third 10^U(-6, 20), and as many again, rounded up to whole
+    CHUNKs, of :func:`mixed` (from a generator of its own), written a CHUNK
+    at a time as the writers call it, in both spellings: each float whose
+    text is not its ``repr``."""
+    rng, mixed_rng = np.random.default_rng(seed), np.random.default_rng([seed, 1])
     found = []
     for start in range(0, count, piece):
         size = min(piece, count - start)
@@ -157,18 +204,21 @@ def sweep(seed: int, count: int, piece: int = 1 << 18) -> list[str]:
             rng.uniform(0.0, 4.0, size // 3),
             10.0 ** rng.uniform(-6.0, 20.0, size // 3),
         ])
-        for json in (False, True):
-            texts = reference(values, json)
-            for at in range(0, size, CHUNK):
-                part = values[at : at + CHUNK]
-                written = kernel(part, json)
-                if written != texts[at : at + CHUNK]:
-                    found += [f"{value!r}: {text!r}" for value, text, want
-                              in zip(part.tolist(), written, texts[at : at + CHUNK]) if text != want]
+        for stream in (values, mixed(mixed_rng, -(-size // CHUNK), edges=not start)):
+            for json in (False, True):
+                texts = reference(stream, json)
+                for at in range(0, stream.size, CHUNK):
+                    part = stream[at : at + CHUNK]
+                    written = kernel(part, json)
+                    if written != texts[at : at + CHUNK]:
+                        found += [f"{value!r}: {text!r}" for value, text, want
+                                  in zip(part.tolist(), written, texts[at : at + CHUNK])
+                                  if text != want]
     return found
 
 
 if __name__ == "__main__":
     found = sweep(seed=1, count=10**7)
-    print(f"{len(found)} mismatches in 10000000 floats at seed 1", *found[:20], sep="\n")
+    print(f"{len(found)} mismatches in 10000000 floats and as many mixed at seed 1",
+          *found[:20], sep="\n")
     sys.exit(1 if found else 0)

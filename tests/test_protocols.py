@@ -437,6 +437,21 @@ class TestContourGrid:
                                              r"2-D float64 array$"):
             ContourGrid("epr", np.arange(2.0), np.zeros((2, 2)), {}, kernel)
 
+    def test_axes_wider_than_the_float_range_are_checked_without_overflow(self):
+        """Steps whose difference overflows are compared, not subtracted: no
+        RuntimeWarning, and the same verdict on the zeros, nan and infinities."""
+        def kernel(rows, out):
+            out[...] = 0.0
+
+        wide = np.array([-1e308, 1e308])
+        assert ContourGrid("epr", wide, wide, {}, kernel).nmin_axis is wide
+        ContourGrid("epr", np.array([-np.inf, -1e308, 1e308, np.inf]), np.array([0.0]), {}, kernel)
+        for bad, first, then in (([1e308, -1e308], "1e+308", "-1e+308"), ([-0.0, 0.0], "-0.0", "0.0"),
+                                 ([0.0, np.nan], "0.0", "nan"), ([np.inf, np.inf], "inf", "inf")):
+            message = f"nexcess_axis must be strictly increasing, got {first} then {then}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ContourGrid("epr", wide, np.array([-1e308, *bad]), {}, kernel)
+
     def test_csv_round_trip(self):
         grid = contour_grid("epr", (0.0, 1.0), (0.0, 1.0), resolution=3)
         lines = grid.to_csv_text().strip().split("\n")

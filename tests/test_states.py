@@ -140,6 +140,19 @@ class TestCorrelationMatrix4:
         with pytest.raises(ValueError, match=r"matrix cell \[1\]\[3\] must be a number"):
             CorrelationMatrix4.from_json_dict(data)
 
+    def test_nested_rows_name_a_none_cell(self, cm_65mhz):
+        """numpy would read None as nan; the cell is named as from_json_dict names it."""
+        for i, j in ((0, 0), (1, 3), (3, 2)):
+            rows = cm_65mhz.to_json_dict()["matrix"]
+            rows[i][j] = None
+            rows[3][3] = None  # a later None is not the one named
+            for entries in (rows, tuple(map(tuple, rows))):
+                message = f"matrix cell [{i}][{j}] must be a number, got None"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    CorrelationMatrix4(entries)
+        with pytest.raises(ValueError, match=r"^expected a 4x4 matrix, got shape \(1, 3\)$"):
+            CorrelationMatrix4([[None, 1.0, 2.0]])  # not 4 rows of 4: named by its shape
+
 
 class TestBeamsplitter:
     def test_matches_moment_propagation_oracle(self, rng):
@@ -734,7 +747,7 @@ class TestBuildersHandOverTheirFloats:
             (lambda: CorrelationMatrix4.symmetric_form("x", 1.0, 0.0, 0.0),
              ValueError, "could not convert string to float: 'x'"),
             (lambda: CorrelationMatrix4.symmetric_form(1.0, None, 0.0, 0.0),
-             ValueError, "correlation matrix entries must be finite"),
+             ValueError, "matrix cell [1][1] must be a number, got None"),
             (lambda: CorrelationMatrix4.symmetric_form(1.0, 1.0, 10**400, 0.0),
              OverflowError, "int too large to convert to float"),
             (lambda: CorrelationMatrix4.symmetric_form(1.0, 1.0, 0.0, "inf"),
