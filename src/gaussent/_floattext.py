@@ -1,18 +1,19 @@
 """Shortest round-trip text of float64 arrays, many floats per numpy call.
 
-:func:`float_text` writes each float of an array as ``float.__repr__``
-does (``nan``/``inf``, or json's ``NaN``/``Infinity``), as the rows of a
-NUL-padded uint8 matrix as wide as the longest text, at most
-:data:`WIDTH` bytes.  Every array writer, the contour grids' and the
-derived spectra's, CSV and JSON, lays out its text, one line per table
-row (a head, then a key and a value per cell), in the one block loop of
-:meth:`_RowBlocks.chunks`.  Its blocks, those of :func:`row_blocks`, are
-whole rows of about :data:`CHUNK` cells, about 1 MB of text, or one longer
-row: the writer's fill writes a block's values, and one :func:`_words`
-call formats them into the words that three uint64 stores write into one
-buffer whose head and keys are written once.  Every array a block needs
-lives in the writer's :class:`_Workspace`, allocated on its first block:
-from then on a block allocates only its text.
+:func:`_words` writes each float of a block as ``float.__repr__`` does
+(``nan``/``inf``, or json's ``NaN``/``Infinity``), as three uint64 words
+of at most :data:`WIDTH` bytes.  Every array writer, the contour grids'
+and the derived spectra's, CSV and JSON, lays out its text, one line per
+table row (a head, then a key and a value per cell), in the one block
+loop of :meth:`_RowBlocks.chunks`.  Its blocks, those of
+:func:`row_blocks`, are whole rows of about :data:`CHUNK` cells, about
+1 MB of text, or one longer row: the writer's fill writes a block's
+values, and one :func:`_words` call formats them into the words that
+three uint64 stores write into one buffer whose head and keys are
+written once.  Every array a block needs lives in the writer's
+:class:`_Workspace`, allocated on its first block: from then on a block
+allocates only its text, and a block with floats that are not normal
+also the index of its normal ones.
 
 The digits are Schubfach's (R. Giulietti, "The Schubfach way to render
 doubles", 2020, as in the JDK's ``DoubleToDecimal``): the shortest
@@ -35,7 +36,7 @@ sign, the ``0.`` and zeros before a leading point, and the point.  The
 masks end with the text, so its length cuts it.  Exponent forms then OR
 their suffix in after the digits, in blocks that hold one.  In a block
 with zeros, nan, infinities or subnormals, every float takes the constant
-words of its key, and Schubfach's words of the normal floats, compressed
+words of its key, and Schubfach's words of the normal floats, taken
 out, are placed back; a subnormal's words are then its ``float.__repr__``:
 there Schubfach, as Java, keeps two digits where Python keeps one
 (``4.9E-324`` against ``5e-324``).  Every shift count lies in 0..63.
@@ -54,9 +55,9 @@ import numpy as np
 
 #: Bytes per formatted float: "-1.2345678901234567e-308" is the longest.
 WIDTH = 24
-#: Floats per kernel call: the writers format their cells in chunks of this
-#: many, and a larger call is worked through in passes of this many, which
-#: bounds the kernel's working set to a few MB.
+#: Floats per kernel call: the writers format their cells in blocks of whole
+#: rows of at most this many, or of one longer row, which bounds the
+#: kernel's working set to a few MB for rows no longer than this.
 CHUNK = 1 << 14
 
 _U64 = np.uint64
@@ -273,41 +274,29 @@ def _json_rows(chunks: Iterator, close: bytes) -> Iterator:
         yield from chunks
 
 
-def float_text(values, json: bool = False) -> np.ndarray:
-    """``float.__repr__`` of each float64 of ``values``, as the rows of a
-    NUL-padded uint8 matrix as wide as the longest text (at most WIDTH);
-    ``json`` spells nan and the infinities ``NaN``, ``Infinity`` and
-    ``-Infinity``, as ``json`` does: the words of :func:`_words`, float by
-    float.  Callers pass about one :data:`CHUNK` of floats: a larger array
-    gets the same text, with a working set that grows with it.
-    """
-    words = _words(values, json, _Workspace())
-    # The text runs from byte 0: the highest byte set in any float's word
-    # ends the longest.
-    ors = np.bitwise_or.reduce(words, axis=1).tolist()
-    width = max((8 * w + (o.bit_length() + 7) // 8 for w, o in enumerate(ors) if o), default=0)
-    return np.ascontiguousarray(words.T).view(np.uint8)[:, :width]
-
-
 def _words(values, json: bool, work: _Workspace) -> np.ndarray:
-    """The text of each float64 of ``values``, as :func:`float_text` writes
-    it, in three uint64 words: a (3, n) array of ``work``, word by word.
-    Unless all are normal: compress for Schubfach, take the constant words
-    by key, place Schubfach's back where ``normal`` holds."""
+    """``float.__repr__`` of each float64 of ``values`` (``json`` spells nan and
+    inf as json does) in three uint64 words: a (3, n) array of ``work``, word
+    by word.  Unless all are normal: take the normal floats out for Schubfach,
+    take the constant words by key, place Schubfach's back where ``normal`` holds."""
     floats = np.ascontiguousarray(values, np.float64).ravel()
     n = floats.size
     bits = floats.view(_U64)
     words = work("words", _U64, _WORDS, n)
     magnitude = np.bitwise_and(bits, _M63, out=work("magnitude", _U64, n))
     magnitude -= _C_MIN
-    if not n or magnitude.max() < _NOT_NORMAL:
-        _digit_words(bits, words, work, n)
+    if n and magnitude.max() < _NOT_NORMAL:
+        _schubfach(bits, words, work, n)
         return words
     normal = np.less(magnitude, _NOT_NORMAL, out=work("normal", bool, n))
-    m = np.count_nonzero(normal)
-    packed = np.compress(normal, bits, out=work("packed", _U64, m, capacity=n))
+    # The index is the one array this path allocates: mode="clip" keeps
+    # np.take from copying its out.
+    index = np.flatnonzero(normal)
+    m = index.size
+    packed = np.take(bits, index, out=work("packed", _U64, m, capacity=n), mode="clip")
     packed_words = work("packed words", _U64, _WORDS, m, capacity=_WORDS * n)
-    _digit_words(packed, packed_words, work, n)
+    if m:
+        _schubfach(packed, packed_words, work, n)
     # The key of the constant words: sign + 2 (inf or nan) + 2 (nan).
     magnitude += _C_MIN
     key = np.right_shift(bits, _U64(63), out=work("key", _U64, n))  # the sign
@@ -326,15 +315,6 @@ def _words(values, json: bool, work: _Workspace) -> np.ndarray:
         text = repr(floats[at].item()).encode().ljust(WIDTH, b"\0")
         words[:, at] = np.frombuffer(text, "<u8")
     return words
-
-
-def _digit_words(bits, words, work, size: int) -> None:
-    """Schubfach's words of each normal float of ``bits``, into ``words``, in
-    passes of :data:`CHUNK` floats, with arrays for a call of ``size`` floats."""
-    n = bits.size
-    for start in range(0, n, CHUNK):
-        part = slice(start, min(start + CHUNK, n))
-        _schubfach(bits[part], words[:, part], work, min(size, CHUNK))
 
 
 def _schubfach(bits, words, work, size: int) -> None:
@@ -437,7 +417,10 @@ def _schubfach(bits, words, work, size: int) -> None:
     np.take(tables.last_digit[0], groups[0], out=nd, mode="clip")
     for table, group in zip(tables.last_digit[1:], groups[1:]):
         np.maximum(nd, np.take(table, group, out=group_nd, mode="clip"), out=nd)
-    shape += nd
+    # np.copyto widens nd without the 64 KiB buffer a ufunc casts through.
+    wide = c.view(np.intp)  # middle is spent
+    np.copyto(wide, nd)
+    shape += wide
     digits = (d, long, last)  # d and the flag are spent
     for word, first, second in zip(digits, groups[::2], groups[1::2]):
         np.take(tables.quads[0], first, out=word, mode="clip")

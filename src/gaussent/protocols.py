@@ -88,19 +88,18 @@ class ContourGrid:
     def csv_chunks(self) -> Iterator[bytes | memoryview]:
         """The CSV text: the header, then one chunk per block of rows.
 
-        The axes are formatted once.  Each cell's key, written once, opens
-        its line with the newline that ends the one before: n_min's slot
-        and the n_excess text follow it.  Each block writes its n_min text
-        and its values' text, formatted in one :func:`float_text` call.
+        The axes are ``repr`` of each float, written once.  Each cell's
+        key, written once, opens its line with the newline that ends the
+        one before: n_min's slot and the n_excess text follow it.  Each
+        block writes its n_min text, and ``_floattext._words`` writes its
+        values, through ``_RowBlocks.chunks``.
         """
-        from ._floattext import _RowBlocks, float_text
+        from ._floattext import _RowBlocks, text_rows
 
         yield b"n_min,n_excess,value"
-        nmin, nexcess = float_text(self.nmin_axis), float_text(self.nexcess_axis)
+        nmin = text_rows(map(repr, self.nmin_axis.tolist()))
         a = nmin.shape[1]
-        keys = np.zeros((len(nexcess), a + nexcess.shape[1] + 3), np.uint8)
-        keys[:, [0, a + 1, -1]] = np.frombuffer(b"\n,,", np.uint8)
-        keys[:, a + 2 : -1] = nexcess
+        keys = text_rows("\n" + "\0" * a + "," + repr(x) + "," for x in self.nexcess_axis.tolist())
         buffer = _RowBlocks(len(nmin), b"", keys)
 
         def fill(rows: slice, out: np.ndarray) -> None:
@@ -115,9 +114,9 @@ class ContourGrid:
         the axes, then one chunk per block of rows.
 
         ``json.dumps`` writes the head and the axes, up to a ``null`` that
-        holds the values' place; :func:`float_text` writes the values with
-        json's NaN/Infinity spellings.  Each row's line opens by closing
-        the row before it, bar the first's.
+        holds the values' place; ``_floattext._words`` writes the values,
+        through ``_RowBlocks.chunks``, with json's NaN/Infinity spellings.
+        Each row's line opens by closing the row before it, bar the first's.
         """
         from ._floattext import _json_rows, _RowBlocks, text_rows
 
@@ -169,15 +168,16 @@ def optimal_squeezed_capacity(n_encoding: float) -> float:
 
     The optimum sits at v = 1/(2 n + 1) and equals log2(1 + 2 n).
     """
-    if not n_encoding >= 0.0:
-        raise ValueError(f"photon budget must be non-negative, got {n_encoding}")
-    _require_finite_budget(n_encoding)
+    _require_budget(n_encoding)
     two_n = 2.0 * n_encoding  # inf above about 9e307, where log2(1 + 2n) = 1 + log2(n)
     return math.log2(1.0 + two_n) if two_n < math.inf else 1.0 + math.log2(n_encoding)
 
 
-def _require_finite_budget(n_encoding: float) -> None:
-    """ValueError for an infinite photon budget, which no capacity is defined for."""
+def _require_budget(n_encoding: float) -> None:
+    """ValueError for a photon budget that is negative, nan or infinite,
+    at which no capacity is defined."""
+    if not n_encoding >= 0.0:
+        raise ValueError(f"photon budget must be non-negative, got {n_encoding}")
     if not n_encoding < math.inf:
         raise ValueError(f"photon budget must be finite, got {n_encoding}")
 
@@ -207,16 +207,17 @@ def dense_coding_capacity(n_encoding: float, n_min: float, n_excess: float) -> f
 
     Raises:
         ValueError: if a photon number is negative or not finite, or if the
-            budget is not finite or does not cover the entangled state.
+            budget is negative, nan or infinite or does not cover the
+            entangled state.
     """
     _require_photon_numbers(n_min, n_excess)
+    _require_budget(n_encoding)
     capacity = float(_dense_capacity(n_encoding, n_min, n_excess))
     if math.isnan(capacity):
         raise ValueError(
             f"photon budget {n_encoding} is below the {_mean(n_min, n_excess):.6g} needed "
             "for the entangled state"
         )
-    _require_finite_budget(n_encoding)
     return capacity
 
 

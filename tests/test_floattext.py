@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussent import _floattext
-from gaussent._floattext import CHUNK, WIDTH, float_text
+from gaussent._floattext import CHUNK, WIDTH, _words, _Workspace
 
 JSON_SPELLINGS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -30,11 +30,22 @@ def reference(values, json: bool) -> list[str]:
     return [JSON_SPELLINGS.get(text, text) if json else text for text in texts]
 
 
-def kernel(values, json: bool) -> list[str]:
-    """Each float's text as :func:`float_text` writes it, padding dropped."""
-    matrix = float_text(values, json)
-    assert matrix.dtype == np.uint8 and matrix.ndim == 2 and matrix.shape[1] <= WIDTH
-    return [bytes(row).rstrip(b"\0").decode("ascii") for row in matrix]
+# One workspace for every call, as a writer keeps one for all its blocks:
+# each call must write all of its words over what the calls before it left.
+WORK = _Workspace()
+
+
+def text_matrix(values, json: bool, work: _Workspace = WORK) -> np.ndarray:
+    """Each float's text as :func:`_words` writes it, as the rows of a
+    NUL-padded (n, WIDTH) uint8 matrix."""
+    words = _words(values, json, work)
+    assert words.dtype == np.uint64 and words.shape == (WIDTH // 8, np.size(values))
+    return np.ascontiguousarray(words.T).view(np.uint8)
+
+
+def kernel(values, json: bool, work: _Workspace = WORK) -> list[str]:
+    """Each float's text as :func:`_words` writes it, padding dropped."""
+    return [bytes(row).rstrip(b"\0").decode("ascii") for row in text_matrix(values, json, work)]
 
 
 def bits_of(value: float) -> int:
@@ -116,7 +127,7 @@ def test_a_million_seeded_floats_match_repr():
         for json in (False, True):
             # A CHUNK at a time, as the writers call it.
             written = b"".join(
-                lines(float_text(stream[start : start + CHUNK], json))
+                lines(text_matrix(stream[start : start + CHUNK], json))
                 for start in range(0, stream.size, CHUNK)
             ).decode()
             assert written == "".join(text + "\n" for text in reference(stream, json))
@@ -148,16 +159,22 @@ def test_every_power_of_two_matches_repr():
     assert kernel(values, False) == reference(values, False)
 
 
-def test_width_is_the_longest_text():
-    assert float_text([0.5, 0.25]).shape == (2, 4)
-    assert float_text([-2.2250738585072014e-308]).shape == (1, WIDTH)
-    assert float_text(np.array([])).shape == (0, 0)
-    # Chunks of nan, the infinities, zeros and subnormals, alone or mixed.
-    assert float_text([np.nan] * 3, json=True).shape == (3, 3)
-    assert float_text([-np.inf], json=True).shape == (1, 9)
-    assert float_text([-0.0]).shape == (1, 4)
-    assert float_text([np.nan, 5e-324]).shape == (2, 6)
-
+def test_one_workspace_serves_blocks_of_every_size_and_kind():
+    """Blocks of different sizes and kinds through one workspace, each
+    written over the text the one before it left."""
+    rng = np.random.default_rng(38)
+    work = _Workspace()
+    blocks = [
+        10.0 ** rng.uniform(-6.0, 20.0, CHUNK),  # all normal
+        np.array([1.5, np.nan, -0.0, 5e-324, -np.inf, 1e300, 0.1]),
+        np.full(CHUNK, np.nan),
+        mixed(rng, 1),  # about 40% not normal
+        np.array([-2.2250738585072014e-308]),
+    ]
+    for values in blocks:
+        for json in (False, True):
+            assert kernel(values, json, work) == reference(values, json)
+    assert work["words"].size == 3 * CHUNK  # allocated once, by the first block
 
 
 def shape_of(value: float) -> tuple[int, int]:

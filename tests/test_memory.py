@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import gaussent
-from gaussent._floattext import CHUNK, float_text
+from gaussent._floattext import CHUNK, _tables, _words, _Workspace
 from gaussent.protocols import contour_grid
 from gaussent.spectra import DERIVED_COLUMNS, _csv_chunks, _json_chunks
 
@@ -64,8 +64,26 @@ def test_writing_a_grid_holds_no_table(metric, writer):
         for chunk in getattr(grid, writer)():
             del chunk
 
-    float_text([1.0])  # the float-to-text tables, built once per process
+    _tables()  # the float-to-text tables, built once per process
     assert traced_peak(write)[1] < TABLE
+
+
+# Python objects beside the index: the views and slices of the workspace's
+# arrays that the kernel holds at once, about 7 KiB.  A copy of a block's
+# array would take 128 KiB.
+INDEX_ALLOWANCE = 16 * 1024
+
+
+def test_a_warm_mixed_block_allocates_only_the_index_of_its_normal_floats():
+    """A block with nan among its floats, once the workspace is warm,
+    allocates the intp index of its normal floats and nothing else."""
+    rng = np.random.default_rng(37)
+    values = 10.0 ** rng.uniform(-6.0, 20.0, CHUNK)
+    values[rng.random(CHUNK) < 0.4] = np.nan
+    normal = np.count_nonzero(~np.isnan(values))
+    work = _Workspace()
+    _words(values, False, work)
+    assert traced_peak(_words, values, False, work)[1] <= 8 * normal + INDEX_ALLOWANCE
 
 
 def spectrum_columns(rows: int) -> tuple:

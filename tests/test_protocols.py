@@ -701,6 +701,11 @@ def test_closed_forms_reject_nan(function, args):
         (epr_from_photons, (np.array([0.5, math.inf]), np.array([0.1, math.nan])),
          "photon numbers must be non-negative"),
         (optimal_squeezed_capacity, (-1.0,), "photon budget must be non-negative, got -1.0"),
+        (optimal_squeezed_capacity, (math.nan,), "photon budget must be non-negative, got nan"),
+        (dense_coding_capacity, (-1.0, 0.0, 0.0), "photon budget must be non-negative, got -1.0"),
+        (dense_coding_capacity, (math.nan, 0.0, 0.0),
+         "photon budget must be non-negative, got nan"),
+        (capacity_ratio, (math.nan, 0.0, 0.0), "photon budget must be non-negative, got nan"),
         (capacity_ratio, (0.0, 0.0, 0.0), "capacity ratio undefined at zero photon budget"),
         (capacity_ratio, (1e-300, 0.0, 0.0), "capacity ratio undefined at photon budget 1e-300: "
          "log2(1 + 2n) rounds to 0 for budgets up to 2^-54"),
