@@ -1,4 +1,5 @@
-"""Shortest round-trip text of float64 arrays, many floats per numpy call.
+"""float64 arrays to their shortest round-trip text and back from decimal
+text, many floats per numpy call.
 
 :func:`_words` writes each float of a block as ``float.__repr__`` does
 (``nan``/``inf``, or json's ``NaN``/``Infinity``), as three uint64 words
@@ -41,7 +42,17 @@ out, are placed back; a subnormal's words are then its ``float.__repr__``:
 there Schubfach, as Java, keeps two digits where Python keeps one
 (``4.9E-324`` against ``5e-324``).  Every shift count lies in 0..63.
 
-The tables are built on the first call, not at import.
+The reader, :func:`read_cells`, goes the other way: the comma-separated
+cells of a text's lines into a float64 table, each with ``float()``'s
+bits, a block of :func:`row_blocks` lines at a time.  It reads a plain
+decimal's digits 8 to a uint64 word, from a word view at every byte
+offset, as the writers store theirs, and takes its bits from one exact
+division or from Eisel–Lemire's 64-bit product; every other cell, and
+the rare one the product leaves undecided, it reads by ``float()``.
+
+The tables are built on the first call, not at import: the writers'
+by :func:`_tables`, the reader's by :func:`_powers`, so a writer never
+builds the reader's, nor the reader the writers'.
 """
 
 from __future__ import annotations
@@ -496,3 +507,209 @@ def _rop(g, cp, out, reg):
     z += _M63
     z >>= _U64(63)
     return np.bitwise_or(y1, z, out=out)
+
+
+class _Powers(NamedTuple):
+    # By the count f of digits after the point, 0.._DIGITS:
+    tens: np.ndarray  # 10^f as uint64
+    divisors: np.ndarray  # 10^f as float64, exact
+    five: np.ndarray  # 32-bit limbs (low, high) of the high word of fast_float's 5^-f
+    exponent: np.ndarray  # fast_float's power(-f) + 1023 - 1
+    keep: np.ndarray  # the mask of the last f bytes of 24, as three uint64 words
+
+
+#: The most digits of a decimal the reader reads by word: w < 10^19 < 2^64.
+_DIGITS = 19
+
+
+@functools.cache
+def _powers() -> _Powers:
+    """The reader's tables, built on its first call.  fast_float's 128-bit 5^q
+    for q = -f < 0 is floor(2^(z+127) / 5^f) + 1, with 2^(z-1) < 5^f <= 2^z."""
+    f = range(_DIGITS + 1)
+    tens = np.array([10**e for e in f], _U64)
+    five = [((1 << (5**e - 1).bit_length() + 127) // 5**e + 1) >> 64 for e in f]
+    keep = [((1 << 8 * e) - 1) << 8 * (24 - e) for e in f]
+    return _Powers(
+        tens, tens.astype(np.float64),
+        np.array([[p & 0xFFFFFFFF for p in five], [p >> 32 for p in five]], _U64),
+        np.array([(-217_706 * e >> 16) + 63 + 1023 - 1 for e in f], _U64),
+        np.array([[k >> 64 * w & (1 << 64) - 1 for w in range(3)] for k in keep], _U64),
+    )
+
+
+def read_cells(text: str, start: int, ncols: int, limit: int) -> np.ndarray | None:
+    """The lines of ``text`` from ``start`` on, ``ncols`` comma-separated cells
+    each, as an (nrows, ncols) float64 table of each cell's ``float()``, bit
+    for bit; a newline at the end of ``text`` ends its last line.  None if
+    ``text`` is not ASCII, a line is not ``ncols`` cells, a cell is longer
+    than ``limit`` or ``float()`` refuses one, or if ``start`` is below 24:
+    the reader reads the 24 bytes that end each cell.
+
+    The lines are read in blocks of :func:`row_blocks`, each into its rows
+    of the table.  A cell ``[-]D+.D+`` of at most 8 digits before the point
+    and :data:`_DIGITS` in all, w 10^-f, is read by words of 8 digits at
+    every byte offset.  If w < 2^53, its value is float(w) / 10^f, one
+    exact division (Clinger's fast path).  Else f >= 8, and the first
+    64-bit product of Eisel–Lemire (D. Lemire, "Number parsing at a
+    gigabyte per second", 2021; N. Mushtak and D. Lemire, "Fast number
+    parsing without fallback", 2023) decides, unless the 9 bits below its
+    mantissa and rounding bit are all ones.  No halfway case arises: it
+    needs f <= 4.  Every other cell is read by ``float()``.
+    """
+    if start < 24 or not text.isascii():
+        return None
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    # ends[r + 1] is where line r ends: its newline, or the text's end.
+    # The newlines are found a window at a time, not by a mask of the text.
+    window = CHUNK * WIDTH
+    ends = [np.array([start - 1], np.intp)]
+    ends += (np.flatnonzero(data[at : at + window] == ord("\n")) + at
+             for at in range(start, len(text), window))
+    if len(text) > start and text[-1] != "\n":
+        ends.append(np.array([len(text)], np.intp))
+    ends = np.concatenate(ends)
+    nrows = ends.size - 1
+    table = np.empty((nrows, ncols))
+    # Words and 24-byte runs at every byte offset.
+    words = np.ndarray((data.size - 7,), "<u8", data, 0, (1,))
+    tails = np.ndarray((data.size - 23,), "V24", data, 0, (1,))
+    for rows in row_blocks(nrows, ncols):
+        block = ends[rows.start : rows.stop + 1]
+        if not _read_block(text, data, words, tails, block, table[rows], limit):
+            return None
+    return table
+
+
+def _read_block(text, data, words, tails, ends, out, limit) -> bool:
+    """Read the lines that end at ``ends[1:]`` into ``out``: False if
+    :func:`read_cells` refuses them."""
+    nrows, ncols = out.shape
+    n = out.size
+    lo, hi = ends[0] + 1, ends[-1]
+    commas = np.flatnonzero(data[lo:hi] == ord(","))
+    if commas.size != nrows * (ncols - 1):
+        return False
+    commas += lo
+    bounds = np.empty((nrows, ncols + 1), np.intp)
+    bounds[:, 0], bounds[:, 1:-1], bounds[:, -1] = ends[:-1], commas.reshape(nrows, -1), ends[1:]
+    # Each line's share of the commas lies inside it: so each holds ncols - 1.
+    if not ((bounds[:, 1] > bounds[:, 0]).all() and (bounds[:, -2] < bounds[:, -1]).all()):
+        return False
+    first = (bounds[:, :-1] + 1).ravel()
+    end = bounds[:, 1:].ravel()
+    if (end - first).max() > limit:
+        return False
+    dots = np.flatnonzero(data[lo:hi] == ord("."))
+    dots += lo
+    one = True
+    if dots.size != n or not ((dots >= first).all() and (dots < end).all()):
+        cell = np.searchsorted(end, dots)
+        one = np.bincount(cell, minlength=n) == 1
+        at = np.zeros(n, np.intp)
+        at[cell] = dots
+        dots = at
+    negative = np.take(data, first, mode="clip") == ord("-")
+    before = dots - first
+    before -= negative
+    after = end - dots
+    after -= 1
+    fast = (before >= 1) & (before <= 8) & (after >= 1) & (before + after <= _DIGITS) & one
+    powers = _powers()
+    w = _significands(words, tails, dots, end, before, after, fast, powers)
+    cells = out.reshape(-1).view(_U64)
+    _binary(w, after, fast, cells, powers)
+    cells |= negative.astype(_U64) << _U64(63)
+    values = out.reshape(-1)
+    for at in np.flatnonzero(~fast).tolist():
+        try:
+            values[at] = float(text[first[at] : end[at]])
+        except ValueError:
+            return False
+    return True
+
+
+def _significands(words, tails, dots, end, before, after, fast, powers):
+    """Each cell's digits as one uint64 w; ``fast`` is cleared where one of
+    them is not a digit.  ``dots`` is spent."""
+    n = end.size
+    # Indexed, not np.take, which would copy the whole view to contiguous words.
+    dots -= 8
+    lead = words[np.maximum(dots, 0, out=dots)]  # ends with the digits before the point
+    flags = _digits(lead, np.take(powers.keep[:9, 2], before, mode="clip"))
+    lead *= np.take(powers.tens, after, mode="clip")
+    tail = tails[end - 24].view(_U64).reshape(n, 3)  # the cell's last 24 bytes
+    keep = powers.keep.view("V24").ravel()[np.minimum(after, _DIGITS)]
+    tail_flags = _digits(tail, keep.view(_U64).reshape(n, 3))
+    for column in tail_flags.T:
+        flags |= column
+    flags &= _U64(0x8080808080808080)
+    fast &= flags == _U64(0)
+    w = lead  # lead 10^f + (tail_0 10^8 + tail_1) 10^8 + tail_2
+    w += tail[:, 2]
+    tail[:, 0] *= powers.tens[8]
+    tail[:, 0] += tail[:, 1]
+    tail[:, 0] *= powers.tens[8]
+    w += tail[:, 0]
+    return w
+
+
+def _binary(w, after, fast, cells, powers) -> None:
+    """The bits of each w 10^-f into ``cells``: Clinger's division where w < 2^53,
+    else Eisel–Lemire's first product, and ``fast`` cleared where the 9 bits
+    below its mantissa and rounding bit are all ones.  ``w`` is spent."""
+    small = w < _U64(1 << 53)
+    # w shifted to fill 64 bits: (w >> 11) is exact as a float.
+    shift = (53 - np.frexp((w >> _U64(11)).astype(np.float64))[1]).astype(_U64)
+    value = w.astype(np.float64)
+    value /= np.take(powers.divisors, after, mode="clip")
+    w <<= shift
+    high = _high_product(w, np.take(powers.five, after, axis=1, mode="clip"))
+    fast &= small | (high & _U64(0x1FF) != _U64(0x1FF))
+    top = high >> _U64(63)
+    np.add(np.take(powers.exponent, after, mode="clip"), top, out=cells)
+    cells -= shift
+    cells <<= _U64(52)
+    high >>= top + _U64(9)  # the mantissa and its rounding bit
+    high += high & _U64(1)
+    high >>= _U64(1)
+    cells += high  # its bit 52 adds the exponent's one back, and a carry past it one more
+    np.copyto(cells, value.view(_U64), where=small)
+
+
+def _digits(words, keep):
+    """Each uint64 of ``words`` in place as the value of its digits that ``keep``
+    masks, its last bytes; the flags, nonzero in the top bit of a byte where
+    one of them is not a digit."""
+    words ^= _U64(0x3030303030303030)  # a digit's byte becomes its value, any other more than 9
+    words &= keep
+    flags = words + _U64(0x7676767676767676)
+    words *= _U64(10 * 256 + 1)
+    words >>= _U64(8)
+    words &= _U64(0x00FF00FF00FF00FF)
+    words *= _U64(100 * 65536 + 1)
+    words >>= _U64(16)
+    words &= _U64(0x0000FFFF0000FFFF)
+    words *= _U64(10000 * (1 << 32) + 1)
+    words >>= _U64(32)
+    return flags
+
+
+def _high_product(a, b):
+    """The high 64 bits of a b, for uint64 ``a``, spent, and ``b`` given as its
+    32-bit limbs (low, high)."""
+    b0, b1 = b
+    a0 = a & _M32
+    a >>= _U64(32)
+    middle = a0 * b0
+    middle >>= _U64(32)
+    a0 *= b1  # the cross products
+    b0 = a * b0
+    a *= b1
+    for cross in (a0, b0):
+        middle += cross & _M32
+        cross >>= _U64(32)
+        a += cross
+    middle >>= _U64(32)
+    a += middle
+    return a

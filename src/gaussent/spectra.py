@@ -4,9 +4,10 @@ A spectrum is a table of per-sideband-frequency variance measurements
 (mode variances of both beams plus the minimum sum/difference variances).
 Each row reconstructs a correlation matrix, from which the entanglement
 measures and the photon-number budget follow.  ``gaussent ingest`` keeps
-a spectrum in one float64 table from the CSV to the output: numpy's C
-reader reads the CSV, the value gate runs column-wise, one kernel derives
-every row without building a matrix, and the writers stream the rows in
+a spectrum in one float64 table from the CSV to the output: a vectorized
+decimal reader (:func:`gaussent._floattext.read_cells`) reads the CSV,
+the value gate runs column-wise, one kernel derives every row without
+building a matrix, and the writers stream the rows in
 blocks laid out in the row buffer the contour grids' writers use too,
 each block's floats written by one vectorized ``float.__repr__`` call
 (:mod:`gaussent._floattext`).  The fast path decides, the one-row
@@ -17,9 +18,10 @@ is not.  :class:`SpectrumRow` and :func:`derive_row` are the one-row case
 of the gate and the kernel.  The kernel's elementwise formulas are the
 scalar measures' own; :func:`derive_row` runs them on Python floats, which
 overflow to inf as numpy's do, so it gives the kernel's bits without
-numpy's per-call cost.  The dB conversion is one ``np.float_power`` pass,
-which calls the C library's ``pow`` as ``10.0 ** (x / 10.0)`` does and so
-gives its bits; ``np.power`` differs from it in the last bit on some inputs.
+numpy's per-call cost.  The dB conversion is one ``np.divide`` and one
+``np.float_power`` pass, in place; float_power calls the C library's
+``pow`` as ``10.0 ** (x / 10.0)`` does and so gives its bits; ``np.power``
+differs from it in the last bit on some inputs.
 
 :func:`analyze_cm` builds the record ``gaussent analyze`` writes.  The CLI's
 files are read here, by :func:`load_matrix` (a matrix, state or anchor
@@ -40,7 +42,6 @@ import json
 import logging
 import math
 import os
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -137,24 +138,22 @@ def _read_table(text: str, units: str) -> np.ndarray:
     """:func:`parse_spectra`'s rows as one float64 table, sorted by frequency.
 
     The fast path decides, the one-row path explains.  The csv reader reads
-    the header; numpy's C reader reads the lines after it, and the table is
-    kept if it passes the value gate and repeats no frequency.  Otherwise
-    (or where the C reader refuses a line, such as one of blank or empty
-    cells, which the csv reader skips) the csv reader goes on from the
-    header, gating each row's values as it is read, and
-    only it reports errors: so each message, and which error comes first in
-    the file, is the csv reader's.  The C reader accepts no file that the
-    csv reader refuses, and gives the same table bit for bit.
+    the header; :func:`~gaussent._floattext.read_cells` reads the lines after
+    it, and the table is kept if it passes the value gate and repeats no
+    frequency.  Otherwise (or where the text holds a quote, a carriage
+    return or a NUL, which only the csv reader reads, or where ``read_cells``
+    refuses a line, such as a blank one, which the csv reader skips) the
+    csv reader goes on from the header, gating each row's values as it is
+    read, and only it reports errors: so each message, and which error
+    comes first in the file, is the csv reader's.  ``read_cells`` converts
+    each cell, the text between two commas, by ``float()`` or by its bits,
+    as the csv reader does, so it accepts no file that the csv reader
+    refuses, and gives the same table bit for bit.
     """
     if units not in ("linear", "dB"):
         raise ValueError(f"units must be 'linear' or 'dB', got {units!r}")
     width = len(SPECTRUM_COLUMNS)
-    # split("\n"), not splitlines(), which also breaks on \x0c, \x85 and
-    # \u2028 where the csv reader does not.  The reader gets the lines that
-    # io.StringIO(text) gives, but not its copy of the text (4 bytes a
-    # character), which would stay alive through loadtxt.
-    lines = text.split("\n")
-    reader = csv.reader(chain((line + "\n" for line in lines[:-1]), filter(None, lines[-1:])))
+    reader = csv.reader(_lines(text))
     rows, line_numbers = [], []
     line_no = 0  # the last record read
     try:
@@ -165,33 +164,27 @@ def _read_table(text: str, units: str) -> np.ndarray:
         if header != SPECTRUM_COLUMNS:
             raise ValueError(f"unexpected header {header}; expected columns {SPECTRUM_COLUMNS}")
         line_no = 1
-        # Where float() refuses a cell, loadtxt reads one over the csv field
-        # limit and strips \x1c-\x1f around a number, so such files stay
-        # with the csv reader.
-        if max(map(len, lines)) <= csv.field_size_limit() and not any(
-            separator in text for separator in "\x1c\x1d\x1e\x1f"
-        ):
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")  # loadtxt only warns on a file without rows
-                    body = lines[reader.line_num :]
-                    table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-                if units == "dB" and table.shape[1] == width:
+        # With no quote, carriage return or NUL, the header is the first line,
+        # and the csv reader's cells are the text between the commas.
+        if not any(special in text for special in '"\r\0'):
+            from ._floattext import read_cells
+
+            start = text.find("\n") + 1 or len(text)
+            table = read_cells(text, start, width, csv.field_size_limit())
+            if table is not None:
+                if units == "dB":
                     # float_power calls libm's pow, as Python's ** does, and numpy's /
-                    # is Python's: the bits of 10.0 ** (x / 10.0).  A cell that
-                    # overflows to inf, or underflows to 0, fails the gate below,
+                    # is Python's: in place, the bits of 10.0 ** (x / 10.0).  A cell
+                    # that overflows to inf, or underflows to 0, fails the gate below,
                     # so numpy need not warn of it.
+                    variances = table[:, 1:]
                     with np.errstate(over="ignore", under="ignore"):
-                        np.float_power(10.0, table[:, 1:] / 10.0, out=table[:, 1:])
-            except (ValueError, UserWarning):
-                pass
-            else:
+                        np.divide(variances, 10.0, out=variances)
+                        np.float_power(10.0, variances, out=variances)
                 order = np.argsort(table[:, 0], kind="stable")
-                if (
-                    table.shape[1] == width
-                    and ((table > 0.0) & (table < math.inf)).all()
-                    and (np.diff(table[order, 0]) != 0.0).all()
-                ):
+                if ((table > 0.0) & (table < math.inf)).all() and (
+                    np.diff(table[order, 0]) != 0.0
+                ).all():
                     return table[order]
         for line_no, record in enumerate(reader, start=2):
             if not "".join(record).strip():
@@ -230,6 +223,18 @@ def _read_table(text: str, units: str) -> np.ndarray:
             f"{freq[first].item()} MHz, also on row {earlier}"
         )
     return table[order]
+
+
+def _lines(text: str) -> Iterator[str]:
+    r"""The lines of ``text`` as ``io.StringIO(text)`` gives them, each with its
+    newline, split at "\n" alone, without that copy of the text (4 bytes a
+    character).  Not splitlines(), which also breaks on \x0c, \x85 and
+    \u2028, where the csv reader does not."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 def cm_at_frequency(row: SpectrumRow) -> CorrelationMatrix4:

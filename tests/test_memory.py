@@ -1,10 +1,12 @@
-"""Memory of ``gaussent contours``: a fixed working set, and no table.
+"""Memory of ``gaussent contours``: a fixed working set, and no table; and
+of the spectrum reader: its text, its tables and one block.
 
 A grid of ``contour_grid`` computes its values a block of rows at a time as
 the writers write them, and builds its table only when ``values`` is read.
 The writers keep every array a block needs in one workspace from their
 first block on, so a later block allocates only the text it yields and the
-temporaries of the metric's formula over its rows.
+temporaries of the metric's formula over its rows.  The spectrum reader
+reads a block of lines at a time into one table.
 """
 
 import os
@@ -19,7 +21,9 @@ import pytest
 import gaussent
 from gaussent._floattext import CHUNK, _tables, _words, _Workspace
 from gaussent.protocols import contour_grid
-from gaussent.spectra import DERIVED_COLUMNS, _csv_chunks, _json_chunks
+from gaussent.spectra import (
+    DERIVED_COLUMNS, SPECTRUM_COLUMNS, _csv_chunks, _json_chunks, _read_table,
+)
 
 SRC = Path(gaussent.__file__).resolve().parents[1]
 # Python objects (views, slices) and the buffer numpy's iterator takes for
@@ -128,6 +132,31 @@ def test_after_the_first_block_a_block_allocates_only_its_text(writer):
         assert peak <= max(len(chunk), kernel) + ALLOWANCE, f"block {blocks + 2}"
         blocks += 1
     assert blocks >= 4
+
+
+READ_ROWS = 50_000
+# One block's arrays beside the table: about twenty of CHUNK cells, 8 bytes
+# each, and the masks of the block's bytes, 2.5 MB measured; and the line
+# ends, 8 bytes a row.  A list of the text's lines would take 9 MB more.
+READ_ALLOWANCE = 24 * CHUNK * 8 + 8 * READ_ROWS
+
+
+@pytest.mark.parametrize("units", ["linear", "dB"])
+def test_reading_a_spectrum_holds_its_text_two_tables_and_one_block(units):
+    """``_read_table`` of a 50,000-row spectrum peaks below its text's bytes,
+    the table and its sorted copy, and one block: 0.03-0.05 MB above the
+    text and the two tables, measured.  The text's bytes and the block's
+    arrays are freed before the sort."""
+    rng = np.random.default_rng(39)
+    table = rng.uniform(0.2, 8.0, (READ_ROWS, len(SPECTRUM_COLUMNS)))
+    table[:, 0] = np.arange(1, READ_ROWS + 1) / 7.0
+    lines = [",".join(map(repr, row)) for row in table.tolist()]
+    text = ",".join(SPECTRUM_COLUMNS) + "\n" + "\n".join(lines) + "\n"
+    del lines
+    read, peak = traced_peak(_read_table, text, units)
+    if units == "linear":
+        assert read.tobytes() == table.tobytes()
+    assert peak <= len(text) + 2 * table.nbytes + READ_ALLOWANCE
 
 
 # numpy and the float-to-text kernel are imported before the first reading:

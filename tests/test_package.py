@@ -88,10 +88,11 @@ def test_only_the_table_subcommands_load_numpy(case, tmp_path):
 
 
 def test_cli_import_builds_no_float_text_table():
-    """The float-to-text kernel's tables are built on its first call, not at import."""
+    """The float-text kernel's tables, the writers' and the reader's, are built
+    on their first call, not at import."""
     probe = (
         "import gaussent.cli, gaussent._floattext as kernel; "
-        "print(kernel._tables.cache_info().currsize)"
+        "print(kernel._tables.cache_info().currsize + kernel._powers.cache_info().currsize)"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run(

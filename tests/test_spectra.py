@@ -2,8 +2,10 @@
 the anchor files.
 
 Run as a script it sweeps 10^7 seeded dB cells at seed 1 through the reader,
-beside the 10^6 at another seed that the tier-1 run checks, and exits 1 on a
-cell whose value is not the bits of ``10.0 ** (x / 10.0)``:
+and 10^7 seeded cells at seed 1 through the reader's raw table, beside the
+10^6 of each at other seeds that the tier-1 run checks, and exits 1 on a
+cell whose value is not the bits of ``10.0 ** (x / 10.0)``, or of
+``float()``:
 
     PYTHONPATH=src python tests/test_spectra.py
 """
@@ -13,6 +15,7 @@ import importlib.util
 import json
 import logging
 import math
+import random
 import re
 import sys
 import warnings
@@ -27,6 +30,7 @@ from hypothesis import strategies as st
 from conftest import ANCHOR_35_ENTRIES, ANCHOR_65_ENTRIES, MEASURED_65
 from oracles import parse_spectra_rowwise
 from gaussent import spectra
+from gaussent._floattext import read_cells
 from gaussent.cli import main
 from gaussent.epr import degree_of_epr
 from gaussent.photons import decompose
@@ -114,9 +118,10 @@ class TestParse:
 
     @pytest.mark.parametrize("units", ["linear", "dB"])
     def test_blank_looking_lines_fall_back_to_the_same_table(self, units):
-        # loadtxt refuses a line of blank or empty cells, which the csv reader
-        # skips; the csv reader's table (its per-cell dB, its SpectrumRow gate)
-        # must equal the C reader's (its column dB) bit for bit.
+        # The decimal reader refuses a line of blank or empty cells, which the
+        # csv reader skips; the csv reader's table (its per-cell dB, its
+        # per-row gate) must equal the decimal reader's (its column dB) bit
+        # for bit.
         text = _PERFBENCH_GEN.spectrum_csv(_PERFBENCH_GEN.spectrum(0, 2000), units == "dB")
         clean = spectra._read_table(text, units).tobytes()
         header, body = text.split("\n", 1)
@@ -124,7 +129,7 @@ class TestParse:
             assert spectra._read_table(odd, units).tobytes() == clean
 
     def test_db_cells_convert_to_the_bits_of_the_scalar_formula(self):
-        """The C reader's one-pass conversion gives each variance cell the bits
+        """The fast path's column conversion gives each variance cell the bits
         of ``10.0 ** (x / 10.0)``, the formula the csv reader applies per cell,
         and refuses, with the csv reader's message, each cell that overflows or
         converts to 0."""
@@ -166,9 +171,10 @@ def _parse_outcome(parse, text, units):
 # number, out of range once converted from dB (4000 dB overflows, -4000 dB
 # converts to 0), zero, negative, infinite and NaN.  The csv reader and
 # float() accept a quoted cell, digit grouping, non-ASCII digits and a form
-# feed around a number, which numpy's C reader refuses.  float() refuses a
-# hex float, a Fortran exponent, a NaN payload, a form feed inside a number,
-# a comment and \x1c-\x1f around a number, which numpy strips as spaces.
+# feed around a number, which the decimal reader leaves to the csv reader
+# or to float().  float() refuses a hex float, a Fortran exponent, a NaN
+# payload, a form feed inside a number, a comment and \x1c-\x1f around a
+# number, which numpy's loadtxt, the reader before, read.
 _GOOD_CELL = st.sampled_from(["1.5", "0.3", "2", "7.25", " 4.0 ", "1e-3", "0.5", "12"])
 _ODD_GOOD_CELL = st.sampled_from(['"1.5"', "1_000", "\u0661", "\x0c2\x0c"])
 _BAD_CELL = st.sampled_from(
@@ -218,7 +224,7 @@ def _rowwise_table(text, units):
     return [spectra._spectrum_values(row) for row in parse_spectra_rowwise(text, units)]
 
 
-# Over the csv field limit, and 1.0 to numpy.
+# Over the csv field limit, and 1.0 to float().
 _LONG_CELL = "1." + "0" * csv.field_size_limit()
 
 
@@ -238,9 +244,9 @@ class TestParseErrorOrder:
     @example(["2,1,1,1,1,1,1", "3,1,1,1,-4000,1,1"], "dB")
     @example(["3,1,1,1,1,1,1", "2,1,1,1,4000,1,-1"], "dB")
     # A header-only file; every row one cell short; a comment; numbers that
-    # only numpy reads; a carriage return inside a line; a cell over the csv
-    # field limit, after a bad value; a carriage return inside a line of
-    # blank cells.
+    # float() refuses, which numpy's loadtxt read; a carriage return inside a
+    # line; a cell over the csv field limit, after a bad value; a carriage
+    # return inside a line of blank cells.
     @example([], "linear")
     @example(["1,1,1,1,1,1", "2,1,1,1,1,1"], "dB")
     @example(["1,1,1,1,1,1,1 # note"], "linear")
@@ -277,6 +283,42 @@ class TestParseErrorOrder:
         expected = _table_outcome(_rowwise_table, text, units)
         assert len(expected) == 2000 * len(SPECTRUM_COLUMNS) * 8
         assert _table_outcome(spectra._read_table, text, units) == expected
+
+
+class TestReader:
+    """The reader of the lines after the header, :func:`read_cells`, on its raw
+    table, before the value gate: each cell's bits are ``float()``'s, signs
+    and zeros too."""
+
+    def test_seeded_and_edge_cells_read_as_float_reads_them(self):
+        found = reader_sweep(seed=39, count=10**6)
+        assert not found, found[:20]
+
+    def test_the_search_finds_cells_that_the_product_leaves_to_float(self):
+        cells = ambiguous_cells(16)
+        assert len(set(cells)) == 16
+        assert all(_is_vector_cell(cell) for cell in cells)
+
+    @pytest.mark.parametrize("body", [
+        "1,2,3,4,5,6\n",  # six cells
+        "1,2,3,4,5,6,7,8\n",
+        "1,2,3,4,5,6,7\n\n1,2,3,4,5,6,7\n",  # a blank line
+        "1,2,3,4,5,6,7\n,,,,,,\n",
+        "1,2,3,4,5,6,oops\n",
+        "1.5,2,3,4,5,6,0x1p3\n",
+        "1.5,2,3,4,5,6,1.5.5\n",
+        "1.5,2,3,4,5,6,1e\n",
+        "1.5,2,3,4,5,6,\u0661\n",  # float() reads it, but not ASCII
+        "1.5,2,3,4,5,6," + "1." + "0" * 99 + "\n",  # over the limit of 100 below
+    ])
+    def test_refuses_what_the_csv_reader_must_read(self, body):
+        assert read_cells(HEADER + "\n" + body, len(HEADER) + 1, 7, 100) is None
+
+    @pytest.mark.parametrize("body, rows", [("", 0), ("1,2,3,4,5,6,7", 1), ("1,2,3,4,5,6,7\n", 1)])
+    def test_a_last_newline_ends_the_last_line(self, body, rows):
+        table = read_cells(HEADER + "\n" + body, len(HEADER) + 1, 7, 100)
+        assert table.shape == (rows, 7)
+        assert table.tolist() == [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]] * rows
 
 
 class TestSpectrumRow:
@@ -933,7 +975,81 @@ def _db_cells(cells: list[float]) -> list[str]:
     return found
 
 
+# Cells that the reader's vector path leaves to float(): exponents, spaces,
+# signs, underscores, infinities and nan, 20 and 21 digits, a point at
+# either end or none, 9 digits before the point.
+FLOAT_CELLS = ["1e-05", "-2.5E+300", " 1.5", "1.5\t", "+1.5", "1_0.5", "inf", "-inf", "nan",
+               "1.2345678901234567890", "-12.345678901234567890", ".5", "-.5", "5.", "5", "-5",
+               "123456789.5", "00000000001.5"]
+# 2^53 - 1, 2^53 and 2^53 + 1 as w, 19 digits, 20 digits, both zeros,
+# 0.1 + 0.2, and the widest and narrowest w of the vector path.
+EDGE_CELLS = ["9007199254740993.0", "0.9007199254740991", "0.9007199254740992",
+              "0.9007199254740993", "-9.007199254740993", "99999999.99999999999",
+              "0.1234567890123456789", "0.0", "-0.0", "0.30000000000000004",
+              "1.000000000000000000", "0.000000000000000001", "12345678.12345678901",
+              "-0.999999999999999999", "1.0", "-1.5"]
+
+
+def _is_vector_cell(cell: str) -> bool:
+    """Whether ``cell`` has the form the reader reads by word: [-]D+.D+, at
+    most 8 digits before the point and 19 in all."""
+    return re.fullmatch(r"-?(\d{1,8})\.(\d+)", cell) is not None and len(cell.lstrip("-")) <= 20
+
+
+def ambiguous_cells(count: int, seed: int = 39) -> list[str]:
+    """``count`` seeded cells of the vector path, w 10^-f with w >= 2^53, whose
+    first Eisel–Lemire product, the high word of w (shifted to fill 64 bits)
+    times that of fast_float's 128-bit 5^-f, ends in nine 1 bits: where the
+    reader must leave the cell to float().  Found by search, in Python integers."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        after = rng.randint(8, 18)
+        before = rng.randint(max(1, 16 - after), min(8, 19 - after))
+        w = rng.randrange(2**53, 10 ** (before + after))
+        five = 5**after
+        table = ((1 << (five - 1).bit_length() + 127) // five + 1) >> 64
+        high = (w << 64 - w.bit_length()) * table >> 64
+        if high & 0x1FF == 0x1FF:
+            digits = str(w).rjust(before + after, "0")
+            found.append(digits[:before] + "." + digits[before:])
+    return found
+
+
+def reader_sweep(seed: int, count: int, piece: int = 7 << 16) -> list[str]:
+    """``count`` seeded cells, seven to a line, ``piece`` a file, through
+    :func:`read_cells`: the edge cells, the searched ones and every kind that
+    float() reads alone, then reprs of ±10^U(-20, 20), with a tenth short
+    decimals and one in a hundred replaced by a cell of :data:`FLOAT_CELLS`.
+    Each cell whose value in the raw table is not float()'s bits."""
+    rng = np.random.default_rng(seed)
+    fixed = EDGE_CELLS + ambiguous_cells(16) + FLOAT_CELLS
+    found = []
+    for start in range(0, count, piece):
+        size = min(piece, count - start)
+        values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-20.0, 20.0, size)
+        cells = list(map(repr, values.tolist()))
+        for at in np.flatnonzero(rng.random(size) < 0.1).tolist():
+            cells[at] = f"{math.fmod(values[at], 1000.0):.{at % 6 + 1}f}"
+        for at in np.flatnonzero(rng.random(size) < 0.01).tolist():
+            cells[at] = FLOAT_CELLS[at % len(FLOAT_CELLS)]
+        if not start:
+            cells[: len(fixed)] = fixed
+        cells += ["1.0"] * (-len(cells) % 7)
+        lines = [",".join(cells[row : row + 7]) for row in range(0, len(cells), 7)]
+        table = read_cells(HEADER + "\n" + "\n".join(lines) + "\n", len(HEADER) + 1, 7,
+                           csv.field_size_limit())
+        if table is None:
+            return [f"piece at {start}: refused"]
+        expected = np.array(list(map(float, cells))).view(np.uint64)
+        for at in np.flatnonzero(table.ravel().view(np.uint64) != expected).tolist():
+            found.append(f"{cells[at]!r}: {table.flat[at]!r}, not {float(cells[at])!r}")
+    return found
+
+
 if __name__ == "__main__":
     found = db_sweep(seed=1, count=10**7)
     print(f"{len(found)} mismatches in 10000000 dB cells at seed 1", *found[:20], sep="\n")
-    sys.exit(1 if found else 0)
+    read = reader_sweep(seed=1, count=10**7)
+    print(f"{len(read)} mismatches in 10000000 reader cells at seed 1", *read[:20], sep="\n")
+    sys.exit(1 if found or read else 0)
