@@ -174,7 +174,7 @@ def _parse_outcome(parse, text, units):
 # feed around a number, which the decimal reader leaves to the csv reader
 # or to float().  float() refuses a hex float, a Fortran exponent, a NaN
 # payload, a form feed inside a number, a comment and \x1c-\x1f around a
-# number, which numpy's loadtxt, the reader before, read.
+# number, and the decimal reader must refuse each of them as float() does.
 _GOOD_CELL = st.sampled_from(["1.5", "0.3", "2", "7.25", " 4.0 ", "1e-3", "0.5", "12"])
 _ODD_GOOD_CELL = st.sampled_from(['"1.5"', "1_000", "\u0661", "\x0c2\x0c"])
 _BAD_CELL = st.sampled_from(
@@ -244,9 +244,9 @@ class TestParseErrorOrder:
     @example(["2,1,1,1,1,1,1", "3,1,1,1,-4000,1,1"], "dB")
     @example(["3,1,1,1,1,1,1", "2,1,1,1,4000,1,-1"], "dB")
     # A header-only file; every row one cell short; a comment; numbers that
-    # float() refuses, which numpy's loadtxt read; a carriage return inside a
-    # line; a cell over the csv field limit, after a bad value; a carriage
-    # return inside a line of blank cells.
+    # float() refuses; a carriage return inside a line; a cell over the csv
+    # field limit, after a bad value; a carriage return inside a line of
+    # blank cells.
     @example([], "linear")
     @example(["1,1,1,1,1,1", "2,1,1,1,1,1"], "dB")
     @example(["1,1,1,1,1,1,1 # note"], "linear")
