@@ -139,16 +139,16 @@ def _read_table(text: str, units: str) -> np.ndarray:
 
     The fast path decides, the one-row path explains.  The csv reader reads
     the header; :func:`~gaussent._floattext.read_cells` reads the lines after
-    it, and the table is kept if it passes the value gate and repeats no
-    frequency.  Otherwise (or where the text holds a quote, a carriage
-    return or a NUL, which only the csv reader reads, or where ``read_cells``
-    refuses a line, such as a blank one, which the csv reader skips) the
+    it, and its table is kept if it passes the value gate.  Otherwise (or
+    where the text holds a quote, a carriage return or a NUL, which only the
+    csv reader reads, or ``read_cells`` refuses a line, a blank one too) the
     csv reader goes on from the header, gating each row's values as it is
-    read, and only it reports errors: so each message, and which error
-    comes first in the file, is the csv reader's.  ``read_cells`` converts
-    each cell, the text between two commas, by ``float()`` or by its bits,
-    as the csv reader does, so it accepts no file that the csv reader
-    refuses, and gives the same table bit for bit.
+    read, and only it explains a bad line: so each such message, and which
+    comes first in the file, is the csv reader's.  ``read_cells`` gives each
+    cell's ``float()`` bit for bit and accepts no file the csv reader
+    refuses.  Either table leaves by one exit: as read if its frequencies
+    rise, else sorted stably, or refused at its first repeated frequency,
+    named with the line numbers of its two rows.
     """
     if units not in ("linear", "dB"):
         raise ValueError(f"units must be 'linear' or 'dB', got {units!r}")
@@ -181,11 +181,9 @@ def _read_table(text: str, units: str) -> np.ndarray:
                     with np.errstate(over="ignore", under="ignore"):
                         np.divide(variances, 10.0, out=variances)
                         np.float_power(10.0, variances, out=variances)
-                order = np.argsort(table[:, 0], kind="stable")
-                if ((table > 0.0) & (table < math.inf)).all() and (
-                    np.diff(table[order, 0]) != 0.0
-                ).all():
-                    return table[order]
+                if ((table > 0.0) & (table < math.inf)).all():
+                    # Row r is line r + 2 (read_cells refuses a blank line); no more to read.
+                    rows, line_numbers, reader = table, range(2, len(table) + 2), ()
         for line_no, record in enumerate(reader, start=2):
             if not "".join(record).strip():
                 continue
@@ -211,8 +209,10 @@ def _read_table(text: str, units: str) -> np.ndarray:
     except csv.Error as exc:  # from the reader, on the record after line_no; a cell too long
         raise ValueError(f"row {line_no + 1}: {exc}") from None
 
-    table = np.array(rows, float).reshape(-1, width)
+    table = np.asarray(rows, float).reshape(-1, width)
     freq = table[:, 0]
+    if (freq[1:] > freq[:-1]).all():
+        return table
     order = np.argsort(freq, kind="stable")
     repeats = np.flatnonzero(np.diff(freq[order]) == 0.0)
     if repeats.size:

@@ -1,5 +1,5 @@
 """Memory of ``gaussent contours``: a fixed working set, and no table; and
-of the spectrum reader: its text, its tables and one block.
+of the spectrum reader: its text, its table and one block.
 
 A grid of ``contour_grid`` computes its values a block of rows at a time as
 the writers write them, and builds its table only when ``values`` is read.
@@ -18,18 +18,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import parse_spectra_rowwise
+
 import gaussent
-from gaussent._floattext import CHUNK, _tables, _words, _Workspace
+from gaussent._floattext import CHUNK, _tables, _words, _Workspace, read_cells
 from gaussent.protocols import contour_grid
 from gaussent.spectra import (
     DERIVED_COLUMNS, SPECTRUM_COLUMNS, _csv_chunks, _json_chunks, _read_table,
 )
 
 SRC = Path(gaussent.__file__).resolve().parents[1]
-# Python objects (views, slices) and the buffer numpy's iterator takes for
-# a ufunc over 2-D operands (8192 entries of 8 bytes), freed as the ufunc
-# returns: a block's arrays are 128 KiB each.
-ALLOWANCE = 96 * 1024
+# Python objects (views, slices) beside a block's text: at most 5.4 KiB
+# measured (spectrum csv; grid csv 1.2, spectrum json 4.3, numpy 2.4), and a
+# margin.  A CHUNK-sized bool mask kept with the text would exceed it.  No
+# writer call takes the 64 KiB buffer numpy's iterator takes for a ufunc
+# over 2-D operands that do not collapse to one dimension: outside the
+# kernel, each ufunc runs on 1-D or whole contiguous arrays of one dtype,
+# which numpy 1.x also runs without its iterator, and casts go through
+# np.copyto.  The kernel's buffers are among its temporaries, below.
+ALLOWANCE = 16 * 1024
 
 
 def traced_peak(function, *args):
@@ -101,8 +108,9 @@ def spectrum_columns(rows: int) -> tuple:
 
 
 # The metric's formula over a block of rows holds at most three block-sized
-# float64 temporaries at once, and bool masks of an eighth of a block each:
-# dense_ratio peaks at about 3.5 blocks, epr at 3.1.
+# float64 temporaries at once, bool masks of an eighth of a block each, and
+# numpy's iterator buffers, 64 KiB for each of the broadcast n_min column
+# and n_excess row: dense_ratio peaks at about 3.5 blocks, epr at 3.1.
 KERNEL_TEMPORARIES = 4
 
 WRITERS = {
@@ -141,22 +149,65 @@ READ_ROWS = 50_000
 READ_ALLOWANCE = 24 * CHUNK * 8 + 8 * READ_ROWS
 
 
-@pytest.mark.parametrize("units", ["linear", "dB"])
-def test_reading_a_spectrum_holds_its_text_two_tables_and_one_block(units):
-    """``_read_table`` of a 50,000-row spectrum peaks below its text's bytes,
-    the table and its sorted copy, and one block: 0.03-0.05 MB above the
-    text and the two tables, measured.  The text's bytes and the block's
-    arrays are freed before the sort."""
+def rising_table() -> np.ndarray:
+    """A 50,000-row spectrum table, its frequencies rising."""
     rng = np.random.default_rng(39)
     table = rng.uniform(0.2, 8.0, (READ_ROWS, len(SPECTRUM_COLUMNS)))
     table[:, 0] = np.arange(1, READ_ROWS + 1) / 7.0
+    return table
+
+
+def spectrum_text(table) -> str:
+    """The CSV of ``table``, each cell its repr: a file the decimal reader reads."""
     lines = [",".join(map(repr, row)) for row in table.tolist()]
-    text = ",".join(SPECTRUM_COLUMNS) + "\n" + "\n".join(lines) + "\n"
-    del lines
-    read, peak = traced_peak(_read_table, text, units)
+    return ",".join(SPECTRUM_COLUMNS) + "\n" + "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("units", ["linear", "dB"])
+def test_reading_a_spectrum_holds_its_text_one_table_and_one_block(units, monkeypatch):
+    """``_read_table`` of a 50,000-row spectrum peaks below its text's bytes,
+    the table and one block: 2.8 MB above the text and the table, measured.
+    A table whose frequencies rise comes back as ``read_cells`` built it."""
+    import gaussent._floattext
+
+    read = []
+
+    def spy(*args):
+        read.append(read_cells(*args))
+        return read[-1]
+
+    monkeypatch.setattr(gaussent._floattext, "read_cells", spy)
+    table = rising_table()
+    text = spectrum_text(table)
+    returned, peak = traced_peak(_read_table, text, units)
     if units == "linear":
-        assert read.tobytes() == table.tobytes()
-    assert peak <= len(text) + 2 * table.nbytes + READ_ALLOWANCE
+        assert returned.tobytes() == table.tobytes()
+    assert np.shares_memory(returned, read[0])
+    assert peak <= len(text) + table.nbytes + READ_ALLOWANCE
+
+
+def refusal(text, units):
+    """The message of the ValueError ``_read_table`` raises on ``text``."""
+    with pytest.raises(ValueError) as refused:
+        _read_table(text, units)
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("units", ["linear", "dB"])
+def test_a_repeated_frequency_is_named_within_the_same_bound(units):
+    """A fast-readable file whose last row repeats the first row's frequency
+    is refused with the row-by-row parser's message, without a second,
+    row-by-row read of the file: 2.8 MB above its text and one table, measured."""
+    table = rising_table()
+    table[-1, 0] = table[0, 0]
+    text = spectrum_text(table)
+    with pytest.raises(ValueError) as expected:
+        parse_spectra_rowwise(text, units)
+    message, peak = traced_peak(refusal, text, units)
+    assert message == str(expected.value)
+    assert message.startswith(f"row {READ_ROWS + 1}, column 'frequency_mhz': duplicate")
+    assert message.endswith("also on row 2")
+    assert peak <= len(text) + table.nbytes + READ_ALLOWANCE
 
 
 # numpy and the float-to-text kernel are imported before the first reading:

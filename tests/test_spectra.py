@@ -243,6 +243,10 @@ class TestParseErrorOrder:
     @example(["2,1,1,1,1,1,1", "2.0,1,1,1,1,1,1", "3,1,1"], "dB")
     @example(["2,1,1,1,1,1,1", "3,1,1,1,-4000,1,1"], "dB")
     @example(["3,1,1,1,1,1,1", "2,1,1,1,4000,1,-1"], "dB")
+    # An unsorted file that the decimal reader reads whole, with a frequency
+    # written two ways on its first and last rows.
+    @example(["2,1,1,1,1,1,1", "1,1,1,1,1,1,1", "2.0,1,1,1,1,1,1"], "linear")
+    @example(["2,1,1,1,1,1,1", "1,1,1,1,1,1,1", "2.0,1,1,1,1,1,1"], "dB")
     # A header-only file; every row one cell short; a comment; numbers that
     # float() refuses; a carriage return inside a line; a cell over the csv
     # field limit, after a bad value; a carriage return inside a line of
